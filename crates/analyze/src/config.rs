@@ -18,10 +18,6 @@ pub struct Config {
     pub d2_allow: Vec<String>,
     /// Path prefixes exempt from C2 (Relaxed ordering).
     pub c2_allow: Vec<String>,
-    /// Path prefixes where C3 (unbounded channels) is enforced —
-    /// long-lived runtime modules where queue growth is unbounded by
-    /// construction.
-    pub c3_critical: Vec<String>,
     /// Path prefixes exempt from C4 (detached spawns).
     pub c4_allow: Vec<String>,
     /// Path prefixes where N1 (blocking socket calls) is enforced —
@@ -62,10 +58,6 @@ impl Default for Config {
                 "crates/p2pnet/src/parallel.rs".to_string(),
             ],
             c2_allow: vec![],
-            c3_critical: vec![
-                "crates/node/src".to_string(),
-                "crates/p2pnet/src".to_string(),
-            ],
             c4_allow: vec![],
             n1_critical: vec!["crates/reactor/src".to_string()],
             d1x_critical: vec![],
@@ -83,7 +75,6 @@ impl Config {
             d1_critical: Vec::new(),
             d2_allow: Vec::new(),
             c2_allow: Vec::new(),
-            c3_critical: Vec::new(),
             c4_allow: Vec::new(),
             n1_critical: Vec::new(),
             d1x_critical: Vec::new(),
@@ -144,7 +135,6 @@ impl Config {
             ("rules.D1", "critical") => self.d1_critical = values,
             ("rules.D2", "allow") => self.d2_allow = values,
             ("rules.C2", "allow") => self.c2_allow = values,
-            ("rules.C3", "critical") => self.c3_critical = values,
             ("rules.C4", "allow") => self.c4_allow = values,
             ("rules.N1", "critical") => self.n1_critical = values,
             ("rules.D1X", "critical") => self.d1x_critical = values,
@@ -173,11 +163,6 @@ impl Config {
     /// Whether this path is exempt from C2.
     pub fn c2_exempt(&self, rel: &str) -> bool {
         self.c2_allow.iter().any(|p| prefix_match(p, rel))
-    }
-
-    /// Whether C3 applies to this path.
-    pub fn c3_applies(&self, rel: &str) -> bool {
-        self.c3_critical.iter().any(|p| prefix_match(p, rel))
     }
 
     /// Whether this path is exempt from C4.

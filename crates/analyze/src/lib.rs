@@ -3,7 +3,7 @@
 //!
 //! JXP's headline invariant — bit-identical score hashes at any thread
 //! count — is only as strong as the discipline of the code that
-//! computes them. This crate machine-checks that discipline with seven
+//! computes them. This crate machine-checks that discipline with nine
 //! rules:
 //!
 //! | Rule | What it forbids |
@@ -12,7 +12,6 @@
 //! | `D2` | `Instant::now` / `SystemTime::now` / ambient RNG outside the timing whitelist |
 //! | `C1` | `.lock().unwrap()`-style poison panics on shared state |
 //! | `C2` | `Ordering::Relaxed` on atomics without a reasoned annotation |
-//! | `C3` | unbounded `mpsc::channel()` in runtime modules (use `sync_channel`) |
 //! | `C4` | detached `thread::spawn` whose `JoinHandle` is discarded |
 //! | `N1` | blocking socket calls (`read_exact`, `connect_timeout`, `set_nonblocking(false)`) inside the reactor |
 //! | `D1X` | cross-file hash-container flow into a determinism-critical iteration site |
@@ -59,8 +58,6 @@ pub enum RuleId {
     C1,
     /// Unjustified `Ordering::Relaxed`.
     C2,
-    /// Unbounded channel construction in a runtime module.
-    C3,
     /// Detached spawn: `thread::spawn` with its `JoinHandle` discarded.
     C4,
     /// Blocking socket call inside the non-blocking reactor.
@@ -83,7 +80,6 @@ impl RuleId {
             "D2" => Some(RuleId::D2),
             "C1" => Some(RuleId::C1),
             "C2" => Some(RuleId::C2),
-            "C3" => Some(RuleId::C3),
             "C4" => Some(RuleId::C4),
             "N1" => Some(RuleId::N1),
             "D1X" => Some(RuleId::D1X),
@@ -111,11 +107,6 @@ impl RuleId {
             RuleId::C2 => {
                 "Ordering::Relaxed must not publish data across threads; \
                  pure counters carry a reasoned allow pragma"
-            }
-            RuleId::C3 => {
-                "no unbounded mpsc::channel() in runtime modules — a slow \
-                 consumer buffers without limit; use sync_channel with an \
-                 explicit bound"
             }
             RuleId::C4 => {
                 "thread::spawn as a statement discards its JoinHandle; bind \
@@ -153,7 +144,6 @@ impl fmt::Display for RuleId {
             RuleId::D2 => write!(f, "D2"),
             RuleId::C1 => write!(f, "C1"),
             RuleId::C2 => write!(f, "C2"),
-            RuleId::C3 => write!(f, "C3"),
             RuleId::C4 => write!(f, "C4"),
             RuleId::N1 => write!(f, "N1"),
             RuleId::D1X => write!(f, "D1X"),
@@ -337,7 +327,6 @@ mod tests {
             RuleId::D2,
             RuleId::C1,
             RuleId::C2,
-            RuleId::C3,
             RuleId::C4,
             RuleId::N1,
             RuleId::D1X,

@@ -116,7 +116,7 @@ fn run_check(args: &[String]) -> ExitCode {
                         println!("{}", f.diag);
                     }
                     if active == 0 {
-                        println!("jxp-analyze: clean (rules D1 D1X D2 C1 C2 C3 C4 N1 L1 P1)");
+                        println!("jxp-analyze: clean (rules D1 D1X D2 C1 C2 C4 N1 L1 P1)");
                     } else {
                         println!("jxp-analyze: {active} violation(s)");
                     }
@@ -197,7 +197,6 @@ fn print_rules() {
         RuleId::D2,
         RuleId::C1,
         RuleId::C2,
-        RuleId::C3,
         RuleId::C4,
         RuleId::N1,
         RuleId::L1,
@@ -216,7 +215,7 @@ fn print_rules() {
          \n\
          Path-level scoping lives in analyze.toml ([rules.D1] critical,\n\
          [rules.D1X] critical, [rules.D2] allow, [rules.C2] allow,\n\
-         [rules.C3] critical, [rules.C4] allow, [rules.N1] critical,\n\
-         [rules.L1] allow, [rules.P1] submit)."
+         [rules.C4] allow, [rules.N1] critical, [rules.L1] allow,\n\
+         [rules.P1] submit)."
     );
 }

@@ -1,4 +1,4 @@
-//! The rule engine: D1/D2/C1/C2/C3/C4/N1 checks over preprocessed source.
+//! The rule engine: D1/D2/C1/C2/C4/N1 checks over preprocessed source.
 //!
 //! All rules operate on the code-only token stream produced by
 //! [`crate::scan`]. They are deliberately heuristic — this is a lint
@@ -63,9 +63,6 @@ pub fn check_file_report(rel_path: &str, prepared: &Prepared, config: &Config) -
     rule_c1(rel_path, prepared, &mut diags);
     if !config.c2_exempt(rel_path) {
         rule_c2(rel_path, prepared, &mut diags);
-    }
-    if config.c3_applies(rel_path) {
-        rule_c3(rel_path, prepared, &mut diags);
     }
     if !config.c4_exempt(rel_path) {
         rule_c4(rel_path, prepared, &mut diags);
@@ -314,52 +311,6 @@ fn rule_c2(rel_path: &str, prepared: &Prepared, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// C3: no unbounded channels in runtime modules. A long-lived meeting
-/// loop with an unbounded `mpsc::channel()` buffers without limit when
-/// the consumer stalls; `sync_channel(n)` turns that into backpressure.
-/// The `channel` token must head a call (`channel(`) and not be a
-/// method (`.channel(`), which keeps field accesses and unrelated APIs
-/// out; `sync_channel` is a different token and never matches.
-fn rule_c3(rel_path: &str, prepared: &Prepared, diags: &mut Vec<Diagnostic>) {
-    for line in &prepared.lines {
-        let tokens = scan::tokenize(&line.code);
-        for (i, tok) in tokens.iter().enumerate() {
-            if tok != "channel" {
-                continue;
-            }
-            // Skip a turbofish: `channel::<u64>(` is still a call.
-            let mut k = i + 1;
-            if tokens.get(k).map(String::as_str) == Some("::")
-                && tokens.get(k + 1).map(String::as_str) == Some("<")
-            {
-                let mut depth = 1;
-                k += 2;
-                while k < tokens.len() && depth > 0 {
-                    match tokens[k].as_str() {
-                        "<" => depth += 1,
-                        ">" => depth -= 1,
-                        _ => {}
-                    }
-                    k += 1;
-                }
-            }
-            let is_call = tokens.get(k).map(String::as_str) == Some("(");
-            let is_method = i >= 1 && tokens[i - 1] == ".";
-            if is_call && !is_method {
-                diags.push(Diagnostic {
-                    rule: RuleId::C3,
-                    file: rel_path.to_string(),
-                    line: line.number,
-                    message: "unbounded `channel()` in a runtime module: a stalled \
-                              consumer buffers memory without limit; use \
-                              `sync_channel(n)` so the producer blocks instead"
-                        .to_string(),
-                });
-            }
-        }
-    }
-}
-
 /// C4: no detached `thread::spawn`. A spawn whose `JoinHandle` is
 /// dropped outlives every shutdown path silently. The heuristic flags a
 /// `thread::spawn(` chain used as a *statement* — the token before the
@@ -405,8 +356,8 @@ fn rule_c4(rel_path: &str, prepared: &Prepared, diags: &mut Vec<Diagnostic>) {
 }
 
 /// C4 (builder form): `thread::Builder::new()…spawn(...)` whose
-/// `JoinHandle` is discarded via `let _ = …` or `….ok()` — the tcp.rs
-/// acceptor leak pattern. Builder chains are normally formatted across
+/// `JoinHandle` is discarded via `let _ = …` or `….ok()` — the leaked
+/// acceptor pattern. Builder chains are normally formatted across
 /// lines, so this sub-pass matches over the flat token stream.
 fn rule_c4_builder(rel_path: &str, prepared: &Prepared, diags: &mut Vec<Diagnostic>) {
     let mut toks: Vec<(usize, String)> = Vec::new();
@@ -461,8 +412,8 @@ fn rule_c4_builder(rel_path: &str, prepared: &Prepared, diags: &mut Vec<Diagnost
                 rule: RuleId::C4,
                 file: rel_path.to_string(),
                 line: spawn_line,
-                message: "`Builder::new()…spawn()` handle discarded (the tcp.rs \
-                          leak pattern): bind the JoinHandle and join it on \
+                message: "`Builder::new()…spawn()` handle discarded (a leaked \
+                          thread): bind the JoinHandle and join it on \
                           shutdown instead of `let _ =` / `.ok()`"
                     .to_string(),
             });
@@ -655,23 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn c3_flags_unbounded_channels_only_in_runtime_modules() {
-        let src = "let (tx, rx) = std::sync::mpsc::channel();\n";
-        let diags = check("crates/node/src/x.rs", src);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, RuleId::C3);
-        assert!(check("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn c3_accepts_bounded_channels_and_method_calls() {
-        let src = "let (tx, rx) = std::sync::mpsc::sync_channel(64);\n\
-                   let c = self.channel();\n\
-                   let field = config.channel;\n";
-        assert!(check("crates/node/src/x.rs", src).is_empty());
-    }
-
-    #[test]
     fn c4_flags_detached_spawn_statements() {
         let src = "fn serve() {\n\
                    std::thread::spawn(move || loop {});\n\
@@ -705,8 +639,8 @@ mod tests {
             vec![1, 2, 3]
         );
         // Outside the reactor the same calls are the intended blocking
-        // idiom (the threaded TCP transport lives on them).
-        assert!(check("crates/node/src/tcp.rs", src).is_empty());
+        // idiom (the telemetry scrape thread lives on them).
+        assert!(check("crates/telemetry/src/http.rs", src).is_empty());
     }
 
     #[test]

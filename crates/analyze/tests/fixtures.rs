@@ -71,22 +71,6 @@ pub fn publish(ready: &std::sync::atomic::AtomicBool) {
 }
 
 #[test]
-fn seeded_c3_violation_fires() {
-    let src = "\
-pub fn pipeline() {
-    let (tx, rx) = std::sync::mpsc::channel::<u64>();
-    drop((tx, rx));
-}
-";
-    let hits = rules_hit("crates/node/src/fixture.rs", src);
-    assert_eq!(hits, vec![RuleId::C3]);
-    // Bounded channels pass, and non-runtime modules are out of scope.
-    let bounded = "pub fn p() { let (tx, rx) = std::sync::mpsc::sync_channel::<u64>(8); }\n";
-    assert!(rules_hit("crates/node/src/fixture.rs", bounded).is_empty());
-    assert!(rules_hit("crates/core/src/fixture.rs", src).is_empty());
-}
-
-#[test]
 fn seeded_c4_violation_fires() {
     let src = "\
 pub fn serve_forever() {
@@ -107,7 +91,7 @@ pub fn serve() -> std::thread::JoinHandle<()> {
 
 #[test]
 fn seeded_c4_builder_discard_fires() {
-    // The tcp.rs leak pattern from PR 8: a Builder-spawned worker whose
+    // The leak pattern PR 8 fixed: a Builder-spawned worker whose
     // JoinHandle is thrown away, formatted across lines as fmt does.
     let let_discard = "\
 pub fn accept_loop() {

@@ -221,8 +221,8 @@ fn contiguous_fragments(cg: &CategorizedGraph, n: usize) -> Vec<Subgraph> {
 }
 
 /// `jxp-cli cluster` — run N networked nodes through M meetings over
-/// the wire codec (loopback or localhost TCP) and report convergence
-/// plus measured traffic.
+/// the wire codec (loopback or the localhost-socket reactor) and report
+/// convergence plus measured traffic.
 pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
     use jxp_node::{ClusterConfig, StallPlan, TransportKind};
 
@@ -233,11 +233,7 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
     let meetings: usize = args.get_or("meetings", 200)?;
     let seed: u64 = args.get_or("seed", 42)?;
     let transport: TransportKind = args
-        .get_choice(
-            "transport",
-            &["loopback", "tcp", "threads", "reactor"],
-            "loopback",
-        )?
+        .get_choice("transport", &["loopback", "reactor"], "loopback")?
         .parse()?;
     let premeetings = args.get_choice("premeetings", &["yes", "no"], "no")? == "yes";
     let stall: u32 = args.get_or("stall", 0)?;
@@ -559,12 +555,14 @@ pub fn metrics_cmd(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// `jxp-cli node` — single-node TCP demo: serve one fragment on an
-/// ephemeral localhost port, then drive a second in-process node through
-/// a real hello + synopsis probe + meeting against it over the socket.
+/// `jxp-cli node` — single-node socket demo: serve one fragment on an
+/// ephemeral localhost port (a reactor listener), then drive a second
+/// in-process node through a real hello + synopsis probe + meeting
+/// against it over the socket.
 pub fn node(args: &ParsedArgs) -> Result<(), String> {
     use jxp_core::JxpPeer;
-    use jxp_node::{JxpNode, RetryPolicy, TcpConfig, TcpServer, TcpTransport};
+    use jxp_node::{HandlerService, JxpNode, ReactorTransport, RetryPolicy};
+    use jxp_reactor::{Reactor, ReactorConfig, ReactorMetrics};
     use jxp_synopses::mips::MipsPermutations;
 
     let seed: u64 = args.get_or("seed", 42)?;
@@ -583,12 +581,14 @@ pub fn node(args: &ParsedArgs) -> Result<(), String> {
         JxpPeer::new(frags.next().unwrap(), n as u64, JxpConfig::default()),
         &perms,
     ));
-    let server = TcpServer::spawn(Arc::clone(&server_node) as _)
+    let reactor = Reactor::start(ReactorConfig::default(), ReactorMetrics::detached());
+    let addr = reactor
+        .handle()
+        .listen(Arc::new(HandlerService(Arc::clone(&server_node) as _)))
         .map_err(|e| format!("binding localhost: {e}"))?;
     println!(
-        "node 0 serving {} pages on {}",
+        "node 0 serving {} pages on {addr}",
         server_node.with_peer(|p| p.num_pages()),
-        server.addr()
     );
 
     let client = JxpNode::new(
@@ -596,8 +596,8 @@ pub fn node(args: &ParsedArgs) -> Result<(), String> {
         JxpPeer::new(frags.next().unwrap(), n as u64, JxpConfig::default()),
         &perms,
     );
-    let transport = TcpTransport::new(TcpConfig::default());
-    transport.add_route(0, server.addr());
+    let transport = ReactorTransport::new(reactor.handle());
+    transport.add_route(0, addr);
     let policy = RetryPolicy::default();
     let (peer_id, peer_pages) = client
         .hello(0, &transport, &policy)
@@ -709,11 +709,7 @@ fn serve_params(args: &ParsedArgs) -> Result<jxp_serve::ServeExperimentParams, S
         dataset: preset(args)?,
         metrics_listen: args.get("metrics-listen").map(String::from),
         transport: args
-            .get_choice(
-                "transport",
-                &["loopback", "tcp", "threads", "reactor"],
-                "loopback",
-            )?
+            .get_choice("transport", &["loopback", "reactor"], "loopback")?
             .parse()?,
     })
 }

@@ -40,7 +40,7 @@ commands:
              --scale (0.05), --queries N (10), --meetings N (400), --seed N
   cluster    run N networked nodes through M meetings over the wire codec
              --peers N (8), --meetings M (200),
-             --transport loopback|tcp|threads|reactor,
+             --transport loopback|reactor,
              --premeetings yes|no, --stall K (stall node 1 for K requests),
              --dataset, --scale (0.05), --seed N, --top K,
              --threads N (0 = all cores; results thread-count-invariant),
@@ -63,7 +63,7 @@ commands:
              (verify exits nonzero when a node is unrecoverable)
   metrics    render a telemetry snapshot written by --metrics-out
              --in FILE, --format table|prom|json (table)
-  node       single-node TCP demo: serve a fragment on an ephemeral port
+  node       single-node socket demo: serve a fragment on an ephemeral port
              and run hello + synopsis probe + meeting against it
              --dataset, --scale (0.02), --seed N, --duration SECS (0)
   serve      run a cluster with per-node top-k query serving (tf*idf +
@@ -72,7 +72,7 @@ commands:
              --peers N (4), --meetings M (200), --dataset, --scale (0.05),
              --queries N (10), --k K (10), --repeats N (3),
              --concurrency N (2), --threads N (1), --seed N,
-             --transport loopback|tcp|threads|reactor,
+             --transport loopback|reactor,
              --metrics-listen ADDR (Prometheus scrape endpoint, e.g.
              127.0.0.1:0 for an ephemeral port)
   loadgen    run the closed-loop serving benchmark and write
@@ -206,9 +206,9 @@ mod tests {
     }
 
     #[test]
-    fn cluster_tcp_with_stall_survives() {
+    fn cluster_reactor_with_stall_survives() {
         run(&argv(
-            "cluster --peers 4 --meetings 16 --scale 0.01 --transport tcp --stall 2",
+            "cluster --peers 4 --meetings 16 --scale 0.01 --transport reactor --stall 2",
         ))
         .unwrap();
     }
@@ -365,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn node_tcp_demo_smoke() {
+    fn node_socket_demo_smoke() {
         run(&argv("node --scale 0.01")).unwrap();
     }
 
@@ -373,6 +373,12 @@ mod tests {
     fn cluster_rejects_bad_args() {
         assert!(run(&argv("cluster --peers 1")).is_err());
         assert!(run(&argv("cluster --transport carrier-pigeon")).is_err());
+        for gone in ["tcp", "threads"] {
+            for command in ["cluster", "serve"] {
+                let err = run(&argv(&format!("{command} --transport {gone}"))).unwrap_err();
+                assert!(err.contains(r#"["loopback", "reactor"]"#), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Cluster driver: spawn N nodes over loopback or localhost TCP, run M
-//! meetings through the real wire codec, and report convergence and
-//! traffic. Backs the `jxp cluster` CLI command and the integration
-//! tests; fault injection ([`StallPlan`]) proves the timeout + retry
-//! path keeps a run alive when a peer stalls mid-experiment.
+//! Cluster driver: spawn N nodes over loopback or the localhost-socket
+//! reactor, run M meetings through the real wire codec, and report
+//! convergence and traffic. Backs the `jxp cluster` CLI command and the
+//! integration tests; fault injection ([`StallPlan`]) proves the
+//! timeout + retry path keeps a run alive when a peer stalls
+//! mid-experiment.
 
 use crate::loopback::LoopbackNetwork;
 use crate::node::{JxpNode, NodeMetrics, NodeStats};
 use crate::persist::{NodePersist, PersistConfig, SharedStore};
 use crate::reactor::{reactor_premeet_sweep, run_reactor_round, HandlerService, ReactorTransport};
-use crate::tcp::{TcpConfig, TcpServer, TcpTransport};
 use crate::transport::{FrameHandler, NodeId, RetryPolicy, StallInjector, Transport};
 use jxp_core::config::JxpConfig;
 use jxp_core::evaluate::{centralized_ranking, total_ranking};
@@ -39,8 +39,6 @@ const PREMEET_WINDOW: usize = 512;
 pub enum TransportKind {
     /// Deterministic in-memory codec loopback.
     Loopback,
-    /// Localhost TCP, thread-per-connection (alias: `threads`).
-    Tcp,
     /// Non-blocking multiplexed reactor: one loop thread moves every
     /// frame, hundreds of meetings stay in flight at once.
     Reactor,
@@ -52,10 +50,9 @@ impl std::str::FromStr for TransportKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "loopback" => Ok(TransportKind::Loopback),
-            "tcp" | "threads" => Ok(TransportKind::Tcp),
             "reactor" => Ok(TransportKind::Reactor),
             other => Err(format!(
-                "unknown transport '{other}' (expected loopback|tcp|threads|reactor)"
+                "unknown transport '{other}' (expected loopback|reactor)"
             )),
         }
     }
@@ -78,7 +75,7 @@ pub struct StallPlan {
 pub struct ClusterConfig {
     /// Total meetings to initiate (round-robin initiators).
     pub meetings: usize,
-    /// Loopback or TCP.
+    /// Loopback or reactor.
     pub transport: TransportKind,
     /// Seed for partner selection (and synopsis permutations).
     pub seed: u64,
@@ -198,8 +195,8 @@ pub struct ClusterReport {
     pub metrics_addr: Option<SocketAddr>,
     /// High-water mark of concurrent in-flight requests over the whole
     /// run, as tracked by the `jxp_node_inflight_meetings` gauge. Only
-    /// on [`TransportKind::Reactor`] — the blocking transports have no
-    /// submission queue to measure.
+    /// on [`TransportKind::Reactor`] — loopback has no submission queue
+    /// to measure.
     pub inflight_peak: Option<u64>,
 }
 
@@ -242,8 +239,8 @@ pub struct ClusterHooks<'a> {
 /// the merged distributed ranking (top-100, as in the paper's plots).
 ///
 /// # Panics
-/// Panics if `fragments` has fewer than two entries, or if a TCP server
-/// fails to bind.
+/// Panics if `fragments` has fewer than two entries, or if a reactor
+/// listener fails to bind.
 pub fn run_cluster(
     fragments: Vec<Subgraph>,
     n_total: u64,
@@ -376,12 +373,11 @@ pub fn run_cluster_with(
         })
         .collect();
 
-    // Bring up the chosen transport; TCP servers stay alive in
-    // `_servers`, the reactor's loop thread in `reactor`. The typed
-    // `reactor_rt` clone is what the batch paths (premeet sweep,
-    // pipelined rounds) use — the `Box<dyn Transport>` facade only
-    // carries the serial traffic (hellos, stats sweep, stall runs).
-    let mut _servers: Vec<TcpServer> = Vec::new();
+    // Bring up the chosen transport; the reactor's loop thread stays
+    // alive in `reactor`. The typed `reactor_rt` clone is what the batch
+    // paths (premeet sweep, pipelined rounds) use — the
+    // `Box<dyn Transport>` facade only carries the serial traffic
+    // (hellos, stats sweep, stall runs).
     let mut reactor: Option<Reactor> = None;
     let mut reactor_rt: Option<ReactorTransport> = None;
     let transport: Box<dyn Transport> = match config.transport {
@@ -391,16 +387,6 @@ pub fn run_cluster_with(
                 net.register(i as NodeId, Arc::clone(inj) as Arc<dyn FrameHandler>);
             }
             Box::new(net)
-        }
-        TransportKind::Tcp => {
-            let tcp = TcpTransport::new(TcpConfig::default());
-            for (i, inj) in injectors.iter().enumerate() {
-                let server = TcpServer::spawn(Arc::clone(inj) as Arc<dyn FrameHandler>)
-                    .expect("bind localhost TCP server");
-                tcp.add_route(i as NodeId, server.addr());
-                _servers.push(server);
-            }
-            Box::new(tcp)
         }
         TransportKind::Reactor => {
             let metrics = match &hub {
@@ -595,53 +581,34 @@ pub fn run_cluster_with(
             if round.is_empty() {
                 continue;
             }
-            let arm_stall = |m: usize| {
-                if let Some(plan) = config.stall {
-                    if plan.at_meeting == m {
-                        injectors[plan.node_index].stall_next(plan.count);
-                    }
-                }
-            };
             // Outcomes are collected in schedule order so telemetry events
             // can be emitted serially afterwards: the event stream is then
             // independent of how the round's meetings interleaved.
             let mut outcomes: Vec<Option<crate::node::MeetOutcome>> = vec![None; round.len()];
+            let slots = round.iter().zip(outcomes.iter_mut());
             if let (Some(rt), None) = (&reactor_rt, config.stall) {
                 // Reactor path: submit the whole node-disjoint round,
                 // then harvest in schedule order. Disjointness makes
                 // the reordering invisible (no pair touches another's
-                // state), so outcomes are bit-identical to the serial
-                // and pooled paths at every `threads` value.
-                let tasks: Vec<(usize, NodeId, &mut Option<crate::node::MeetOutcome>)> = round
-                    .iter()
-                    .zip(outcomes.iter_mut())
+                // state), so outcomes are bit-identical to the pooled
+                // path at every `threads` value.
+                let tasks = slots
                     .map(|(&(_, initiator, target), slot)| (initiator, target, slot))
                     .collect();
                 run_reactor_round(rt, &nodes, &config.retry, tasks);
-            } else if workers.min(round.len()) <= 1 {
-                for (k, &(m, initiator, target)) in round.iter().enumerate() {
-                    arm_stall(m);
-                    // Failures are part of the experiment: counted, never fatal.
-                    outcomes[k] = nodes[initiator]
-                        .meet(target, transport.as_ref(), &config.retry)
-                        .ok();
-                }
             } else {
-                // Persistent shared pool instead of spawn-per-round
-                // scoped threads: each task owns its outcome slot, so
+                // Persistent shared pool (inline on this thread when
+                // `workers` is 1): each task owns its outcome slot, so
                 // placement (dealing or stealing) cannot reorder or
                 // lose results.
-                let nodes = &nodes;
                 let transport = transport.as_ref();
-                let retry = &config.retry;
-                let tasks: Vec<(usize, NodeId, &mut Option<crate::node::MeetOutcome>)> = round
-                    .iter()
-                    .zip(outcomes.iter_mut())
-                    .map(|(&(_, initiator, target), slot)| (initiator, target, slot))
-                    .collect();
-                jxp_pool::global().run_dealt(workers, tasks, |(initiator, target, slot)| {
+                let tasks: Vec<_> = slots.collect();
+                jxp_pool::global().run_dealt(workers, tasks, |(&(m, initiator, target), slot)| {
+                    if let Some(plan) = config.stall.filter(|plan| plan.at_meeting == m) {
+                        injectors[plan.node_index].stall_next(plan.count);
+                    }
                     // Failures are part of the experiment: counted, never fatal.
-                    *slot = nodes[initiator].meet(target, transport, retry).ok();
+                    *slot = nodes[initiator].meet(target, transport, &config.retry).ok();
                 });
             }
             if let Some(hub) = &hub {
@@ -1090,18 +1057,18 @@ mod tests {
             "loopback".parse::<TransportKind>(),
             Ok(TransportKind::Loopback)
         );
-        assert_eq!("tcp".parse::<TransportKind>(), Ok(TransportKind::Tcp));
-        assert_eq!("threads".parse::<TransportKind>(), Ok(TransportKind::Tcp));
         assert_eq!(
             "reactor".parse::<TransportKind>(),
             Ok(TransportKind::Reactor)
         );
-        let err = "bogus".parse::<TransportKind>().unwrap_err();
-        assert!(err.contains("loopback|tcp|threads|reactor"), "{err}");
+        for gone in ["tcp", "threads", "bogus"] {
+            let err = gone.parse::<TransportKind>().unwrap_err();
+            assert!(err.contains("loopback|reactor"), "{err}");
+        }
     }
 
     #[test]
-    fn reactor_transport_matches_loopback_and_tcp_bit_for_bit() {
+    fn reactor_transport_matches_loopback_bit_for_bit() {
         let (frags, n_total) = ring_fragments(4);
         let run = |transport: TransportKind, threads: usize| {
             let config = ClusterConfig {
@@ -1117,8 +1084,6 @@ mod tests {
         let want = run(TransportKind::Loopback, 1);
         assert_eq!(want.meetings_completed, 24);
         assert_eq!(want.inflight_peak, None, "no gauge off the reactor");
-        let tcp = run(TransportKind::Tcp, 8);
-        assert_eq!(tcp.score_hash, want.score_hash);
         for threads in [1usize, 2, 8] {
             let got = run(TransportKind::Reactor, threads);
             assert_eq!(got.score_hash, want.score_hash, "{threads} threads");

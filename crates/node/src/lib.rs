@@ -3,9 +3,10 @@
 //! Where `jxp-p2pnet` simulates a peer network by calling peers' methods
 //! directly, this crate runs the meeting protocol **over a wire**: every
 //! request and reply is a [`jxp_wire`] frame, moved by a pluggable
-//! [`transport::Transport`] — a deterministic in-memory loopback or
-//! localhost TCP. A [`node::JxpNode`] owns a `JxpPeer`, answers inbound
-//! frames (meetings, synopsis probes, hellos), and initiates exchanges
+//! [`transport::Transport`] — a deterministic in-memory loopback or the
+//! multiplexed localhost-socket reactor. A [`node::JxpNode`] owns a
+//! `JxpPeer`, answers inbound frames (meetings, synopsis probes,
+//! hellos), and initiates exchanges
 //! under configurable timeout + bounded exponential-backoff retry, with
 //! per-node counters for meetings, retries, and measured wire bytes.
 //! [`cluster::run_cluster`] drives N nodes through M meetings and
@@ -18,7 +19,6 @@ pub mod loopback;
 pub mod node;
 pub mod persist;
 pub mod reactor;
-pub mod tcp;
 pub mod transport;
 
 pub use cluster::{
@@ -29,7 +29,6 @@ pub use loopback::{Fault, LoopbackNetwork};
 pub use node::{JxpNode, MeetOutcome, NodeMetrics, NodeStats};
 pub use persist::{NodePersist, PersistConfig, SharedStore};
 pub use reactor::{reactor_premeet_sweep, run_reactor_round, HandlerService, ReactorTransport};
-pub use tcp::{TcpConfig, TcpServer, TcpTransport};
 pub use transport::{
     request_with_retry, Exchange, FrameHandler, NodeId, RetryError, RetryPolicy, StallInjector,
     Transport, TransportError,

@@ -2,8 +2,8 @@
 //! over one multiplexed connection per peer, driven by a single thread.
 //!
 //! [`ReactorTransport`] is the [`Transport`] facade (blocking
-//! request/reply, drop-in for loopback and threaded TCP). The batch
-//! entry points are where the reactor pays off:
+//! request/reply, drop-in for loopback). The batch entry points are
+//! where the reactor pays off:
 //!
 //! - [`run_reactor_round`] submits a whole node-disjoint meeting round
 //!   and harvests it in schedule order, using the split
@@ -29,8 +29,8 @@ use jxp_wire::Frame;
 
 use crate::node::{JxpNode, MeetOutcome};
 use crate::transport::{
-    Exchange, FrameHandler, NodeId, RetriedExchange, RetryError, RetryPolicy, Transport,
-    TransportError,
+    retry_from, Exchange, FrameHandler, NodeId, RetriedExchange, RetryError, RetryPolicy,
+    Transport, TransportError,
 };
 
 /// Adapt a node-side [`FrameHandler`] (a `JxpNode` or an injector
@@ -43,6 +43,14 @@ pub struct HandlerService(pub Arc<dyn FrameHandler>);
 impl FrameService for HandlerService {
     fn serve(&self, frame: Frame) -> Option<Frame> {
         self.0.handle(frame)
+    }
+}
+
+fn exchange((reply, bytes_sent, bytes_received): (Frame, u64, u64)) -> Exchange {
+    Exchange {
+        reply,
+        bytes_sent,
+        bytes_received,
     }
 }
 
@@ -101,65 +109,30 @@ impl ReactorTransport {
 impl Transport for ReactorTransport {
     fn request(&self, peer: NodeId, frame: &Frame) -> Result<Exchange, TransportError> {
         let addr = self.route(peer)?;
-        let (reply, bytes_sent, bytes_received) =
-            self.inner.handle.request(addr, frame).map_err(map_err)?;
-        Ok(Exchange {
-            reply,
-            bytes_sent,
-            bytes_received,
-        })
+        self.inner
+            .handle
+            .request(addr, frame)
+            .map(exchange)
+            .map_err(map_err)
     }
 }
 
-/// [`crate::transport::request_with_retry`] over a pre-submitted
-/// ticket: identical attempt counting, backoff schedule, and error
-/// selection, with each retry resubmitted through the reactor.
-fn wait_with_retry(
+/// Redeem a pre-submitted ticket under the shared retry loop: the wait
+/// is attempt 0, every retry goes through [`Transport::request`].
+fn redeem_with_retry(
     transport: &ReactorTransport,
     peer: NodeId,
     frame: &Frame,
     policy: &RetryPolicy,
     first: Ticket,
 ) -> Result<RetriedExchange, RetryError> {
-    let attempts = policy.max_attempts.max(1);
-    let mut ticket = Some(first);
-    let mut last = None;
-    for attempt in 0..attempts {
-        let pending = match ticket.take() {
-            Some(t) => t,
-            None => {
-                std::thread::sleep(policy.backoff(attempt - 1));
-                match transport.submit(peer, frame) {
-                    Ok(t) => t,
-                    Err(error) => {
-                        return Err(RetryError {
-                            error,
-                            retries: attempt,
-                        })
-                    }
-                }
-            }
-        };
-        match pending.wait_full() {
-            Ok((reply, bytes_sent, bytes_received)) => {
-                return Ok(RetriedExchange {
-                    exchange: Exchange {
-                        reply,
-                        bytes_sent,
-                        bytes_received,
-                    },
-                    retries: attempt,
-                })
-            }
-            Err(e) => {
-                last = Some(RetryError {
-                    error: map_err(e),
-                    retries: attempt,
-                });
-            }
-        }
-    }
-    Err(last.expect("at least one attempt"))
+    retry_from(
+        || first.wait_full().map(exchange).map_err(map_err),
+        transport,
+        peer,
+        frame,
+        policy,
+    )
 }
 
 /// Execute one node-disjoint meeting round through the reactor: submit
@@ -185,7 +158,7 @@ pub fn run_reactor_round(
     for (initiator, target, slot, request, ticket) in inflight {
         let node = &nodes[initiator];
         *slot = match ticket {
-            Ok(t) => match wait_with_retry(transport, target, &request, retry, t) {
+            Ok(t) => match redeem_with_retry(transport, target, &request, retry, t) {
                 Ok(done) => node.meet_finish(done.exchange, done.retries).ok(),
                 Err(failed) => {
                     node.meet_abort(failed.retries);
@@ -250,7 +223,7 @@ pub fn reactor_premeet_sweep(
             next += 1;
         }
         let outcome = match ticket {
-            Ok(t) => wait_with_retry(transport, j, &request, retry, t)
+            Ok(t) => redeem_with_retry(transport, j, &request, retry, t)
                 .map_err(|failed| failed.error)
                 .and_then(|done| nodes[i].synopses_accept(done.exchange)),
             Err(e) => Err(e),

@@ -4,9 +4,10 @@
 //! is strictly client-driven (the initiator sends a frame, the responder
 //! answers with exactly one frame), so the whole exchange maps onto one
 //! `request` call. Two implementations exist: a deterministic in-memory
-//! loopback ([`crate::loopback`]) and localhost TCP ([`crate::tcp`]).
-//! Both move **real encoded frames** through [`jxp_wire`], so the byte
-//! counts they report are measured codec output, not estimates.
+//! loopback ([`crate::loopback`]) and the multiplexed localhost-socket
+//! reactor ([`crate::reactor`]). Both move **real encoded frames**
+//! through [`jxp_wire`], so the byte counts they report are measured
+//! codec output, not estimates.
 
 use jxp_wire::{Frame, WireError};
 use std::time::Duration;
@@ -71,7 +72,7 @@ pub trait Transport: Send + Sync {
 ///
 /// Returning `None` models a stalled responder — the transport surfaces
 /// it to the initiator as a [`TransportError::Timeout`] (loopback) or a
-/// dropped connection (TCP), exercising the retry path.
+/// dropped connection (reactor), exercising the retry path.
 pub trait FrameHandler: Send + Sync {
     /// Handle one decoded inbound frame.
     fn handle(&self, frame: Frame) -> Option<Frame>;
@@ -196,32 +197,43 @@ pub fn request_with_retry(
     frame: &Frame,
     policy: &RetryPolicy,
 ) -> Result<RetriedExchange, RetryError> {
-    let attempts = policy.max_attempts.max(1);
-    let mut last = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(policy.backoff(attempt - 1));
-        }
-        match transport.request(peer, frame) {
-            Ok(exchange) => {
-                return Ok(RetriedExchange {
-                    exchange,
-                    retries: attempt,
-                })
-            }
-            Err(e) => {
-                let fatal = matches!(e, TransportError::Rejected(_));
-                last = Some(RetryError {
-                    error: e,
-                    retries: attempt,
-                });
-                if fatal {
-                    break;
+    retry_from(
+        || transport.request(peer, frame),
+        transport,
+        peer,
+        frame,
+        policy,
+    )
+}
+
+/// The one retry loop. `first` makes the first attempt — a plain
+/// `transport.request` for [`request_with_retry`], the wait on an
+/// already-submitted ticket for the reactor's batch paths — and every
+/// later attempt is `transport.request` after the policy's backoff.
+/// [`TransportError::Rejected`] is final on whichever attempt it lands.
+pub(crate) fn retry_from(
+    first: impl FnOnce() -> Result<Exchange, TransportError>,
+    transport: &dyn Transport,
+    peer: NodeId,
+    frame: &Frame,
+    policy: &RetryPolicy,
+) -> Result<RetriedExchange, RetryError> {
+    let mut result = first();
+    let mut retries = 0;
+    loop {
+        match result {
+            Ok(exchange) => return Ok(RetriedExchange { exchange, retries }),
+            Err(error) => {
+                let fatal = matches!(error, TransportError::Rejected(_));
+                if fatal || retries + 1 >= policy.max_attempts {
+                    return Err(RetryError { error, retries });
                 }
+                std::thread::sleep(policy.backoff(retries));
+                retries += 1;
+                result = transport.request(peer, frame);
             }
         }
     }
-    Err(last.expect("at least one attempt"))
 }
 
 #[cfg(test)]
@@ -320,5 +332,34 @@ mod tests {
             err.retries, 0,
             "fatal first attempt must not charge retries"
         );
+    }
+
+    #[test]
+    fn pre_submitted_first_attempt_shares_the_retry_loop() {
+        let policy = RetryPolicy {
+            max_attempts: 4,
+            base_delay: Duration::from_millis(1),
+            max_delay: Duration::from_millis(1),
+        };
+        let frame = Frame::Ack { of: 1 };
+        // The reactor's shape: attempt 0 is the wait on a ticket, later
+        // attempts go through `transport.request`.
+        let t = FlakyTransport {
+            fail_first: 0,
+            calls: AtomicU32::new(0),
+        };
+        let out = retry_from(|| Err(TransportError::Timeout), &t, 0, &frame, &policy).unwrap();
+        assert_eq!(out.retries, 1);
+        assert_eq!(t.calls.load(Ordering::SeqCst), 1);
+
+        let t = FlakyTransport {
+            fail_first: 0,
+            calls: AtomicU32::new(0),
+        };
+        let rejected = || Err(TransportError::Rejected("go away".into()));
+        let err = retry_from(rejected, &t, 0, &frame, &policy).unwrap_err();
+        assert!(matches!(err.error, TransportError::Rejected(_)));
+        assert_eq!(err.retries, 0);
+        assert_eq!(t.calls.load(Ordering::SeqCst), 0, "a rejection is final");
     }
 }

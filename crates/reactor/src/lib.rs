@@ -21,13 +21,12 @@
 //!   reply bytes are queued for write only after `serve` returns. A
 //!   `JxpNode` journals its Serve record inside `handle()` before
 //!   returning the reply frame, so the WAL write strictly precedes the
-//!   reply hitting the socket — the same ordering the thread-per-
-//!   connection transport provided.
+//!   reply hitting the socket.
 //! - **FIFO per peer.** Requests to one address share one connection
 //!   and complete in submission order; replies are matched to waiters
 //!   by position. The cluster driver submits in schedule order and
 //!   collects in schedule order, keeping reactor runs bit-identical to
-//!   loopback and threaded-TCP runs.
+//!   loopback runs.
 //!
 //! Requests are submitted as [`Ticket`]s (completion handles backed by
 //! a mutex + condvar) so a single driver thread can hold hundreds of

@@ -5,10 +5,11 @@
 use jxp_core::config::JxpConfig;
 use jxp_core::peer::JxpPeer;
 use jxp_node::{
-    run_cluster, ClusterConfig, FrameHandler, JxpNode, LoopbackNetwork, RetryPolicy, StallPlan,
-    TcpConfig, TcpServer, TcpTransport, TransportKind,
+    run_cluster, ClusterConfig, FrameHandler, HandlerService, JxpNode, LoopbackNetwork,
+    ReactorTransport, RetryPolicy, StallPlan, TransportKind,
 };
 use jxp_pagerank::{pagerank, PageRankConfig};
+use jxp_reactor::{Reactor, ReactorConfig, ReactorMetrics};
 use jxp_synopses::mips::MipsPermutations;
 use jxp_webgraph::generators::{CategorizedGraph, CategorizedParams};
 use jxp_webgraph::{PageId, Subgraph};
@@ -100,11 +101,11 @@ fn loopback_cluster_is_deterministic_per_seed() {
 }
 
 #[test]
-fn tcp_cluster_with_stalled_peer_survives_via_retry() {
+fn socket_cluster_with_stalled_peer_survives_via_retry() {
     let (frags, n_total, truth) = world(8);
     let config = ClusterConfig {
         meetings: 200,
-        transport: TransportKind::Tcp,
+        transport: TransportKind::Reactor,
         seed: 13,
         retry: fast_retry(),
         stall: Some(StallPlan {
@@ -125,7 +126,7 @@ fn tcp_cluster_with_stalled_peer_survives_via_retry() {
 }
 
 #[test]
-fn tcp_meeting_bytes_match_encoded_len_exactly() {
+fn socket_meeting_bytes_match_encoded_len_exactly() {
     let (frags, n_total, _) = world(2);
     let perms = MipsPermutations::generate(64, 3);
     let mut frags = frags.into_iter();
@@ -139,9 +140,11 @@ fn tcp_meeting_bytes_match_encoded_len_exactly() {
         JxpPeer::new(frags.next().unwrap(), n_total, JxpConfig::default()),
         &perms,
     );
-    let server = TcpServer::spawn(Arc::clone(&server_node) as Arc<dyn FrameHandler>).expect("bind");
-    let transport = TcpTransport::new(TcpConfig::default());
-    transport.add_route(0, server.addr());
+    let reactor = Reactor::start(ReactorConfig::default(), ReactorMetrics::detached());
+    let service = HandlerService(Arc::clone(&server_node) as Arc<dyn FrameHandler>);
+    let addr = reactor.handle().listen(Arc::new(service)).expect("bind");
+    let transport = ReactorTransport::new(reactor.handle());
+    transport.add_route(0, addr);
 
     // Capture both payloads *before* the meeting: the request is the
     // client's pre-meeting payload, the reply is the server's (computed
@@ -167,7 +170,29 @@ fn tcp_meeting_bytes_match_encoded_len_exactly() {
 }
 
 #[test]
-fn loopback_and_tcp_agree_on_wire_bytes() {
+fn socket_unroutable_and_dead_peers_are_unreachable() {
+    use jxp_node::{Transport, TransportError};
+    let reactor = Reactor::start(ReactorConfig::default(), ReactorMetrics::detached());
+    let transport = ReactorTransport::new(reactor.handle());
+    let ack = jxp_wire::Frame::Ack { of: 1 };
+    assert!(matches!(
+        transport.request(3, &ack).unwrap_err(),
+        TransportError::Unreachable(_)
+    ));
+    let addr = {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        listener.local_addr().expect("addr")
+    };
+    transport.add_route(4, addr);
+    // The listener is gone: the connect must fail rather than hang.
+    assert!(matches!(
+        transport.request(4, &ack).unwrap_err(),
+        TransportError::Unreachable(_)
+    ));
+}
+
+#[test]
+fn socket_and_loopback_agree_on_wire_bytes() {
     let (frags, n_total, _) = world(4);
     let base = ClusterConfig {
         meetings: 24,
@@ -176,20 +201,20 @@ fn loopback_and_tcp_agree_on_wire_bytes() {
         ..ClusterConfig::default()
     };
     let loopback = run_cluster(frags.clone(), n_total, JxpConfig::default(), &base, None);
-    let tcp = run_cluster(
+    let socket = run_cluster(
         frags,
         n_total,
         JxpConfig::default(),
         &ClusterConfig {
-            transport: TransportKind::Tcp,
+            transport: TransportKind::Reactor,
             ..base
         },
         None,
     );
     // Same seed ⇒ same meeting schedule ⇒ byte-identical traffic: the
     // transport moves frames, it does not change them.
-    assert_eq!(loopback.meetings_completed, tcp.meetings_completed);
-    assert_eq!(loopback.bytes_total, tcp.bytes_total);
+    assert_eq!(loopback.meetings_completed, socket.meetings_completed);
+    assert_eq!(loopback.bytes_total, socket.bytes_total);
 }
 
 #[test]
