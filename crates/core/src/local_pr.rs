@@ -18,6 +18,7 @@
 //!   "proportional to the number of external pages").
 
 use crate::config::JxpConfig;
+use jxp_pagerank::kernel::pull_block;
 use jxp_webgraph::Subgraph;
 
 /// Precomputed, meeting-invariant topology of one peer's extended graph.
@@ -116,6 +117,27 @@ pub struct PrOutcome {
     pub converged: bool,
 }
 
+/// The iteration details of a run whose scores were written in place
+/// (see [`JxpPeer::recompute`](crate::peer::JxpPeer::recompute)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PrRun {
+    /// Stationary score of the world node.
+    pub world_score: f64,
+    /// Power iterations performed.
+    pub iterations: usize,
+    /// Whether the L1 tolerance was met.
+    pub converged: bool,
+}
+
+/// Work vectors of [`extended_pagerank`], kept by a peer between
+/// meetings so a run allocates nothing proportional to the fragment.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PrScratch {
+    next: Vec<f64>,
+    p_wi: Vec<f64>,
+    contrib: Vec<f64>,
+}
+
 /// Run the power iteration on the extended graph.
 ///
 /// * `n_total` — the (estimated) global page count `N`.
@@ -138,10 +160,39 @@ pub fn extended_pagerank(
     init_world: f64,
     cfg: &JxpConfig,
 ) -> PrOutcome {
+    let mut scores = init_scores.to_vec();
+    let run = extended_pagerank_in_place(
+        topo,
+        n_total,
+        world_inflow,
+        &mut scores,
+        init_world,
+        cfg,
+        &mut PrScratch::default(),
+    );
+    PrOutcome {
+        scores,
+        world_score: run.world_score,
+        iterations: run.iterations,
+        converged: run.converged,
+    }
+}
+
+/// [`extended_pagerank`] with the starting vector in `scores`, which
+/// is overwritten with the stationary scores, and caller-kept scratch.
+pub(crate) fn extended_pagerank_in_place(
+    topo: &LocalTopology,
+    n_total: f64,
+    world_inflow: &[f64],
+    scores: &mut Vec<f64>,
+    init_world: f64,
+    cfg: &JxpConfig,
+    scratch: &mut PrScratch,
+) -> PrRun {
     cfg.validate();
     let n = topo.n;
     assert_eq!(world_inflow.len(), n, "inflow length mismatch");
-    assert_eq!(init_scores.len(), n, "score length mismatch");
+    assert_eq!(scores.len(), n, "score length mismatch");
     assert!(
         n_total >= n as f64,
         "global page count {n_total} smaller than local fragment {n}"
@@ -150,12 +201,22 @@ pub fn extended_pagerank(
     let eps = cfg.epsilon;
     let inv_n_total = 1.0 / n_total;
     let world_jump = (n_total - n as f64) * inv_n_total;
+    let PrScratch {
+        next,
+        p_wi,
+        contrib,
+    } = scratch;
+    // `next` and `contrib` are overwritten before they are read; only
+    // their length matters. `p_wi` must start at zero.
+    next.resize(n, 0.0);
+    contrib.resize(n, 0.0);
+    p_wi.clear();
+    p_wi.resize(n, 0.0);
 
     // Transition probabilities out of the world node, fixed for this run
     // (eq. 8 uses the α values *from the previous meeting*). If the known
     // inflow exceeds the world's current mass — possible transiently from
     // stale bookkeeping — scale it down so the row stays stochastic.
-    let mut p_wi: Vec<f64> = vec![0.0; n];
     let mut p_ww = 1.0;
     if init_world > 1e-15 {
         let total_inflow: f64 = world_inflow.iter().sum();
@@ -171,11 +232,13 @@ pub fn extended_pagerank(
     }
 
     // Normalize the starting vector to total mass 1.
-    let mass: f64 = init_scores.iter().sum::<f64>() + init_world;
+    let mass: f64 = scores.iter().sum::<f64>() + init_world;
     assert!(mass > 0.0, "starting vector has no mass");
-    let mut curr: Vec<f64> = init_scores.iter().map(|s| s / mass).collect();
+    let curr = scores;
+    for s in curr.iter_mut() {
+        *s /= mass;
+    }
     let mut curr_w = init_world / mass;
-    let mut next = vec![0.0f64; n];
 
     let mut iterations = 0;
     let mut converged = false;
@@ -183,42 +246,40 @@ pub fn extended_pagerank(
         iterations += 1;
         let dangling_mass: f64 = topo.dangling.iter().map(|&i| curr[i as usize]).sum();
         let base = (1.0 - eps) * inv_n_total + eps * dangling_mass * inv_n_total;
+        for ((c, &score), &inv) in contrib.iter_mut().zip(curr.iter()).zip(&topo.inv_out) {
+            *c = score * inv;
+        }
         // Pull-based chunked update: each chunk writes its disjoint slice
-        // of `next` and returns `[to_world, l1_delta]` partials, folded
-        // in chunk order — bit-identical for any thread count (see
-        // `jxp_pagerank::par`).
-        let curr_ref = &curr;
-        let p_wi_ref = &p_wi;
+        // of `next` through the shared kernel and returns `[to_world,
+        // l1_delta]` partials, folded in chunk order — bit-identical for
+        // any thread count (see `jxp_pagerank::par`).
+        let (curr_ref, contrib_ref, p_wi_ref) = (&*curr, &*contrib, &*p_wi);
         let partials: Vec<[f64; 2]> =
-            jxp_pagerank::par::chunked_fill(&mut next, cfg.threads, |start, chunk| {
+            jxp_pagerank::par::chunked_fill(next, cfg.threads, |start, chunk| {
                 let mut to_world = 0.0;
                 let mut delta = 0.0;
-                for (k, out) in chunk.iter_mut().enumerate() {
+                let offsets = &topo.rev_off[start..=start + chunk.len()];
+                pull_block(offsets, &topo.rev_adj, contrib_ref, chunk, |k, sum| {
                     let i = start + k;
-                    let mut sum = 0.0;
-                    for &j in &topo.rev_adj[topo.rev_off[i] as usize..topo.rev_off[i + 1] as usize]
-                    {
-                        sum += curr_ref[j as usize] * topo.inv_out[j as usize];
-                    }
-                    *out = base + eps * (sum + curr_w * p_wi_ref[i]);
+                    let out = base + eps * (sum + curr_w * p_wi_ref[i]);
                     to_world += curr_ref[i] * topo.ext_ratio[i];
-                    delta += (curr_ref[i] - *out).abs();
-                }
+                    delta += (curr_ref[i] - out).abs();
+                    out
+                });
                 [to_world, delta]
             });
         let to_world: f64 = partials.iter().map(|p| p[0]).sum();
         let next_w = (1.0 - eps) * world_jump
             + eps * (to_world + curr_w * p_ww + dangling_mass * world_jump);
         let delta = (curr_w - next_w).abs() + partials.iter().map(|p| p[1]).sum::<f64>();
-        std::mem::swap(&mut curr, &mut next);
+        std::mem::swap(curr, next);
         curr_w = next_w;
         if delta < cfg.pr_tolerance {
             converged = true;
             break;
         }
     }
-    PrOutcome {
-        scores: curr,
+    PrRun {
         world_score: curr_w,
         iterations,
         converged,

@@ -1,7 +1,9 @@
 //! A JXP peer: local graph fragment, world node, score list.
 
 use crate::config::{CombineMode, JxpConfig, MergeMode};
-use crate::local_pr::{extended_pagerank, LocalTopology, PrOutcome};
+use crate::local_pr::{
+    extended_pagerank, extended_pagerank_in_place, LocalTopology, PrRun, PrScratch,
+};
 use crate::payload::MeetingPayload;
 use crate::world::WorldNode;
 use jxp_webgraph::{FxHashMap, GraphSource, PageId, Subgraph};
@@ -33,6 +35,8 @@ pub struct JxpPeer {
     n_total: f64,
     config: JxpConfig,
     stats: PeerStats,
+    /// Work vectors of the local PageRank, reused across meetings.
+    scratch: PrScratch,
 }
 
 impl JxpPeer {
@@ -64,6 +68,7 @@ impl JxpPeer {
             n_total,
             config,
             stats: PeerStats::default(),
+            scratch: PrScratch::default(),
         };
         peer.recompute();
         peer
@@ -403,6 +408,7 @@ impl JxpPeer {
             n_total,
             config,
             stats,
+            scratch: PrScratch::default(),
         }
     }
 
@@ -441,27 +447,26 @@ impl JxpPeer {
     /// Run the local PageRank on the extended graph with the current world
     /// knowledge, updating the score list and world score in place.
     /// Returns the iteration details of the run.
-    pub fn recompute(&mut self) -> PrOutcome {
+    pub fn recompute(&mut self) -> PrRun {
         let inflow = self.world.inflow(&self.graph, self.n_total);
-        let outcome = extended_pagerank(
+        let run = extended_pagerank_in_place(
             &self.topo,
             self.n_total,
             &inflow,
-            &self.scores,
+            &mut self.scores,
             self.world_score,
             &self.config,
+            &mut self.scratch,
         );
-        self.stats.last_pr_iterations = outcome.iterations;
-        self.stats.total_pr_iterations += outcome.iterations as u64;
+        self.stats.last_pr_iterations = run.iterations;
+        self.stats.total_pr_iterations += run.iterations as u64;
         // Eq. (2) for the Average baseline: re-weight external bookkeeping
         // scores by PR(W)/L(W); eq. (3) (TakeMax) leaves them unchanged.
         if self.config.combine == CombineMode::Average && self.world_score > 1e-15 {
-            self.world
-                .scale_scores(outcome.world_score / self.world_score);
+            self.world.scale_scores(run.world_score / self.world_score);
         }
-        self.scores = outcome.scores.clone();
-        self.world_score = outcome.world_score;
-        outcome
+        self.world_score = run.world_score;
+        run
     }
 }
 

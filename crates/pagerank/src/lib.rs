@@ -38,6 +38,7 @@ pub mod blockrank;
 pub mod chen_local;
 pub mod gauss_seidel;
 pub mod hits;
+pub mod kernel;
 pub mod metrics;
 pub mod opic;
 pub mod par;

@@ -15,6 +15,7 @@
 //! treatment in the local computation so JXP-vs-PR comparisons are
 //! apples-to-apples (see DESIGN.md §5).
 
+use crate::kernel::pull_block;
 use jxp_telemetry::{Event, TelemetryHub};
 use jxp_webgraph::{GraphSource, PageId};
 
@@ -160,18 +161,20 @@ pub fn pagerank_with_telemetry<G: GraphSource + ?Sized>(
     let mut curr = vec![uniform; n];
     let mut next = vec![0.0f64; n];
 
-    // Cache inverse out-degrees; dangling pages are flagged with 0.0.
-    let inv_out: Vec<f64> = (0..n)
-        .map(|v| {
-            let d = g.out_degree(PageId(v as u32));
-            if d == 0 {
-                0.0
-            } else {
-                1.0 / d as f64
+    // One degree pass yields both the inverse out-degrees (dangling
+    // pages flagged with 0.0) and the dangling list, ascending.
+    let mut inv_out = vec![0.0f64; n];
+    let mut dangling: Vec<u32> = Vec::new();
+    g.for_each_degree_block(0..n, |first, offsets| {
+        for (k, w) in offsets.windows(2).enumerate() {
+            match w[1] - w[0] {
+                0 => dangling.push((first + k) as u32),
+                d => inv_out[first + k] = 1.0 / f64::from(d),
             }
-        })
-        .collect();
-    let dangling: Vec<u32> = g.dangling().iter().map(|p| p.0).collect();
+        }
+    });
+    // What each page sends along every out-link, refilled per sweep.
+    let mut contrib = vec![0.0f64; n];
 
     let mut iterations = 0;
     let mut converged = false;
@@ -180,22 +183,25 @@ pub fn pagerank_with_telemetry<G: GraphSource + ?Sized>(
         // Dangling mass is spread uniformly over all pages.
         let dangling_mass: f64 = dangling.iter().map(|&v| curr[v as usize]).sum();
         let base = (1.0 - eps) * uniform + eps * dangling_mass * uniform;
+        for ((c, &score), &inv) in contrib.iter_mut().zip(&curr).zip(&inv_out) {
+            *c = score * inv;
+        }
         // Pull-based chunked update: each chunk writes its own disjoint
-        // slice of `next` and returns its L1-delta partial; partials are
-        // folded in chunk order so the result is bit-identical for any
-        // thread count (see `crate::par`).
-        let curr_ref = &curr;
+        // slice of `next`, block by block as the backend holds the rows,
+        // and returns its L1-delta partial; partials are folded in chunk
+        // order so the result is bit-identical for any thread count
+        // (see `crate::par`).
+        let (curr_ref, contrib_ref) = (&curr, &contrib);
         let partials = crate::par::chunked_fill(&mut next, config.threads, |start, chunk| {
             let mut delta = 0.0;
-            for (k, out) in chunk.iter_mut().enumerate() {
-                let q = start + k;
-                let mut sum = 0.0;
-                g.for_each_predecessor(PageId(q as u32), |p| {
-                    sum += curr_ref[p.index()] * inv_out[p.index()];
+            g.for_each_pred_block(start..start + chunk.len(), |first, offsets, preds| {
+                let rows = &mut chunk[first - start..][..offsets.len() - 1];
+                pull_block(offsets, preds, contrib_ref, rows, |k, sum| {
+                    let out = base + eps * sum;
+                    delta += (curr_ref[first + k] - out).abs();
+                    out
                 });
-                *out = base + eps * sum;
-                delta += (curr_ref[q] - *out).abs();
-            }
+            });
             delta
         });
         let delta: f64 = partials.iter().sum();

@@ -8,14 +8,22 @@
 //! `budget × segment_decoded_size` while the graph itself only exists
 //! on disk.
 //!
+//! **Direction-lazy slots.** A segment is decoded with the adjacency
+//! directions its first reader asked for (a pull sweep: predecessors
+//! only; a degree pass: neither), and the slot remembers which it
+//! holds. Asking a resident segment for a direction it lacks is a
+//! *miss*: the container is fetched again and re-decoded with the union,
+//! replacing the slot in place (the resident count does not move, so an
+//! upgrade can never exceed the budget or evict a neighbour).
+//!
 //! Concurrency model: one mutex guards the whole cache. Hits hold it
-//! for a map probe and an `Arc` clone; misses hold it across the fetch
+//! for a slot probe and an `Arc` clone; misses hold it across the fetch
 //! and decode, which serializes faults (two workers asking for the same
 //! segment decode it once, and the budget can never be transiently
 //! exceeded by concurrent faults). Consumers keep the returned
-//! `Arc<DecodedSegment>` alive while iterating, so eviction never
-//! invalidates adjacency mid-walk — it just drops the cache's
-//! reference.
+//! `Arc<DecodedSegment>` alive while they walk the block it backs, so
+//! eviction never invalidates adjacency mid-walk — it just drops the
+//! cache's reference.
 //!
 //! Cache state never influences *what* callers read, only how fast it
 //! arrives, which is why scores stay bit-identical under any budget.
@@ -29,7 +37,7 @@ use jxp_telemetry::lock_unpoisoned;
 
 use crate::backing::SegmentBacking;
 use crate::metrics::SegstoreMetrics;
-use crate::segment::{decode_segment, DecodedSegment};
+use crate::segment::{decode_segment, DecodedSegment, Directions};
 use crate::SegStoreError;
 
 struct Slot {
@@ -97,47 +105,67 @@ impl SegmentCache {
         lock_unpoisoned(&self.state).resident
     }
 
-    /// Get segment `idx`, faulting it in (and evicting the least
-    /// recently used resident segment) if necessary.
+    /// Get segment `idx` with both adjacency directions, faulting it in
+    /// (and evicting the least recently used resident segment) if
+    /// necessary.
     pub fn get(&self, idx: usize) -> Result<Arc<DecodedSegment>, SegStoreError> {
+        self.get_with(idx, Directions::BOTH)
+    }
+
+    /// Get segment `idx` holding at least the directions in `want`.
+    pub(crate) fn get_with(
+        &self,
+        idx: usize,
+        want: Directions,
+    ) -> Result<Arc<DecodedSegment>, SegStoreError> {
         let mut state = lock_unpoisoned(&self.state);
         state.tick += 1;
         let tick = state.tick;
+        let mut decode = want;
         if let Some(slot) = state.slots[idx].as_mut() {
-            slot.stamp = tick;
-            self.metrics.hits_total.inc();
-            return Ok(Arc::clone(&slot.seg));
+            if slot.seg.held.contains(want) {
+                slot.stamp = tick;
+                self.metrics.hits_total.inc();
+                return Ok(Arc::clone(&slot.seg));
+            }
+            // Upgrade: keep what earlier readers asked for.
+            decode = want.union(slot.seg.held);
         }
 
         self.metrics.misses_total.inc();
         let fetch_start = Instant::now();
         let bytes = self.backing.fetch(idx)?;
         self.metrics.read_bytes_total.add(bytes.len() as u64);
-        let seg = Arc::new(decode_segment(&bytes)?);
+        let seg = Arc::new(decode_segment(&bytes, decode)?);
         self.metrics
             .decode_seconds
             .observe(fetch_start.elapsed().as_secs_f64());
 
-        if state.resident >= self.budget {
-            // Evict the least-recently-used resident segment. The scan
-            // is O(num_segments); budgets are small and misses already
-            // pay a disk read, so simplicity wins over an intrusive
-            // list.
-            let victim = state
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|s| (s.stamp, i)))
-                .min()
-                .map(|(_, i)| i)
-                .expect("resident > 0 implies a victim exists");
-            let gone = state.slots[victim].take().expect("victim is resident");
-            state.resident -= 1;
-            state.resident_bytes -= gone.seg.resident_bytes() as u64;
-            self.metrics.evictions_total.inc();
+        if let Some(old) = state.slots[idx].take() {
+            // An upgrade replaces the slot it already occupies.
+            state.resident_bytes -= old.seg.resident_bytes() as u64;
+        } else {
+            if state.resident >= self.budget {
+                // Evict the least-recently-used resident segment. The
+                // scan is O(num_segments); budgets are small and misses
+                // already pay a disk read, so simplicity wins over an
+                // intrusive list.
+                let victim = state
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, s)| s.as_ref().map(|s| (s.stamp, i)))
+                    .min()
+                    .map(|(_, i)| i)
+                    .expect("resident > 0 implies a victim exists");
+                let gone = state.slots[victim].take().expect("victim is resident");
+                state.resident -= 1;
+                state.resident_bytes -= gone.seg.resident_bytes() as u64;
+                self.metrics.evictions_total.inc();
+            }
+            state.resident += 1;
         }
 
-        state.resident += 1;
         state.resident_bytes += seg.resident_bytes() as u64;
         state.slots[idx] = Some(Slot {
             seg: Arc::clone(&seg),
@@ -223,6 +251,73 @@ mod tests {
         cache.get(1).unwrap();
         assert_eq!(cache.resident_bytes(), one); // same-sized segment swapped in
         assert_eq!(cache.resident_segments(), 1);
+    }
+
+    #[test]
+    fn asking_for_a_missing_direction_is_one_upgrade_miss() {
+        let cache = SegmentCache::new(Box::new(MemBacking::new(3)), 2, SegstoreMetrics::detached());
+        let m = cache.metrics();
+        let rev = cache.get_with(0, Directions::REV).unwrap();
+        assert_eq!(rev.held, Directions::REV);
+        assert_eq!((m.hits_total.get(), m.misses_total.get()), (0, 1));
+        // Fewer directions than held is a hit on the same decode.
+        let again = cache.get_with(0, Directions::NONE).unwrap();
+        assert!(Arc::ptr_eq(&rev, &again));
+        assert_eq!((m.hits_total.get(), m.misses_total.get()), (1, 1));
+
+        // `get` means both: one upgrade miss, decoded with the union …
+        let both = cache.get(0).unwrap();
+        assert_eq!(both.held, Directions::BOTH);
+        assert_eq!(both.successors_at(0), &[1]);
+        assert_eq!((m.hits_total.get(), m.misses_total.get()), (1, 2));
+        // … and afterwards every direction hits.
+        for want in [Directions::FWD, Directions::REV, Directions::BOTH] {
+            assert!(Arc::ptr_eq(&both, &cache.get_with(0, want).unwrap()));
+        }
+        assert_eq!((m.hits_total.get(), m.misses_total.get()), (4, 2));
+        // The upgrade replaced its own slot: nothing evicted, one resident.
+        assert_eq!(m.evictions_total.get(), 0);
+        assert_eq!(cache.resident_segments(), 1);
+        // The reader of the old decode is unaffected.
+        assert_eq!(rev.held, Directions::REV);
+    }
+
+    #[test]
+    fn upgrades_keep_the_union_and_never_exceed_the_budget() {
+        let cache = SegmentCache::new(Box::new(MemBacking::new(4)), 2, SegstoreMetrics::detached());
+        cache.get_with(0, Directions::FWD).unwrap();
+        cache.get_with(1, Directions::NONE).unwrap();
+        // REV on top of FWD keeps FWD.
+        assert_eq!(
+            cache.get_with(0, Directions::REV).unwrap().held,
+            Directions::BOTH
+        );
+        assert_eq!(cache.resident_segments(), 2);
+        cache.get_with(1, Directions::REV).unwrap();
+        assert_eq!(cache.resident_segments(), 2);
+        assert_eq!(cache.metrics().evictions_total.get(), 0);
+        // A third segment still evicts exactly one (the LRU: 0).
+        cache.get_with(2, Directions::REV).unwrap();
+        assert_eq!(cache.resident_segments(), 2);
+        assert_eq!(cache.metrics().evictions_total.get(), 1);
+        assert_eq!(cache.metrics().resident_segments.get(), 2.0);
+        let misses = cache.metrics().misses_total.get();
+        cache.get_with(1, Directions::REV).unwrap();
+        assert_eq!(cache.metrics().misses_total.get(), misses);
+    }
+
+    #[test]
+    fn resident_bytes_track_the_directions_held() {
+        // Node i: one successor, no predecessors — offsets 2+2 words,
+        // forward adjacency 1 word.
+        let cache = SegmentCache::new(Box::new(MemBacking::new(2)), 2, SegstoreMetrics::detached());
+        cache.get_with(0, Directions::REV).unwrap();
+        assert_eq!(cache.resident_bytes(), 4 * 4);
+        cache.get_with(0, Directions::FWD).unwrap();
+        assert_eq!(cache.resident_bytes(), 4 * 5);
+        cache.get_with(1, Directions::NONE).unwrap();
+        assert_eq!(cache.resident_bytes(), 4 * 5 + 4 * 4);
+        assert_eq!(cache.metrics().resident_bytes.get(), (4 * 9) as f64);
     }
 
     #[test]

@@ -9,10 +9,17 @@
 //! PageRank — produces **bit-identical** results against either
 //! backend, at any thread count and any cache budget.
 //!
+//! A decoded segment already *is* a reverse-CSR row block, so the block
+//! visitors hand it to the sweep whole: one cache probe per (node
+//! range, segment) pair, the `Arc` held while the block is walked, and
+//! only the directions the visitor reads decoded (predecessors for the
+//! sweep, none for the degree pass).
+//!
 //! [`verify_dir`] is the integrity sweep behind `jxp graph verify`:
 //! decode every segment (full CRC + codec validation) and cross-check
 //! it against the manifest.
 
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -22,7 +29,7 @@ use crate::backing::{BackingKind, PreadBacking, ReadBacking, SegmentBacking};
 use crate::cache::SegmentCache;
 use crate::manifest::{decode_manifest, segment_file_name, Manifest, MANIFEST_FILE};
 use crate::metrics::SegstoreMetrics;
-use crate::segment::{decode_segment, DecodedSegment};
+use crate::segment::{decode_segment, DecodedSegment, Directions};
 use crate::SegStoreError;
 
 /// How a [`SegmentedGraph`] faults and caches segments.
@@ -95,15 +102,40 @@ impl SegmentedGraph {
         self.cache.metrics()
     }
 
-    /// Fault in the segment holding node `v` and return it.
-    fn segment_for(&self, v: PageId) -> (Arc<DecodedSegment>, usize) {
-        let seg = self.manifest.segment_of(u64::from(v.0));
-        let decoded = self
+    /// Fault in the segment holding node `v` with the directions in
+    /// `want`, and return it with `v`'s index inside it.
+    fn segment_for(&self, v: usize, want: Directions) -> (Arc<DecodedSegment>, usize) {
+        let idx = self.manifest.segment_of(v as u64);
+        let seg = self
             .cache
-            .get(seg)
-            .unwrap_or_else(|e| panic!("segment {seg} unreadable: {e}"));
-        let local = (u64::from(v.0) - decoded.start) as usize;
-        (decoded, local)
+            .get_with(idx, want)
+            .unwrap_or_else(|e| panic!("segment {idx} unreadable: {e}"));
+        let base = seg.start as usize;
+        assert!(
+            base <= v && v - base < seg.num_nodes(),
+            "segment {idx} does not hold node {v}"
+        );
+        (seg, v - base)
+    }
+
+    /// Tile `rows` with the segments that hold them: `f(first_row,
+    /// segment, local_rows)` per overlapped segment, ascending.
+    fn for_each_segment_block<F>(&self, rows: Range<usize>, want: Directions, mut f: F)
+    where
+        F: FnMut(usize, &DecodedSegment, Range<usize>),
+    {
+        assert!(
+            rows.end <= self.manifest.num_nodes as usize,
+            "rows {rows:?} past the graph's {} nodes",
+            self.manifest.num_nodes
+        );
+        let mut row = rows.start;
+        while row < rows.end {
+            let (seg, lo) = self.segment_for(row, want);
+            let hi = (lo + (rows.end - row)).min(seg.num_nodes());
+            f(row, &seg, lo..hi);
+            row += hi - lo;
+        }
     }
 }
 
@@ -117,22 +149,27 @@ impl GraphSource for SegmentedGraph {
     }
 
     fn out_degree(&self, v: PageId) -> usize {
-        let (seg, i) = self.segment_for(v);
+        let (seg, i) = self.segment_for(v.index(), Directions::NONE);
         (seg.fwd_off[i + 1] - seg.fwd_off[i]) as usize
     }
 
     fn for_each_successor<F: FnMut(PageId)>(&self, v: PageId, mut f: F) {
-        let (seg, i) = self.segment_for(v);
+        let (seg, i) = self.segment_for(v.index(), Directions::FWD);
         for &u in seg.successors_at(i) {
             f(PageId(u));
         }
     }
 
-    fn for_each_predecessor<F: FnMut(PageId)>(&self, v: PageId, mut f: F) {
-        let (seg, i) = self.segment_for(v);
-        for &u in seg.predecessors_at(i) {
-            f(PageId(u));
-        }
+    fn for_each_pred_block<F: FnMut(usize, &[u32], &[u32])>(&self, rows: Range<usize>, mut f: F) {
+        self.for_each_segment_block(rows, Directions::REV, |first, seg, local| {
+            f(first, &seg.rev_off[local.start..=local.end], &seg.rev_adj);
+        });
+    }
+
+    fn for_each_degree_block<F: FnMut(usize, &[u32])>(&self, rows: Range<usize>, mut f: F) {
+        self.for_each_segment_block(rows, Directions::NONE, |first, seg, local| {
+            f(first, &seg.fwd_off[local.start..=local.end]);
+        });
     }
 }
 
@@ -190,7 +227,7 @@ pub fn verify_dir(dir: &Path) -> Result<VerifyReport, SegStoreError> {
 fn check_segment(dir: &Path, manifest: &Manifest, i: usize) -> Result<(), SegStoreError> {
     let entry = &manifest.segments[i];
     let bytes = std::fs::read(dir.join(segment_file_name(i)))?;
-    let seg = decode_segment(&bytes)?;
+    let seg = decode_segment(&bytes, Directions::BOTH)?;
     if seg.index as usize != i
         || seg.start != manifest.segment_start(i)
         || seg.num_nodes() as u64 != entry.nodes
@@ -232,20 +269,50 @@ mod tests {
         b.build()
     }
 
-    fn open_both(name: &str, kind: BackingKind) -> (CsrGraph, SegmentedGraph) {
+    fn open_sample(name: &str, budget: usize, kind: BackingKind) -> (CsrGraph, SegmentedGraph) {
         let dir = tmp(name);
         let g = sample_graph();
         write_segments(&g, &dir, 4).unwrap();
         let sg = SegmentedGraph::open_with(
             &dir,
             SegStoreConfig {
-                resident_segments: 2,
+                resident_segments: budget,
                 backing: kind,
             },
             SegstoreMetrics::detached(),
         )
         .unwrap();
         (g, sg)
+    }
+
+    /// The block contract: the visitors' blocks tile `rows` back to
+    /// back, and read row by row they are `CsrGraph::predecessors` and
+    /// `CsrGraph::out_degree`. Returns the number of pred blocks.
+    fn assert_blocks_match_csr(sg: &SegmentedGraph, g: &CsrGraph, rows: Range<usize>) -> usize {
+        let (mut next, mut blocks) = (rows.start, 0);
+        sg.for_each_pred_block(rows.clone(), |first, offsets, preds| {
+            assert_eq!(first, next, "pred blocks must be back to back");
+            assert!(offsets.len() > 1, "empty block");
+            for (k, w) in offsets.windows(2).enumerate() {
+                let v = PageId::from_index(first + k);
+                let want: Vec<u32> = g.predecessors(v).map(|p| p.0).collect();
+                assert_eq!(&preds[w[0] as usize..w[1] as usize], &want[..], "pred {v}");
+            }
+            next += offsets.len() - 1;
+            blocks += 1;
+        });
+        assert_eq!(next, rows.end, "pred blocks must cover {rows:?}");
+        let mut next = rows.start;
+        sg.for_each_degree_block(rows.clone(), |first, offsets| {
+            assert_eq!(first, next, "degree blocks must be back to back");
+            for (k, w) in offsets.windows(2).enumerate() {
+                let v = PageId::from_index(first + k);
+                assert_eq!((w[1] - w[0]) as usize, g.out_degree(v), "out-degree {v}");
+            }
+            next += offsets.len() - 1;
+        });
+        assert_eq!(next, rows.end, "degree blocks must cover {rows:?}");
+        blocks
     }
 
     fn assert_source_equal(g: &CsrGraph, sg: &SegmentedGraph) {
@@ -256,10 +323,8 @@ mod tests {
             let mut succ = Vec::new();
             sg.for_each_successor(v, |u| succ.push(u));
             assert_eq!(succ, g.successors(v).collect::<Vec<_>>(), "succ {v}");
-            let mut pred = Vec::new();
-            sg.for_each_predecessor(v, |u| pred.push(u));
-            assert_eq!(pred, g.predecessors(v).collect::<Vec<_>>(), "pred {v}");
         }
+        assert_blocks_match_csr(sg, g, 0..g.num_nodes());
         assert_eq!(
             GraphSource::dangling(sg),
             g.dangling_nodes().collect::<Vec<_>>()
@@ -268,7 +333,7 @@ mod tests {
 
     #[test]
     fn adjacency_matches_csr_with_pread_backing() {
-        let (g, sg) = open_both("pread", BackingKind::Pread);
+        let (g, sg) = open_sample("pread", 2, BackingKind::Pread);
         assert_source_equal(&g, &sg);
         // The 2-segment budget over 6 segments forced eviction churn.
         assert!(sg.metrics().evictions_total.get() > 0);
@@ -278,8 +343,100 @@ mod tests {
 
     #[test]
     fn adjacency_matches_csr_with_read_backing() {
-        let (g, sg) = open_both("read", BackingKind::Read);
+        let (g, sg) = open_sample("read", 2, BackingKind::Read);
         assert_source_equal(&g, &sg);
+    }
+
+    #[test]
+    fn a_range_yields_one_block_per_overlapped_segment() {
+        // 23 nodes in 4-node segments: five full ones and a ragged
+        // last segment of 3.
+        let (g, sg) = open_sample("blocks", 2, BackingKind::Pread);
+        for (rows, blocks) in [
+            (8..12, 1),  // exactly one segment
+            (9..11, 1),  // inside one segment
+            (3..13, 4),  // straddles 0|1|2|3, ragged at both ends
+            (7..17, 4),  // straddles 1|2|3|4
+            (18..23, 2), // ends in the ragged last segment
+            (20..23, 1), // the ragged last segment alone
+            (0..23, 6),  // everything
+        ] {
+            assert_eq!(
+                assert_blocks_match_csr(&sg, &g, rows.clone()),
+                blocks,
+                "{rows:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_range_yields_no_block_and_no_probe() {
+        let (_, sg) = open_sample("empty", 2, BackingKind::Pread);
+        for at in [0, 4, 13, 23] {
+            sg.for_each_pred_block(at..at, |_, _, _| panic!("block for an empty range"));
+            sg.for_each_degree_block(at..at, |_, _| panic!("block for an empty range"));
+        }
+        let m = sg.metrics();
+        assert_eq!(m.hits_total.get() + m.misses_total.get(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the graph")]
+    fn a_range_past_the_last_node_panics() {
+        let (_, sg) = open_sample("past", 2, BackingKind::Pread);
+        sg.for_each_pred_block(20..24, |_, _, _| {});
+    }
+
+    #[test]
+    fn blocks_agree_with_csr_under_every_budget_and_backing() {
+        for (budget, kind) in [
+            (1, BackingKind::Read),
+            (1, BackingKind::Pread),
+            (3, BackingKind::Read),
+            (3, BackingKind::Pread),
+            (64, BackingKind::Read),
+            (64, BackingKind::Pread),
+        ] {
+            let (g, sg) = open_sample(&format!("budget_{budget}_{kind:?}"), budget, kind);
+            assert_source_equal(&g, &sg);
+            for rows in [0..23, 3..13, 18..23, 22..23] {
+                assert_blocks_match_csr(&sg, &g, rows);
+            }
+            assert!(sg.metrics().resident_segments.get() <= budget as f64);
+        }
+    }
+
+    #[test]
+    fn a_block_costs_one_probe_and_decodes_only_what_it_reads() {
+        let (_, sg) = open_sample("probes", 6, BackingKind::Pread);
+        let m = sg.metrics();
+        // Degree pass: one miss per segment, no adjacency resident.
+        sg.for_each_degree_block(0..23, |_, _| {});
+        assert_eq!((m.hits_total.get(), m.misses_total.get()), (0, 6));
+        let degrees_only = sg.resident_bytes();
+        assert_eq!(degrees_only, 4 * 2 * (23 + 6));
+        // First sweep upgrades each segment to its reverse lists …
+        sg.for_each_pred_block(0..23, |_, _, _| {});
+        assert_eq!((m.hits_total.get(), m.misses_total.get()), (0, 12));
+        assert!(sg.resident_bytes() > degrees_only);
+        // … and from then on a range is one hit per overlapped segment.
+        sg.for_each_pred_block(3..13, |_, _, _| {});
+        assert_eq!((m.hits_total.get(), m.misses_total.get()), (4, 12));
+        sg.for_each_degree_block(0..23, |_, _| {});
+        assert_eq!((m.hits_total.get(), m.misses_total.get()), (10, 12));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn blocks_reproduce_csr_for_every_range(start in 0usize..24, len in 0usize..24, budget in 1usize..8) {
+            let (g, sg) = open_sample("prop", budget, BackingKind::Pread);
+            let start = start.min(23);
+            let end = (start + len).min(23);
+            let blocks = assert_blocks_match_csr(&sg, &g, start..end);
+            // One block per segment the range overlaps.
+            let want = if start == end { 0 } else { (end - 1) / 4 - start / 4 + 1 };
+            assert_eq!(blocks, want);
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! The pieces:
 //!
 //! * [`codec`] — LEB128 varints and delta encoding of sorted adjacency,
-//! * [`segment`] — the `JXPS` container: encode/decode one node range,
+//! * [`segment`] — the `JXPS` container: encode one node range, decode
+//!   it with just the adjacency [`Directions`] a reader wants,
 //! * [`manifest`] — the `JXPM` directory manifest tying segments together,
 //! * [`writer`] — [`SegmentWriter`], a streaming spill-based builder whose
 //!   memory use is bounded by one segment, plus [`write_segments`] for
@@ -25,8 +26,9 @@
 //!   `jxp_segstore_*` telemetry (hits, misses, evictions, decode time,
 //!   resident bytes),
 //! * [`graph`] — [`SegmentedGraph`], the `GraphSource` implementation that
-//!   makes all of `jxp-pagerank` / `jxp-core` run out-of-core, and
-//!   [`verify_dir`] for CRC-checking every segment.
+//!   makes all of `jxp-pagerank` / `jxp-core` run out-of-core by handing
+//!   each decoded segment to the power sweep as one reverse-CSR block,
+//!   and [`verify_dir`] for CRC-checking every segment.
 //!
 //! Determinism: a decoded segment reproduces exactly the sorted,
 //! deduplicated adjacency a `CsrGraph` would hold for the same edges, and
@@ -48,7 +50,7 @@ pub use cache::SegmentCache;
 pub use graph::{verify_dir, SegStoreConfig, SegmentedGraph, VerifyReport};
 pub use manifest::{Manifest, SegmentEntry, MANIFEST_FILE};
 pub use metrics::SegstoreMetrics;
-pub use segment::DecodedSegment;
+pub use segment::{DecodedSegment, Directions};
 pub use writer::{write_segments, SegmentWriter};
 
 /// Errors surfaced by the segment store.

@@ -19,17 +19,35 @@ const DECODE_BOUNDS: &[f64] = &[0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0
 /// lock-free sharded kind, so bumping them per cache probe stays inside
 /// the repo's <2% telemetry-overhead budget even when every PageRank
 /// chunk touches the cache.
+///
+/// **A probe is a block hand-off, not a node access.** The power sweep
+/// asks the cache once per (chunk of rows, segment) pair and walks the
+/// whole decoded block it gets back, so a sweep over `S` segments of
+/// `R` rows in chunks of `C ≤ R` counts `S · R/C` probes — where the
+/// per-node design before it counted one per row. Dashboards that saw
+/// `hits_total` fall by about four orders of magnitude for the same
+/// run are reading that change of unit, not a colder cache; the hit
+/// *ratio* of a streaming sweep is lower for the same reason (each miss
+/// is now followed by `R/C − 1` hits instead of `R − 1`). Per-node
+/// probes remain only in fragment extraction (`Subgraph::from_source`).
 #[derive(Clone)]
 pub struct SegstoreMetrics {
-    /// Cache probes served from a resident segment.
+    /// Cache probes served from a resident segment that already held
+    /// the adjacency directions asked for. One probe per block handed
+    /// to the sweep (see the type docs), one per node in fragment
+    /// extraction.
     pub hits_total: Arc<Counter>,
-    /// Cache probes that had to fetch and decode a segment.
+    /// Cache probes that had to fetch and decode a segment: it was not
+    /// resident, or it was resident without a direction the reader
+    /// needs (an upgrade re-decodes the container with the union).
     pub misses_total: Arc<Counter>,
     /// Resident segments evicted to stay within the budget.
     pub evictions_total: Arc<Counter>,
-    /// Raw container bytes read from backing storage.
+    /// Raw container bytes read from backing storage (upgrades read
+    /// the container again).
     pub read_bytes_total: Arc<Counter>,
-    /// Decoded heap bytes currently resident in the cache.
+    /// Decoded heap bytes currently resident in the cache: only the
+    /// directions actually held.
     pub resident_bytes: Arc<Gauge>,
     /// Segments currently resident in the cache.
     pub resident_segments: Arc<Gauge>,

@@ -26,6 +26,15 @@
 //! pull-based PageRank (which walks predecessors) touch only the
 //! segments of the nodes it is updating.
 //!
+//! Decoding is **direction-lazy**: [`decode_segment`] takes the
+//! [`Directions`] the caller will read. Both degree sections are always
+//! decoded and validated (they are small, and they frame the adjacency
+//! sections); an adjacency section nobody asked for is stepped over by
+//! counting varint terminators — its varint count is the header's edge
+//! count — and left to the container CRC, which has covered its bytes.
+//! A pull sweep reads predecessors only, so it never pays for the
+//! forward half.
+//!
 //! Like `jxp-store`'s format module, every length is bounded **before**
 //! any allocation, so a corrupt header cannot request gigabytes.
 
@@ -53,6 +62,52 @@ pub const MAX_SEGMENT_NODES: usize = 1 << 24;
 /// `jxp_store::MAX_PAYLOAD_LEN`), checked before allocating.
 pub const MAX_SEGMENT_PAYLOAD: usize = 256 << 20;
 
+/// A set of adjacency directions: what a caller wants decoded, or what
+/// a [`DecodedSegment`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Directions {
+    /// Successor lists.
+    pub fwd: bool,
+    /// Predecessor lists.
+    pub rev: bool,
+}
+
+impl Directions {
+    /// Degrees only.
+    pub const NONE: Directions = Directions {
+        fwd: false,
+        rev: false,
+    };
+    /// Successor lists only.
+    pub const FWD: Directions = Directions {
+        fwd: true,
+        rev: false,
+    };
+    /// Predecessor lists only.
+    pub const REV: Directions = Directions {
+        fwd: false,
+        rev: true,
+    };
+    /// Both adjacency directions.
+    pub const BOTH: Directions = Directions {
+        fwd: true,
+        rev: true,
+    };
+
+    /// Whether every direction in `other` is also in `self`.
+    pub fn contains(self, other: Directions) -> bool {
+        (self.fwd || !other.fwd) && (self.rev || !other.rev)
+    }
+
+    /// The directions in either set.
+    pub fn union(self, other: Directions) -> Directions {
+        Directions {
+            fwd: self.fwd || other.fwd,
+            rev: self.rev || other.rev,
+        }
+    }
+}
+
 /// A segment decoded into a mini-CSR over its node range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedSegment {
@@ -60,14 +115,18 @@ pub struct DecodedSegment {
     pub index: u32,
     /// First global node id covered.
     pub start: u64,
+    /// Which adjacency arrays were decoded. The offset arrays (degrees)
+    /// are always present; the adjacency array of a direction not held
+    /// is empty.
+    pub held: Directions,
     /// `fwd_off[i]..fwd_off[i+1]` indexes `fwd_adj` with the successors
     /// of global node `start + i` (ascending global ids).
     pub fwd_off: Vec<u32>,
-    /// Successor ids, concatenated.
+    /// Successor ids, concatenated (empty unless `held.fwd`).
     pub fwd_adj: Vec<u32>,
     /// As `fwd_off`, for predecessors.
     pub rev_off: Vec<u32>,
-    /// Predecessor ids, concatenated.
+    /// Predecessor ids, concatenated (empty unless `held.rev`).
     pub rev_adj: Vec<u32>,
     /// Size of the container this was decoded from, for cache
     /// accounting of on-disk (encoded) bytes.
@@ -81,20 +140,29 @@ impl DecodedSegment {
         self.fwd_off.len() - 1
     }
 
-    /// Approximate resident heap size of the decoded form.
+    /// Approximate resident heap size of the decoded form: the arrays
+    /// actually held.
     pub fn resident_bytes(&self) -> usize {
         4 * (self.fwd_off.len() + self.fwd_adj.len() + self.rev_off.len() + self.rev_adj.len())
     }
 
     /// Successors of the `i`-th covered node (ascending).
+    ///
+    /// # Panics
+    /// Panics if the forward direction was not decoded.
     #[inline]
     pub fn successors_at(&self, i: usize) -> &[u32] {
+        assert!(self.held.fwd, "forward adjacency not decoded");
         &self.fwd_adj[self.fwd_off[i] as usize..self.fwd_off[i + 1] as usize]
     }
 
     /// Predecessors of the `i`-th covered node (ascending).
+    ///
+    /// # Panics
+    /// Panics if the reverse direction was not decoded.
     #[inline]
     pub fn predecessors_at(&self, i: usize) -> &[u32] {
+        assert!(self.held.rev, "reverse adjacency not decoded");
         &self.rev_adj[self.rev_off[i] as usize..self.rev_off[i + 1] as usize]
     }
 }
@@ -171,13 +239,61 @@ fn get_u64(bytes: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
 }
 
-/// Decode and fully validate one segment container.
+/// Decode one degree section into a CSR offsets array, checking that
+/// the degrees sum to exactly `edges` (the header's count, which the
+/// caller has bounded by the payload length, so it fits `u32`).
+fn get_offsets(
+    payload: &[u8],
+    pos: &mut usize,
+    n: usize,
+    edges: u64,
+    dir: &str,
+) -> Result<Vec<u32>, SegStoreError> {
+    let mut off = vec![0u32; n + 1];
+    let mut total: u64 = 0;
+    for slot in &mut off[1..] {
+        total = total
+            .checked_add(codec::get_varint(payload, pos)?)
+            .filter(|&t| t <= edges)
+            .ok_or_else(|| SegStoreError::corrupt(format!("{dir} degree sum exceeds header")))?;
+        *slot = total as u32;
+    }
+    if total != edges {
+        return Err(SegStoreError::corrupt(format!(
+            "{dir} degree sum below header"
+        )));
+    }
+    Ok(off)
+}
+
+/// Decode the adjacency section framed by `off`, or step over it.
+fn get_lists(
+    payload: &[u8],
+    pos: &mut usize,
+    off: &[u32],
+    wanted: bool,
+) -> Result<Vec<u32>, SegStoreError> {
+    let edges = off[off.len() - 1] as usize;
+    if !wanted {
+        codec::skip_varints(payload, pos, edges)?;
+        return Ok(Vec::new());
+    }
+    let mut adj = vec![0u32; edges];
+    for w in off.windows(2) {
+        codec::get_adjacency(payload, pos, &mut adj[w[0] as usize..w[1] as usize])?;
+    }
+    Ok(adj)
+}
+
+/// Decode and validate one segment container, materializing the
+/// adjacency directions in `want`.
 ///
 /// Checks, in order: header framing, magic/version, node/edge/payload
 /// bounds (before allocating), payload length, CRC, then the varint
 /// payload itself (degree sums must match the header's edge counts and
-/// every adjacency list must be strictly increasing).
-pub fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, SegStoreError> {
+/// every wanted adjacency list must be strictly increasing; a section
+/// not wanted must still hold its edge count of varints).
+pub fn decode_segment(bytes: &[u8], want: Directions) -> Result<DecodedSegment, SegStoreError> {
     if bytes.len() < SEGMENT_HEADER_LEN {
         return Err(SegStoreError::corrupt("truncated segment header"));
     }
@@ -216,44 +332,10 @@ pub fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, SegStoreError> {
     }
 
     let mut pos = 0usize;
-    let mut fwd_off = Vec::with_capacity(n + 1);
-    fwd_off.push(0u32);
-    let mut total: u64 = 0;
-    for _ in 0..n {
-        total += codec::get_varint(payload, &mut pos)?;
-        if total > fwd_edges {
-            return Err(SegStoreError::corrupt("fwd degree sum exceeds header"));
-        }
-        fwd_off.push(total as u32);
-    }
-    if total != fwd_edges {
-        return Err(SegStoreError::corrupt("fwd degree sum below header"));
-    }
-    let mut fwd_adj = Vec::with_capacity(fwd_edges as usize);
-    for i in 0..n {
-        let deg = (fwd_off[i + 1] - fwd_off[i]) as usize;
-        codec::get_adjacency(payload, &mut pos, deg, &mut fwd_adj)?;
-    }
-
-    let mut rev_off = Vec::with_capacity(n + 1);
-    rev_off.push(0u32);
-    let mut total: u64 = 0;
-    for _ in 0..n {
-        total += codec::get_varint(payload, &mut pos)?;
-        if total > rev_edges {
-            return Err(SegStoreError::corrupt("rev degree sum exceeds header"));
-        }
-        rev_off.push(total as u32);
-    }
-    if total != rev_edges {
-        return Err(SegStoreError::corrupt("rev degree sum below header"));
-    }
-    let mut rev_adj = Vec::with_capacity(rev_edges as usize);
-    for i in 0..n {
-        let deg = (rev_off[i + 1] - rev_off[i]) as usize;
-        codec::get_adjacency(payload, &mut pos, deg, &mut rev_adj)?;
-    }
-
+    let fwd_off = get_offsets(payload, &mut pos, n, fwd_edges, "fwd")?;
+    let fwd_adj = get_lists(payload, &mut pos, &fwd_off, want.fwd)?;
+    let rev_off = get_offsets(payload, &mut pos, n, rev_edges, "rev")?;
+    let rev_adj = get_lists(payload, &mut pos, &rev_off, want.rev)?;
     if pos != payload.len() {
         return Err(SegStoreError::corrupt("trailing bytes in segment payload"));
     }
@@ -261,6 +343,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, SegStoreError> {
     Ok(DecodedSegment {
         index,
         start,
+        held: want,
         fwd_off,
         fwd_adj,
         rev_off,
@@ -287,10 +370,17 @@ mod tests {
         )
     }
 
+    const ALL_SETS: [Directions; 4] = [
+        Directions::NONE,
+        Directions::FWD,
+        Directions::REV,
+        Directions::BOTH,
+    ];
+
     #[test]
     fn round_trips() {
         let bytes = sample();
-        let seg = decode_segment(&bytes).unwrap();
+        let seg = decode_segment(&bytes, Directions::BOTH).unwrap();
         assert_eq!(seg.index, 2);
         assert_eq!(seg.start, 10);
         assert_eq!(seg.num_nodes(), 3);
@@ -303,27 +393,135 @@ mod tests {
     }
 
     #[test]
+    fn each_direction_set_holds_what_it_asked_for_and_the_degrees() {
+        let bytes = sample();
+        let full = decode_segment(&bytes, Directions::BOTH).unwrap();
+        for want in ALL_SETS {
+            let seg = decode_segment(&bytes, want).unwrap();
+            assert_eq!(seg.held, want);
+            assert_eq!(seg.fwd_off, full.fwd_off);
+            assert_eq!(seg.rev_off, full.rev_off);
+            assert_eq!(seg.fwd_adj, if want.fwd { &full.fwd_adj[..] } else { &[] });
+            assert_eq!(seg.rev_adj, if want.rev { &full.rev_adj[..] } else { &[] });
+            let held = 4 * (2 * 4 + seg.fwd_adj.len() + seg.rev_adj.len());
+            assert_eq!(seg.resident_bytes(), held);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "forward adjacency not decoded")]
+    fn reading_a_direction_not_held_panics() {
+        let seg = decode_segment(&sample(), Directions::REV).unwrap();
+        let _ = seg.successors_at(0);
+    }
+
+    #[test]
+    fn direction_sets_compose() {
+        assert!(Directions::BOTH.contains(Directions::REV));
+        assert!(Directions::REV.contains(Directions::NONE));
+        assert!(!Directions::REV.contains(Directions::FWD));
+        assert!(!Directions::NONE.contains(Directions::REV));
+        assert_eq!(Directions::FWD.union(Directions::REV), Directions::BOTH);
+        assert_eq!(Directions::NONE.union(Directions::REV), Directions::REV);
+    }
+
+    #[test]
     fn every_single_byte_flip_is_detected() {
+        // For every direction set: a flip inside a section that is
+        // skipped, not decoded, must be caught just the same (the CRC
+        // covers the whole payload).
         let good = sample();
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                decode_segment(&bad).is_err(),
-                "flip at byte {i} went undetected"
-            );
+        for want in ALL_SETS {
+            for i in 0..good.len() {
+                let mut bad = good.clone();
+                bad[i] ^= 0x40;
+                assert!(
+                    decode_segment(&bad, want).is_err(),
+                    "flip at byte {i} went undetected with {want:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn truncation_and_padding_are_detected() {
         let good = sample();
-        for cut in [0, 1, SEGMENT_HEADER_LEN - 1, good.len() - 1] {
-            assert!(decode_segment(&good[..cut]).is_err(), "cut at {cut}");
+        for want in ALL_SETS {
+            for cut in [0, 1, SEGMENT_HEADER_LEN - 1, good.len() - 1] {
+                assert!(decode_segment(&good[..cut], want).is_err(), "cut at {cut}");
+            }
+            let mut padded = good.clone();
+            padded.push(0);
+            assert!(decode_segment(&padded, want).is_err());
         }
-        let mut padded = good.clone();
-        padded.push(0);
-        assert!(decode_segment(&padded).is_err());
+    }
+
+    /// Re-seal a container whose payload was edited, so the payload
+    /// checks behind the CRC are what rejects it.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let payload_len = (bytes.len() - SEGMENT_HEADER_LEN) as u32;
+        bytes[44..48].copy_from_slice(&payload_len.to_le_bytes());
+        let crc = container_crc(
+            &bytes[..SEGMENT_HEADER_LEN - 4],
+            &bytes[SEGMENT_HEADER_LEN..],
+        );
+        bytes[48..52].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_crc_valid_but_malformed_payload_is_corrupt_under_every_direction_set() {
+        let good = sample();
+        let p = SEGMENT_HEADER_LEN;
+        // Payload of `sample`: fwd degrees [2,0,1] | fwd lists 11,+489(2 bytes),10
+        // | rev degrees [1,1,0] | rev lists 12,10.
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("trailing byte", {
+                let mut b = good.clone();
+                b.push(0);
+                b
+            }),
+            ("payload one varint short", good[..good.len() - 1].to_vec()),
+            ("fwd degree sum above header", {
+                let mut b = good.clone();
+                b[p] = 3;
+                b
+            }),
+            ("fwd degree sum below header", {
+                let mut b = good.clone();
+                b[p] = 1;
+                b
+            }),
+            ("rev degree sum above header", {
+                let mut b = good.clone();
+                b[p + 7] = 2;
+                b
+            }),
+            ("dangling continuation at the end", {
+                let mut b = good.clone();
+                let last = b.len() - 1;
+                b[last] |= 0x80;
+                b
+            }),
+        ];
+        for (what, bytes) in cases {
+            let bytes = reseal(bytes);
+            for want in ALL_SETS {
+                assert!(
+                    matches!(decode_segment(&bytes, want), Err(SegStoreError::Corrupt(_))),
+                    "{what} accepted with {want:?}"
+                );
+            }
+        }
+        // A zero gap (500 rewritten as 11 + a two-byte 0) is a value
+        // error: caught wherever the list is decoded. A sweep that
+        // steps over the forward section leaves it to `verify_dir`.
+        let mut zero_gap = good.clone();
+        zero_gap[p + 4..p + 6].copy_from_slice(&[0x80, 0x00]);
+        let zero_gap = reseal(zero_gap);
+        assert!(decode_segment(&zero_gap, Directions::FWD).is_err());
+        assert!(decode_segment(&zero_gap, Directions::BOTH).is_err());
+        assert!(decode_segment(&zero_gap, Directions::REV).is_ok());
     }
 
     #[test]
@@ -331,21 +529,21 @@ mod tests {
         let mut bad = sample();
         // Claim u64::MAX nodes.
         bad[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decode_segment(&bad).is_err());
+        assert!(decode_segment(&bad, Directions::NONE).is_err());
         let mut bad = sample();
         // Claim u64::MAX forward edges.
         bad[28..36].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decode_segment(&bad).is_err());
+        assert!(decode_segment(&bad, Directions::NONE).is_err());
         let mut bad = sample();
         // Claim a payload length far past the actual buffer.
         bad[44..48].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_segment(&bad).is_err());
+        assert!(decode_segment(&bad, Directions::NONE).is_err());
     }
 
     #[test]
     fn empty_segment_round_trips() {
         let bytes = encode_segment(0, 0, &[0, 0, 0], &[], &[0, 0, 0], &[]);
-        let seg = decode_segment(&bytes).unwrap();
+        let seg = decode_segment(&bytes, Directions::BOTH).unwrap();
         assert_eq!(seg.num_nodes(), 2);
         assert_eq!(seg.successors_at(0), &[] as &[u32]);
         assert_eq!(seg.resident_bytes(), 4 * 6);

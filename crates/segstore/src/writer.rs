@@ -232,7 +232,7 @@ pub fn write_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::decode_segment;
+    use crate::segment::{decode_segment, Directions};
     use jxp_webgraph::GraphBuilder;
 
     fn tmp(name: &str) -> PathBuf {
@@ -264,7 +264,7 @@ mod tests {
         // Segment-by-segment, adjacency must equal the CsrGraph's.
         for seg in 0..manifest.segments.len() {
             let bytes = fs::read(dir.join(segment_file_name(seg))).unwrap();
-            let d = decode_segment(&bytes).unwrap();
+            let d = decode_segment(&bytes, Directions::BOTH).unwrap();
             for i in 0..d.num_nodes() {
                 let v = PageId(d.start as u32 + i as u32);
                 let want: Vec<u32> = g.successors(v).map(|p| p.0).collect();

@@ -154,6 +154,39 @@ fn results_are_independent_of_cache_budget_and_backing() {
 }
 
 #[test]
+fn a_serial_run_faults_each_segment_once_per_sweep_plus_one_degree_pass() {
+    let g = seeded_graph();
+    let dir = tmp("faults");
+    let segments = write_segments(&g, &dir, 512).unwrap().segments.len() as u64;
+    let cfg = PageRankConfig {
+        tolerance: 1e-300, // out of reach: exactly max_iterations sweeps
+        max_iterations: 7,
+        ..Default::default()
+    };
+    // Any budget below the segment count: a cyclic scan defeats LRU, so
+    // every pass faults every segment — once for the degree pass, once
+    // per sweep, and never once per node or per extra pass.
+    for budget in [1, 3, segments as usize - 1] {
+        let sg = SegmentedGraph::open_with(
+            &dir,
+            SegStoreConfig {
+                resident_segments: budget,
+                backing: BackingKind::Pread,
+            },
+            SegstoreMetrics::detached(),
+        )
+        .unwrap();
+        let run = pagerank(&sg, &cfg);
+        assert_eq!(run.iterations(), 7);
+        let m = sg.metrics();
+        assert_eq!(m.misses_total.get(), segments * (7 + 1), "budget {budget}");
+        // 512-node segments inside 4096-row chunks: one probe per
+        // segment per pass, so nothing is left to hit.
+        assert_eq!(m.hits_total.get(), 0, "budget {budget}");
+    }
+}
+
+#[test]
 fn resident_memory_stays_under_budget_and_below_encoded_size() {
     let g = seeded_graph();
     let dir = tmp("budget_cap");

@@ -43,8 +43,11 @@ pub const WAL_HEADER_LEN: usize = 4 + 4;
 /// length beyond this is corruption, not a big snapshot.
 pub const MAX_PAYLOAD_LEN: usize = 256 << 20;
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `[0]` is the classic bytewise table; `[k][b]` is
+/// the CRC state after byte `b` followed by `k` zero bytes, which is
+/// what lets eight input bytes be folded with eight independent lookups.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -57,13 +60,23 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
 /// IEEE CRC-32 (the zlib/PNG polynomial), implemented locally so the
 /// store adds no dependencies.
@@ -77,10 +90,24 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// buffers without concatenating them (used by `jxp-segstore`).
 pub const CRC32_INIT: u32 = 0xFFFF_FFFF;
 
-/// Fold `data` into an incremental CRC state.
+/// Fold `data` into an incremental CRC state, eight bytes per step
+/// (slice-by-8); the tail goes through the bytewise table.
 pub fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let t = &CRC_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c
 }
@@ -330,6 +357,41 @@ mod tests {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The bit-at-a-time definition, kept here as the reference only.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = CRC32_INIT;
+        for &b in data {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        crc32_finish(c)
+    }
+
+    #[test]
+    fn slice_by_8_equals_the_bytewise_reference_at_every_length_and_alignment() {
+        // 8 alignments x lengths 0..=64 cover every split between the
+        // eight-byte steps and the tail, wherever the slice starts.
+        let buf: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for align in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[align..align + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "align {align} len {len}");
+                // Folding in two pieces equals folding at once.
+                let (a, b) = data.split_at(len / 3);
+                let split = crc32_finish(crc32_update(crc32_update(CRC32_INIT, a), b));
+                assert_eq!(split, crc32(data), "split at {}", len / 3);
+            }
+        }
     }
 
     #[test]

@@ -857,18 +857,18 @@ mod tests {
             back.metrics.histograms["jxp_segstore_decode_seconds"].count(),
             3
         );
-        // Tolerance: a snapshot written by a newer segstore with extra
-        // series (or extra histogram fields) still parses — the reader
-        // takes the series it knows about and keeps unknown ones as
-        // plain entries.
+        // Tolerance: a snapshot carrying a different subset of the
+        // segstore series, and a histogram field `to_json` never wrote
+        // (`p999`), still parses — series are plain map entries and
+        // the reader takes only the histogram fields it needs.
         let future = "{\"counters\": {\"jxp_segstore_hits_total\": 5, \
-                      \"jxp_segstore_prefetches_total\": 2}, \"gauges\": {}, \
+                      \"jxp_segstore_evictions_total\": 2}, \"gauges\": {}, \
                       \"histograms\": {\"jxp_segstore_decode_seconds\": \
                       {\"bounds\": [0.01], \"counts\": [1, 0], \"sum\": 0.002, \
                       \"p50\": 0.002, \"p999\": 0.01}}, \"events\": []}";
         let parsed = TelemetrySnapshot::from_json(future).unwrap();
         assert_eq!(parsed.metrics.counters["jxp_segstore_hits_total"], 5);
-        assert_eq!(parsed.metrics.counters["jxp_segstore_prefetches_total"], 2);
+        assert_eq!(parsed.metrics.counters["jxp_segstore_evictions_total"], 2);
         assert_eq!(
             parsed.metrics.histograms["jxp_segstore_decode_seconds"].sum,
             0.002

@@ -100,6 +100,19 @@ impl CsrGraph {
         self.rev_adj[r].iter().map(|&u| PageId(u))
     }
 
+    /// The reverse adjacency as raw CSR arrays `(rev_off, rev_adj)` — the
+    /// block [`GraphSource`](crate::GraphSource) hands to the sweep.
+    #[inline]
+    pub(crate) fn rev_csr(&self) -> (&[u32], &[u32]) {
+        (&self.rev_off, &self.rev_adj)
+    }
+
+    /// The forward offsets array: out-degrees as consecutive differences.
+    #[inline]
+    pub(crate) fn fwd_offsets(&self) -> &[u32] {
+        &self.fwd_off
+    }
+
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: PageId) -> usize {
