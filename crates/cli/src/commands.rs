@@ -245,6 +245,10 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
     let round_delay_ms: u64 = args.get_or("round-delay-ms", 0)?;
     let metrics_listen = args.get("metrics-listen").map(String::from);
 
+    if let Some(dir) = state_dir.as_deref().filter(|dir| dir.exists()) {
+        refuse_foreign_state(dir)?;
+    }
+
     let cg = generate_graph_with_scale(args, 0.05)?;
     let n = cg.graph.num_nodes();
     let top: usize = args.get_or("top", (n / 20).max(10))?;
@@ -346,6 +350,22 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
     }
     if report.meetings_failed > 0 && report.meetings_completed == 0 {
         return Err("every meeting failed — transport is broken".to_string());
+    }
+    Ok(())
+}
+
+/// Refuse to resume over a state directory journaled by a build that
+/// speaks another wire protocol — as one error naming both versions,
+/// before `run_cluster` (which can only panic) meets records it cannot
+/// replay.
+fn refuse_foreign_state(dir: &Path) -> Result<(), String> {
+    use jxp_store::{check_wal_protocol, DirStore, StateStore};
+
+    let opening = |e| format!("opening state dir {}: {e}", dir.display());
+    let store = DirStore::open(dir).map_err(opening)?;
+    for key in store.keys().map_err(opening)? {
+        let raw = store.read_raw(&key).map_err(opening)?;
+        check_wal_protocol(&raw.wal).map_err(|e| format!("{}/{key}: {e}", dir.display()))?;
     }
     Ok(())
 }

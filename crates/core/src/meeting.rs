@@ -1,11 +1,12 @@
 //! Peer meetings (Algorithm 2 / Algorithm 3).
 //!
 //! A meeting is a symmetric exchange: both peers ship their payload
-//! (extended local graph + score list) and both fold the other's knowledge
-//! into their own state, "asynchronously and independently of each other"
-//! (§3). [`MeetingStats`] records what the experiments need: the bytes on
-//! the wire (Figures 11/12) and the per-side CPU time of the merge +
-//! recompute step (Table 1).
+//! (extended local graph + score list, cut to what the partner's
+//! [`interest`](JxpPeer::interest) filter says it can use) and both fold
+//! the other's knowledge into their own state, "asynchronously and
+//! independently of each other" (§3). [`MeetingStats`] records what the
+//! experiments need: the bytes on the wire (Figures 11/12) and the
+//! per-side CPU time of the merge + recompute step (Table 1).
 //!
 //! **Dynamics caveat**: structural knowledge (link sets, out-degrees,
 //! dangling status) is updated *authoritatively* when the sender holds the
@@ -46,8 +47,8 @@ impl MeetingStats {
 /// both sides (per each peer's own [`MergeMode`](crate::MergeMode) — peers
 /// are autonomous and may run different configurations), recompute.
 pub fn meet(a: &mut JxpPeer, b: &mut JxpPeer) -> MeetingStats {
-    let payload_a = a.payload();
-    let payload_b = b.payload();
+    let payload_a = a.payload_for(b.interest());
+    let payload_b = b.payload_for(a.interest());
     let stats = MeetingStats {
         bytes_a_to_b: payload_a.wire_size(),
         bytes_b_to_a: payload_b.wire_size(),
@@ -71,7 +72,7 @@ pub fn meet(a: &mut JxpPeer, b: &mut JxpPeer) -> MeetingStats {
 /// an unreachable or departing peer that can still be read from, and by
 /// tests that need asymmetric knowledge).
 pub fn meet_one_way(a: &mut JxpPeer, b: &JxpPeer) -> MeetingStats {
-    let payload_b = b.payload();
+    let payload_b = b.payload_for(a.interest());
     let bytes = payload_b.wire_size();
     let t0 = Instant::now();
     a.absorb(&payload_b);
@@ -158,14 +159,30 @@ mod tests {
     }
 
     #[test]
-    fn message_size_grows_with_world_knowledge() {
-        let (mut a, mut b) = two_peers();
+    fn message_size_grows_with_world_knowledge_the_partner_can_use() {
+        let mut builder = GraphBuilder::new();
+        for (s, d) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            builder.add_edge(PageId(s), PageId(d));
+        }
+        let g = builder.build();
+        let peer = |pages: &[u32]| {
+            JxpPeer::new(
+                Subgraph::from_pages(&g, pages.iter().map(|&p| PageId(p))),
+                4,
+                JxpConfig::default(),
+            )
+        };
+        let (mut a, mut b, mut c) = (peer(&[0, 1]), peer(&[0, 2]), peer(&[3]));
         let first = meet(&mut a, &mut b);
+        // A learns 3 → 0 from C. B holds page 0 too, so the entry is of
+        // use to it and A's next message to B is bigger by that entry.
+        meet(&mut a, &mut c);
         let second = meet(&mut a, &mut b);
-        // After the first meeting both peers carry world entries, so the
-        // second exchange ships strictly more bytes.
-        assert!(second.bytes_a_to_b > first.bytes_a_to_b);
-        assert!(second.bytes_b_to_a > first.bytes_b_to_a);
+        assert_eq!(second.bytes_a_to_b, first.bytes_a_to_b + 4 + 4 + 8 + 4 + 4);
+        // C holds nothing the entry points at: it never travels to C.
+        let to_c = a.payload_for(c.interest());
+        assert!(to_c.world.is_empty());
+        assert_eq!(a.payload().world.len(), 1);
     }
 
     #[test]
@@ -189,9 +206,31 @@ mod tests {
         assert_eq!(a.scores(), &scores_before[..]);
         assert_eq!(a.world_score(), world_before);
         assert_eq!(a.stats().meetings, 0);
-        // The honest payload still goes through.
+
+        // Cut for a filter that is not A's: records A needs may be gone.
+        let honest = b.payload_for(a.interest());
+        assert_eq!(honest.cut_for, a.interest().unwrap().fingerprint());
+        for wrong in [honest.cut_for ^ 1, b.interest().unwrap().fingerprint()] {
+            let mut evil = honest.clone();
+            evil.cut_for = wrong;
+            assert!(a.try_absorb(&evil).unwrap_err().contains("cut for"));
+        }
+        // Bare ids out of order.
+        let mut evil = honest.clone();
+        evil.unlinked = vec![PageId(9), PageId(8)];
+        assert!(a.try_absorb(&evil).unwrap_err().contains("unlinked"));
+        // More out-links than the page is said to have.
+        let mut evil = honest.clone();
+        evil.pages[0].succs = vec![PageId(0), PageId(1)];
+        evil.pages[0].out_degree = 1;
+        assert!(a.try_absorb(&evil).unwrap_err().contains("out-degree"));
+        assert_eq!(a.scores(), &scores_before[..]);
+        assert_eq!(a.stats().meetings, 0);
+
+        // The honest payloads still go through, cut or whole.
+        a.try_absorb(&honest).unwrap();
         a.try_absorb(&b.payload()).unwrap();
-        assert_eq!(a.stats().meetings, 1);
+        assert_eq!(a.stats().meetings, 2);
     }
 
     #[test]

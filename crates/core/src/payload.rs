@@ -2,13 +2,35 @@
 //!
 //! §3: peers "exchange the information they currently have, namely the
 //! extended local graph and the score list". The payload therefore carries
-//! the sender's local pages with their full out-link lists and current JXP
-//! scores, the sender's world-node entries, and the sender's world-node
-//! score. Crucially it carries **no page content** — the paper's
-//! bandwidth argument (§6.2, Figures 11/12) rests on exactly this, and
+//! the sender's local pages with their out-links and current JXP scores,
+//! the sender's world-node entries, and the sender's world-node score.
+//! Crucially it carries **no page content** — the paper's bandwidth
+//! argument (§6.2, Figures 11/12) rests on exactly this, and
 //! [`MeetingPayload::wire_size`] is what those figures measure.
+//!
+//! **Receiver-filtered payloads.** Light-weight merging (§4.1) uses of a
+//! met peer's knowledge only what touches the receiver's own pages, so a
+//! receiver states what it holds — a Bloom filter over its local page ids,
+//! [`JxpPeer::interest`](crate::JxpPeer::interest) — and the sender cuts
+//! the payload to it ([`MeetingPayload::assemble`]'s `cut_to`). A Bloom
+//! filter has no false negatives, so every record the receiver would have
+//! acted on still arrives and absorbing the cut payload leaves the
+//! receiver in exactly the state the uncut one would have; false
+//! positives cost bytes only. The record rules:
+//!
+//! * a local page travels as a full [`PagePayload`] — id, score, true
+//!   out-degree, `succs ∩ filter` — when its id or any successor hits the
+//!   filter (the receiver may hold the page, or be linked from it), or
+//!   when it is dangling (its score feeds the receiver's dangling mass);
+//! * otherwise as a bare id in [`MeetingPayload::unlinked`]: the receiver
+//!   holds neither the page nor any page it links to, and the only thing
+//!   it can do with that fact is drop what an older crawl told it about
+//!   the page (§5.3 stale links) — which needs no score and no links;
+//! * a world entry travels with `targets ∩ filter`, and only when that is
+//!   not empty.
 
 use crate::world::WorldNode;
+use jxp_synopses::BloomFilter;
 use jxp_webgraph::{PageId, Subgraph};
 
 /// Knowledge about one of the sender's local pages.
@@ -18,8 +40,10 @@ pub struct PagePayload {
     pub page: PageId,
     /// The sender's current JXP score for it.
     pub score: f64,
-    /// The page's complete out-link list (global ids) — the receiver
-    /// derives both `out(page)` and the links into its own fragment.
+    /// The page's true out-degree `out(page)`.
+    pub out_degree: u32,
+    /// The page's out-links (global ids): all `out_degree` of them in an
+    /// uncut payload, those that hit the receiver's filter in a cut one.
     pub succs: Vec<PageId>,
 }
 
@@ -33,53 +57,109 @@ pub struct WorldPayload {
     /// The sender's learned score for it.
     pub score: f64,
     /// The link targets the sender knows (pages of the *sender's*
-    /// fragment; relevant to the receiver when fragments overlap).
+    /// fragment; relevant to the receiver when fragments overlap). A cut
+    /// payload keeps those that hit the receiver's filter.
     pub targets: Vec<PageId>,
 }
 
 /// Everything one peer sends to another in a meeting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeetingPayload {
-    /// The sender's local pages: scores and full out-link lists.
+    /// The sender's local pages: scores and out-link lists.
     pub pages: Vec<PagePayload>,
+    /// Ids (ascending) of the sender's local pages that neither are nor
+    /// link to anything in the filter the payload was cut to. Always
+    /// empty in an uncut payload.
+    pub unlinked: Vec<PageId>,
     /// The sender's world-node entries.
     pub world: Vec<WorldPayload>,
     /// External dangling pages the sender knows about, with scores.
     /// (The sender's *local* dangling pages already appear in `pages`
-    /// with an empty successor list.)
+    /// with out-degree zero.)
     pub world_dangling: Vec<(PageId, f64)>,
     /// The sender's current world-node score `α_w`.
     pub world_score: f64,
+    /// The sender's own filter, so the receiver can cut what it sends
+    /// back; `None` from a peer that merges in full and needs everything.
+    pub interest: Option<BloomFilter>,
+    /// [`BloomFilter::fingerprint`] of the filter this payload was cut
+    /// to; `0` = uncut. A receiver whose filter has another fingerprint
+    /// must not absorb the payload: records it needs may be missing.
+    pub cut_for: u64,
 }
 
 impl MeetingPayload {
-    /// Assemble the payload from a peer's state.
-    pub fn assemble(graph: &Subgraph, world: &WorldNode, scores: &[f64], world_score: f64) -> Self {
+    /// Assemble the payload from a peer's state: `interest` is the
+    /// sender's own filter (it rides along), `cut_to` the receiver's —
+    /// `None` ships everything. See the module docs for the record rules.
+    pub fn assemble(
+        graph: &Subgraph,
+        world: &WorldNode,
+        scores: &[f64],
+        world_score: f64,
+        interest: Option<&BloomFilter>,
+        cut_to: Option<&BloomFilter>,
+    ) -> Self {
         assert_eq!(graph.num_pages(), scores.len(), "score list out of sync");
-        let pages = (0..graph.num_pages())
-            .map(|i| PagePayload {
-                page: graph.page_at(i),
-                score: scores[i],
-                succs: graph.successors_at(i).to_vec(),
-            })
-            .collect();
+        // One probe per local page. Successors and world-entry targets
+        // that are local — every world-entry target is — read this table;
+        // only external successors probe the filter themselves.
+        let local_hit: Vec<bool> = cut_to.map_or_else(Vec::new, |f| {
+            graph.pages().iter().map(|&p| f.contains(key(p))).collect()
+        });
+        // Collecting nothing allocates nothing: only kept links cost.
+        let keep = |links: &[PageId]| -> Vec<PageId> {
+            let Some(filter) = cut_to else {
+                return links.to_vec();
+            };
+            links
+                .iter()
+                .copied()
+                .filter(|&t| match graph.local_index(t) {
+                    Some(j) => local_hit[j],
+                    None => filter.contains(key(t)),
+                })
+                .collect()
+        };
+        let mut pages = Vec::new();
+        let mut unlinked = Vec::new();
+        for (i, &score) in scores.iter().enumerate() {
+            let all = graph.successors_at(i);
+            let succs = keep(all);
+            if cut_to.is_some() && !local_hit[i] && succs.is_empty() && !all.is_empty() {
+                unlinked.push(graph.page_at(i));
+            } else {
+                pages.push(PagePayload {
+                    page: graph.page_at(i),
+                    score,
+                    out_degree: all.len() as u32,
+                    succs,
+                });
+            }
+        }
         // WorldNode iterates in ascending PageId order (documented
         // contract), so the payload is deterministic without re-sorting.
         let world_entries: Vec<WorldPayload> = world
             .iter()
-            .map(|(src, e)| WorldPayload {
-                src,
-                out_degree: e.out_degree,
-                score: e.score,
-                targets: e.targets.clone(),
+            .filter_map(|(src, e)| {
+                let targets = keep(&e.targets);
+                (cut_to.is_none() || !targets.is_empty()).then_some(WorldPayload {
+                    src,
+                    out_degree: e.out_degree,
+                    score: e.score,
+                    targets,
+                })
             })
             .collect();
         let world_dangling: Vec<(PageId, f64)> = world.dangling_iter().collect();
         MeetingPayload {
             pages,
+            unlinked,
             world: world_entries,
             world_dangling,
             world_score,
+            interest: interest.cloned(),
+            cut_for: cut_to.map_or(0, BloomFilter::fingerprint),
         }
     }
 
@@ -90,8 +170,11 @@ impl MeetingPayload {
     /// scope there and here, but a peer can and should reject *malformed*
     /// payloads before absorbing them: non-finite or negative scores,
     /// scores that exceed the total PageRank mass, a local score list that
-    /// claims more than the whole network's authority, or duplicate page
-    /// records. Returns a description of the first violation.
+    /// claims more than the whole network's authority, duplicate page
+    /// records, more out-links than the stated out-degree, or an "uncut"
+    /// payload with links missing. Returns a description of the first
+    /// violation. Whether a cut payload was cut for *this* receiver is
+    /// [`JxpPeer::try_absorb`](crate::JxpPeer::try_absorb)'s check.
     pub fn validate(&self) -> Result<(), String> {
         let valid_score = |s: f64| s.is_finite() && (0.0..=1.0).contains(&s);
         if !valid_score(self.world_score) {
@@ -105,6 +188,13 @@ impl MeetingPayload {
                 return Err(format!("page {:?} has invalid score {}", pp.page, pp.score));
             }
             total += pp.score;
+            let (links, degree) = (pp.succs.len(), pp.out_degree as usize);
+            if links > degree || (self.cut_for == 0 && links != degree) {
+                return Err(format!(
+                    "page {:?} carries {links} out-links at out-degree {degree}",
+                    pp.page
+                ));
+            }
             if let Some(prev) = last {
                 sorted &= prev < pp.page;
             }
@@ -112,6 +202,12 @@ impl MeetingPayload {
         }
         if !sorted {
             return Err("page records not sorted / contain duplicates".into());
+        }
+        if !self.unlinked.windows(2).all(|w| w[0] < w[1]) {
+            return Err("unlinked ids not sorted / contain duplicates".into());
+        }
+        if self.cut_for == 0 && !self.unlinked.is_empty() {
+            return Err("uncut payload with unlinked ids".into());
         }
         if total > 1.0 + 1e-6 {
             return Err(format!("local score list claims total mass {total} > 1"));
@@ -144,28 +240,36 @@ impl MeetingPayload {
     /// Serialized size in bytes: the quantity plotted in Figures 11/12.
     ///
     /// Accounting: 4 bytes per page id, 8 per score, 4 per out-degree or
-    /// list length, 8 for the world score, 12 for the three section
-    /// lengths (pages, world, dangling). This is exactly the length of the
-    /// `jxp-wire` frame *body* encoding the payload — pinned by a test in
-    /// `crates/wire` — so Figures 11/12 report measured bytes; the codec's
-    /// fixed 12-byte frame header is the only residual delta.
+    /// list length, 8 for the world score, 8 for `cut_for`, a presence
+    /// byte plus the sender's filter, 16 for the four section lengths
+    /// (pages, unlinked, world, dangling). This is exactly the length of
+    /// the `jxp-wire` frame *body* encoding the payload — pinned by a test
+    /// in `crates/wire` — so Figures 11/12 report measured bytes; the
+    /// codec's fixed 12-byte frame header is the only residual delta.
     pub fn wire_size(&self) -> usize {
         let pages: usize = self
             .pages
             .iter()
-            .map(|p| 4 + 8 + 4 + 4 * p.succs.len())
+            .map(|p| 4 + 8 + 4 + 4 + 4 * p.succs.len())
             .sum();
         let world: usize = self
             .world
             .iter()
             .map(|w| 4 + 4 + 8 + 4 + 4 * w.targets.len())
             .sum();
-        8 + 12 + pages + world + self.world_dangling.len() * 12
+        let interest = 1 + self.interest.as_ref().map_or(0, BloomFilter::wire_size);
+        8 + 8
+            + interest
+            + 16
+            + pages
+            + 4 * self.unlinked.len()
+            + world
+            + 12 * self.world_dangling.len()
     }
 
-    /// Number of local pages described.
+    /// Number of local pages described, bare ids included.
     pub fn num_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.len() + self.unlinked.len()
     }
 
     /// Total links carried (page out-links plus world-entry links).
@@ -173,6 +277,11 @@ impl MeetingPayload {
         self.pages.iter().map(|p| p.succs.len()).sum::<usize>()
             + self.world.iter().map(|w| w.targets.len()).sum::<usize>()
     }
+}
+
+/// A page id as a Bloom-filter key.
+pub(crate) fn key(p: PageId) -> u64 {
+    u64::from(p.0)
 }
 
 #[cfg(test)]
@@ -194,7 +303,7 @@ mod tests {
         let graph = fragment();
         let mut world = WorldNode::new();
         world.upsert(PageId(9), 3, 0.2, [PageId(0)], CombineMode::TakeMax);
-        let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3);
+        let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
         assert_eq!(p.num_pages(), 2);
         assert_eq!(p.pages[0].page, PageId(0));
         assert_eq!(p.pages[0].succs, vec![PageId(1)]);
@@ -209,10 +318,74 @@ mod tests {
     fn wire_size_matches_accounting() {
         let graph = fragment();
         let world = WorldNode::new();
-        let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3);
-        // Two pages, one succ each: 2 × (4+8+4+4) = 40; world score plus
-        // three section lengths: 8 + 12 = 20.
-        assert_eq!(p.wire_size(), 20 + 40);
+        let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
+        // Two pages, one succ each: 2 × (4+8+4+4+4) = 48; world score,
+        // cut_for, the filter's presence byte and four section lengths:
+        // 8 + 8 + 1 + 16 = 33.
+        assert_eq!(p.wire_size(), 33 + 48);
+        // The sender's own filter rides along at its wire size.
+        let filter = BloomFilter::new(128, 3);
+        let q = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, Some(&filter), None);
+        assert_eq!(q.wire_size(), p.wire_size() + filter.wire_size());
+    }
+
+    fn filter_of(ids: &[u32]) -> BloomFilter {
+        let mut f = BloomFilter::new(256, 4);
+        for &id in ids {
+            f.insert(u64::from(id));
+        }
+        f
+    }
+
+    #[test]
+    fn cut_payload_follows_the_record_rules() {
+        // Local pages 0 → {1, 5}, 1 → {6}, 2 dangling, 3 → {7}.
+        let graph = Subgraph::from_adjacency(vec![
+            (PageId(0), vec![PageId(1), PageId(5)]),
+            (PageId(1), vec![PageId(6)]),
+            (PageId(2), vec![]),
+            (PageId(3), vec![PageId(7)]),
+        ]);
+        let mut world = WorldNode::new();
+        world.upsert(
+            PageId(8),
+            3,
+            0.01,
+            [PageId(0), PageId(3)],
+            CombineMode::TakeMax,
+        );
+        world.upsert(PageId(9), 2, 0.01, [PageId(3)], CombineMode::TakeMax);
+        let scores = [0.1, 0.1, 0.1, 0.1];
+        // The receiver holds pages 0 and 6.
+        let filter = filter_of(&[0, 6]);
+        for absent in [1u32, 2, 3, 5, 7] {
+            assert!(!filter.contains(u64::from(absent)), "pick another id");
+        }
+        let p = MeetingPayload::assemble(&graph, &world, &scores, 0.6, None, Some(&filter));
+        p.validate().unwrap();
+        assert_eq!(p.cut_for, filter.fingerprint());
+        let page = |id: u32| p.pages.iter().find(|pp| pp.page == PageId(id));
+        // 0: the id itself hits; no successor does.
+        assert_eq!(page(0).unwrap().succs, vec![]);
+        assert_eq!(page(0).unwrap().out_degree, 2);
+        // 1: linked to 6.
+        assert_eq!(page(1).unwrap().succs, vec![PageId(6)]);
+        // 2: dangling pages always travel whole.
+        assert_eq!(page(2).unwrap().out_degree, 0);
+        // 3: nothing of it concerns the receiver — a bare id.
+        assert!(page(3).is_none());
+        assert_eq!(p.unlinked, vec![PageId(3)]);
+        assert_eq!(p.num_pages(), 4);
+        // World entries keep the targets that hit; 9 → {3} has none.
+        assert_eq!(p.world.len(), 1);
+        assert_eq!(p.world[0].src, PageId(8));
+        assert_eq!(p.world[0].out_degree, 3);
+        assert_eq!(p.world[0].targets, vec![PageId(0)]);
+        // The uncut payload has none of this.
+        let whole = MeetingPayload::assemble(&graph, &world, &scores, 0.6, None, None);
+        assert_eq!((whole.cut_for, whole.unlinked.len()), (0, 0));
+        assert_eq!((whole.pages.len(), whole.world.len()), (4, 2));
+        assert!(p.wire_size() < whole.wire_size());
     }
 
     #[test]
@@ -222,7 +395,7 @@ mod tests {
         for src in [9u32, 3, 7] {
             world.upsert(PageId(src), 1, 0.1, [PageId(0)], CombineMode::TakeMax);
         }
-        let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3);
+        let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
         let srcs: Vec<u32> = p.world.iter().map(|w| w.src.0).collect();
         assert_eq!(srcs, vec![3, 7, 9]);
     }
@@ -233,7 +406,7 @@ mod tests {
         let mut world = WorldNode::new();
         world.upsert(PageId(9), 3, 0.2, [PageId(0)], CombineMode::TakeMax);
         world.upsert_dangling(PageId(11), 0.05, CombineMode::TakeMax);
-        let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3);
+        let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
         p.validate().unwrap();
     }
 
@@ -241,7 +414,7 @@ mod tests {
     fn malicious_payloads_are_rejected() {
         let graph = fragment();
         let world = WorldNode::new();
-        let honest = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3);
+        let honest = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
 
         // Inflated single score.
         let mut evil = honest.clone();
@@ -265,6 +438,27 @@ mod tests {
         evil.pages.insert(1, dup);
         assert!(evil.validate().is_err());
 
+        // More out-links than the stated out-degree.
+        let mut evil = honest.clone();
+        evil.pages[0].succs.push(PageId(7));
+        assert!(evil.validate().is_err());
+
+        // "Uncut", yet links or whole pages are missing.
+        let mut evil = honest.clone();
+        evil.pages[0].succs.clear();
+        assert!(evil.validate().is_err());
+        let mut evil = honest.clone();
+        evil.unlinked.push(PageId(4));
+        assert!(evil.validate().is_err());
+
+        // Bare ids out of order.
+        let mut evil = honest.clone();
+        evil.cut_for = 9;
+        evil.unlinked = vec![PageId(6), PageId(4)];
+        assert!(evil.validate().is_err());
+        evil.unlinked = vec![PageId(4), PageId(6)];
+        evil.validate().unwrap();
+
         // World entry with impossible structure.
         let mut evil = honest.clone();
         evil.world.push(WorldPayload {
@@ -286,6 +480,6 @@ mod tests {
     fn mismatched_score_list_panics() {
         let graph = fragment();
         let world = WorldNode::new();
-        let _ = MeetingPayload::assemble(&graph, &world, &[0.4], 0.3);
+        let _ = MeetingPayload::assemble(&graph, &world, &[0.4], 0.3, None, None);
     }
 }

@@ -4,8 +4,9 @@ use crate::config::{CombineMode, JxpConfig, MergeMode};
 use crate::local_pr::{
     extended_pagerank, extended_pagerank_in_place, LocalTopology, PrRun, PrScratch,
 };
-use crate::payload::MeetingPayload;
+use crate::payload::{key, MeetingPayload};
 use crate::world::WorldNode;
+use jxp_synopses::BloomFilter;
 use jxp_webgraph::{FxHashMap, GraphSource, PageId, Subgraph};
 
 /// Running statistics of one peer, used by the experiments.
@@ -37,6 +38,25 @@ pub struct JxpPeer {
     stats: PeerStats,
     /// Work vectors of the local PageRank, reused across meetings.
     scratch: PrScratch,
+    /// Bloom filter over the local page ids; see [`JxpPeer::interest`].
+    interest: Option<BloomFilter>,
+}
+
+/// Bits per local page and hash count of the interest filter: about 1 %
+/// false positives, 224 bytes on the wire for a 163-page fragment.
+const INTEREST_BITS_PER_PAGE: usize = 10;
+const INTEREST_HASHES: u32 = 7;
+
+/// The filter a peer with this fragment and configuration publishes.
+fn interest_of(graph: &Subgraph, config: &JxpConfig) -> Option<BloomFilter> {
+    (config.merge == MergeMode::LightWeight).then(|| {
+        let mut filter =
+            BloomFilter::new(INTEREST_BITS_PER_PAGE * graph.num_pages(), INTEREST_HASHES);
+        for &p in graph.pages() {
+            filter.insert(key(p));
+        }
+        filter
+    })
 }
 
 impl JxpPeer {
@@ -60,6 +80,7 @@ impl JxpPeer {
         let scores = vec![1.0 / n_total; n];
         let world_score = (n_total - n as f64) / n_total;
         let mut peer = JxpPeer {
+            interest: interest_of(&graph, &config),
             graph,
             topo,
             world: WorldNode::new(),
@@ -159,24 +180,66 @@ impl JxpPeer {
         &self.stats
     }
 
-    /// Assemble the message this peer sends in a meeting.
+    /// What a meeting partner needs to know to cut its payload to this
+    /// peer: a Bloom filter over the local page ids, rebuilt whenever the
+    /// fragment changes. `None` under [`MergeMode::Full`], which merges
+    /// the partner's whole graph and therefore needs all of it.
+    pub fn interest(&self) -> Option<&BloomFilter> {
+        self.interest.as_ref()
+    }
+
+    /// Assemble the whole message this peer can send in a meeting.
     pub fn payload(&self) -> MeetingPayload {
-        MeetingPayload::assemble(&self.graph, &self.world, &self.scores, self.world_score)
+        self.payload_for(None)
+    }
+
+    /// Assemble the message for a partner whose
+    /// [`interest`](JxpPeer::interest) is `cut_to`: only the records that
+    /// partner can use (see [`crate::payload`]). Absorbing it leaves the
+    /// partner in exactly the state the whole payload would.
+    pub fn payload_for(&self, cut_to: Option<&BloomFilter>) -> MeetingPayload {
+        MeetingPayload::assemble(
+            &self.graph,
+            &self.world,
+            &self.scores,
+            self.world_score,
+            self.interest(),
+            cut_to,
+        )
+    }
+
+    /// Whether `payload` is whole or was cut to this peer's current
+    /// filter — the only payloads [`absorb`](JxpPeer::absorb) may see.
+    fn cut_for_me(&self, payload: &MeetingPayload) -> bool {
+        payload.cut_for == 0
+            || self
+                .interest()
+                .is_some_and(|f| f.fingerprint() == payload.cut_for)
     }
 
     /// [`absorb`](JxpPeer::absorb) with payload validation first: the
     /// payload is rejected (and the peer's state left untouched) if it is
-    /// malformed — the §7 hardening against broken or cheating peers.
+    /// malformed — the §7 hardening against broken or cheating peers — or
+    /// was cut to a filter that is not this peer's (another peer's, or
+    /// this peer's before a re-crawl): records it needs may be missing.
     pub fn try_absorb(&mut self, payload: &MeetingPayload) -> Result<(), String> {
         payload.validate()?;
+        if !self.cut_for_me(payload) {
+            return Err(format!(
+                "payload was cut for filter {:016x}, not this peer's",
+                payload.cut_for
+            ));
+        }
         self.absorb(payload);
         Ok(())
     }
 
     /// Fold a met peer's payload into this peer's state and recompute the
     /// local scores, dispatching on the configured [`MergeMode`].
-    /// Increments the meeting counter.
+    /// Increments the meeting counter. The payload must be whole or cut
+    /// to this peer's [`interest`](JxpPeer::interest).
     pub fn absorb(&mut self, payload: &MeetingPayload) {
+        debug_assert!(self.cut_for_me(payload), "payload cut for another peer");
         self.stats.meetings += 1;
         match self.config.merge {
             MergeMode::LightWeight => self.absorb_light(payload),
@@ -215,12 +278,20 @@ impl JxpPeer {
                         .collect();
                     self.world.set_authoritative(
                         pp.page,
-                        pp.succs.len() as u32,
+                        pp.out_degree,
                         pp.score,
                         targets,
                         combine,
                     );
                 }
+            }
+        }
+        // Pages the sender holds that link to nothing of mine: had they
+        // come as full records, the authoritative update above would have
+        // found no targets and dropped whatever I knew about them.
+        for &page in &payload.unlinked {
+            if !self.graph.contains(page) {
+                self.world.forget(page);
             }
         }
         for &(page, score) in &payload.world_dangling {
@@ -232,13 +303,14 @@ impl JxpPeer {
             if self.graph.contains(wp.src) {
                 continue; // I hold the page itself; its links are local.
             }
-            let targets: Vec<PageId> = wp
+            let graph = &self.graph;
+            let mut targets = wp
                 .targets
                 .iter()
                 .copied()
-                .filter(|&t| self.graph.contains(t))
-                .collect();
-            if !targets.is_empty() {
+                .filter(|&t| graph.contains(t))
+                .peekable();
+            if targets.peek().is_some() {
                 self.world
                     .upsert(wp.src, wp.out_degree, wp.score, targets, combine);
             }
@@ -400,6 +472,7 @@ impl JxpPeer {
         debug_assert_eq!(graph.num_pages(), scores.len());
         let topo = LocalTopology::build(&graph);
         JxpPeer {
+            interest: interest_of(&graph, &config),
             graph,
             topo,
             world,
@@ -437,6 +510,7 @@ impl JxpPeer {
             }
         }
         self.topo = LocalTopology::build(&graph);
+        self.interest = interest_of(&graph, &self.config);
         self.graph = graph;
         self.scores = scores;
         self.world.retain_relevant(&self.graph);
@@ -699,6 +773,25 @@ mod tests {
             a.world().entry(PageId(3)).unwrap().targets,
             vec![PageId(1)],
             "stale link 3→0 survived the authoritative update"
+        );
+
+        // The Web changes once more: 3 now points to 2 only, nowhere
+        // near A. B's message to A carries page 3 (like page 2 → 3) as
+        // a bare id — no score, no links — and that alone must drop A's
+        // entry.
+        let mut builder = GraphBuilder::new();
+        for (s, d) in [(0, 1), (1, 2), (2, 3), (3, 2)] {
+            builder.add_edge(PageId(s), PageId(d));
+        }
+        let g_newer = builder.build();
+        b.update_fragment(Subgraph::from_pages(&g_newer, [PageId(2), PageId(3)]));
+        let to_a = b.payload_for(a.interest());
+        assert_eq!(to_a.unlinked, vec![PageId(2), PageId(3)]);
+        assert!(to_a.pages.is_empty());
+        crate::meeting::meet(&mut a, &mut b);
+        assert!(
+            a.world().entry(PageId(3)).is_none(),
+            "stale link 3→1 survived the bare id"
         );
     }
 }

@@ -171,12 +171,12 @@ impl WorldNode {
             self.upsert_dangling(src, score, combine);
             return;
         }
-        self.dangling.remove(&src);
         if targets.is_empty() {
             // The page no longer links into my fragment at all.
-            self.entries.remove(&src);
+            self.forget(src);
             return;
         }
+        self.dangling.remove(&src);
         debug_assert!(
             targets.windows(2).all(|w| w[0] < w[1]) || {
                 // accept unsorted input defensively
@@ -205,6 +205,17 @@ impl WorldNode {
                 targets,
             },
         );
+    }
+
+    /// Drop whatever is recorded about external page `src`: what
+    /// [`set_authoritative`](WorldNode::set_authoritative) does for a
+    /// page that has out-links, none of them into this fragment. A
+    /// receiver-filtered payload's bare ids
+    /// ([`MeetingPayload::unlinked`](crate::MeetingPayload::unlinked))
+    /// land here, which is why they need neither score nor links.
+    pub fn forget(&mut self, src: PageId) {
+        self.dangling.remove(&src);
+        self.entries.remove(&src);
     }
 
     /// Record knowledge about an external **dangling** page (zero

@@ -171,7 +171,9 @@ pub struct ClusterReport {
     pub meetings_failed: u64,
     /// Retries spent across all exchanges.
     pub retries: u64,
-    /// Total wire bytes, counted once at each frame's sender.
+    /// Total wire bytes, counted once at each frame's sender: hellos,
+    /// the pre-meetings sweep, every first-contact filter probe, and the
+    /// meeting frames as shipped (cut payloads, filters included).
     pub bytes_total: u64,
     /// Spearman's footrule vs. centralized PageRank (if truth given).
     pub footrule: Option<f64>,
@@ -1070,32 +1072,38 @@ mod tests {
     #[test]
     fn reactor_transport_matches_loopback_bit_for_bit() {
         let (frags, n_total) = ring_fragments(4);
-        let run = |transport: TransportKind, threads: usize| {
-            let config = ClusterConfig {
-                meetings: 24,
-                seed: 11,
-                premeetings: true,
-                transport,
-                threads,
-                ..ClusterConfig::default()
+        // With the pre-meetings sweep the partner filters ride on its
+        // replies; without it every first contact probes for one. Both
+        // transports must send the same frames either way.
+        for premeetings in [true, false] {
+            let run = |transport: TransportKind, threads: usize| {
+                let config = ClusterConfig {
+                    meetings: 24,
+                    seed: 11,
+                    premeetings,
+                    transport,
+                    threads,
+                    ..ClusterConfig::default()
+                };
+                run_cluster(frags.clone(), n_total, JxpConfig::default(), &config, None)
             };
-            run_cluster(frags.clone(), n_total, JxpConfig::default(), &config, None)
-        };
-        let want = run(TransportKind::Loopback, 1);
-        assert_eq!(want.meetings_completed, 24);
-        assert_eq!(want.inflight_peak, None, "no gauge off the reactor");
-        for threads in [1usize, 2, 8] {
-            let got = run(TransportKind::Reactor, threads);
-            assert_eq!(got.score_hash, want.score_hash, "{threads} threads");
-            assert_eq!(got.meetings_completed, 24, "{threads} threads");
-            for (g, w) in got.per_node.iter().zip(&want.per_node) {
-                assert_eq!(g.meetings_attempted, w.meetings_attempted);
-                assert_eq!(g.meetings_completed, w.meetings_completed);
-                assert_eq!(g.meetings_served, w.meetings_served);
-                assert_eq!(g.bytes_out, w.bytes_out, "{threads} threads");
-                assert_eq!(g.bytes_in, w.bytes_in, "{threads} threads");
+            let want = run(TransportKind::Loopback, 1);
+            assert_eq!(want.meetings_completed, 24);
+            assert_eq!(want.inflight_peak, None, "no gauge off the reactor");
+            for threads in [1usize, 2, 8] {
+                let got = run(TransportKind::Reactor, threads);
+                assert_eq!(got.score_hash, want.score_hash, "{threads} threads");
+                assert_eq!(got.bytes_total, want.bytes_total, "{threads} threads");
+                assert_eq!(got.meetings_completed, 24, "{threads} threads");
+                for (g, w) in got.per_node.iter().zip(&want.per_node) {
+                    assert_eq!(g.meetings_attempted, w.meetings_attempted);
+                    assert_eq!(g.meetings_completed, w.meetings_completed);
+                    assert_eq!(g.meetings_served, w.meetings_served);
+                    assert_eq!(g.bytes_out, w.bytes_out, "{threads} threads");
+                    assert_eq!(g.bytes_in, w.bytes_in, "{threads} threads");
+                }
+                assert!(got.inflight_peak.unwrap_or(0) >= 1, "{threads} threads");
             }
-            assert!(got.inflight_peak.unwrap_or(0) >= 1, "{threads} threads");
         }
     }
 

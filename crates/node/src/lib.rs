@@ -30,6 +30,6 @@ pub use node::{JxpNode, MeetOutcome, NodeMetrics, NodeStats};
 pub use persist::{NodePersist, PersistConfig, SharedStore};
 pub use reactor::{reactor_premeet_sweep, run_reactor_round, HandlerService, ReactorTransport};
 pub use transport::{
-    request_with_retry, Exchange, FrameHandler, NodeId, RetryError, RetryPolicy, StallInjector,
-    Transport, TransportError,
+    request_with_retry, Exchange, FrameHandler, NodeId, RetriedExchange, RetryError, RetryPolicy,
+    StallInjector, Transport, TransportError,
 };

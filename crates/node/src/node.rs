@@ -6,6 +6,16 @@
 //! therefore builds its `MeetReply` from pre-absorption state, and the
 //! initiator absorbs the reply only after the exchange returns.
 //!
+//! Payloads are cut to the receiver (`jxp_core::payload`). A
+//! `MeetRequest` carries the initiator's filter, so the reply is always
+//! cut. For the request the initiator needs the target's filter first: it
+//! keeps every filter it has been sent, and on first contact asks for it
+//! with one `SynopsisExchange` (whose reply carries the filter in its
+//! `bloom` slot) — or already has it from the pre-meetings sweep. A
+//! `JxpNode`'s fragment never changes, so a kept filter cannot go stale;
+//! should that stop being true, the payload's `cut_for` fingerprint makes
+//! the receiver refuse it rather than absorb a payload with holes.
+//!
 //! Stats bookkeeping never touches the node's state mutex: every counter
 //! lives in a [`NodeMetrics`] of sharded [`Counter`] handles (see
 //! `jxp-telemetry`), so serving a meeting updates traffic counters with
@@ -13,14 +23,17 @@
 
 use crate::persist::NodePersist;
 use crate::transport::{
-    request_with_retry, Exchange, FrameHandler, NodeId, RetryPolicy, Transport, TransportError,
+    request_with_retry, Exchange, FrameHandler, NodeId, RetriedExchange, RetryError, RetryPolicy,
+    Transport, TransportError,
 };
 use jxp_core::payload::MeetingPayload;
 use jxp_core::peer::JxpPeer;
 use jxp_core::selection::{PeerSynopses, PreMeetingsConfig};
 use jxp_synopses::mips::MipsPermutations;
+use jxp_synopses::BloomFilter;
 use jxp_telemetry::{Counter, Registry};
 use jxp_wire::{encoded_len, ErrorCode, Frame, StatsPayload, SynopsisPayload};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -117,6 +130,9 @@ pub struct MeetOutcome {
 pub(crate) struct NodeState {
     pub(crate) peer: JxpPeer,
     pub(crate) synopses: PeerSynopses,
+    /// The `JxpPeer::interest` of every node this one has heard it from
+    /// (`None` = that node wants whole payloads). Lookups only.
+    partner_interest: HashMap<NodeId, Option<BloomFilter>>,
     /// Durable journal, when the node runs with a state directory.
     /// Lives under the same mutex as `peer` so journaled sequence
     /// numbers match the order deltas were applied.
@@ -157,6 +173,7 @@ impl JxpNode {
             state: Arc::new(Mutex::new(NodeState {
                 peer,
                 synopses,
+                partner_interest: HashMap::new(),
                 persist: None,
             })),
             metrics,
@@ -294,17 +311,23 @@ impl JxpNode {
         }
     }
 
-    /// Initiate a meeting with `target`: send our payload, absorb the
-    /// reply. The node's own lock is **not** held across the transport
-    /// call, so this node keeps answering inbound requests while its
-    /// own exchange is in flight (and loopback cannot self-deadlock).
+    /// Initiate a meeting with `target`: send our payload — cut to the
+    /// target's filter, fetched first if this is the first contact —
+    /// and absorb the reply. The node's own lock is **not** held across
+    /// the transport call, so this node keeps answering inbound requests
+    /// while its own exchange is in flight (and loopback cannot
+    /// self-deadlock).
     pub fn meet(
         &self,
         target: NodeId,
         transport: &dyn Transport,
         policy: &RetryPolicy,
     ) -> Result<MeetOutcome, TransportError> {
-        let request = self.meet_begin();
+        if let Some(request) = self.interest_request(target) {
+            let probe = request_with_retry(transport, target, &request, policy);
+            self.interest_fetched(target, probe)?;
+        }
+        let request = self.meet_begin(target);
         let outcome = match request_with_retry(transport, target, &request, policy) {
             Ok(done) => done,
             Err(failed) => {
@@ -312,24 +335,62 @@ impl JxpNode {
                 return Err(failed.error);
             }
         };
-        self.meet_finish(outcome.exchange, outcome.retries)
+        self.meet_finish(target, outcome.exchange, outcome.retries)
+    }
+
+    /// The first-contact probe [`JxpNode::meet`] sends ahead of a meeting
+    /// with a `target` whose filter this node has not been sent yet;
+    /// `None` once it has. Its outcome goes to
+    /// [`JxpNode::interest_fetched`].
+    pub fn interest_request(&self, target: NodeId) -> Option<Frame> {
+        let known = self.lock().partner_interest.contains_key(&target);
+        (!known).then(|| self.synopses_request())
+    }
+
+    /// Settle a first-contact probe. An answer — the filter, or a refusal
+    /// from a peer that keeps none, after which the request travels whole
+    /// and the reply brings the filter for next time — lets the meeting
+    /// go ahead. A `target` the transport could not reach for the probe
+    /// will not be reached for the meeting either: that is the `Err`, and
+    /// the meeting is already counted as attempted and failed.
+    pub fn interest_fetched(
+        &self,
+        target: NodeId,
+        probe: Result<RetriedExchange, RetryError>,
+    ) -> Result<(), TransportError> {
+        match probe {
+            Ok(done) => {
+                self.metrics.retries.add(u64::from(done.retries));
+                let _ = self.synopses_accept(target, done.exchange);
+                Ok(())
+            }
+            Err(failed) => {
+                self.metrics.meetings_attempted.inc();
+                self.meet_abort(failed.retries);
+                Err(failed.error)
+            }
+        }
     }
 
     /// First half of [`JxpNode::meet`]: count the attempt and build the
-    /// request frame from pre-absorption state. A multiplexed transport
-    /// pairs this with [`JxpNode::meet_finish`] (reply arrived) or
+    /// request frame from pre-absorption state, cut to `target`'s filter
+    /// when this node has it. A multiplexed transport pairs this with
+    /// [`JxpNode::meet_finish`] (reply arrived) or
     /// [`JxpNode::meet_abort`] (transport gave up), producing exactly
     /// the counter trace [`JxpNode::meet`] would.
-    pub fn meet_begin(&self) -> Frame {
+    pub fn meet_begin(&self, target: NodeId) -> Frame {
         self.metrics.meetings_attempted.inc();
-        Frame::MeetRequest(self.lock().peer.payload())
+        let state = self.lock();
+        let cut_to = state.partner_interest.get(&target).and_then(Option::as_ref);
+        Frame::MeetRequest(state.peer.payload_for(cut_to))
     }
 
-    /// Second half of [`JxpNode::meet`]: decode the reply, absorb it
-    /// (journaling the delta), and settle the success counters.
+    /// Second half of [`JxpNode::meet`]: decode `target`'s reply, absorb
+    /// it (journaling the delta), and settle the success counters.
     /// `retries` is how many times the transport resubmitted.
     pub fn meet_finish(
         &self,
+        target: NodeId,
         exchange: Exchange,
         retries: u32,
     ) -> Result<MeetOutcome, TransportError> {
@@ -348,12 +409,25 @@ impl JxpNode {
         };
         {
             let mut state = self.lock();
-            let NodeState { peer, persist, .. } = &mut *state;
-            peer.absorb(&remote);
+            let NodeState {
+                peer,
+                persist,
+                partner_interest,
+                ..
+            } = &mut *state;
+            // The reply is outside input like any request: malformed, or
+            // cut to a filter that is not ours, it is refused whole.
+            if let Err(why) = peer.try_absorb(&remote) {
+                self.metrics.meetings_failed.inc();
+                return Err(TransportError::Rejected(why));
+            }
             if let Some(p) = persist.as_mut() {
                 p.record_absorb(peer, &remote);
             }
             self.bump_score_epoch();
+            partner_interest
+                .entry(target)
+                .or_insert_with(|| remote.interest.clone());
         }
         self.metrics.meetings_completed.inc();
         self.metrics.retries.add(u64::from(retries));
@@ -373,7 +447,8 @@ impl JxpNode {
         self.metrics.retries.add(u64::from(retries));
     }
 
-    /// Pre-meetings probe: swap synopses with `target` and return theirs.
+    /// Pre-meetings probe: swap synopses with `target` and return theirs
+    /// (its filter comes along and is kept for the meetings).
     pub fn fetch_synopses(
         &self,
         target: NodeId,
@@ -382,10 +457,12 @@ impl JxpNode {
     ) -> Result<PeerSynopses, TransportError> {
         let request = self.synopses_request();
         let outcome = request_with_retry(transport, target, &request, policy)?;
-        self.synopses_accept(outcome.exchange)
+        self.synopses_accept(target, outcome.exchange)
     }
 
-    /// First half of [`JxpNode::fetch_synopses`]: the request frame.
+    /// First half of [`JxpNode::fetch_synopses`]: the request frame. It
+    /// carries no filter — the frame does not say who sent it, so the
+    /// responder could not file one.
     pub fn synopses_request(&self) -> Frame {
         Frame::SynopsisExchange(SynopsisPayload {
             synopses: self.synopses(),
@@ -394,12 +471,19 @@ impl JxpNode {
         })
     }
 
-    /// Second half of [`JxpNode::fetch_synopses`]: decode the reply,
-    /// counting bytes only on success — the same accounting the
-    /// blocking path performs.
-    pub fn synopses_accept(&self, exchange: Exchange) -> Result<PeerSynopses, TransportError> {
+    /// Second half of [`JxpNode::fetch_synopses`]: decode `target`'s
+    /// reply and keep its filter, counting bytes only on success — the
+    /// same accounting the blocking path performs.
+    pub fn synopses_accept(
+        &self,
+        target: NodeId,
+        exchange: Exchange,
+    ) -> Result<PeerSynopses, TransportError> {
         let remote = match exchange.reply {
-            Frame::SynopsisExchange(p) => p.synopses,
+            Frame::SynopsisExchange(p) => {
+                self.lock().partner_interest.insert(target, p.bloom);
+                p.synopses
+            }
             Frame::Error { detail, .. } => return Err(TransportError::Rejected(detail)),
             other => {
                 return Err(TransportError::Wire(jxp_wire::WireError::Malformed(
@@ -456,7 +540,8 @@ impl JxpNode {
             .map(|(id, _)| id)
     }
 
-    /// The payload this node would send right now (for tests/inspection).
+    /// The whole, uncut payload this node could send right now (for
+    /// tests/inspection).
     pub fn current_payload(&self) -> MeetingPayload {
         self.lock().peer.payload()
     }
@@ -491,8 +576,9 @@ impl FrameHandler for JxpNode {
             Frame::MeetRequest(payload) => {
                 let mut state = self.lock();
                 let NodeState { peer, persist, .. } = &mut *state;
-                // Outgoing payload first — pre-absorption state.
-                let own = peer.payload();
+                // Outgoing payload first — pre-absorption state — cut to
+                // the filter the initiator sent along.
+                let own = peer.payload_for(payload.interest.as_ref());
                 match peer.try_absorb(&payload) {
                     Ok(()) => {
                         // Journal before the reply leaves the lock: a
@@ -517,7 +603,7 @@ impl FrameHandler for JxpNode {
                 Frame::SynopsisExchange(SynopsisPayload {
                     synopses: state.synopses.clone(),
                     sketch: None,
-                    bloom: None,
+                    bloom: state.peer.interest().cloned(),
                 })
             }
             // Built before this frame's own bytes are counted, so the
@@ -588,18 +674,34 @@ mod tests {
         let world_a_before = a.with_peer(|p| p.world_score());
         let outcome = a.meet(2, &net, &RetryPolicy::default()).unwrap();
 
+        // First contact: one SynopsisExchange for B's filter went ahead
+        // of the meeting, and its two frames are counted like any other.
+        let probe_out = encoded_len(&a.synopses_request()) as u64;
+        let probe_in = encoded_len(&Frame::SynopsisExchange(SynopsisPayload {
+            synopses: b.synopses(),
+            sketch: None,
+            bloom: b.with_peer(|p| p.interest().cloned()),
+        })) as u64;
         let sa = a.stats();
         assert_eq!(sa.meetings_attempted, 1);
         assert_eq!(sa.meetings_completed, 1);
         assert_eq!(sa.meetings_failed, 0);
-        assert_eq!(sa.bytes_out, outcome.bytes_sent);
-        assert_eq!(sa.bytes_in, outcome.bytes_received);
+        assert_eq!(sa.bytes_out, outcome.bytes_sent + probe_out);
+        assert_eq!(sa.bytes_in, outcome.bytes_received + probe_in);
 
         let sb = b.stats();
         assert_eq!(sb.meetings_served, 1);
         // Responder measured the same frames from the other side.
-        assert_eq!(sb.bytes_in, outcome.bytes_sent);
-        assert_eq!(sb.bytes_out, outcome.bytes_received);
+        assert_eq!(sb.bytes_in, sa.bytes_out);
+        assert_eq!(sb.bytes_out, sa.bytes_in);
+
+        // The filter is kept: the second meeting is its two frames only.
+        let again = a.meet(2, &net, &RetryPolicy::default()).unwrap();
+        assert_eq!(
+            a.stats().bytes_out,
+            sa.bytes_out + again.bytes_sent,
+            "a second probe went out"
+        );
 
         // Absorbing B's payload teaches A about external pages, which
         // changes its world-node composition.
@@ -611,13 +713,89 @@ mod tests {
     }
 
     #[test]
-    fn payload_bytes_match_analytic_wire_size() {
+    fn payload_bytes_match_analytic_wire_size_of_the_cut_payloads() {
         let (a, b) = two_fragment_nodes();
         let net = LoopbackNetwork::new();
-        net.register(2, Arc::new(b));
-        let expected_request = jxp_wire::HEADER_LEN as u64 + a.current_payload().wire_size() as u64;
+        let b = Arc::new(b);
+        net.register(2, Arc::clone(&b) as Arc<dyn FrameHandler>);
+        // Each direction ships the sender's payload cut to the receiver's
+        // filter, built from pre-meeting state.
+        let cut = |from: &JxpNode, to: &JxpNode| {
+            let filter = to.with_peer(|p| p.interest().cloned());
+            let payload = from.with_peer(|p| p.payload_for(filter.as_ref()));
+            assert_eq!(payload.cut_for, filter.unwrap().fingerprint());
+            (jxp_wire::HEADER_LEN + payload.wire_size()) as u64
+        };
+        let (request, reply) = (cut(&a, &b), cut(&b, &a));
         let outcome = a.meet(2, &net, &RetryPolicy::default()).unwrap();
-        assert_eq!(outcome.bytes_sent, expected_request);
+        assert_eq!(outcome.bytes_sent, request);
+        assert_eq!(outcome.bytes_received, reply);
+        let whole = (jxp_wire::HEADER_LEN + a.current_payload().wire_size()) as u64;
+        assert!(request <= whole);
+    }
+
+    #[test]
+    fn an_unanswered_probe_sends_the_request_whole_and_the_reply_teaches_the_filter() {
+        // A responder that refuses synopsis probes but serves meetings.
+        struct NoSynopses(Arc<JxpNode>);
+        impl FrameHandler for NoSynopses {
+            fn handle(&self, frame: Frame) -> Option<Frame> {
+                match frame {
+                    Frame::SynopsisExchange(_) => Some(Frame::Error {
+                        code: ErrorCode::Refused,
+                        detail: "no synopses here".to_string(),
+                    }),
+                    other => self.0.handle(other),
+                }
+            }
+        }
+        let (a, b) = two_fragment_nodes();
+        let b = Arc::new(b);
+        let net = LoopbackNetwork::new();
+        net.register(2, Arc::new(NoSynopses(Arc::clone(&b))));
+        let whole = (jxp_wire::HEADER_LEN + a.current_payload().wire_size()) as u64;
+        let first = a.meet(2, &net, &RetryPolicy::default()).unwrap();
+        assert_eq!(first.bytes_sent, whole, "no filter known: uncut request");
+        // The reply carried B's filter; no second probe, a cut request.
+        assert!(a.interest_request(2).is_none());
+        let filter = b.with_peer(|p| p.interest().cloned());
+        let cut = a.with_peer(|p| p.payload_for(filter.as_ref()));
+        let second = a.meet(2, &net, &RetryPolicy::default()).unwrap();
+        assert_eq!(
+            second.bytes_sent,
+            (jxp_wire::HEADER_LEN + cut.wire_size()) as u64
+        );
+    }
+
+    #[test]
+    fn a_reply_cut_for_someone_else_is_refused() {
+        // A responder that answers with a payload cut to a filter that is
+        // not the initiator's.
+        struct WrongCut(JxpNode);
+        impl FrameHandler for WrongCut {
+            fn handle(&self, frame: Frame) -> Option<Frame> {
+                match frame {
+                    Frame::MeetRequest(_) => {
+                        let other = BloomFilter::new(64, 3);
+                        Some(Frame::MeetReply(
+                            self.0.with_peer(|p| p.payload_for(Some(&other))),
+                        ))
+                    }
+                    other => self.0.handle(other),
+                }
+            }
+        }
+        let (a, b) = two_fragment_nodes();
+        let net = LoopbackNetwork::new();
+        net.register(2, Arc::new(WrongCut(b)));
+        let scores = a.with_peer(|p| p.scores().to_vec());
+        assert!(matches!(
+            a.meet(2, &net, &RetryPolicy::default()),
+            Err(TransportError::Rejected(_))
+        ));
+        assert_eq!(a.with_peer(|p| p.scores().to_vec()), scores);
+        assert_eq!(a.stats().meetings_failed, 1);
+        assert_eq!(a.score_epoch(), 0);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! where the reactor pays off:
 //!
 //! - [`run_reactor_round`] submits a whole node-disjoint meeting round
-//!   and harvests it in schedule order, using the split
+//!   and harvests it in schedule order — first the round's first-contact
+//!   filter probes, then its meetings — using the split
 //!   [`JxpNode::meet_begin`]/[`JxpNode::meet_finish`] halves so the
 //!   counter trace matches the blocking path exactly. Pair-disjointness
 //!   makes the submit-all-then-harvest reordering invisible: no node in
@@ -136,7 +137,10 @@ fn redeem_with_retry(
 }
 
 /// Execute one node-disjoint meeting round through the reactor: submit
-/// every request up front, then harvest in schedule order.
+/// every request up front, then harvest in schedule order. Initiators
+/// that have not met their target before probe for its filter in a
+/// submit-then-harvest pass of their own, ahead of the meetings — the
+/// frames (and bytes) [`JxpNode::meet`] would send one pair at a time.
 ///
 /// Each `(initiator_index, target, slot)` triple mirrors the pool
 /// path's task shape; `slot` receives `Some(outcome)` exactly when
@@ -147,11 +151,29 @@ pub fn run_reactor_round(
     retry: &RetryPolicy,
     round: Vec<(usize, NodeId, &mut Option<MeetOutcome>)>,
 ) {
+    let probes: Vec<_> = round
+        .iter()
+        .map(|&(initiator, target, _)| {
+            let request = nodes[initiator].interest_request(target)?;
+            let ticket = transport.submit(target, &request);
+            Some((request, ticket))
+        })
+        .collect();
     let mut inflight = Vec::with_capacity(round.len());
-    for (initiator, target, slot) in round {
+    for ((initiator, target, slot), probe) in round.into_iter().zip(probes) {
+        let node = &nodes[initiator];
+        if let Some((request, ticket)) = probe {
+            let probe = match ticket {
+                Ok(t) => redeem_with_retry(transport, target, &request, retry, t),
+                Err(error) => Err(RetryError { error, retries: 0 }),
+            };
+            if node.interest_fetched(target, probe).is_err() {
+                continue; // counted as a failed meeting; the slot stays None
+            }
+        }
         // Disjoint pairs: no other meeting in this round can touch this
         // initiator, so the payload equals what serial execution builds.
-        let request = nodes[initiator].meet_begin();
+        let request = node.meet_begin(target);
         let ticket = transport.submit(target, &request);
         inflight.push((initiator, target, slot, request, ticket));
     }
@@ -159,7 +181,7 @@ pub fn run_reactor_round(
         let node = &nodes[initiator];
         *slot = match ticket {
             Ok(t) => match redeem_with_retry(transport, target, &request, retry, t) {
-                Ok(done) => node.meet_finish(done.exchange, done.retries).ok(),
+                Ok(done) => node.meet_finish(target, done.exchange, done.retries).ok(),
                 Err(failed) => {
                     node.meet_abort(failed.retries);
                     None
@@ -225,7 +247,7 @@ pub fn reactor_premeet_sweep(
         let outcome = match ticket {
             Ok(t) => redeem_with_retry(transport, j, &request, retry, t)
                 .map_err(|failed| failed.error)
-                .and_then(|done| nodes[i].synopses_accept(done.exchange)),
+                .and_then(|done| nodes[i].synopses_accept(j, done.exchange)),
             Err(e) => Err(e),
         };
         if let Ok(synopses) = outcome {

@@ -168,7 +168,9 @@ impl EventNetwork {
     }
 
     fn send(&mut self, from: usize, to: usize, expects_reply: bool) {
-        let payload = self.peers[from].payload();
+        // Cut to the receiver's filter, which never goes stale here:
+        // fragments are fixed for the life of the network.
+        let payload = self.peers[from].payload_for(self.peers[to].interest());
         self.stats.bytes_sent += payload.wire_size() as u64;
         if self.rng.gen_bool(self.config.drop_probability) {
             self.stats.dropped += 1;

@@ -71,7 +71,9 @@ pub struct MeetingRecord {
     pub initiator: usize,
     /// Chosen partner.
     pub partner: usize,
-    /// The core meeting measurements (bytes, CPU time per side).
+    /// The core meeting measurements (bytes really shipped — payloads
+    /// cut to the receiver, the sender's filter included — and CPU time
+    /// per side).
     pub stats: MeetingStats,
 }
 
@@ -500,18 +502,18 @@ impl Network {
     }
 }
 
-/// One meeting routed through the real wire codec: each payload is
-/// encoded as a `jxp-wire` frame and decoded on the receiving side, so
-/// the byte counts are exact frame lengths (12-byte header included)
-/// and any codec regression breaks the simulation loudly. The responder
-/// builds its reply from pre-absorption state, matching the networked
-/// protocol in `jxp-node`.
+/// One meeting routed through the real wire codec: each payload — cut
+/// to the receiver's filter, as in [`meet`] — is encoded as a `jxp-wire`
+/// frame and decoded on the receiving side, so the byte counts are exact
+/// frame lengths (12-byte header included) and any codec regression
+/// breaks the simulation loudly. The responder builds its reply from
+/// pre-absorption state, matching the networked protocol in `jxp-node`.
 pub(crate) fn meet_via_wire(a: &mut JxpPeer, b: &mut JxpPeer) -> MeetingStats {
     use jxp_core::meeting::deliver;
-    use jxp_wire::{decode_frame, encode_frame, Frame};
+    use jxp_wire::{decode_frame, encode_meeting_frame, Frame, MeetingFrame};
 
-    let request = encode_frame(&Frame::MeetRequest(a.payload()));
-    let reply = encode_frame(&Frame::MeetReply(b.payload()));
+    let request = encode_meeting_frame(MeetingFrame::Request, &a.payload_for(b.interest()));
+    let reply = encode_meeting_frame(MeetingFrame::Reply, &b.payload_for(a.interest()));
     let bytes_a_to_b = request.len();
     let bytes_b_to_a = reply.len();
 
@@ -687,6 +689,29 @@ mod tests {
                 + net.synopses[a].wire_size() as u64
                 + net.synopses[b].wire_size() as u64
                 + net.bandwidth().premeeting_bytes()
+        );
+    }
+
+    #[test]
+    fn each_direction_ships_the_payload_cut_to_its_receiver() {
+        let (cg, frags) = small_world();
+        let n = cg.graph.num_nodes() as u64;
+        // Same seed ⇒ the untouched twin still holds the pre-meeting
+        // state the stepped network built its payloads from.
+        let twin = Network::new(frags.clone(), n, NetworkConfig::default(), 31);
+        let mut net = Network::new(frags, n, NetworkConfig::default(), 31);
+        let record = net.step();
+        let (a, b) = (twin.peer(record.initiator), twin.peer(record.partner));
+        let (a_to_b, b_to_a) = (a.payload_for(b.interest()), b.payload_for(a.interest()));
+        assert_eq!(record.stats.bytes_a_to_b, a_to_b.wire_size());
+        assert_eq!(record.stats.bytes_b_to_a, b_to_a.wire_size());
+        // Both filters travel (each in its owner's payload) and count.
+        assert_eq!(a_to_b.interest.as_ref(), a.interest());
+        assert_eq!(b_to_a.interest.as_ref(), b.interest());
+        assert!(record.stats.bytes_a_to_b < a.payload().wire_size());
+        assert_eq!(
+            net.bandwidth().total_bytes(),
+            (a_to_b.wire_size() + b_to_a.wire_size()) as u64
         );
     }
 

@@ -24,10 +24,13 @@
 //! sent back), so the WAL is self-describing to any tool that already
 //! speaks the wire protocol. `Serve` records carry *both* sides of the
 //! exchange: the reply payload is what a crashed initiator needs to
-//! repair a torn meeting (see `DESIGN.md` §12).
+//! repair a torn meeting (see `DESIGN.md` §12). Because the frames carry
+//! the wire protocol's version, so does the journal: a WAL written by
+//! another protocol version is refused whole ([`check_wal_protocol`]),
+//! never mistaken for a torn tail.
 
 use jxp_core::MeetingPayload;
-use jxp_wire::{decode_frame, encode_frame, Frame};
+use jxp_wire::{decode_frame, encode_meeting_frame, Frame, MeetingFrame};
 
 use crate::StoreError;
 
@@ -218,15 +221,43 @@ pub fn encode_wal_record(record: &WalRecord) -> Vec<u8> {
         WalKind::Absorb => 0,
         WalKind::Serve => 1,
     });
-    body.extend_from_slice(&encode_frame(&Frame::MeetRequest(record.inbound.clone())));
+    body.extend_from_slice(&encode_meeting_frame(
+        MeetingFrame::Request,
+        &record.inbound,
+    ));
     if let Some(outbound) = &record.outbound {
-        body.extend_from_slice(&encode_frame(&Frame::MeetReply(outbound.clone())));
+        body.extend_from_slice(&encode_meeting_frame(MeetingFrame::Reply, outbound));
     }
     let mut out = Vec::with_capacity(WAL_HEADER_LEN + body.len());
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(&body).to_le_bytes());
     out.extend_from_slice(&body);
     out
+}
+
+/// Refuse a WAL whose first record was written by another wire protocol
+/// version: a build replays only records of its own
+/// [`jxp_wire::PROTOCOL_VERSION`]. The version is read off the first
+/// record's inbound frame, and only a whole, CRC-clean record is
+/// believed: empty, torn and flipped journals pass, and [`scan_wal`] has
+/// the word on those. [`recover`](crate::recover) runs this first;
+/// `jxp cluster` runs it over a `--state-dir` before it resumes.
+pub fn check_wal_protocol(wal: &[u8]) -> Result<(), StoreError> {
+    let found = (|| {
+        let len = read_u32(wal.get(..WAL_HEADER_LEN)?, 0) as usize;
+        let body = wal.get(WAL_HEADER_LEN..WAL_HEADER_LEN.checked_add(len)?)?;
+        // seq u64 + kind u8, then the frame: magic, version.
+        let frame = body.get(9..9 + 6)?;
+        (frame[..4] == jxp_wire::MAGIC && crc32(body) == read_u32(wal, 4))
+            .then(|| u16::from_le_bytes([frame[4], frame[5]]))
+    })();
+    match found {
+        Some(found) if found != jxp_wire::PROTOCOL_VERSION => Err(StoreError::Protocol {
+            found,
+            speaks: jxp_wire::PROTOCOL_VERSION,
+        }),
+        _ => Ok(()),
+    }
 }
 
 fn decode_wal_body(body: &[u8]) -> Result<WalRecord, StoreError> {

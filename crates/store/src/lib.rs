@@ -31,9 +31,9 @@ mod metrics;
 
 pub use dir::{DirStore, RawKeyState};
 pub use format::{
-    crc32, crc32_finish, crc32_update, decode_checkpoint, encode_checkpoint, encode_wal_record,
-    scan_wal, Checkpoint, WalKind, WalRecord, WalScan, CHECKPOINT_HEADER_LEN, CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION, CRC32_INIT, MAX_PAYLOAD_LEN, WAL_HEADER_LEN,
+    check_wal_protocol, crc32, crc32_finish, crc32_update, decode_checkpoint, encode_checkpoint,
+    encode_wal_record, scan_wal, Checkpoint, WalKind, WalRecord, WalScan, CHECKPOINT_HEADER_LEN,
+    CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CRC32_INIT, MAX_PAYLOAD_LEN, WAL_HEADER_LEN,
 };
 pub use mem::MemStore;
 pub use metrics::StoreMetrics;
@@ -47,6 +47,14 @@ pub enum StoreError {
     Io(String),
     /// Persisted bytes failed validation (CRC, framing, snapshot).
     Corrupt(String),
+    /// The journal was written by another wire protocol version; its
+    /// records are intact but this build cannot replay them.
+    Protocol {
+        /// Version stamped on the journal's frames.
+        found: u16,
+        /// [`jxp_wire::PROTOCOL_VERSION`] of this build.
+        speaks: u16,
+    },
 }
 
 impl StoreError {
@@ -64,6 +72,10 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(msg) => write!(f, "store I/O error: {msg}"),
             StoreError::Corrupt(msg) => write!(f, "store corruption: {msg}"),
+            StoreError::Protocol { found, speaks } => write!(
+                f,
+                "state written by protocol {found}, this build speaks {speaks}"
+            ),
         }
     }
 }
@@ -135,6 +147,9 @@ fn decode_and_load(bytes: &[u8]) -> Result<(u64, JxpPeer), StoreError> {
 /// Recover a peer from raw checkpoint bytes and a WAL byte stream.
 ///
 /// The recovery ladder, in order:
+/// 0. refuse a WAL of another wire protocol version
+///    ([`check_wal_protocol`]) — its records would all fail to decode
+///    and pass for one long torn tail;
 /// 1. decode + CRC-check the current checkpoint;
 /// 2. on any failure, fall back to the previous checkpoint
 ///    (`used_fallback = true`);
@@ -149,6 +164,7 @@ pub fn recover(
     previous: Option<&[u8]>,
     wal: &[u8],
 ) -> Result<Option<Recovered>, StoreError> {
+    check_wal_protocol(wal)?;
     let (decoded, used_fallback) = match (current, previous) {
         (None, None) => return Ok(None),
         (Some(cur), None) => (decode_and_load(cur), false),

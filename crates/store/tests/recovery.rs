@@ -6,7 +6,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use jxp_core::{snapshot, JxpConfig, JxpPeer, MeetingPayload};
-use jxp_store::{DirStore, MemStore, StateStore, WalKind, WalRecord};
+use jxp_store::{
+    check_wal_protocol, DirStore, MemStore, StateStore, StoreError, WalKind, WalRecord,
+};
 use jxp_webgraph::{GraphBuilder, PageId, Subgraph};
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -41,11 +43,11 @@ fn peer_pair() -> (JxpPeer, JxpPeer) {
 }
 
 /// One meeting with the exact `core::meeting::meet` semantics (both
-/// payloads computed before either absorb), returning what each side
-/// absorbed so the caller can journal it.
+/// payloads computed before either absorb, each cut to the receiver),
+/// returning what each side absorbed so the caller can journal it.
 fn exchange(a: &mut JxpPeer, c: &mut JxpPeer) -> (MeetingPayload, MeetingPayload) {
-    let pa = a.payload();
-    let pc = c.payload();
+    let pa = a.payload_for(c.interest());
+    let pc = c.payload_for(a.interest());
     a.absorb(&pc);
     c.absorb(&pa);
     (pc, pa)
@@ -248,6 +250,47 @@ fn dir_store_falls_back_when_current_file_is_corrupted() {
     assert!(rec.used_fallback);
     assert_eq!(rec.checkpoint_seq, 1);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `fixtures/v1/node-0`: the seed checkpoint of `peer_pair().0` and one
+/// `Serve` record, written by the last protocol-1 build (commit 9f82289).
+const V1_CHECKPOINT: &[u8] = include_bytes!("fixtures/v1/node-0/current.ckpt");
+const V1_WAL: &[u8] = include_bytes!("fixtures/v1/node-0/wal.log");
+
+#[test]
+fn a_journal_of_another_protocol_version_is_refused_by_name() {
+    let protocol_1 = StoreError::Protocol {
+        found: 1,
+        speaks: jxp_wire::PROTOCOL_VERSION,
+    };
+    assert_eq!(check_wal_protocol(V1_WAL), Err(protocol_1.clone()));
+    assert_eq!(
+        protocol_1.to_string(),
+        "state written by protocol 1, this build speaks 2"
+    );
+    let store = MemStore::new();
+    store
+        .checkpoint("node-0", 0, &snapshot::save(&peer_pair().0))
+        .expect("checkpoint");
+    store.set_wal("node-0", V1_WAL.to_vec());
+    assert_eq!(store.load("node-0").expect_err("protocol 1"), protocol_1);
+    // The checkpoint container did not change: without the journal the
+    // old state loads.
+    let rec = jxp_store::recover(Some(V1_CHECKPOINT), None, &[])
+        .expect("recover")
+        .expect("state exists");
+    assert_eq!(rec.peer.scores(), peer_pair().0.scores());
+
+    // What this build writes passes, and only a whole first record is
+    // believed: a torn or flipped one is `scan_wal`'s to judge.
+    let own = MemStore::new();
+    persisted_run(&own, "a", 0, 2);
+    assert_eq!(check_wal_protocol(&own.raw_wal("a")), Ok(()));
+    assert_eq!(check_wal_protocol(&V1_WAL[..40]), Ok(()));
+    let mut flipped = V1_WAL.to_vec();
+    flipped[60] ^= 0xFF;
+    assert_eq!(check_wal_protocol(&flipped), Ok(()));
+    assert_eq!(check_wal_protocol(&[]), Ok(()));
 }
 
 #[test]

@@ -17,6 +17,17 @@ pub struct BloomFilter {
     inserted: u64,
 }
 
+/// The bit positions of `key` in a filter of `num_bits` bits. Takes the
+/// shape by value, not the filter, so [`BloomFilter::insert`] can set
+/// bits while iterating.
+#[inline]
+fn positions(key: u64, num_bits: usize, num_hashes: u32) -> impl Iterator<Item = usize> {
+    let h1 = splitmix64(key);
+    let h2 = splitmix64(h1) | 1; // odd step, full-period double hashing
+    let m = num_bits as u64;
+    (0..num_hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
+}
+
 impl BloomFilter {
     /// Create a filter with `num_bits` bits (rounded up to a multiple of
     /// 64) and `num_hashes` hash functions.
@@ -49,18 +60,10 @@ impl BloomFilter {
         BloomFilter::new(m, k)
     }
 
-    #[inline]
-    fn positions(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
-        let h1 = splitmix64(key);
-        let h2 = splitmix64(h1) | 1; // odd step, full-period double hashing
-        let m = self.num_bits as u64;
-        (0..self.num_hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
-    }
-
     /// Insert `key`.
     pub fn insert(&mut self, key: u64) {
-        let positions: Vec<usize> = self.positions(key).collect();
-        for p in positions {
+        let (num_bits, num_hashes) = (self.num_bits, self.num_hashes);
+        for p in positions(key, num_bits, num_hashes) {
             self.bits[p / 64] |= 1u64 << (p % 64);
         }
         self.inserted += 1;
@@ -69,7 +72,7 @@ impl BloomFilter {
     /// Whether `key` *may* be in the set (false positives possible, false
     /// negatives impossible).
     pub fn contains(&self, key: u64) -> bool {
-        self.positions(key)
+        positions(key, self.num_bits, self.num_hashes)
             .all(|p| self.bits[p / 64] & (1u64 << (p % 64)) != 0)
     }
 
@@ -103,6 +106,18 @@ impl BloomFilter {
     /// Number of hash functions.
     pub fn num_hashes(&self) -> u32 {
         self.num_hashes
+    }
+
+    /// A 64-bit digest of the filter's shape and bits, never `0`: a
+    /// meeting payload names by it the filter it was cut to, and `0`
+    /// there means "uncut". Equal filters have equal fingerprints;
+    /// [`Self::inserted`] does not enter it.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = splitmix64(u64::from(self.num_hashes) ^ ((self.bits.len() as u64) << 32));
+        for &w in &self.bits {
+            h = splitmix64(h ^ w);
+        }
+        h.max(1)
     }
 
     /// Reassemble a filter from its wire representation. Used by
@@ -225,6 +240,46 @@ mod tests {
         assert!((uc - 1500.0).abs() / 1500.0 < 0.1, "union estimate {uc}");
         let i = a.estimate_intersection(&b);
         assert!((i - 500.0).abs() < 150.0, "intersection estimate {i}");
+    }
+
+    #[test]
+    fn insert_sets_exactly_the_double_hashing_positions() {
+        // The positions written out longhand: the wire proptests and the
+        // synopsis comparisons rely on these exact bits.
+        let mut f = BloomFilter::new(1000, 5);
+        let mut want = vec![0u64; f.words().len()];
+        for key in [0u64, 1, 42, u64::MAX, 0xDEAD_BEEF] {
+            f.insert(key);
+            let h1 = splitmix64(key);
+            let h2 = splitmix64(h1) | 1;
+            for i in 0..5u64 {
+                let p = (h1.wrapping_add(i.wrapping_mul(h2)) % f.num_bits() as u64) as usize;
+                want[p / 64] |= 1 << (p % 64);
+            }
+        }
+        assert_eq!(f.words(), &want[..]);
+        assert_eq!(f.inserted(), 5);
+    }
+
+    #[test]
+    fn fingerprint_follows_bits_and_shape_and_is_never_zero() {
+        let mut a = BloomFilter::new(256, 4);
+        let mut b = BloomFilter::new(256, 4);
+        assert_ne!(a.fingerprint(), 0);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        a.insert(7);
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        b.insert(7);
+        b.insert(7); // same bits, different insert count
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_ne!(
+            BloomFilter::new(256, 4).fingerprint(),
+            BloomFilter::new(256, 5).fingerprint()
+        );
+        assert_ne!(
+            BloomFilter::new(256, 4).fingerprint(),
+            BloomFilter::new(320, 4).fingerprint()
+        );
     }
 
     #[test]

@@ -32,7 +32,9 @@ use jxp_webgraph::PageId;
 pub const MAGIC: [u8; 4] = *b"JXPW";
 
 /// Current protocol version; bumped on any incompatible layout change.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// Version 2 is the receiver-filtered meeting payload: `cut_for`, the
+/// sender's filter, a per-page out-degree and the `unlinked` section.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Fixed frame-header length (magic + version + type + flags + body len).
 pub const HEADER_LEN: usize = 12;
@@ -40,6 +42,10 @@ pub const HEADER_LEN: usize = 12;
 /// Largest body this implementation accepts (64 MiB): a cheap guard
 /// against allocating from a corrupt or hostile length field.
 pub const MAX_BODY_LEN: usize = 64 << 20;
+
+/// Most hash functions a decoded Bloom filter may claim (a filter at
+/// one-in-a-billion false positives uses 30).
+pub const MAX_BLOOM_HASHES: u32 = 64;
 
 const TYPE_HELLO: u8 = 1;
 const TYPE_MEET_REQUEST: u8 = 2;
@@ -146,8 +152,9 @@ pub struct SynopsisPayload {
     pub synopses: PeerSynopses,
     /// FM sketch of the sender's page set (gossiped `N` estimation).
     pub sketch: Option<FmSketch>,
-    /// Bloom filter of the sender's page set (alternative overlap
-    /// synopsis; compared against MIPs in the integration tests).
+    /// Bloom filter of the sender's page set: the sender's
+    /// `JxpPeer::interest`, which a partner that has not met the sender
+    /// yet fetches here to cut its first meeting payload.
     pub bloom: Option<BloomFilter>,
 }
 
@@ -329,15 +336,45 @@ pub fn encoded_len(frame: &Frame) -> usize {
     HEADER_LEN + frame.body_len()
 }
 
-/// Encode one frame, header included.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let body_len = frame.body_len();
+/// Which of the two meeting frames a payload travels in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MeetingFrame {
+    /// [`Frame::MeetRequest`].
+    Request,
+    /// [`Frame::MeetReply`].
+    Reply,
+}
+
+/// Encode a borrowed payload as the frame `kind` names — byte for byte
+/// what [`encode_frame`] gives for the owned [`Frame`], without building
+/// (or cloning into) one. For callers that keep the payload: a journal,
+/// a simulator.
+pub fn encode_meeting_frame(kind: MeetingFrame, payload: &MeetingPayload) -> Vec<u8> {
+    let type_byte = match kind {
+        MeetingFrame::Request => TYPE_MEET_REQUEST,
+        MeetingFrame::Reply => TYPE_MEET_REPLY,
+    };
+    let mut buf = start_frame(type_byte, payload.wire_size());
+    encode_meeting_payload(&mut buf, payload);
+    debug_assert_eq!(buf.len(), buf.capacity(), "wire_size out of sync");
+    buf
+}
+
+/// A buffer sized for the whole frame, header written.
+fn start_frame(type_byte: u8, body_len: usize) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + body_len);
     buf.put_slice(&MAGIC);
     buf.put_u16_le(PROTOCOL_VERSION);
-    buf.put_u8(frame.type_byte());
+    buf.put_u8(type_byte);
     buf.put_u8(0); // flags
     buf.put_u32_le(body_len as u32);
+    buf
+}
+
+/// Encode one frame, header included.
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let body_len = frame.body_len();
+    let mut buf = start_frame(frame.type_byte(), body_len);
     match frame {
         Frame::Hello { node_id, num_pages } => {
             buf.put_u64_le(*node_id);
@@ -357,18 +394,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 }
                 None => buf.put_u8(0),
             }
-            match &s.bloom {
-                Some(b) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(b.words().len() as u32);
-                    buf.put_u32_le(b.num_hashes());
-                    buf.put_u64_le(b.inserted());
-                    for &w in b.words() {
-                        buf.put_u64_le(w);
-                    }
-                }
-                None => buf.put_u8(0),
-            }
+            encode_bloom(&mut buf, s.bloom.as_ref());
         }
         Frame::Ack { of } => buf.put_u8(*of),
         Frame::Error { code, detail } => {
@@ -475,20 +501,7 @@ pub fn decode_frame(input: &[u8]) -> Result<(Frame, usize), WireError> {
                 }
                 _ => return Err(WireError::Malformed("bad sketch presence byte")),
             };
-            let bloom = match take_u8(&mut body)? {
-                0 => None,
-                1 => {
-                    let words = take_u32(&mut body)? as usize;
-                    let num_hashes = take_u32(&mut body)?;
-                    let inserted = take_u64(&mut body)?;
-                    if words == 0 || num_hashes == 0 {
-                        return Err(WireError::Malformed("degenerate bloom filter"));
-                    }
-                    let bits = take_u64_vec(&mut body, words)?;
-                    Some(BloomFilter::from_parts(bits, num_hashes, inserted))
-                }
-                _ => return Err(WireError::Malformed("bad bloom presence byte")),
-            };
+            let bloom = decode_bloom(&mut body)?;
             Frame::SynopsisExchange(SynopsisPayload {
                 synopses: PeerSynopses { local, successors },
                 sketch,
@@ -567,16 +580,59 @@ pub fn decode_frame(input: &[u8]) -> Result<(Frame, usize), WireError> {
     Ok((frame, total))
 }
 
+/// A presence byte, then — when present — word count, hash count,
+/// insert count and the bit words: `1 + BloomFilter::wire_size()` bytes.
+fn encode_bloom(buf: &mut Vec<u8>, bloom: Option<&BloomFilter>) {
+    let Some(b) = bloom else {
+        buf.put_u8(0);
+        return;
+    };
+    buf.put_u8(1);
+    buf.put_u32_le(b.words().len() as u32);
+    buf.put_u32_le(b.num_hashes());
+    buf.put_u64_le(b.inserted());
+    for &w in b.words() {
+        buf.put_u64_le(w);
+    }
+}
+
+fn decode_bloom(body: &mut &[u8]) -> Result<Option<BloomFilter>, WireError> {
+    match take_u8(body)? {
+        0 => Ok(None),
+        1 => {
+            let words = take_u32(body)? as usize;
+            let num_hashes = take_u32(body)?;
+            let inserted = take_u64(body)?;
+            // The receiver probes this filter once per page and link of
+            // its payload, `num_hashes` bit tests a probe: a hostile
+            // count must not turn one meeting into billions of them.
+            if words == 0 || num_hashes == 0 || num_hashes > MAX_BLOOM_HASHES {
+                return Err(WireError::Malformed("degenerate bloom filter"));
+            }
+            let bits = take_u64_vec(body, words)?;
+            Ok(Some(BloomFilter::from_parts(bits, num_hashes, inserted)))
+        }
+        _ => Err(WireError::Malformed("bad bloom presence byte")),
+    }
+}
+
 fn encode_meeting_payload(buf: &mut Vec<u8>, p: &MeetingPayload) {
     buf.put_f64_le(p.world_score);
+    buf.put_u64_le(p.cut_for);
+    encode_bloom(buf, p.interest.as_ref());
     buf.put_u32_le(p.pages.len() as u32);
     for pp in &p.pages {
         buf.put_u32_le(pp.page.0);
         buf.put_f64_le(pp.score);
+        buf.put_u32_le(pp.out_degree);
         buf.put_u32_le(pp.succs.len() as u32);
         for s in &pp.succs {
             buf.put_u32_le(s.0);
         }
+    }
+    buf.put_u32_le(p.unlinked.len() as u32);
+    for id in &p.unlinked {
+        buf.put_u32_le(id.0);
     }
     buf.put_u32_le(p.world.len() as u32);
     for wp in &p.world {
@@ -597,20 +653,24 @@ fn encode_meeting_payload(buf: &mut Vec<u8>, p: &MeetingPayload) {
 
 fn decode_meeting_payload(body: &mut &[u8]) -> Result<MeetingPayload, WireError> {
     let world_score = take_f64(body)?;
+    let cut_for = take_u64(body)?;
+    let interest = decode_bloom(body)?;
     let num_pages = take_u32(body)? as usize;
-    check_claimed(body, num_pages, 16)?;
+    check_claimed(body, num_pages, 20)?;
     let mut pages = Vec::with_capacity(num_pages);
     for _ in 0..num_pages {
         let page = PageId(take_u32(body)?);
         let score = take_f64(body)?;
-        let num_succs = take_u32(body)? as usize;
-        check_claimed(body, num_succs, 4)?;
-        let mut succs = Vec::with_capacity(num_succs);
-        for _ in 0..num_succs {
-            succs.push(PageId(take_u32(body)?));
-        }
-        pages.push(PagePayload { page, score, succs });
+        let out_degree = take_u32(body)?;
+        let succs = take_page_ids(body)?;
+        pages.push(PagePayload {
+            page,
+            score,
+            out_degree,
+            succs,
+        });
     }
+    let unlinked = take_page_ids(body)?;
     let num_world = take_u32(body)? as usize;
     check_claimed(body, num_world, 20)?;
     let mut world = Vec::with_capacity(num_world);
@@ -618,12 +678,7 @@ fn decode_meeting_payload(body: &mut &[u8]) -> Result<MeetingPayload, WireError>
         let src = PageId(take_u32(body)?);
         let out_degree = take_u32(body)?;
         let score = take_f64(body)?;
-        let num_targets = take_u32(body)? as usize;
-        check_claimed(body, num_targets, 4)?;
-        let mut targets = Vec::with_capacity(num_targets);
-        for _ in 0..num_targets {
-            targets.push(PageId(take_u32(body)?));
-        }
+        let targets = take_page_ids(body)?;
         world.push(WorldPayload {
             src,
             out_degree,
@@ -641,10 +696,20 @@ fn decode_meeting_payload(body: &mut &[u8]) -> Result<MeetingPayload, WireError>
     }
     Ok(MeetingPayload {
         pages,
+        unlinked,
         world,
         world_dangling,
         world_score,
+        interest,
+        cut_for,
     })
+}
+
+/// A `u32` count followed by that many page ids.
+fn take_page_ids(body: &mut &[u8]) -> Result<Vec<PageId>, WireError> {
+    let n = take_u32(body)? as usize;
+    check_claimed(body, n, 4)?;
+    Ok((0..n).map(|_| PageId(body.get_u32_le())).collect())
 }
 
 fn encode_mips(buf: &mut Vec<u8>, v: &MipsVector) {
@@ -705,19 +770,25 @@ mod tests {
     use jxp_synopses::mips::MipsPermutations;
 
     fn sample_payload() -> MeetingPayload {
+        let mut interest = BloomFilter::new(128, 3);
+        interest.insert(0);
+        interest.insert(1);
         MeetingPayload {
             pages: vec![
                 PagePayload {
                     page: PageId(0),
                     score: 0.25,
+                    out_degree: 3,
                     succs: vec![PageId(1), PageId(7)],
                 },
                 PagePayload {
                     page: PageId(1),
                     score: 0.5,
+                    out_degree: 0,
                     succs: vec![],
                 },
             ],
+            unlinked: vec![PageId(4), PageId(5)],
             world: vec![WorldPayload {
                 src: PageId(7),
                 out_degree: 3,
@@ -726,6 +797,8 @@ mod tests {
             }],
             world_dangling: vec![(PageId(9), 0.0625)],
             world_score: 0.0625,
+            interest: Some(interest),
+            cut_for: 0xC0FF_EE00_0000_0001,
         }
     }
 
@@ -748,11 +821,37 @@ mod tests {
 
     #[test]
     fn meeting_body_is_exactly_wire_size() {
+        // With every v2 field in use, and with none of them.
+        let full = sample_payload();
+        let bare = MeetingPayload {
+            unlinked: vec![],
+            interest: None,
+            cut_for: 0,
+            ..full.clone()
+        };
+        assert_eq!(
+            full.wire_size(),
+            bare.wire_size() + 2 * 4 + full.interest.as_ref().unwrap().wire_size()
+        );
+        for p in [full, bare] {
+            let frame = Frame::MeetRequest(p.clone());
+            let encoded = encode_frame(&frame);
+            assert_eq!(encoded.len(), HEADER_LEN + p.wire_size());
+            assert_eq!(encoded.len(), encoded_len(&frame));
+        }
+    }
+
+    #[test]
+    fn borrowed_meeting_encoding_equals_the_owned_frames() {
         let p = sample_payload();
-        let frame = Frame::MeetRequest(p.clone());
-        let encoded = encode_frame(&frame);
-        assert_eq!(encoded.len(), HEADER_LEN + p.wire_size());
-        assert_eq!(encoded.len(), encoded_len(&frame));
+        assert_eq!(
+            encode_meeting_frame(MeetingFrame::Request, &p),
+            encode_frame(&Frame::MeetRequest(p.clone()))
+        );
+        assert_eq!(
+            encode_meeting_frame(MeetingFrame::Reply, &p),
+            encode_frame(&Frame::MeetReply(p.clone()))
+        );
     }
 
     #[test]
@@ -1022,13 +1121,28 @@ mod tests {
     #[test]
     fn corrupt_length_field_is_rejected_without_allocating() {
         let p = sample_payload();
-        let mut encoded = encode_frame(&Frame::MeetRequest(p));
-        // Clobber the page-count field (first u32 after world_score).
-        let off = HEADER_LEN + 8;
+        let mut encoded = encode_frame(&Frame::MeetRequest(p.clone()));
+        // Clobber the page-count field: after world_score, cut_for and
+        // the sender's filter with its presence byte.
+        let off = HEADER_LEN + 8 + 8 + 1 + p.interest.as_ref().unwrap().wire_size();
         encoded[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
             decode_frame(&encoded),
             Err(WireError::Malformed("length field overruns body"))
+        );
+    }
+
+    #[test]
+    fn bloom_filter_claiming_absurd_hash_count_is_rejected() {
+        let mut p = sample_payload();
+        let words = p.interest.as_ref().unwrap().words().to_vec();
+        p.interest = Some(BloomFilter::from_parts(words.clone(), MAX_BLOOM_HASHES, 2));
+        let encoded = encode_frame(&Frame::MeetRequest(p.clone()));
+        assert!(decode_frame(&encoded).is_ok());
+        p.interest = Some(BloomFilter::from_parts(words, MAX_BLOOM_HASHES + 1, 2));
+        assert_eq!(
+            decode_frame(&encode_frame(&Frame::MeetRequest(p))),
+            Err(WireError::Malformed("degenerate bloom filter"))
         );
     }
 

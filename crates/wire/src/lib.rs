@@ -7,7 +7,7 @@ pub mod frame;
 
 pub use accum::FrameAccumulator;
 pub use frame::{
-    decode_frame, encode_frame, encoded_len, ErrorCode, Frame, QueryHit, QueryPayload,
-    QueryReplyPayload, StatsPayload, SynopsisPayload, WireError, HEADER_LEN, MAGIC, MAX_BODY_LEN,
-    PROTOCOL_VERSION,
+    decode_frame, encode_frame, encode_meeting_frame, encoded_len, ErrorCode, Frame, MeetingFrame,
+    QueryHit, QueryPayload, QueryReplyPayload, StatsPayload, SynopsisPayload, WireError,
+    HEADER_LEN, MAGIC, MAX_BLOOM_HASHES, MAX_BODY_LEN, PROTOCOL_VERSION,
 };

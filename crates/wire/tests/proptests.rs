@@ -9,9 +9,9 @@ use jxp_synopses::fm_sketch::FmSketch;
 use jxp_synopses::mips::MipsVector;
 use jxp_webgraph::PageId;
 use jxp_wire::{
-    decode_frame, encode_frame, encoded_len, ErrorCode, Frame, FrameAccumulator, QueryHit,
-    QueryPayload, QueryReplyPayload, StatsPayload, SynopsisPayload, WireError, HEADER_LEN, MAGIC,
-    MAX_BODY_LEN,
+    decode_frame, encode_frame, encode_meeting_frame, encoded_len, ErrorCode, Frame,
+    FrameAccumulator, MeetingFrame, QueryHit, QueryPayload, QueryReplyPayload, StatsPayload,
+    SynopsisPayload, WireError, HEADER_LEN, MAGIC, MAX_BODY_LEN,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -20,17 +20,27 @@ fn page_ids() -> impl Strategy<Value = Vec<PageId>> {
     vec(0u32..50_000, 0..6).prop_map(|v| v.into_iter().map(PageId).collect())
 }
 
+fn optional_blooms() -> impl Strategy<Value = Option<BloomFilter>> {
+    (0u8..2, vec(0u64..u64::MAX, 1..16), 1u32..8, 0u64..1000).prop_map(
+        |(on, bits, hashes, inserted)| {
+            (on == 1).then(|| BloomFilter::from_parts(bits, hashes, inserted))
+        },
+    )
+}
+
 fn meeting_payloads() -> impl Strategy<Value = MeetingPayload> {
-    let pages = vec((0u32..50_000, -1.0f64..1.0, page_ids()), 0..5).prop_map(|entries| {
-        entries
-            .into_iter()
-            .map(|(page, score, succs)| PagePayload {
-                page: PageId(page),
-                score,
-                succs,
-            })
-            .collect::<Vec<_>>()
-    });
+    let pages =
+        vec((0u32..50_000, -1.0f64..1.0, 0u32..100, page_ids()), 0..5).prop_map(|entries| {
+            entries
+                .into_iter()
+                .map(|(page, score, out_degree, succs)| PagePayload {
+                    page: PageId(page),
+                    score,
+                    out_degree,
+                    succs,
+                })
+                .collect::<Vec<_>>()
+        });
     let world =
         vec((0u32..50_000, 0u32..100, -1.0f64..1.0, page_ids()), 0..5).prop_map(|entries| {
             entries
@@ -49,14 +59,20 @@ fn meeting_payloads() -> impl Strategy<Value = MeetingPayload> {
             .map(|(p, s)| (PageId(p), s))
             .collect::<Vec<_>>()
     });
-    (pages, world, dangling, 0.0f64..1.0).prop_map(|(pages, world, world_dangling, world_score)| {
-        MeetingPayload {
-            pages,
-            world,
-            world_dangling,
-            world_score,
-        }
-    })
+    let filtering = (page_ids(), optional_blooms(), 0u64..u64::MAX);
+    (pages, world, dangling, 0.0f64..1.0, filtering).prop_map(
+        |(pages, world, world_dangling, world_score, (unlinked, interest, cut_for))| {
+            MeetingPayload {
+                pages,
+                unlinked,
+                world,
+                world_dangling,
+                world_score,
+                interest,
+                cut_for,
+            }
+        },
+    )
 }
 
 fn mips_vectors() -> impl Strategy<Value = MipsVector> {
@@ -67,16 +83,11 @@ fn mips_vectors() -> impl Strategy<Value = MipsVector> {
 fn synopsis_payloads() -> impl Strategy<Value = SynopsisPayload> {
     let optional_sketch = (0u8..2, vec(0u64..u64::MAX, 1..16))
         .prop_map(|(on, bitmaps)| (on == 1).then(|| FmSketch::from_bitmaps(bitmaps)));
-    let optional_bloom = (0u8..2, vec(0u64..u64::MAX, 1..16), 1u32..8, 0u64..1000).prop_map(
-        |(on, bits, hashes, inserted)| {
-            (on == 1).then(|| BloomFilter::from_parts(bits, hashes, inserted))
-        },
-    );
     (
         mips_vectors(),
         mips_vectors(),
         optional_sketch,
-        optional_bloom,
+        optional_blooms(),
     )
         .prop_map(|(local, successors, sketch, bloom)| SynopsisPayload {
             synopses: PeerSynopses { local, successors },
@@ -214,11 +225,12 @@ proptest! {
 
     #[test]
     fn meeting_body_length_always_matches_wire_size(payload in meeting_payloads()) {
-        let frame = Frame::MeetRequest(payload);
-        let bytes = encode_frame(&frame);
-        if let Frame::MeetRequest(p) = &frame {
-            prop_assert_eq!(bytes.len(), HEADER_LEN + p.wire_size());
-        }
+        // The borrowing encoder, the one journals and simulators call…
+        let borrowed = encode_meeting_frame(MeetingFrame::Reply, &payload);
+        prop_assert_eq!(borrowed.len(), HEADER_LEN + payload.wire_size());
+        // …gives the owned frame's bytes.
+        let frame = Frame::MeetReply(payload);
+        prop_assert_eq!(&encode_frame(&frame), &borrowed);
     }
 
     #[test]

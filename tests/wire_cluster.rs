@@ -147,26 +147,37 @@ fn socket_meeting_bytes_match_encoded_len_exactly() {
     transport.add_route(0, addr);
 
     // Capture both payloads *before* the meeting: the request is the
-    // client's pre-meeting payload, the reply is the server's (computed
-    // pre-absorption, per the protocol).
-    let expected_request =
-        jxp_wire::encoded_len(&jxp_wire::Frame::MeetRequest(client.current_payload()));
+    // client's pre-meeting payload cut to the server's filter, the reply
+    // is the server's (computed pre-absorption, per the protocol) cut to
+    // the client's.
+    let cut = |from: &JxpNode, to: &JxpNode| {
+        let filter = to.with_peer(|p| p.interest().cloned());
+        from.with_peer(|p| p.payload_for(filter.as_ref()))
+    };
+    let request = cut(&client, &server_node);
+    let expected_request = jxp_wire::encoded_len(&jxp_wire::Frame::MeetRequest(request.clone()));
     let expected_reply =
-        jxp_wire::encoded_len(&jxp_wire::Frame::MeetReply(server_node.current_payload()));
+        jxp_wire::encoded_len(&jxp_wire::Frame::MeetReply(cut(&server_node, &client)));
 
     // wire_size() is exactly the frame body: the header is the only delta.
-    assert_eq!(
-        expected_request,
-        jxp_wire::HEADER_LEN + client.current_payload().wire_size()
-    );
+    assert_eq!(expected_request, jxp_wire::HEADER_LEN + request.wire_size());
+
+    // First contact: the client fetches the server's filter with one
+    // SynopsisExchange before the meeting; those frames are counted too.
+    let probe_out = jxp_wire::encoded_len(&client.synopses_request());
+    let probe_in = jxp_wire::encoded_len(&server_node.handle(client.synopses_request()).unwrap());
+    let served_probe = server_node.stats();
 
     let outcome = client.meet(0, &transport, &fast_retry()).expect("meeting");
     assert_eq!(outcome.bytes_sent, expected_request as u64);
     assert_eq!(outcome.bytes_received, expected_reply as u64);
     // Node counters carry the same measured numbers.
     let s = client.stats();
-    assert_eq!(s.bytes_out, expected_request as u64);
-    assert_eq!(s.bytes_in, expected_reply as u64);
+    assert_eq!(s.bytes_out, (probe_out + expected_request) as u64);
+    assert_eq!(s.bytes_in, (probe_in + expected_reply) as u64);
+    let served = server_node.stats();
+    assert_eq!(served.bytes_in - served_probe.bytes_in, s.bytes_out);
+    assert_eq!(served.bytes_out - served_probe.bytes_out, s.bytes_in);
 }
 
 #[test]
