@@ -9,8 +9,8 @@
 //!
 //! 1. **Verify scale** (small enough for an in-memory `CsrGraph`): the
 //!    identical synthetic crawl is built both ways and global PageRank
-//!    plus a per-peer extended-graph run are asserted **bit-identical**
-//!    at 1, 2 and 8 threads. This is the determinism gate — if the
+//!    (at 1, 2 and 8 threads) plus a per-peer extended-graph run are
+//!    asserted **bit-identical**. This is the determinism gate — if the
 //!    segment path ever drifts from the in-memory path the process
 //!    aborts before any number is reported.
 //! 2. **Full scale** (default 10M nodes): edges are streamed from the
@@ -29,6 +29,7 @@
 //! defaults to a per-pid temp dir, removed on success).
 
 use jxp_core::config::JxpConfig;
+use jxp_core::evaluate::score_hash;
 use jxp_core::peer::JxpPeer;
 use jxp_pagerank::{pagerank, PageRankConfig};
 use jxp_segstore::{BackingKind, SegStoreConfig, SegmentWriter, SegmentedGraph, SegstoreMetrics};
@@ -78,19 +79,6 @@ fn crawl_links(i: u64, n: u64, mut f: impl FnMut(u32, u32)) {
     }
 }
 
-/// FNV-1a over the exact bit patterns of a score vector (the digest the
-/// other benches use for cross-run equivalence gates).
-fn score_hash(scores: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for s in scores {
-        for b in s.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 fn build_in_memory(n: usize) -> CsrGraph {
     let mut b = GraphBuilder::new();
     b.ensure_nodes(n);
@@ -125,19 +113,10 @@ fn open(dir: &Path, budget: usize) -> SegmentedGraph {
 
 /// Run per-peer extended-graph PageRank for `pages` against `source`
 /// and return (seconds, score hash).
-fn peer_run<G: GraphSource + ?Sized>(
-    source: &G,
-    pages: &[PageId],
-    n_total: u64,
-    threads: usize,
-) -> (f64, u64) {
-    let cfg = JxpConfig {
-        threads,
-        ..Default::default()
-    };
+fn peer_run<G: GraphSource + ?Sized>(source: &G, pages: &[PageId], n_total: u64) -> (f64, u64) {
     let start = Instant::now();
-    let peer = JxpPeer::from_source(source, pages.iter().copied(), n_total, cfg);
-    (start.elapsed().as_secs_f64(), score_hash(peer.scores()))
+    let peer = JxpPeer::from_source(source, pages.iter().copied(), n_total, JxpConfig::default());
+    (start.elapsed().as_secs_f64(), score_hash([peer.scores()]))
 }
 
 fn main() {
@@ -150,7 +129,6 @@ fn main() {
         .unwrap_or_else(|_| {
             std::env::temp_dir().join(format!("jxp_bench_segment_{}", std::process::id()))
         });
-    let threads_sweep = [1usize, 2, 8];
 
     println!(
         "== Segmented out-of-core webgraph: {nodes} nodes in {segment_nodes}-node segments, \
@@ -167,7 +145,7 @@ fn main() {
     assert_eq!(vmanifest.num_edges as usize, vg.num_edges());
     let vsg = open(&vdir, budget.min(4));
     let vpages: Vec<PageId> = (0..verify_nodes as u32).step_by(97).map(PageId).collect();
-    for &threads in &threads_sweep {
+    for threads in [1usize, 2, 8] {
         let cfg = PageRankConfig {
             threads,
             ..Default::default()
@@ -175,18 +153,16 @@ fn main() {
         let mem = pagerank(&vg, &cfg);
         let disk = pagerank(&vsg, &cfg);
         assert_eq!(
-            score_hash(mem.scores()),
-            score_hash(disk.scores()),
+            score_hash([mem.scores()]),
+            score_hash([disk.scores()]),
             "global scores diverged at {threads} threads"
         );
-        let (_, mem_peer) = peer_run(&vg, &vpages, verify_nodes as u64, threads);
-        let (_, disk_peer) = peer_run(&vsg, &vpages, verify_nodes as u64, threads);
-        assert_eq!(
-            mem_peer, disk_peer,
-            "per-peer scores diverged at {threads} threads"
-        );
-        println!("[verify] {threads} threads: global + per-peer bit-identical ✓");
+        println!("[verify] {threads} threads: global bit-identical ✓");
     }
+    let (_, mem_peer) = peer_run(&vg, &vpages, verify_nodes as u64);
+    let (_, disk_peer) = peer_run(&vsg, &vpages, verify_nodes as u64);
+    assert_eq!(mem_peer, disk_peer, "per-peer scores diverged");
+    println!("[verify] per-peer bit-identical ✓");
     let _ = std::fs::remove_dir_all(&vdir);
 
     // ---- Half 2: the full out-of-core run ---------------------------
@@ -214,72 +190,50 @@ fn main() {
     let stride = (nodes / (resident_span / 2).max(1)).max(1) * 2 + 1;
     let streaming_pages: Vec<PageId> = (0..nodes as u32).step_by(stride).map(PageId).collect();
 
-    struct Run {
-        threads: usize,
-        cold_secs: f64,
-        warm_secs: f64,
-        hash: u64,
-    }
-    let mut resident_runs: Vec<Run> = Vec::new();
-    let mut streaming_runs: Vec<Run> = Vec::new();
+    let mut run_lines: Vec<String> = Vec::new();
     let mut peak_resident_bytes = 0u64;
 
     println!(
-        "{:>10} {:>8} {:>10} {:>10} {:>18}",
-        "workload", "threads", "cold s", "warm s", "score hash"
+        "{:>10} {:>10} {:>10} {:>18}",
+        "workload", "cold s", "warm s", "score hash"
     );
-    for &threads in &threads_sweep {
-        for (name, pages, runs) in [
-            ("resident", &resident_pages, &mut resident_runs),
-            ("streaming", &streaming_pages, &mut streaming_runs),
-        ] {
-            // Cold: a fresh SegmentedGraph faults everything from disk.
-            let sg = open(&dir, budget);
-            let (cold_secs, cold_hash) = peer_run(&sg, pages, nodes as u64, threads);
-            // Warm: same cache, rerun. For the resident workload every
-            // access is a hit; for the streaming one the sweep still
-            // thrashes the LRU (that is the point of the budget).
-            let (warm_secs, warm_hash) = peer_run(&sg, pages, nodes as u64, threads);
-            assert_eq!(cold_hash, warm_hash, "{name}: warm rerun changed scores");
-            if name == "resident" {
-                let m = sg.metrics();
-                assert!(
-                    m.hits_total.get() > 0,
-                    "resident warm pass produced no cache hits"
-                );
-            }
-            peak_resident_bytes = peak_resident_bytes.max(sg.resident_bytes());
+    for (name, pages) in [
+        ("resident", &resident_pages),
+        ("streaming", &streaming_pages),
+    ] {
+        // Cold: a fresh SegmentedGraph faults everything from disk.
+        let sg = open(&dir, budget);
+        let (cold_secs, cold_hash) = peer_run(&sg, pages, nodes as u64);
+        // Warm: same cache, rerun. For the resident workload every
+        // access is a hit; for the streaming one the sweep still
+        // thrashes the LRU (that is the point of the budget).
+        let (warm_secs, warm_hash) = peer_run(&sg, pages, nodes as u64);
+        assert_eq!(cold_hash, warm_hash, "{name}: warm rerun changed scores");
+        if name == "resident" {
+            let m = sg.metrics();
             assert!(
-                sg.resident_bytes() < encoded,
-                "resident bytes {} not below encoded size {encoded}",
-                sg.resident_bytes()
-            );
-            println!(
-                "{:>10} {:>8} {:>10.3} {:>10.3} {:>18}",
-                name,
-                threads,
-                cold_secs,
-                warm_secs,
-                format!("{cold_hash:016x}")
-            );
-            runs.push(Run {
-                threads,
-                cold_secs,
-                warm_secs,
-                hash: cold_hash,
-            });
-        }
-    }
-    for runs in [&resident_runs, &streaming_runs] {
-        for r in runs.iter() {
-            assert_eq!(
-                r.hash, runs[0].hash,
-                "scores diverged at {} threads",
-                r.threads
+                m.hits_total.get() > 0,
+                "resident warm pass produced no cache hits"
             );
         }
+        peak_resident_bytes = peak_resident_bytes.max(sg.resident_bytes());
+        assert!(
+            sg.resident_bytes() < encoded,
+            "resident bytes {} not below encoded size {encoded}",
+            sg.resident_bytes()
+        );
+        println!(
+            "{:>10} {:>10.3} {:>10.3} {:>18}",
+            name,
+            cold_secs,
+            warm_secs,
+            format!("{cold_hash:016x}")
+        );
+        run_lines.push(format!(
+            "  \"{name}_run\": {{\"cold_seconds\": {cold_secs:.4}, \
+             \"warm_seconds\": {warm_secs:.4}, \"score_hash\": \"{cold_hash:016x}\"}}"
+        ));
     }
-    println!("score hashes identical across all thread counts ✓");
     println!(
         "peak resident {:.1} MB of {:.1} MB encoded ({:.1}%)",
         peak_resident_bytes as f64 / 1e6,
@@ -305,22 +259,7 @@ fn main() {
         "  \"verify\": {{\"nodes\": {verify_nodes}, \"threads\": [1, 2, 8], \
          \"bit_identical\": true}},"
     );
-    for (label, runs, comma) in [
-        ("resident_runs", &resident_runs, ","),
-        ("streaming_runs", &streaming_runs, ""),
-    ] {
-        let _ = writeln!(json, "  \"{label}\": [");
-        for (i, r) in runs.iter().enumerate() {
-            let c = if i + 1 == runs.len() { "" } else { "," };
-            let _ = writeln!(
-                json,
-                "    {{\"threads\": {}, \"cold_seconds\": {:.4}, \"warm_seconds\": {:.4}, \
-                 \"score_hash\": \"{:016x}\"}}{c}",
-                r.threads, r.cold_secs, r.warm_secs, r.hash
-            );
-        }
-        let _ = writeln!(json, "  ]{comma}");
-    }
+    let _ = writeln!(json, "{}", run_lines.join(",\n"));
     json.push_str("}\n");
 
     let path = std::env::var("JXP_RESULTS")

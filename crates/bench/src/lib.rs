@@ -2,7 +2,7 @@
 //! # jxp-bench
 //!
 //! Experiment harness: one binary per table/figure of the paper's
-//! evaluation (§6), plus criterion micro-benchmarks.
+//! evaluation (§6). Costs are measured by `benchmark/`, not here.
 //!
 //! | Paper item | Binary |
 //! |---|---|
@@ -329,22 +329,6 @@ pub fn build_network(
         config,
         seed ^ 0x5EED,
     )
-}
-
-/// FNV-1a over the bit patterns of every peer's score list: any
-/// divergence — across thread counts or with telemetry toggled — down
-/// to the last ulp, changes it.
-pub fn score_hash(net: &Network) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for peer in net.peers() {
-        for s in peer.scores() {
-            for b in s.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
 }
 
 /// Run independent experiment jobs on threads (one per job, via a scoped

@@ -42,12 +42,6 @@ pub struct JxpConfig {
     pub merge: MergeMode,
     /// Score-list combination rule at meetings.
     pub combine: CombineMode,
-    /// Worker threads for each local PageRank computation (`0` = the
-    /// machine's available parallelism, `1` = serial). Results are
-    /// bit-identical for every value (see `jxp_pagerank::par`), so this
-    /// is purely a wall-clock knob; it is machine-local and not
-    /// persisted in snapshots.
-    pub threads: usize,
 }
 
 impl Default for JxpConfig {
@@ -58,7 +52,6 @@ impl Default for JxpConfig {
             pr_max_iterations: 100,
             merge: MergeMode::LightWeight,
             combine: CombineMode::TakeMax,
-            threads: 1,
         }
     }
 }

@@ -48,6 +48,23 @@ pub fn centralized_ranking(scores: &[f64]) -> Ranking {
     )
 }
 
+/// The digest of the bit-identity contract: FNV-1a over the exact bit
+/// patterns (`to_bits().to_le_bytes()`) of every score, list by list.
+/// Any divergence down to the last ulp — across thread counts,
+/// transports, backings or with telemetry toggled — changes it.
+pub fn score_hash<'a>(lists: impl IntoIterator<Item = &'a [f64]>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for scores in lists {
+        for s in scores {
+            for b in s.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,6 +101,14 @@ mod tests {
         let r = centralized_ranking(&[0.1, 0.6, 0.3]);
         assert_eq!(r.top_k(3), &[PageId(1), PageId(2), PageId(0)]);
         assert_eq!(r.score(PageId(0)), Some(0.1));
+    }
+
+    #[test]
+    fn score_hash_of_a_fixed_input_is_pinned() {
+        // Computed independently (FNV-1a 64 over the little-endian
+        // IEEE-754 bytes); every pinned hash in the repo rests on it.
+        let lists: [&[f64]; 3] = [&[0.25, 0.5], &[], &[1.0, -0.0, 1e-300]];
+        assert_eq!(score_hash(lists), 0x265f_9ed6_a30e_0135);
     }
 
     #[test]

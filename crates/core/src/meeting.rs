@@ -84,8 +84,8 @@ pub fn meet_one_way(a: &mut JxpPeer, b: &JxpPeer) -> MeetingStats {
     }
 }
 
-/// Deliver an explicit payload to a peer (used by the network simulator
-/// when payloads travel through its message layer).
+/// Deliver an explicit, detached payload to a peer; returns the time
+/// the absorb took.
 pub fn deliver(to: &mut JxpPeer, payload: &MeetingPayload) -> Duration {
     let t0 = Instant::now();
     to.absorb(payload);

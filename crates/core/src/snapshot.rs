@@ -120,10 +120,6 @@ pub fn load(mut buf: impl Buf) -> Result<JxpPeer, String> {
             1 => CombineMode::TakeMax,
             _ => return Err(err("invalid combine mode")),
         },
-        // Machine-local wall-clock knob, deliberately not persisted:
-        // scores are thread-count-invariant, and a snapshot may be
-        // restored on hardware with different parallelism.
-        threads: 1,
     };
     if !(config.epsilon > 0.0 && config.epsilon < 1.0) {
         return Err(err("epsilon out of range"));

@@ -11,7 +11,7 @@ use crate::persist::{NodePersist, PersistConfig, SharedStore};
 use crate::reactor::{reactor_premeet_sweep, run_reactor_round, HandlerService, ReactorTransport};
 use crate::transport::{FrameHandler, NodeId, RetryPolicy, StallInjector, Transport};
 use jxp_core::config::JxpConfig;
-use jxp_core::evaluate::{centralized_ranking, total_ranking};
+use jxp_core::evaluate::{centralized_ranking, score_hash, total_ranking};
 use jxp_core::selection::{PeerSynopses, PreMeetingsConfig};
 use jxp_pagerank::metrics::footrule_distance;
 use jxp_reactor::{Reactor, ReactorConfig, ReactorMetrics};
@@ -664,16 +664,7 @@ pub fn run_cluster_with(
     let per_node: Vec<NodeStats> = nodes.iter().map(|n| n.stats()).collect();
     let score_hash = {
         let guards: Vec<_> = nodes.iter().map(|n| n.lock()).collect();
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for guard in &guards {
-            for &score in guard.peer.scores() {
-                for byte in score.to_bits().to_le_bytes() {
-                    hash ^= u64::from(byte);
-                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-        }
-        hash
+        score_hash(guards.iter().map(|g| g.peer.scores()))
     };
     let footrule = truth.map(|scores| {
         let guards: Vec<_> = nodes.iter().map(|n| n.lock()).collect();

@@ -54,7 +54,7 @@
 //!
 //! [`SelectionStrategy`]: jxp_core::selection::SelectionStrategy
 
-use crate::sim::{meet_via_wire, Network};
+use crate::sim::Network;
 use jxp_core::meeting::{meet, MeetingStats};
 use jxp_core::selection::{select_partner, SelectionStrategy, SelectorState};
 use jxp_core::JxpPeer;
@@ -132,7 +132,6 @@ fn draw_round(
 /// order, and the pool's round stats.
 fn execute_and_draw<D>(
     peers: &mut [JxpPeer],
-    via_wire: bool,
     pairs: &[(usize, usize)],
     threads: usize,
     draw_next: D,
@@ -140,13 +139,6 @@ fn execute_and_draw<D>(
 where
     D: FnOnce() -> Vec<(usize, usize)>,
 {
-    let run_one = |a: &mut JxpPeer, b: &mut JxpPeer| {
-        if via_wire {
-            meet_via_wire(a, b)
-        } else {
-            meet(a, b)
-        }
-    };
     // Hand out disjoint `&mut JxpPeer` pairs: every peer reference
     // sits in a take-once slot, so a non-disjoint schedule is a
     // loud panic instead of undefined behavior.
@@ -167,7 +159,7 @@ where
     let (next, round) = jxp_pool::global().run_with(
         threads,
         tasks,
-        |(a, b, slot)| *slot = Some(run_one(a, b)),
+        |(a, b, slot)| *slot = Some(meet(a, b)),
         draw_next,
     );
     let stats = results
@@ -227,7 +219,7 @@ impl Network {
                     ..
                 } = self;
                 let strategy = &config.strategy;
-                execute_and_draw(peers, config.route_via_wire, &pairs, threads, || {
+                execute_and_draw(peers, &pairs, threads, || {
                     draw_round(rng, states, strategy, n, budget, &mut pending)
                 })
             };
@@ -324,10 +316,6 @@ mod tests {
             },
             NetworkConfig {
                 estimate_n: true,
-                ..Default::default()
-            },
-            NetworkConfig {
-                route_via_wire: true,
                 ..Default::default()
             },
         ] {

@@ -37,11 +37,6 @@ pub struct NetworkConfig {
     pub estimate_n: bool,
     /// FM-sketch buckets for the `N` estimation.
     pub fm_buckets: usize,
-    /// When `true`, every meeting's payloads travel through the real
-    /// `jxp-wire` codec (encode → decode on each direction) and the
-    /// recorded bytes are the exact frame lengths, header included —
-    /// the same numbers a [`jxp-wire`]-based deployment would measure.
-    pub route_via_wire: bool,
     /// Worker threads for [`Network::run_parallel`] rounds (`0` = the
     /// machine's available parallelism, `1` = serial). Scores are
     /// bit-identical for every value — see [`crate::parallel`]. The
@@ -58,7 +53,6 @@ impl Default for NetworkConfig {
             mips_seed: 0x4D49_5053,
             estimate_n: false,
             fm_buckets: 256,
-            route_via_wire: false,
             threads: 0,
         }
     }
@@ -324,11 +318,7 @@ impl Network {
         );
         debug_assert_ne!(initiator, partner);
         let (a, b) = pair_mut(&mut self.peers, initiator, partner);
-        let stats = if self.config.route_via_wire {
-            meet_via_wire(a, b)
-        } else {
-            meet(a, b)
-        };
+        let stats = meet(a, b);
         self.account_meeting(initiator, partner, &stats);
         MeetingRecord {
             initiator,
@@ -499,41 +489,6 @@ impl Network {
                 joined,
             });
         }
-    }
-}
-
-/// One meeting routed through the real wire codec: each payload — cut
-/// to the receiver's filter, as in [`meet`] — is encoded as a `jxp-wire`
-/// frame and decoded on the receiving side, so the byte counts are exact
-/// frame lengths (12-byte header included) and any codec regression
-/// breaks the simulation loudly. The responder builds its reply from
-/// pre-absorption state, matching the networked protocol in `jxp-node`.
-pub(crate) fn meet_via_wire(a: &mut JxpPeer, b: &mut JxpPeer) -> MeetingStats {
-    use jxp_core::meeting::deliver;
-    use jxp_wire::{decode_frame, encode_meeting_frame, Frame, MeetingFrame};
-
-    let request = encode_meeting_frame(MeetingFrame::Request, &a.payload_for(b.interest()));
-    let reply = encode_meeting_frame(MeetingFrame::Reply, &b.payload_for(a.interest()));
-    let bytes_a_to_b = request.len();
-    let bytes_b_to_a = reply.len();
-
-    let (frame, _) = decode_frame(&request).expect("self-encoded request must decode");
-    let Frame::MeetRequest(payload_a) = frame else {
-        unreachable!("encoded a MeetRequest");
-    };
-    let merge_time_b = deliver(b, &payload_a);
-
-    let (frame, _) = decode_frame(&reply).expect("self-encoded reply must decode");
-    let Frame::MeetReply(payload_b) = frame else {
-        unreachable!("encoded a MeetReply");
-    };
-    let merge_time_a = deliver(a, &payload_b);
-
-    MeetingStats {
-        bytes_a_to_b,
-        bytes_b_to_a,
-        merge_time_a,
-        merge_time_b,
     }
 }
 
@@ -713,60 +668,6 @@ mod tests {
             net.bandwidth().total_bytes(),
             (a_to_b.wire_size() + b_to_a.wire_size()) as u64
         );
-    }
-
-    #[test]
-    fn wire_routed_meetings_add_exactly_one_header_per_direction() {
-        let (cg, frags) = small_world();
-        let n = cg.graph.num_nodes() as u64;
-        // Same seed ⇒ same initiator/partner and same pre-meeting state,
-        // so the only difference in the first meeting's byte counts must
-        // be the codec's fixed frame header, once per direction.
-        let mut direct = Network::new(frags.clone(), n, NetworkConfig::default(), 23);
-        let mut wired = Network::new(
-            frags,
-            n,
-            NetworkConfig {
-                route_via_wire: true,
-                ..Default::default()
-            },
-            23,
-        );
-        let d = direct.step();
-        let w = wired.step();
-        assert_eq!(d.initiator, w.initiator);
-        assert_eq!(d.partner, w.partner);
-        assert_eq!(
-            w.stats.bytes_a_to_b,
-            d.stats.bytes_a_to_b + jxp_wire::HEADER_LEN
-        );
-        assert_eq!(
-            w.stats.bytes_b_to_a,
-            d.stats.bytes_b_to_a + jxp_wire::HEADER_LEN
-        );
-    }
-
-    #[test]
-    fn wire_routed_network_converges_like_direct() {
-        let (cg, frags) = small_world();
-        let n = cg.graph.num_nodes() as u64;
-        let mut direct = Network::new(frags.clone(), n, NetworkConfig::default(), 29);
-        let mut wired = Network::new(
-            frags,
-            n,
-            NetworkConfig {
-                route_via_wire: true,
-                ..Default::default()
-            },
-            29,
-        );
-        direct.run(80);
-        wired.run(80);
-        // The codec is lossless, so routing through it must not change
-        // the resulting scores at all (same seed, same meetings).
-        for p in 0..direct.num_peers() {
-            assert_eq!(direct.peer(p).scores(), wired.peer(p).scores());
-        }
     }
 
     #[test]

@@ -35,8 +35,7 @@ fn dataset() -> (CategorizedGraph, Vec<Subgraph>) {
 
 /// The scripted scenario: meetings interleaved with durable churn ticks
 /// aggressive enough to force both departures and resurrections, over
-/// pre-meetings selection with every payload routed through the wire
-/// codec.
+/// pre-meetings selection.
 fn durable_scenario<S: StateStore>(threads: usize, store: S) -> (Network, usize, usize, usize) {
     let (cg, frags) = dataset();
     let pool = frags.clone();
@@ -45,7 +44,6 @@ fn durable_scenario<S: StateStore>(threads: usize, store: S) -> (Network, usize,
         cg.graph.num_nodes() as u64,
         NetworkConfig {
             strategy: SelectionStrategy::PreMeetings(PreMeetingsConfig::default()),
-            route_via_wire: true,
             threads,
             ..NetworkConfig::default()
         },

@@ -6,25 +6,13 @@
 //! the same way.
 
 use jxp_core::config::JxpConfig;
+use jxp_core::evaluate::score_hash;
 use jxp_core::peer::JxpPeer;
 use jxp_pagerank::{pagerank, PageRankConfig};
 use jxp_segstore::{write_segments, BackingKind, SegStoreConfig, SegmentedGraph, SegstoreMetrics};
 use jxp_webgraph::generators::amazon_2005;
 use jxp_webgraph::{CsrGraph, PageId, Subgraph};
 use std::path::PathBuf;
-
-/// FNV-1a over the exact bit patterns of a score vector (the same
-/// digest `jxp-bench` uses for cross-run equivalence gates).
-fn score_hash(scores: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for s in scores {
-        for b in s.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("jxp_equiv_{name}"));
@@ -63,8 +51,8 @@ fn global_pagerank_matches_csr_at_1_2_8_threads() {
         let mem = pagerank(&g, &cfg);
         let disk = pagerank(&sg, &cfg);
         assert_eq!(
-            score_hash(mem.scores()),
-            score_hash(disk.scores()),
+            score_hash([mem.scores()]),
+            score_hash([disk.scores()]),
             "score hash diverges at {threads} threads"
         );
         assert_eq!(mem.scores(), disk.scores(), "scores at {threads} threads");
@@ -99,26 +87,21 @@ fn per_peer_extended_pagerank_matches_in_memory_path() {
             .collect(),
     ];
 
-    for threads in [1usize, 2, 8] {
-        let cfg = JxpConfig {
-            threads,
-            ..Default::default()
-        };
-        for (i, pages) in fragments.iter().enumerate() {
-            let mem_peer = JxpPeer::new(
-                Subgraph::from_pages(&g, pages.iter().copied()),
-                n_total,
-                cfg.clone(),
-            );
-            let disk_peer = JxpPeer::from_source(&sg, pages.iter().copied(), n_total, cfg.clone());
-            assert_eq!(
-                score_hash(mem_peer.scores()),
-                score_hash(disk_peer.scores()),
-                "fragment {i} diverges at {threads} threads"
-            );
-            assert_eq!(mem_peer.scores(), disk_peer.scores());
-            assert_eq!(mem_peer.world_score(), disk_peer.world_score());
-        }
+    for (i, pages) in fragments.iter().enumerate() {
+        let mem_peer = JxpPeer::new(
+            Subgraph::from_pages(&g, pages.iter().copied()),
+            n_total,
+            JxpConfig::default(),
+        );
+        let disk_peer =
+            JxpPeer::from_source(&sg, pages.iter().copied(), n_total, JxpConfig::default());
+        assert_eq!(
+            score_hash([mem_peer.scores()]),
+            score_hash([disk_peer.scores()]),
+            "fragment {i} diverges"
+        );
+        assert_eq!(mem_peer.scores(), disk_peer.scores());
+        assert_eq!(mem_peer.world_score(), disk_peer.world_score());
     }
 }
 
@@ -145,8 +128,8 @@ fn results_are_independent_of_cache_budget_and_backing() {
         .unwrap();
         let scores = pagerank(&sg, &cfg).into_scores();
         assert_eq!(
-            score_hash(&reference),
-            score_hash(&scores),
+            score_hash([reference.as_slice()]),
+            score_hash([scores.as_slice()]),
             "budget {budget} diverges"
         );
         assert_eq!(reference, scores);

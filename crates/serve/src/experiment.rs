@@ -5,8 +5,7 @@
 //! the closed-loop [`LoadGen`] (warmup during the meetings, measurement
 //! after), and evaluates the answers against the corpus ground truth
 //! and a centralized reference engine. The result renders to the
-//! `BENCH_serve.json` schema consumed by CI (`bench_serve` binary in
-//! `jxp-bench` / `jxp-cli loadgen`).
+//! `BENCH_serve.json` schema consumed by CI (`jxp-cli loadgen`).
 //!
 //! Result merging across nodes is the Minerva-style max-merge: a page
 //! reported by several peers keeps its best score per component. Fused

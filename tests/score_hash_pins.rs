@@ -3,12 +3,14 @@
 //! payload. Cutting a payload to the receiver's filter may change bytes,
 //! never a score bit: these runs must land on the recorded hashes.
 
+use jxp::core::evaluate::score_hash;
 use jxp::core::JxpConfig;
 use jxp::p2pnet::assign::{assign_by_crawlers, CrawlerParams};
 use jxp::p2pnet::{Network, NetworkConfig};
 use jxp::webgraph::generators::amazon_2005;
 use jxp::webgraph::Subgraph;
 use jxp_node::{run_cluster, ClusterConfig};
+use jxp_telemetry::TelemetryHub;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,32 +30,27 @@ fn hundred_fragments() -> (Vec<Subgraph>, u64) {
     (fragments, cg.graph.num_nodes() as u64)
 }
 
-/// FNV-1a over the score bits, peer by peer: `run_cluster`'s digest.
-fn score_hash<'a>(lists: impl IntoIterator<Item = &'a [f64]>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for scores in lists {
-        for s in scores {
-            for b in s.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
-}
-
 #[test]
 fn hundred_peer_sim_lands_on_the_hash_of_whole_payloads() {
     let (fragments, n_total) = hundred_fragments();
-    let config = NetworkConfig {
-        jxp: JxpConfig::optimized(),
-        threads: 1,
-        ..Default::default()
-    };
-    let mut net = Network::new(fragments, n_total, config, 7);
-    net.run_parallel(300);
-    let hash = score_hash(net.peers().iter().map(|p| p.scores()));
-    assert_eq!(hash, SIM_HASH, "got {hash:#018x}");
+    // Thread count and an attached telemetry hub move wall clock only.
+    for (threads, hub) in [(1, false), (2, true), (8, false)] {
+        let config = NetworkConfig {
+            jxp: JxpConfig::optimized(),
+            threads,
+            ..Default::default()
+        };
+        let mut net = Network::new(fragments.clone(), n_total, config, 7);
+        if hub {
+            net.attach_telemetry(TelemetryHub::shared());
+        }
+        net.run_parallel(300);
+        let hash = score_hash(net.peers().iter().map(|p| p.scores()));
+        assert_eq!(
+            hash, SIM_HASH,
+            "got {hash:#018x} at {threads} threads, hub {hub}"
+        );
+    }
 }
 
 #[test]
