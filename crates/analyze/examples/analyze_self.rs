@@ -6,7 +6,7 @@
 //! feeds it a small snippet that trips every rule once, then shows a
 //! reasoned pragma silencing one of the findings.
 //!
-//! Run with: `cargo run --example analyze_self`
+//! Run with: `cargo run -p jxp-analyze --example analyze_self`
 
 use jxp_analyze::{analyze_source, Config, RuleId};
 
@@ -15,8 +15,7 @@ fn main() {
 
     // A snippet with one violation per rule. The path decides which
     // path-gated rules apply: crates/core/src is determinism-critical
-    // (D1) and outside the timing whitelist (D2); C1/C2 apply
-    // everywhere.
+    // (D1 and D2); C1/C2 apply everywhere.
     let bad = r#"
 use std::collections::HashMap;
 

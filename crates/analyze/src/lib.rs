@@ -1,44 +1,36 @@
-//! `jxp-analyze`: determinism & concurrency static analysis for the
-//! JXP workspace.
+//! `jxp-analyze`: determinism & concurrency lint for the JXP workspace.
 //!
 //! JXP's headline invariant — bit-identical score hashes at any thread
-//! count — is only as strong as the discipline of the code that
-//! computes them. This crate machine-checks that discipline with nine
-//! rules:
+//! count — is held by checks that *execute* (pinned hashes, TSan, miri).
+//! This crate is the cheap static front line for the four mistakes that
+//! have actually been made in workspace code:
 //!
 //! | Rule | What it forbids |
 //! |------|-----------------|
 //! | `D1` | hash-map/set iteration in determinism-critical modules |
-//! | `D2` | `Instant::now` / `SystemTime::now` / ambient RNG outside the timing whitelist |
+//! | `D2` | `Instant::now` / `SystemTime::now` / ambient RNG in those same modules (minus the timing files) |
 //! | `C1` | `.lock().unwrap()`-style poison panics on shared state |
 //! | `C2` | `Ordering::Relaxed` on atomics without a reasoned annotation |
-//! | `C4` | detached `thread::spawn` whose `JoinHandle` is discarded |
-//! | `N1` | blocking socket calls (`read_exact`, `connect_timeout`, `set_nonblocking(false)`) inside the reactor |
-//! | `D1X` | cross-file hash-container flow into a determinism-critical iteration site |
-//! | `L1` | lock-order cycles (lock A held while acquiring B, B held while acquiring A) |
-//! | `P1` | blocking calls inside closures submitted to `jxp-pool` executors |
 //!
-//! The engine runs in two passes. Pass 1 ([`index`]) builds a
-//! workspace-wide symbol index — struct fields, function signatures,
-//! impl contexts — with a token-tree reader layered on the [`scan`]
-//! stripper. Pass 2 runs the per-line rules ([`rules`]) file by file
-//! and the cross-file dataflow rules ([`flow`]) against the index.
+//! One pass: each file is stripped by [`scan`] and matched line by line
+//! by [`rules`]; no file sees another. Type-aware and cross-file
+//! properties are clippy's job (`clippy::iter_over_hash_type` in the
+//! critical crates, `crates/reactor/clippy.toml`) — see `DESIGN.md` §11.
 //!
 //! Findings can be suppressed inline with
 //! `// jxp-analyze: allow(D2, reason = "...")` (same line or the line
 //! above) or file-wide with `// jxp-analyze: allow-file(C2, reason = "...")`.
-//! A reason is mandatory; a pragma without one is itself a diagnostic.
+//! A reason is mandatory; a pragma without one, or naming a rule that
+//! does not exist, is itself a diagnostic.
 //!
 //! The scanner is hand-rolled (no crates.io dependencies): it strips
 //! comments and string/char literals, truncates each file at its
 //! trailing `#[cfg(test)]` module, and matches token patterns over
-//! what remains. See `DESIGN.md` §11 for the full rule catalog.
+//! what remains.
 
 #![deny(missing_docs)]
 
 pub mod config;
-pub mod flow;
-pub mod index;
 pub mod rules;
 pub mod scan;
 
@@ -52,41 +44,34 @@ use std::path::{Path, PathBuf};
 pub enum RuleId {
     /// Hash-ordered iteration in a determinism-critical module.
     D1,
-    /// Wall clock / ambient RNG outside the timing whitelist.
+    /// Wall clock / ambient RNG in a determinism-critical module.
     D2,
     /// Poison-panicking lock acquisition.
     C1,
     /// Unjustified `Ordering::Relaxed`.
     C2,
-    /// Detached spawn: `thread::spawn` with its `JoinHandle` discarded.
-    C4,
-    /// Blocking socket call inside the non-blocking reactor.
-    N1,
-    /// Cross-file hash-container flow into a critical iteration site.
-    D1X,
-    /// Lock-order cycle across the workspace lock graph.
-    L1,
-    /// Blocking call inside a pool-submitted closure.
-    P1,
     /// Malformed suppression pragma.
     Pragma,
 }
 
 impl RuleId {
+    /// The rules a pragma can name, in catalog order.
+    pub const RULES: [RuleId; 4] = [RuleId::D1, RuleId::D2, RuleId::C1, RuleId::C2];
+
+    /// The id as written in diagnostics and pragmas.
+    pub fn name(self) -> &'static str {
+        match self {
+            RuleId::D1 => "D1",
+            RuleId::D2 => "D2",
+            RuleId::C1 => "C1",
+            RuleId::C2 => "C2",
+            RuleId::Pragma => "pragma",
+        }
+    }
+
     /// Parse a rule id as written in a pragma.
     pub fn parse(s: &str) -> Option<RuleId> {
-        match s {
-            "D1" => Some(RuleId::D1),
-            "D2" => Some(RuleId::D2),
-            "C1" => Some(RuleId::C1),
-            "C2" => Some(RuleId::C2),
-            "C4" => Some(RuleId::C4),
-            "N1" => Some(RuleId::N1),
-            "D1X" => Some(RuleId::D1X),
-            "L1" => Some(RuleId::L1),
-            "P1" => Some(RuleId::P1),
-            _ => None,
-        }
+        RuleId::RULES.into_iter().find(|id| id.name() == s)
     }
 
     /// One-line description for `jxp-analyze rules`.
@@ -97,8 +82,9 @@ impl RuleId {
                  (use BTreeMap/BTreeSet or an explicit sort)"
             }
             RuleId::D2 => {
-                "no Instant::now / SystemTime::now / thread_rng outside the \
-                 timing whitelist (meeting timers, bench, straggler clocks)"
+                "no Instant::now / SystemTime::now / thread_rng in \
+                 determinism-critical modules (minus the meeting timer and \
+                 the straggler clock)"
             }
             RuleId::C1 => {
                 "no .lock().unwrap() / .read().unwrap() on shared state \
@@ -108,30 +94,6 @@ impl RuleId {
                 "Ordering::Relaxed must not publish data across threads; \
                  pure counters carry a reasoned allow pragma"
             }
-            RuleId::C4 => {
-                "thread::spawn as a statement discards its JoinHandle; bind \
-                 it and join on shutdown, or use a scoped thread"
-            }
-            RuleId::N1 => {
-                "no blocking socket calls in the reactor — read_exact, \
-                 connect_timeout, or set_nonblocking(false) stalls every \
-                 in-flight meeting behind one peer"
-            }
-            RuleId::D1X => {
-                "no hash-ordered iteration over containers declared in another \
-                 module (fields or returned values followed across files); \
-                 sort or convert to BTree at the module boundary"
-            }
-            RuleId::L1 => {
-                "no lock-order cycles: if any code path acquires lock B while \
-                 holding lock A, no path may acquire A while holding B \
-                 (directly or through calls)"
-            }
-            RuleId::P1 => {
-                "no blocking calls (sleep, recv, lock acquisition, socket \
-                 reads, join) inside closures submitted to jxp-pool — a \
-                 parked worker can deadlock the round"
-            }
             RuleId::Pragma => "suppression pragmas must name known rules and give a reason",
         }
     }
@@ -139,18 +101,7 @@ impl RuleId {
 
 impl fmt::Display for RuleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RuleId::D1 => write!(f, "D1"),
-            RuleId::D2 => write!(f, "D2"),
-            RuleId::C1 => write!(f, "C1"),
-            RuleId::C2 => write!(f, "C2"),
-            RuleId::C4 => write!(f, "C4"),
-            RuleId::N1 => write!(f, "N1"),
-            RuleId::D1X => write!(f, "D1X"),
-            RuleId::L1 => write!(f, "L1"),
-            RuleId::P1 => write!(f, "P1"),
-            RuleId::Pragma => write!(f, "pragma"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -189,43 +140,20 @@ pub struct Finding {
 }
 
 /// Analyze one source string as if it lived at `rel_path` (workspace
-/// relative — rule applicability is path-dependent). Runs both passes
-/// over the single file; cross-file rules see only this file's symbols.
+/// relative — rule applicability is path-dependent). Returns active
+/// (non-suppressed) diagnostics sorted by `(line, rule)`.
 pub fn analyze_source(rel_path: &str, source: &str, config: &Config) -> Vec<Diagnostic> {
-    analyze_sources(&[(rel_path, source)], config)
+    rules::check_file(rel_path, &scan::preprocess(source), config)
 }
 
-/// Analyze a set of in-memory sources as one workspace: per-line rules
-/// on each file, then the pass-2 dataflow rules (D1X/L1/P1) over the
-/// combined symbol index. Returns active (non-suppressed) diagnostics
-/// sorted by `(file, line, rule)`.
-pub fn analyze_sources(sources: &[(&str, &str)], config: &Config) -> Vec<Diagnostic> {
-    analyze_sources_report(sources, config)
-        .into_iter()
-        .filter(|f| !f.suppressed)
-        .map(|f| f.diag)
-        .collect()
-}
-
-/// [`analyze_sources`], but keeping suppressed findings (tagged) for
-/// pragma-status reporting.
+/// Analyze a set of in-memory sources, each on its own, keeping
+/// pragma-suppressed findings (tagged) for pragma-status reporting.
+/// Sorted by `(file, line, rule)`.
 pub fn analyze_sources_report(sources: &[(&str, &str)], config: &Config) -> Vec<Finding> {
-    let files: Vec<index::FileIndex> = sources
+    let mut findings: Vec<Finding> = sources
         .iter()
-        .map(|(rel, src)| index::FileIndex::build(rel, scan::preprocess(src)))
+        .flat_map(|(rel, src)| rules::check_file_report(rel, &scan::preprocess(src), config))
         .collect();
-    let mut findings = Vec::new();
-    for file in &files {
-        findings.extend(rules::check_file_report(&file.rel, &file.prepared, config));
-    }
-    let symbols = index::WorkspaceIndex::build(&files);
-    for diag in flow::check(&files, &symbols, config) {
-        let suppressed = files
-            .iter()
-            .find(|f| f.rel == diag.file)
-            .is_some_and(|f| f.prepared.is_allowed(diag.rule, diag.line));
-        findings.push(Finding { diag, suppressed });
-    }
     findings.sort_by(|a, b| {
         (&a.diag.file, a.diag.line, a.diag.rule).cmp(&(&b.diag.file, b.diag.line, b.diag.rule))
     });
@@ -322,18 +250,12 @@ mod tests {
 
     #[test]
     fn rule_ids_roundtrip() {
-        for id in [
-            RuleId::D1,
-            RuleId::D2,
-            RuleId::C1,
-            RuleId::C2,
-            RuleId::C4,
-            RuleId::N1,
-            RuleId::D1X,
-            RuleId::L1,
-            RuleId::P1,
-        ] {
+        for id in RuleId::RULES {
             assert_eq!(RuleId::parse(&id.to_string()), Some(id));
+        }
+        // Retired rules and the pragma pseudo-rule are not nameable.
+        for gone in ["D1X", "L1", "P1", "N1", "C4", "pragma"] {
+            assert_eq!(RuleId::parse(gone), None);
         }
         assert_eq!(RuleId::parse("D9"), None);
     }

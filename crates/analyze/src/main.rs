@@ -116,7 +116,8 @@ fn run_check(args: &[String]) -> ExitCode {
                         println!("{}", f.diag);
                     }
                     if active == 0 {
-                        println!("jxp-analyze: clean (rules D1 D1X D2 C1 C2 C4 N1 L1 P1)");
+                        let rules = RuleId::RULES.map(RuleId::name).join(" ");
+                        println!("jxp-analyze: clean (rules {rules})");
                     } else {
                         println!("jxp-analyze: {active} violation(s)");
                     }
@@ -191,19 +192,8 @@ fn find_workspace_root() -> Option<PathBuf> {
 
 fn print_rules() {
     println!("jxp-analyze rule catalog:\n");
-    for id in [
-        RuleId::D1,
-        RuleId::D1X,
-        RuleId::D2,
-        RuleId::C1,
-        RuleId::C2,
-        RuleId::C4,
-        RuleId::N1,
-        RuleId::L1,
-        RuleId::P1,
-        RuleId::Pragma,
-    ] {
-        println!("  {:<7} {}", id.to_string(), id.describe());
+    for id in RuleId::RULES.into_iter().chain([RuleId::Pragma]) {
+        println!("  {:<7} {}", id.name(), id.describe());
     }
     println!(
         "\nSuppression pragmas (reason is mandatory):\n\
@@ -213,9 +203,7 @@ fn print_rules() {
          \x20   // jxp-analyze: allow(D1, C2, reason = \"...\")  <- several rules, one reason\n\
          \x20   // jxp-analyze: allow-file(C2, reason = \"pure counters\")\n\
          \n\
-         Path-level scoping lives in analyze.toml ([rules.D1] critical,\n\
-         [rules.D1X] critical, [rules.D2] allow, [rules.C2] allow,\n\
-         [rules.C4] allow, [rules.N1] critical, [rules.L1] allow,\n\
-         [rules.P1] submit)."
+         Path-level scoping lives in analyze.toml: [rules.D1] critical\n\
+         (read by D1 and D2) and [rules.D2] allow."
     );
 }

@@ -1,4 +1,4 @@
-//! The rule engine: D1/D2/C1/C2/C4/N1 checks over preprocessed source.
+//! The rule engine: D1/D2/C1/C2 checks over preprocessed source.
 //!
 //! All rules operate on the code-only token stream produced by
 //! [`crate::scan`]. They are deliberately heuristic — this is a lint
@@ -54,22 +54,14 @@ pub fn check_file_report(rel_path: &str, prepared: &Prepared, config: &Config) -
             message: format!("malformed pragma: {problem}"),
         });
     }
-    if config.d1_applies(rel_path) {
+    if config.is_critical(rel_path) {
         rule_d1(rel_path, prepared, &mut diags);
-    }
-    if !config.d2_exempt(rel_path) {
-        rule_d2(rel_path, prepared, &mut diags);
+        if !config.d2_exempt(rel_path) {
+            rule_d2(rel_path, prepared, &mut diags);
+        }
     }
     rule_c1(rel_path, prepared, &mut diags);
-    if !config.c2_exempt(rel_path) {
-        rule_c2(rel_path, prepared, &mut diags);
-    }
-    if !config.c4_exempt(rel_path) {
-        rule_c4(rel_path, prepared, &mut diags);
-    }
-    if config.n1_applies(rel_path) {
-        rule_n1(rel_path, prepared, &mut diags);
-    }
+    rule_c2(rel_path, prepared, &mut diags);
     diags.sort_by_key(|a| (a.line, a.rule));
     diags
         .into_iter()
@@ -209,7 +201,8 @@ fn receiver_name(tokens: &[String], dot_pos: usize) -> Option<String> {
     Some(name.clone())
 }
 
-/// D2: no wall-clock or ambient-RNG reads outside whitelisted modules.
+/// D2: no wall-clock or ambient-RNG reads in determinism-critical
+/// modules (minus the `[rules.D2] allow` timing files).
 fn rule_d2(rel_path: &str, prepared: &Prepared, diags: &mut Vec<Diagnostic>) {
     const FORBIDDEN: &[(&str, &[&str])] = &[
         ("Instant::now", &["Instant", "::", "now"]),
@@ -226,7 +219,7 @@ fn rule_d2(rel_path: &str, prepared: &Prepared, diags: &mut Vec<Diagnostic>) {
                     file: rel_path.to_string(),
                     line: line.number,
                     message: format!(
-                        "`{name}` outside the timing whitelist breaks serial replay; \
+                        "`{name}` in a determinism-critical module breaks serial replay; \
                          thread a logical clock or seeded RNG through instead"
                     ),
                 });
@@ -311,178 +304,6 @@ fn rule_c2(rel_path: &str, prepared: &Prepared, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// C4: no detached `thread::spawn`. A spawn whose `JoinHandle` is
-/// dropped outlives every shutdown path silently. The heuristic flags a
-/// `thread::spawn(` chain used as a *statement* — the token before the
-/// chain is `;`, `{`, `}`, or line start — and accepts any use where
-/// the handle flows somewhere (`let h = …`, `workers.push(…)`, a tail
-/// expression after `(` or `=`). Scoped spawns (`scope.spawn`) are
-/// inherently joined and never match the `thread::spawn` pattern.
-fn rule_c4(rel_path: &str, prepared: &Prepared, diags: &mut Vec<Diagnostic>) {
-    for line in &prepared.lines {
-        let tokens = scan::tokenize(&line.code);
-        for i in 0..tokens.len() {
-            if tokens[i] != "thread"
-                || tokens.get(i + 1).map(String::as_str) != Some("::")
-                || tokens.get(i + 2).map(String::as_str) != Some("spawn")
-                || tokens.get(i + 3).map(String::as_str) != Some("(")
-            {
-                continue;
-            }
-            // Walk left past `std::`-style qualification.
-            let mut j = i;
-            while j >= 2 && tokens[j - 1] == "::" {
-                j -= 2;
-            }
-            let before = if j == 0 {
-                None
-            } else {
-                Some(tokens[j - 1].as_str())
-            };
-            if matches!(before, None | Some(";") | Some("{") | Some("}")) {
-                diags.push(Diagnostic {
-                    rule: RuleId::C4,
-                    file: rel_path.to_string(),
-                    line: line.number,
-                    message: "detached `thread::spawn` discards its JoinHandle; bind \
-                              the handle and join it on shutdown, or use a scoped \
-                              thread"
-                        .to_string(),
-                });
-            }
-        }
-    }
-    rule_c4_builder(rel_path, prepared, diags);
-}
-
-/// C4 (builder form): `thread::Builder::new()…spawn(...)` whose
-/// `JoinHandle` is discarded via `let _ = …` or `….ok()` — the leaked
-/// acceptor pattern. Builder chains are normally formatted across
-/// lines, so this sub-pass matches over the flat token stream.
-fn rule_c4_builder(rel_path: &str, prepared: &Prepared, diags: &mut Vec<Diagnostic>) {
-    let mut toks: Vec<(usize, String)> = Vec::new();
-    for line in &prepared.lines {
-        for t in scan::tokenize(&line.code) {
-            toks.push((line.number, t));
-        }
-    }
-    let at = |i: usize| toks.get(i).map(|t| t.1.as_str());
-    for i in 0..toks.len() {
-        if toks[i].1 != "Builder"
-            || at(i + 1) != Some("::")
-            || at(i + 2) != Some("new")
-            || at(i + 3) != Some("(")
-            || at(i + 4) != Some(")")
-        {
-            continue;
-        }
-        // Walk the postfix chain forward to a `.spawn(` link.
-        let mut j = i + 5;
-        let mut spawn_line = None;
-        while at(j) == Some(".") {
-            let name = at(j + 1);
-            if at(j + 2) != Some("(") {
-                break;
-            }
-            let close = balanced_end(&toks, j + 2);
-            if name == Some("spawn") {
-                spawn_line = Some(toks[j + 1].0);
-                j = close;
-                break;
-            }
-            j = close;
-        }
-        let Some(spawn_line) = spawn_line else {
-            continue;
-        };
-        // Discarded backward: `let _ = std::thread::Builder…`.
-        let mut b = i;
-        while b >= 2 && toks[b - 1].1 == "::" {
-            b -= 2;
-        }
-        let let_discard =
-            b >= 3 && toks[b - 1].1 == "=" && toks[b - 2].1 == "_" && toks[b - 3].1 == "let";
-        // Discarded forward: `…spawn(...).ok()`.
-        let ok_discard = at(j) == Some(".")
-            && at(j + 1) == Some("ok")
-            && at(j + 2) == Some("(")
-            && at(j + 3) == Some(")");
-        if let_discard || ok_discard {
-            diags.push(Diagnostic {
-                rule: RuleId::C4,
-                file: rel_path.to_string(),
-                line: spawn_line,
-                message: "`Builder::new()…spawn()` handle discarded (a leaked \
-                          thread): bind the JoinHandle and join it on \
-                          shutdown instead of `let _ =` / `.ok()`"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// Index after the balanced paren group opening at `open`.
-fn balanced_end(toks: &[(usize, String)], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < toks.len() {
-        match toks[j].1.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j
-}
-
-/// N1: no blocking socket calls inside the reactor. Its contract is
-/// that one loop thread drives every connection through non-blocking
-/// readiness polling; a single blocking call — a `read_exact` that
-/// waits for bytes, a `connect_timeout` that waits for a handshake, or
-/// flipping a socket back to blocking mode — stalls every in-flight
-/// meeting behind one slow peer.
-fn rule_n1(rel_path: &str, prepared: &Prepared, diags: &mut Vec<Diagnostic>) {
-    const FORBIDDEN: &[(&str, &[&str], &str)] = &[
-        (
-            "read_exact",
-            &["read_exact", "("],
-            "a blocking read parks the loop on one peer; do non-blocking \
-             reads and accumulate partial frames with FrameAccumulator",
-        ),
-        (
-            "connect_timeout",
-            &["connect_timeout", "("],
-            "a blocking connect parks the loop for the whole handshake; \
-             connect without a timeout and bound it with a reactor timer",
-        ),
-        (
-            "set_nonblocking(false)",
-            &["set_nonblocking", "(", "false", ")"],
-            "reactor sockets must stay non-blocking; flipping one back \
-             lets any later I/O call park the loop thread",
-        ),
-    ];
-    for line in &prepared.lines {
-        let tokens = scan::tokenize(&line.code);
-        for (name, pattern, why) in FORBIDDEN {
-            if contains_seq(&tokens, pattern) {
-                diags.push(Diagnostic {
-                    rule: RuleId::N1,
-                    file: rel_path.to_string(),
-                    line: line.number,
-                    message: format!("blocking socket call `{name}` in the reactor: {why}"),
-                });
-            }
-        }
-    }
-}
-
 /// Does `haystack` contain `needle` as a contiguous token run?
 fn contains_seq(haystack: &[String], needle: &[&str]) -> bool {
     haystack
@@ -563,7 +384,9 @@ mod tests {
     fn d2_whitelist_and_pragma() {
         let src = "let t = Instant::now();\n";
         assert!(check("crates/core/src/meeting.rs", src).is_empty());
+        // Outside the critical set wall clocks are nobody's business.
         assert!(check("crates/bench/src/main.rs", src).is_empty());
+        assert!(check("crates/reactor/src/machine.rs", src).is_empty());
         let pragmad = "let t = Instant::now(); // jxp-analyze: allow(D2, reason = \"UI only\")\n";
         assert!(check("crates/core/src/x.rs", pragmad).is_empty());
     }
@@ -603,59 +426,6 @@ mod tests {
         let diags = check("crates/node/src/x.rs", src);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].line, 2);
-    }
-
-    #[test]
-    fn c4_flags_detached_spawn_statements() {
-        let src = "fn serve() {\n\
-                   std::thread::spawn(move || loop {});\n\
-                   thread::spawn(|| {});\n\
-                   }\n";
-        let diags = check("crates/node/src/x.rs", src);
-        assert_eq!(diags.len(), 2);
-        assert!(diags.iter().all(|d| d.rule == RuleId::C4));
-    }
-
-    #[test]
-    fn c4_accepts_bound_handles_and_scoped_spawns() {
-        let src = "let h = std::thread::spawn(|| {});\n\
-                   workers.push(std::thread::spawn(move || {}));\n\
-                   let _ = thread::spawn(|| {});\n\
-                   scope.spawn(move || {});\n\
-                   handles.push(scope.spawn(job));\n";
-        assert!(check("crates/node/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn n1_flags_blocking_socket_calls_only_in_the_reactor() {
-        let src = "stream.read_exact(&mut buf)?;\n\
-                   let s = TcpStream::connect_timeout(&addr, dur)?;\n\
-                   stream.set_nonblocking(false)?;\n";
-        let diags = check("crates/reactor/src/machine.rs", src);
-        assert_eq!(diags.len(), 3);
-        assert!(diags.iter().all(|d| d.rule == RuleId::N1));
-        assert_eq!(
-            diags.iter().map(|d| d.line).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
-        // Outside the reactor the same calls are the intended blocking
-        // idiom (the telemetry scrape thread lives on them).
-        assert!(check("crates/telemetry/src/http.rs", src).is_empty());
-    }
-
-    #[test]
-    fn n1_accepts_the_nonblocking_idiom() {
-        let src = "stream.set_nonblocking(true)?;\n\
-                   let n = stream.read(&mut chunk);\n\
-                   let c = TcpStream::connect(addr);\n";
-        assert!(check("crates/reactor/src/machine.rs", src).is_empty());
-    }
-
-    #[test]
-    fn n1_respects_reasoned_pragmas() {
-        let src = "stream.read_exact(&mut buf)?; \
-                   // jxp-analyze: allow(N1, reason = \"test harness\")\n";
-        assert!(check("crates/reactor/src/machine.rs", src).is_empty());
     }
 
     #[test]

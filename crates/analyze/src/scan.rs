@@ -527,9 +527,18 @@ mod tests {
 
     #[test]
     fn pragma_with_unknown_rule_is_an_error() {
-        let p = preprocess("foo(); // jxp-analyze: allow(D9, reason = \"x\")\n");
-        assert_eq!(p.pragma_errors.len(), 1);
-        assert!(p.pragma_errors[0].1.contains("unknown rule"));
+        // Retired rule ids count as unknown, so a stale suppression
+        // cannot linger silently.
+        for src in [
+            "foo(); // jxp-analyze: allow(D9, reason = \"x\")\n",
+            "foo(); // jxp-analyze: allow(L1, reason = \"x\")\n",
+            "// jxp-analyze: allow-file(P1, reason = \"x\")\nfoo();\n",
+        ] {
+            let p = preprocess(src);
+            assert_eq!(p.pragma_errors.len(), 1, "{src}");
+            assert!(p.pragma_errors[0].1.contains("unknown rule"), "{src}");
+            assert!(p.allows.is_empty(), "{src}");
+        }
     }
 
     #[test]

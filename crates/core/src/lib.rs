@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![warn(clippy::iter_over_hash_type)]
 //! # jxp-core — the JXP algorithm
 //!
 //! The primary contribution of *"Efficient and Decentralized PageRank

@@ -19,7 +19,6 @@
 //! whose repeated averaging against fresh opinions forgets stale highs.
 //! The paper leaves convergence under dynamics open (§5.3, §7).
 
-use crate::payload::MeetingPayload;
 use crate::peer::JxpPeer;
 use std::time::{Duration, Instant};
 
@@ -82,14 +81,6 @@ pub fn meet_one_way(a: &mut JxpPeer, b: &JxpPeer) -> MeetingStats {
         merge_time_a: t0.elapsed(),
         merge_time_b: Duration::ZERO,
     }
-}
-
-/// Deliver an explicit, detached payload to a peer; returns the time
-/// the absorb took.
-pub fn deliver(to: &mut JxpPeer, payload: &MeetingPayload) -> Duration {
-    let t0 = Instant::now();
-    to.absorb(payload);
-    t0.elapsed()
 }
 
 #[cfg(test)]
@@ -183,16 +174,6 @@ mod tests {
         let to_c = a.payload_for(c.interest());
         assert!(to_c.world.is_empty());
         assert_eq!(a.payload().world.len(), 1);
-    }
-
-    #[test]
-    fn deliver_applies_a_detached_payload() {
-        let (mut a, b) = two_peers();
-        let payload = b.payload();
-        let elapsed = deliver(&mut a, &payload);
-        assert!(!a.world().is_empty());
-        assert_eq!(a.stats().meetings, 1);
-        assert!(elapsed.as_nanos() > 0);
     }
 
     #[test]

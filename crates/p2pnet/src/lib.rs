@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![warn(clippy::iter_over_hash_type)]
 //! # jxp-p2pnet
 //!
 //! The P2P network simulator the JXP evaluation runs on. The paper ran

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![warn(clippy::iter_over_hash_type)]
 //! # jxp-pagerank
 //!
 //! Centralized PageRank (the paper's ground truth / baseline) and the

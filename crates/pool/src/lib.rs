@@ -40,7 +40,7 @@
 //!
 //! Workers spawn lazily ([`WorkerPool::ensure_workers`]) and live until
 //! the pool is dropped. [`Drop`] signals shutdown and **joins every
-//! worker** — the pool never leaks detached threads (analyze rule C4).
+//! worker** — the pool never leaks detached threads.
 //! [`global`] returns a process-wide shared pool for code that wants to
 //! amortize workers across subsystems (the meeting engine, the chunked
 //! power iteration, and the cluster driver all share it).

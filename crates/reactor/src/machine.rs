@@ -1,5 +1,3 @@
-// jxp-analyze: allow-file(D2, reason = "the reactor's connect-backoff, reply, and idle timers plus the loop-iteration histogram are wall-clock by definition; none of it feeds score accounting — meeting results flow through tickets that the cluster driver harvests in deterministic schedule order")
-
 //! The reactor loop and its per-connection state machines.
 //!
 //! One pass pumps: intake (new listeners + submissions) → accepts →
@@ -370,7 +368,8 @@ fn pump_client(
         // Plain `TcpStream::connect`: on loopback (the only place this
         // reactor dials) it resolves synchronously — established or
         // refused — so the loop never blocks on it. The blocking
-        // `connect_timeout` variant is forbidden here (analyze rule N1).
+        // `connect_timeout` variant is forbidden here (`clippy.toml`
+        // disallows it for this crate).
         match TcpStream::connect(conn.addr) {
             Ok(stream) => {
                 progressed = true;

@@ -1,5 +1,3 @@
-// jxp-analyze: allow-file(D2, reason = "the ticket wait backstop is a wall-clock cap on a condvar by definition; it fires only when every loop-side timer already failed, and its outcome feeds the retry layer, never score accounting")
-
 //! Completion handles: the bridge between submitter threads and the
 //! reactor loop.
 

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![warn(clippy::iter_over_hash_type)]
 //! # jxp-segstore
 //!
 //! Disk-backed segmented webgraph for out-of-core PageRank.

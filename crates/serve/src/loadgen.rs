@@ -1,5 +1,3 @@
-// jxp-analyze: allow-file(D2, reason = "a closed-loop load generator measures wall-clock latency and throughput by definition; every Instant read feeds histograms and the bench report only, never the engine — scores, schedules, and cache contents stay deterministic")
-
 //! Deterministic closed-loop load generator.
 //!
 //! [`LoadGen`] drives a running cluster (as the

@@ -15,8 +15,6 @@
 //! which is what lets recovery tolerate a crash at any point in this
 //! sequence. WAL appends are `fsync`ed before the store reports them
 //! durable.
-//
-// jxp-analyze: allow-file(D2, reason = "Instant::now feeds duration histograms only; persistence timing never influences scores or scheduling")
 
 use std::fs::{self, OpenOptions};
 use std::io::Write;
