@@ -16,7 +16,8 @@ use std::collections::BTreeMap;
 /// Merge the score lists of all peers into the total ranking: a page held
 /// by several peers gets the average of its scores.
 ///
-/// The accumulator is a `BTreeMap` (analyzer rule D1): the merged
+/// The accumulator is a `BTreeMap` (lint rule D1, no hash-ordered
+/// iteration; see DESIGN.md §11): the merged
 /// pairs are consumed in iteration order, and a stable ascending
 /// `PageId` order keeps every downstream consumer — including ones
 /// that don't re-sort like [`Ranking::from_scores`] does — bit-stable

@@ -54,9 +54,11 @@ pub fn meet(a: &mut JxpPeer, b: &mut JxpPeer) -> MeetingStats {
         merge_time_a: Duration::ZERO,
         merge_time_b: Duration::ZERO,
     };
+    #[expect(clippy::disallowed_methods, reason = "merge timing for MeetingStats")]
     let t0 = Instant::now();
     a.absorb(&payload_b);
     let merge_time_a = t0.elapsed();
+    #[expect(clippy::disallowed_methods, reason = "merge timing for MeetingStats")]
     let t1 = Instant::now();
     b.absorb(&payload_a);
     let merge_time_b = t1.elapsed();
@@ -73,6 +75,7 @@ pub fn meet(a: &mut JxpPeer, b: &mut JxpPeer) -> MeetingStats {
 pub fn meet_one_way(a: &mut JxpPeer, b: &JxpPeer) -> MeetingStats {
     let payload_b = b.payload_for(a.interest());
     let bytes = payload_b.wire_size();
+    #[expect(clippy::disallowed_methods, reason = "merge timing for MeetingStats")]
     let t0 = Instant::now();
     a.absorb(&payload_b);
     MeetingStats {

@@ -42,7 +42,8 @@ pub struct WorldEntry {
 /// Peers learn about external dangling pages at meetings exactly like
 /// they learn about in-links: a met peer's local dangling pages (and its
 /// own dangling knowledge) ride along in the payload.
-/// Both maps are `BTreeMap`s on purpose (analyzer rule D1): their
+/// Both maps are `BTreeMap`s on purpose (lint rule D1, no hash-ordered
+/// iteration; see DESIGN.md §11): their
 /// iteration order reaches float accumulation in
 /// [`inflow`](WorldNode::inflow) / [`dangling_mass`](WorldNode::dangling_mass)
 /// and the meeting payload / snapshot encoders, so it must be the same
@@ -177,12 +178,6 @@ impl WorldNode {
             return;
         }
         self.dangling.remove(&src);
-        debug_assert!(
-            targets.windows(2).all(|w| w[0] < w[1]) || {
-                // accept unsorted input defensively
-                true
-            }
-        );
         let mut targets = targets;
         targets.sort_unstable();
         targets.dedup();

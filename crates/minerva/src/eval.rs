@@ -36,7 +36,10 @@ pub struct Table2Row {
 /// peer indexes, rank the merged results both ways, and measure
 /// precision@`k`. Returns one row per query; the caller appends the
 /// average row like the paper does.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per knob of the Table 2 experiment"
+)]
 pub fn table2(
     corpus: &Corpus,
     indexes: &[PeerIndex],

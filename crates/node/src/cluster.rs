@@ -226,7 +226,10 @@ pub struct ClusterHooks<'a> {
     /// the node and the stall injector (injector outermost), so wire
     /// faults still hit the whole chain. The wrapper must delegate any
     /// frame it does not consume to the node itself.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "a named alias would hide the borrowed-callback shape at the one use site"
+    )]
     pub wrap_handler: Option<&'a (dyn Fn(usize, &Arc<JxpNode>) -> Arc<dyn FrameHandler> + Sync)>,
     /// Run concurrently with the meeting rounds (e.g. a closed-loop
     /// load generator), started just before the first round and joined

@@ -91,7 +91,8 @@ pub fn crawl(
             }
         }
     }
-    // jxp-analyze: allow(D1, reason = "drained ids are sorted on the next line before anything consumes them")
+    // Hash order: the drained ids are sorted on the next line before
+    // anything consumes them.
     let mut pages: Vec<PageId> = fetched.into_iter().collect();
     pages.sort_unstable();
     pages
@@ -183,6 +184,7 @@ pub fn mean_pairwise_jaccard(fragments: &[Subgraph]) -> f64 {
     let mut pairs = 0usize;
     for i in 0..sets.len() {
         for j in (i + 1)..sets.len() {
+            #[expect(clippy::disallowed_methods, reason = "count() is order-free")]
             let inter = sets[i].intersection(&sets[j]).count();
             let union = sets[i].len() + sets[j].len() - inter;
             if union > 0 {

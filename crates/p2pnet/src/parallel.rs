@@ -205,6 +205,10 @@ impl Network {
         );
         drawn += pairs.len();
         while !pairs.is_empty() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "straggler clock for round timing metrics; never reaches a score"
+            )]
             let started = std::time::Instant::now();
             let budget = count - drawn;
             let queue_depth = self.telemetry.as_ref().map(|_| jxp_pool::global().queued());

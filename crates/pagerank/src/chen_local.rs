@@ -65,7 +65,10 @@ pub fn estimate_pagerank(
             }
         }
     }
-    // jxp-analyze: allow(D1, reason = "the collected ids are sorted on the next line before any index is assigned")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the collected ids are sorted on the next line before any index is assigned"
+    )]
     let mut members: Vec<PageId> = dist.keys().copied().collect();
     // Sort so member indices — and with them every accumulation order
     // below — are independent of hash iteration order.

@@ -32,7 +32,7 @@ pub fn footrule_distance(a: &Ranking, b: &Ranking, k: usize) -> f64 {
     };
     // Sorted + deduped union (not a hash set): the summands are
     // integers so any order gives the same total, but a stable order
-    // keeps the loop replayable and analyzer-rule-D1 clean.
+    // keeps the loop replayable and needs no hash iteration (rule D1).
     let mut union: Vec<PageId> = top_a.iter().chain(top_b.iter()).copied().collect();
     union.sort_unstable();
     union.dedup();

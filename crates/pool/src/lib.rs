@@ -62,6 +62,10 @@ use std::thread::JoinHandle;
 
 /// Lock that survives a poisoned mutex: pool bookkeeping stays usable
 /// after a task panic (the panic itself is reported separately).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "recovers the poisoned guard like jxp_telemetry::sync, which this dependency-free crate does not link"
+)]
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }

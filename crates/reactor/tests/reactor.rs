@@ -39,6 +39,7 @@ struct Gated(Arc<Mutex<()>>);
 
 impl FrameService for Gated {
     fn serve(&self, frame: Frame) -> Option<Frame> {
+        #[expect(clippy::disallowed_methods, reason = "a poisoned gate fails the test")]
         let _open = self.0.lock().unwrap();
         Some(frame)
     }
@@ -147,6 +148,7 @@ fn inflight_gauge_counts_submissions_until_resolution() {
         // While the gate is held the loop freezes inside the first
         // serve call, so no submission can resolve: the gauge must
         // read exactly N and the peak must record it.
+        #[expect(clippy::disallowed_methods, reason = "a poisoned gate fails the test")]
         let _hold = gate.lock().unwrap();
         let tickets: Vec<_> = (0..200u64)
             .map(|i| {

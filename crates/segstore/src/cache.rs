@@ -27,8 +27,6 @@
 //!
 //! Cache state never influences *what* callers read, only how fast it
 //! arrives, which is why scores stay bit-identical under any budget.
-//
-// jxp-analyze: allow-file(D2, reason = "Instant::now feeds the jxp_segstore_decode_seconds histogram only; fetch timing never influences which bytes are returned or any score accounting")
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -133,6 +131,10 @@ impl SegmentCache {
         }
 
         self.metrics.misses_total.inc();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds the jxp_segstore_decode_seconds histogram only; fetch timing never influences which bytes are returned or any score accounting"
+        )]
         let fetch_start = Instant::now();
         let bytes = self.backing.fetch(idx)?;
         self.metrics.read_bytes_total.add(bytes.len() as u64);

@@ -11,8 +11,12 @@
 //! The [`Registry`] is the cold path: registering or snapshotting takes
 //! a mutex, but handles returned by it are `Arc`s that the instrumented
 //! code keeps and hits directly — no name lookup per event.
-
-// jxp-analyze: allow-file(C2, reason = "every atomic here is a pure commutative counter/gauge cell read by merging, never a publish flag; no data is released through these orderings")
+//!
+//! **Memory ordering.** Every `Relaxed` in this module is a commutative
+//! counter or gauge cell (or the shard-dealing ticket) that readers
+//! merge; none is a publish flag, so no data is released through these
+//! orderings. No static check holds this: CI runs miri and
+//! ThreadSanitizer over this code instead.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

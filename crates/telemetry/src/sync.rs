@@ -9,22 +9,25 @@
 //! second panic only turns one thread's failure into a process-wide
 //! cascade. The helpers recover the guard and let the caller proceed.
 //!
-//! `jxp-analyze` rule C1 flags `.lock().unwrap()` /
-//! `.read().unwrap()` / `.write().unwrap()` and points here.
+//! Every `clippy.toml` in the workspace disallows `Mutex::lock`,
+//! `RwLock::read` and `RwLock::write` and points here.
 
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Acquire `m`, recovering the guard if a previous holder panicked.
+#[expect(clippy::disallowed_methods, reason = "recovers the poisoned guard")]
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Acquire `l` for reading, recovering the guard on poison.
+#[expect(clippy::disallowed_methods, reason = "recovers the poisoned guard")]
 pub fn read_unpoisoned<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Acquire `l` for writing, recovering the guard on poison.
+#[expect(clippy::disallowed_methods, reason = "recovers the poisoned guard")]
 pub fn write_unpoisoned<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|e| e.into_inner())
 }
@@ -39,6 +42,7 @@ mod tests {
         let m = Arc::new(Mutex::new(7u32));
         let m2 = Arc::clone(&m);
         let _ = std::thread::spawn(move || {
+            #[expect(clippy::disallowed_methods, reason = "poisons the lock on purpose")]
             let _guard = m2.lock().unwrap();
             panic!("poison it");
         })
@@ -54,6 +58,7 @@ mod tests {
         let l = Arc::new(RwLock::new(1u32));
         let l2 = Arc::clone(&l);
         let _ = std::thread::spawn(move || {
+            #[expect(clippy::disallowed_methods, reason = "poisons the lock on purpose")]
             let _guard = l2.write().unwrap();
             panic!("poison it");
         })
