@@ -30,6 +30,19 @@ impl ParsedArgs {
         Ok(ParsedArgs { values })
     }
 
+    /// Refuse the first flag not in the space-separated `accepted`
+    /// list, naming it and `command`.
+    pub fn reject_unknown(&self, command: &str, accepted: &str) -> Result<(), String> {
+        match self
+            .values
+            .keys()
+            .find(|k| !accepted.split_whitespace().any(|a| a == k.as_str()))
+        {
+            Some(key) => Err(format!("unknown flag --{key} for {command}")),
+            None => Ok(()),
+        }
+    }
+
     /// Raw string value of a flag.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)

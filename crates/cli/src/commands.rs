@@ -239,7 +239,6 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
     let stall: u32 = args.get_or("stall", 0)?;
     let threads: usize = args.get_or("threads", 0)?;
     let metrics_out = args.get("metrics-out");
-    let stats_endpoint = args.get_choice("stats-endpoint", &["yes", "no"], "no")? == "yes";
     let state_dir = args.get("state-dir").map(std::path::PathBuf::from);
     let checkpoint_every: u64 = args.get_or("checkpoint-every", 8)?;
     let round_delay_ms: u64 = args.get_or("round-delay-ms", 0)?;
@@ -266,8 +265,7 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
             count: stall,
         }),
         threads,
-        telemetry: metrics_out.is_some() || stats_endpoint,
-        stats_endpoint,
+        hub: metrics_out.is_some().then(TelemetryHub::shared),
         state_dir,
         checkpoint_every,
         round_delay: (round_delay_ms > 0).then(|| std::time::Duration::from_millis(round_delay_ms)),
@@ -332,21 +330,8 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
             s.bytes_out
         );
     }
-    if let Some(wire) = &report.wire_stats {
-        println!("stats endpoint sweep (StatsRequest over the wire, one reply per node):");
-        println!(
-            "{:>5} {:>9} {:>9} {:>12} {:>12}",
-            "node", "initiated", "served", "bytes in", "bytes out"
-        );
-        for s in wire {
-            println!(
-                "{:>5} {:>9} {:>9} {:>12} {:>12}",
-                s.node_id, s.meetings_attempted, s.meetings_served, s.bytes_in, s.bytes_out
-            );
-        }
-    }
-    if let (Some(path), Some(snapshot)) = (metrics_out, &report.telemetry) {
-        write_metrics(path, snapshot)?;
+    if let (Some(path), Some(hub)) = (metrics_out, &config.hub) {
+        write_metrics(path, &hub.snapshot())?;
     }
     if report.meetings_failed > 0 && report.meetings_completed == 0 {
         return Err("every meeting failed — transport is broken".to_string());

@@ -37,7 +37,8 @@ commands:
              --threads N (0 = all cores; results thread-count-invariant),
              --metrics-out FILE (write a telemetry JSON snapshot)
   search     run the Minerva search experiment (Table 2 style)
-             --scale (0.05), --queries N (10), --meetings N (400), --seed N
+             --dataset, --scale (0.05), --queries N (10), --meetings N (400),
+             --seed N
   cluster    run N networked nodes through M meetings over the wire codec
              --peers N (8), --meetings M (200),
              --transport loopback|reactor,
@@ -45,7 +46,6 @@ commands:
              --dataset, --scale (0.05), --seed N, --top K,
              --threads N (0 = all cores; results thread-count-invariant),
              --metrics-out FILE (write a telemetry JSON snapshot),
-             --stats-endpoint yes|no (serve + sweep StatsRequest frames),
              --state-dir DIR (durable checkpoints + WAL; reruns resume),
              --checkpoint-every N (8), --round-delay-ms MS (0),
              --metrics-listen ADDR (Prometheus scrape endpoint)
@@ -81,42 +81,78 @@ commands:
              same flags as serve, plus --out FILE (BENCH_serve.json;
              the JXP_RESULTS env var moves the default)";
 
+/// The flags `command` (with its action word, for `checkpoint` and
+/// `graph`) takes, space-separated as [`USAGE`] lists them; `None` for
+/// a command or action that does not exist.
+fn accepted_flags(command: &str, action: Option<&str>) -> Option<&'static str> {
+    Some(match (command, action) {
+        ("generate", _) => "dataset scale seed out edge-list",
+        ("pagerank", _) => "graph top solver epsilon threads",
+        ("simulate", _) => {
+            "dataset scale meetings merge combine strategy estimate-n sample top seed threads \
+             metrics-out"
+        }
+        ("search", _) => "dataset scale queries meetings seed",
+        ("cluster", _) => {
+            "peers meetings transport premeetings stall dataset scale seed top threads \
+             metrics-out state-dir checkpoint-every round-delay-ms metrics-listen"
+        }
+        ("graph", Some("build")) => "out graph dataset scale seed segment-nodes",
+        ("graph", Some("inspect" | "verify")) => "dir",
+        ("checkpoint", Some("inspect" | "verify")) => "state-dir node key",
+        ("metrics", _) => "in format",
+        ("node", _) => "dataset scale seed duration",
+        ("serve", _) => {
+            "peers meetings dataset scale queries k repeats concurrency threads seed transport \
+             metrics-listen"
+        }
+        ("loadgen", _) => {
+            "peers meetings dataset scale queries k repeats concurrency threads seed transport \
+             metrics-listen out"
+        }
+        _ => return None,
+    })
+}
+
 /// Entry point: dispatch a full argument vector (without the program
-/// name). Returns a user-facing error string on bad input.
+/// name). Returns a user-facing error string on bad input, including a
+/// flag the command does not take, before the command does any work.
 pub fn run(argv: &[String]) -> Result<(), String> {
     let (command, rest) = argv.split_first().ok_or("missing command")?;
-    if command == "checkpoint" {
-        // The checkpoint command takes an action word before its flags.
-        let (action, rest) = rest
+    // `checkpoint` and `graph` take an action word before their flags.
+    let (action, rest) = match command.as_str() {
+        "checkpoint" => rest
             .split_first()
-            .ok_or("checkpoint: missing action (inspect|verify)")?;
-        let parsed = ParsedArgs::parse(rest)?;
-        return commands::checkpoint(action, &parsed);
-    }
-    if command == "graph" {
-        // Like checkpoint: an action word before the flags.
-        let (action, rest) = rest
+            .map(|(a, r)| (Some(a.as_str()), r))
+            .ok_or("checkpoint: missing action (inspect|verify)")?,
+        "graph" => rest
             .split_first()
-            .ok_or("graph: missing action (build|inspect|verify)")?;
-        let parsed = ParsedArgs::parse(rest)?;
-        return commands::graph_cmd(action, &parsed);
-    }
+            .map(|(a, r)| (Some(a.as_str()), r))
+            .ok_or("graph: missing action (build|inspect|verify)")?,
+        _ => (None, rest),
+    };
     let parsed = ParsedArgs::parse(rest)?;
-    match command.as_str() {
-        "generate" => commands::generate(&parsed),
-        "pagerank" => commands::pagerank_cmd(&parsed),
-        "simulate" => commands::simulate(&parsed),
-        "search" => commands::search(&parsed),
-        "cluster" => commands::cluster(&parsed),
-        "metrics" => commands::metrics_cmd(&parsed),
-        "node" => commands::node(&parsed),
-        "serve" => commands::serve(&parsed),
-        "loadgen" => commands::loadgen(&parsed),
-        "help" | "--help" | "-h" => {
+    if let Some(accepted) = accepted_flags(command, action) {
+        let name = action.map_or_else(|| command.clone(), |a| format!("{command} {a}"));
+        parsed.reject_unknown(&name, accepted)?;
+    }
+    match (command.as_str(), action) {
+        ("checkpoint", Some(action)) => commands::checkpoint(action, &parsed),
+        ("graph", Some(action)) => commands::graph_cmd(action, &parsed),
+        ("generate", _) => commands::generate(&parsed),
+        ("pagerank", _) => commands::pagerank_cmd(&parsed),
+        ("simulate", _) => commands::simulate(&parsed),
+        ("search", _) => commands::search(&parsed),
+        ("cluster", _) => commands::cluster(&parsed),
+        ("metrics", _) => commands::metrics_cmd(&parsed),
+        ("node", _) => commands::node(&parsed),
+        ("serve", _) => commands::serve(&parsed),
+        ("loadgen", _) => commands::loadgen(&parsed),
+        ("help" | "--help" | "-h", _) => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        (other, _) => Err(format!("unknown command {other:?}")),
     }
 }
 
@@ -245,19 +281,41 @@ mod tests {
     }
 
     #[test]
-    fn cluster_metrics_out_and_stats_endpoint() {
+    fn cluster_metrics_out_writes_the_run_hub() {
         let dir = std::env::temp_dir().join("jxp_cli_metrics_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cluster_metrics.json");
         run(&argv(&format!(
             "cluster --peers 3 --meetings 12 --scale 0.01 --transport loopback \
-             --stats-endpoint yes --metrics-out {}",
+             --metrics-out {}",
             path.display()
         )))
         .unwrap();
         let raw = std::fs::read_to_string(&path).unwrap();
         let snap = jxp_telemetry::TelemetrySnapshot::from_json(&raw).unwrap();
         assert!(snap.metrics.counters["jxp_cluster_rounds_total"] > 0);
+        let attempted: u64 = (0..3)
+            .map(|i| {
+                snap.metrics.counters[&format!("jxp_node_meetings_attempted_total{{node=\"{i}\"}}")]
+            })
+            .sum();
+        assert_eq!(attempted, 12);
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_naming_flag_and_command() {
+        for (line, flag, command) in [
+            (
+                "cluster --stats-endpoint yes",
+                "--stats-endpoint",
+                "cluster",
+            ),
+            ("simulate --meeting 40", "--meeting", "simulate"),
+            ("graph inspect --dir x --out y", "--out", "graph inspect"),
+        ] {
+            let err = run(&argv(line)).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag} for {command}"));
+        }
     }
 
     #[test]

@@ -17,9 +17,8 @@ use jxp_pagerank::metrics::footrule_distance;
 use jxp_reactor::{Reactor, ReactorConfig, ReactorMetrics};
 use jxp_store::{DirStore, StoreMetrics, WalKind, WalRecord};
 use jxp_synopses::mips::MipsPermutations;
-use jxp_telemetry::{Event, MetricsServer, TelemetryHub, TelemetrySnapshot};
+use jxp_telemetry::{Event, MetricsServer, TelemetryHub};
 use jxp_webgraph::Subgraph;
-use jxp_wire::StatsPayload;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
@@ -33,6 +32,9 @@ use std::time::Duration;
 /// Sized so even modest clusters exercise hundreds of concurrent
 /// exchanges; the in-flight gauge peaks at `min(window, pairs)`.
 const PREMEET_WINDOW: usize = 512;
+
+/// Min-wise permutations per synopsis vector.
+const MIPS_DIMS: usize = 64;
 
 /// Which transport carries the frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,8 +87,6 @@ pub struct ClusterConfig {
     pub retry: RetryPolicy,
     /// Optional stall injection.
     pub stall: Option<StallPlan>,
-    /// Min-wise permutations per synopsis vector.
-    pub mips_dims: usize,
     /// Worker threads executing each meeting round (`0` = the machine's
     /// available parallelism, `1` = serial). The schedule is always drawn
     /// serially and partitioned into rounds of **node-disjoint** pairs:
@@ -97,23 +97,19 @@ pub struct ClusterConfig {
     /// [`StallPlan`] forces serial round execution so the injector
     /// swallows exactly the scheduled requests.
     pub threads: usize,
-    /// Collect telemetry: per-node registry counters plus a structured
-    /// event stream, snapshotted into [`ClusterReport::telemetry`].
-    /// Observation-only — results are bit-identical either way.
-    pub telemetry: bool,
-    /// Enable every node's wire stats endpoint and sweep it after the
-    /// run into [`ClusterReport::wire_stats`].
-    pub stats_endpoint: bool,
     /// Serve the Prometheus text exposition over HTTP at this address
     /// (e.g. `127.0.0.1:9184`; port 0 binds an ephemeral port, reported
     /// in [`ClusterReport::metrics_addr`]) for the duration of the run.
-    /// Implies a telemetry hub even when [`ClusterConfig::telemetry`]
-    /// is off, but [`ClusterReport::telemetry`] stays gated on that
-    /// flag. Observation-only, like the rest of telemetry.
+    /// Without a [`ClusterConfig::hub`] the run creates one for the
+    /// scrape. Observation-only, like the rest of telemetry.
     pub metrics_listen: Option<String>,
-    /// Use this hub instead of creating one, so a caller embedding the
-    /// run (e.g. the `jxp-serve` experiment) can register its own
-    /// metrics in the same registry the scrape endpoint exports.
+    /// Record telemetry into this hub: per-node registry counters plus a
+    /// structured event stream. The caller snapshots it after the run;
+    /// nothing moves once [`run_cluster`] returns, so the snapshot's
+    /// counters equal [`ClusterReport::per_node`] exactly. A caller
+    /// embedding the run (e.g. the `jxp-serve` experiment) can register
+    /// its own metrics in the same registry the scrape endpoint exports.
+    /// Observation-only — results are bit-identical either way.
     pub hub: Option<Arc<TelemetryHub>>,
     /// Durable state directory. When set, every node journals applied
     /// meeting deltas to a per-node WAL under this directory (with
@@ -144,10 +140,7 @@ impl Default for ClusterConfig {
             premeetings: false,
             retry: RetryPolicy::default(),
             stall: None,
-            mips_dims: 64,
             threads: 1,
-            telemetry: false,
-            stats_endpoint: false,
             metrics_listen: None,
             hub: None,
             state_dir: None,
@@ -179,14 +172,6 @@ pub struct ClusterReport {
     pub footrule: Option<f64>,
     /// Per-node counter snapshots.
     pub per_node: Vec<NodeStats>,
-    /// Telemetry snapshot (when [`ClusterConfig::telemetry`] was set),
-    /// taken at the same instant as `per_node` — counter totals match
-    /// the `NodeStats` sums exactly.
-    pub telemetry: Option<TelemetrySnapshot>,
-    /// Counter snapshots fetched over the wire via `StatsRequest` (when
-    /// [`ClusterConfig::stats_endpoint`] was set), one per node. Fetched
-    /// after `per_node`, so the first fetch mirrors it exactly.
-    pub wire_stats: Option<Vec<StatsPayload>>,
     /// FNV-1a hash over every node's final score bits, in node order.
     /// Bit-identical runs — including a killed run resumed from its
     /// [`ClusterConfig::state_dir`] — report the same hash.
@@ -290,11 +275,12 @@ pub fn run_cluster_with(
     }
     assert!(fragments.len() >= 2, "a cluster needs at least two nodes");
     let num_nodes = fragments.len();
-    let perms = MipsPermutations::generate(config.mips_dims, config.seed ^ 0x5a5a);
+    let perms = MipsPermutations::generate(MIPS_DIMS, config.seed ^ 0x5a5a);
 
-    let hub = config.hub.clone().or_else(|| {
-        (config.telemetry || config.metrics_listen.is_some()).then(TelemetryHub::shared)
-    });
+    let hub = config
+        .hub
+        .clone()
+        .or_else(|| config.metrics_listen.is_some().then(TelemetryHub::shared));
     // The scrape endpoint stays up for the whole run (dropped on return).
     let metrics_server = config.metrics_listen.as_ref().map(|addr| {
         let hub = hub.as_ref().expect("metrics_listen implies a hub");
@@ -361,11 +347,6 @@ pub fn run_cluster_with(
             node
         })
         .collect();
-    if config.stats_endpoint {
-        for node in &nodes {
-            node.enable_stats_endpoint();
-        }
-    }
     let injectors: Vec<Arc<StallInjector>> = nodes
         .iter()
         .enumerate()
@@ -382,7 +363,7 @@ pub fn run_cluster_with(
     // alive in `reactor`. The typed `reactor_rt` clone is what the batch
     // paths (premeet sweep, pipelined rounds) use — the
     // `Box<dyn Transport>` facade only carries the serial traffic
-    // (hellos, stats sweep, stall runs).
+    // (hellos, stall runs).
     let mut reactor: Option<Reactor> = None;
     let mut reactor_rt: Option<ReactorTransport> = None;
     let transport: Box<dyn Transport> = match config.transport {
@@ -678,26 +659,6 @@ pub fn run_cluster_with(
     if let (Some(hub), Some(f)) = (&hub, footrule) {
         hub.registry().gauge("jxp_cluster_footrule").set(f);
     }
-    // Snapshot before any stats-endpoint sweep so counter totals match
-    // `per_node` exactly (the sweep itself moves bytes). Gated on the
-    // telemetry flag: a hub forced by `metrics_listen` alone stays out
-    // of the report.
-    let telemetry = config
-        .telemetry
-        .then(|| hub.as_ref().expect("telemetry implies a hub").snapshot());
-    let wire_stats = config.stats_endpoint.then(|| {
-        (0..num_nodes)
-            .map(|j| {
-                let initiator = (j + 1) % num_nodes;
-                nodes[initiator]
-                    .fetch_stats(j as NodeId, transport.as_ref(), &config.retry)
-                    .unwrap_or_else(|_| StatsPayload {
-                        node_id: j as u64,
-                        ..StatsPayload::default()
-                    })
-            })
-            .collect()
-    });
 
     ClusterReport {
         num_nodes,
@@ -708,8 +669,6 @@ pub fn run_cluster_with(
         bytes_total: per_node.iter().map(|s| s.bytes_out).sum(),
         footrule,
         per_node,
-        telemetry,
-        wire_stats,
         score_hash,
         metrics_addr,
         inflight_peak: reactor.as_ref().map(Reactor::peak_inflight),
@@ -845,14 +804,15 @@ mod tests {
     fn telemetry_counters_match_per_node_stats_exactly() {
         let (frags, n_total) = ring_fragments(4);
         let truth = vec![1.0 / 12.0; 12];
+        let hub = TelemetryHub::shared();
         let config = ClusterConfig {
             meetings: 20,
             seed: 7,
-            telemetry: true,
+            hub: Some(Arc::clone(&hub)),
             ..ClusterConfig::default()
         };
         let report = run_cluster(frags, n_total, JxpConfig::default(), &config, Some(&truth));
-        let snap = report.telemetry.as_ref().expect("telemetry requested");
+        let snap = hub.snapshot();
         for (i, stats) in report.per_node.iter().enumerate() {
             let counter = |field: &str| {
                 snap.metrics.counters[&format!("jxp_node_{field}_total{{node=\"{i}\"}}")]
@@ -884,9 +844,8 @@ mod tests {
         );
         assert!(snap.metrics.counters["jxp_cluster_rounds_total"] >= 1);
         // Completed-meeting byte totals cover both frames of each
-        // exchange: their sum equals all wire traffic (request + reply
-        // counted once each) when no premeetings/hello bytes... hellos
-        // do add traffic, so the event bytes are a lower bound.
+        // exchange. The ring hellos and first-contact filter probes add
+        // traffic no event carries, so the event bytes are a lower bound.
         let event_bytes: u64 = snap
             .events
             .iter()
@@ -899,33 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_endpoint_sweep_mirrors_per_node_counters() {
-        let (frags, n_total) = ring_fragments(4);
-        let config = ClusterConfig {
-            meetings: 16,
-            seed: 13,
-            stats_endpoint: true,
-            ..ClusterConfig::default()
-        };
-        let report = run_cluster(frags, n_total, JxpConfig::default(), &config, None);
-        let wire = report.wire_stats.as_ref().expect("stats endpoint enabled");
-        assert_eq!(wire.len(), report.per_node.len());
-        for (j, payload) in wire.iter().enumerate() {
-            assert_eq!(payload.node_id, j as u64);
-            // Meeting counters are untouched by the stats sweep itself.
-            let stats = &report.per_node[j];
-            assert_eq!(payload.meetings_attempted, stats.meetings_attempted);
-            assert_eq!(payload.meetings_completed, stats.meetings_completed);
-            assert_eq!(payload.meetings_served, stats.meetings_served);
-            assert_eq!(payload.retries, stats.retries);
-        }
-        // The very first fetch (node 0) precedes all stats traffic, so
-        // even its byte counters mirror the snapshot exactly.
-        assert_eq!(wire[0].bytes_in, report.per_node[0].bytes_in);
-        assert_eq!(wire[0].bytes_out, report.per_node[0].bytes_out);
-    }
-
-    #[test]
     fn telemetry_does_not_perturb_results() {
         let (frags, n_total) = ring_fragments(4);
         let truth = vec![1.0 / 12.0; 12];
@@ -933,8 +865,7 @@ mod tests {
             let config = ClusterConfig {
                 meetings: 24,
                 seed: 11,
-                telemetry,
-                stats_endpoint: telemetry,
+                hub: telemetry.then(TelemetryHub::shared),
                 ..ClusterConfig::default()
             };
             run_cluster(
@@ -980,10 +911,6 @@ mod tests {
         let report = run_cluster_with(frags, n_total, JxpConfig::default(), &config, None, &hooks);
         assert_eq!(report.meetings_completed, 24);
         assert!(report.metrics_addr.is_some());
-        assert!(
-            report.telemetry.is_none(),
-            "metrics_listen alone must not put telemetry in the report"
-        );
         let body = jxp_telemetry::lock_unpoisoned(&scraped);
         assert!(body.starts_with("HTTP/1.1 200 OK"), "{body}");
         assert!(body.contains("jxp_node_meetings_attempted_total"), "{body}");
@@ -1348,7 +1275,7 @@ mod tests {
         {
             // Re-open the two nodes from disk, as `run_cluster` would.
             let store: SharedStore = Arc::new(DirStore::open(&dir).expect("reopen state dir"));
-            let perms = MipsPermutations::generate(base.mips_dims, base.seed ^ 0x5a5a);
+            let perms = MipsPermutations::generate(MIPS_DIMS, base.seed ^ 0x5a5a);
             let nodes: Vec<Arc<JxpNode>> = (0..2)
                 .map(|i| {
                     let rec = store

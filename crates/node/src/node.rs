@@ -32,9 +32,9 @@ use jxp_core::selection::{PeerSynopses, PreMeetingsConfig};
 use jxp_synopses::mips::MipsPermutations;
 use jxp_synopses::BloomFilter;
 use jxp_telemetry::{Counter, Registry};
-use jxp_wire::{encoded_len, ErrorCode, Frame, StatsPayload, SynopsisPayload};
+use jxp_wire::{encoded_len, ErrorCode, Frame, SynopsisPayload};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Per-node traffic and meeting counters (point-in-time snapshot of a
@@ -145,7 +145,6 @@ pub struct JxpNode {
     id: NodeId,
     state: Arc<Mutex<NodeState>>,
     metrics: NodeMetrics,
-    stats_endpoint: AtomicBool,
     /// Bumped every time a meeting (initiated, served, or repaired)
     /// changes the peer's scores. Serving layers key result caches on
     /// this: an advanced epoch means cached fused rankings are stale.
@@ -177,7 +176,6 @@ impl JxpNode {
                 persist: None,
             })),
             metrics,
-            stats_endpoint: AtomicBool::new(false),
             score_epoch: AtomicU64::new(0),
         }
     }
@@ -229,19 +227,6 @@ impl JxpNode {
         &self.metrics
     }
 
-    /// Start answering [`Frame::StatsRequest`] with this node's counters
-    /// (off by default; disabled nodes reply `Error`/`Refused`).
-    pub fn enable_stats_endpoint(&self) {
-        // Release/Acquire so a server thread that observes `true` also
-        // observes everything the enabling thread wrote before the flip.
-        self.stats_endpoint.store(true, Ordering::Release);
-    }
-
-    /// Whether the stats endpoint is enabled.
-    pub fn stats_endpoint_enabled(&self) -> bool {
-        self.stats_endpoint.load(Ordering::Acquire)
-    }
-
     /// The current score epoch: how many absorbed meetings (initiated,
     /// served, or repaired) have changed this peer's scores.
     pub fn score_epoch(&self) -> u64 {
@@ -253,21 +238,6 @@ impl JxpNode {
     /// update published by the lock release that follows.
     fn bump_score_epoch(&self) {
         self.score_epoch.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// This node's counters as a wire payload.
-    pub fn stats_payload(&self) -> StatsPayload {
-        let s = self.stats();
-        StatsPayload {
-            node_id: self.id,
-            meetings_attempted: s.meetings_attempted,
-            meetings_completed: s.meetings_completed,
-            meetings_failed: s.meetings_failed,
-            meetings_served: s.meetings_served,
-            retries: s.retries,
-            bytes_in: s.bytes_in,
-            bytes_out: s.bytes_out,
-        }
     }
 
     /// Copy of this node's own synopses.
@@ -496,26 +466,6 @@ impl JxpNode {
         Ok(remote)
     }
 
-    /// Ask `target` for its counter snapshot over the wire. Fails with
-    /// [`TransportError::Rejected`] if its stats endpoint is disabled.
-    pub fn fetch_stats(
-        &self,
-        target: NodeId,
-        transport: &dyn Transport,
-        policy: &RetryPolicy,
-    ) -> Result<StatsPayload, TransportError> {
-        let outcome = request_with_retry(transport, target, &Frame::StatsRequest, policy)?;
-        self.metrics.bytes_out.add(outcome.exchange.bytes_sent);
-        self.metrics.bytes_in.add(outcome.exchange.bytes_received);
-        match outcome.exchange.reply {
-            Frame::StatsReply(payload) => Ok(payload),
-            Frame::Error { detail, .. } => Err(TransportError::Rejected(detail)),
-            other => Err(TransportError::Wire(jxp_wire::WireError::Malformed(
-                unexpected_reply(&other),
-            ))),
-        }
-    }
-
     /// Score a candidate partner from its synopses: the estimated
     /// containment of the candidate's out-link targets in our local
     /// fragment (paper §6 — peers that link into us teach us the most).
@@ -555,8 +505,6 @@ fn unexpected_reply(frame: &Frame) -> &'static str {
         Frame::SynopsisExchange(_) => "unexpected SynopsisExchange reply",
         Frame::Ack { .. } => "unexpected Ack reply",
         Frame::Error { .. } => "unexpected Error reply",
-        Frame::StatsRequest => "unexpected StatsRequest reply",
-        Frame::StatsReply(_) => "unexpected StatsReply reply",
         Frame::QueryRequest(_) => "unexpected QueryRequest reply",
         Frame::QueryReply(_) => "unexpected QueryReply reply",
     }
@@ -606,18 +554,6 @@ impl FrameHandler for JxpNode {
                     bloom: state.peer.interest().cloned(),
                 })
             }
-            // Built before this frame's own bytes are counted, so the
-            // reported counters describe the pre-request state.
-            Frame::StatsRequest => {
-                if self.stats_endpoint_enabled() {
-                    Frame::StatsReply(self.stats_payload())
-                } else {
-                    Frame::Error {
-                        code: ErrorCode::Refused,
-                        detail: "stats endpoint disabled".to_string(),
-                    }
-                }
-            }
             Frame::Ack { of } => Frame::Ack { of },
             // A bare node has no index to search; the serve layer
             // (jxp-serve) intercepts queries before delegation.
@@ -625,10 +561,7 @@ impl FrameHandler for JxpNode {
                 code: ErrorCode::Refused,
                 detail: "query endpoint disabled".to_string(),
             },
-            Frame::MeetReply(_)
-            | Frame::Error { .. }
-            | Frame::StatsReply(_)
-            | Frame::QueryReply(_) => Frame::Error {
+            Frame::MeetReply(_) | Frame::Error { .. } | Frame::QueryReply(_) => Frame::Error {
                 code: ErrorCode::BadRequest,
                 detail: "frame type is reply-only".to_string(),
             },
@@ -883,10 +816,6 @@ mod tests {
         );
         let reply = a.handle(Frame::MeetReply(a.current_payload())).unwrap();
         assert!(matches!(reply, Frame::Error { .. }));
-        let reply = a
-            .handle(Frame::StatsReply(StatsPayload::default()))
-            .unwrap();
-        assert!(matches!(reply, Frame::Error { .. }));
     }
 
     #[test]
@@ -913,7 +842,7 @@ mod tests {
             node_id: 9,
             num_pages: 1,
         });
-        a.handle(Frame::StatsRequest);
+        a.handle(b.synopses_request());
         assert_eq!(a.score_epoch(), 2);
     }
 
@@ -956,32 +885,6 @@ mod tests {
             ),
             "reply-only frame must be rejected, got {reply:?}"
         );
-    }
-
-    #[test]
-    fn stats_endpoint_is_opt_in_and_reports_pre_request_counters() {
-        let (a, b) = two_fragment_nodes();
-        let net = LoopbackNetwork::new();
-        let b = Arc::new(b);
-        net.register(2, Arc::clone(&b) as Arc<dyn FrameHandler>);
-
-        // Disabled by default: the request is refused (and refusal is
-        // fatal — no retries charged on the client side either).
-        assert!(matches!(
-            a.fetch_stats(2, &net, &RetryPolicy::default()),
-            Err(TransportError::Rejected(_))
-        ));
-
-        b.enable_stats_endpoint();
-        a.meet(2, &net, &RetryPolicy::default()).unwrap();
-        let before = b.stats();
-        let payload = a.fetch_stats(2, &net, &RetryPolicy::default()).unwrap();
-        assert_eq!(payload.node_id, 2);
-        assert_eq!(payload.meetings_served, before.meetings_served);
-        // The reply was built before its own frame's bytes were counted,
-        // so the payload matches the pre-request snapshot exactly.
-        assert_eq!(payload.bytes_in, before.bytes_in);
-        assert_eq!(payload.bytes_out, before.bytes_out);
     }
 
     #[test]

@@ -145,7 +145,6 @@ mod tests {
                 num_pages: 40,
             },
             Frame::Ack { of: 5 },
-            Frame::StatsRequest,
             Frame::Error {
                 code: ErrorCode::Busy,
                 detail: "later".to_string(),
@@ -211,15 +210,15 @@ mod tests {
 
     #[test]
     fn unknown_type_and_nonzero_flags_rejected_from_the_prefix() {
-        let mut acc = FrameAccumulator::new();
-        let mut head = Vec::from(MAGIC);
-        head.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        head.push(0x7f);
-        acc.feed(&head);
-        assert!(matches!(
-            acc.next_frame(),
-            Err(WireError::UnknownFrameType(0x7f))
-        ));
+        // 7 and 8 are reserved: the retired stats frames.
+        for ty in [0x7f, 7, 8] {
+            let mut acc = FrameAccumulator::new();
+            let mut head = Vec::from(MAGIC);
+            head.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+            head.push(ty);
+            acc.feed(&head);
+            assert_eq!(acc.next_frame(), Err(WireError::UnknownFrameType(ty)));
+        }
 
         let mut acc = FrameAccumulator::new();
         let mut head = Vec::from(MAGIC);

@@ -53,8 +53,7 @@ const TYPE_MEET_REPLY: u8 = 3;
 const TYPE_SYNOPSIS_EXCHANGE: u8 = 4;
 const TYPE_ACK: u8 = 5;
 const TYPE_ERROR: u8 = 6;
-const TYPE_STATS_REQUEST: u8 = 7;
-const TYPE_STATS_REPLY: u8 = 8;
+// 7 and 8 are reserved: the retired stats request/reply pair.
 const TYPE_QUERY_REQUEST: u8 = 9;
 const TYPE_QUERY_REPLY: u8 = 10;
 
@@ -62,7 +61,17 @@ const TYPE_QUERY_REPLY: u8 = 10;
 /// defines. The streaming accumulator uses this to reject garbage
 /// streams from the header prefix, before the body length arrives.
 pub(crate) fn frame_type_known(ty: u8) -> bool {
-    (TYPE_HELLO..=TYPE_QUERY_REPLY).contains(&ty)
+    matches!(
+        ty,
+        TYPE_HELLO
+            | TYPE_MEET_REQUEST
+            | TYPE_MEET_REPLY
+            | TYPE_SYNOPSIS_EXCHANGE
+            | TYPE_ACK
+            | TYPE_ERROR
+            | TYPE_QUERY_REQUEST
+            | TYPE_QUERY_REPLY
+    )
 }
 
 /// Decode failures. `Truncated` is retriable-by-reading-more when the
@@ -169,39 +178,8 @@ impl SynopsisPayload {
     }
 }
 
-/// A node's counter snapshot, answered to a [`Frame::StatsRequest`] by
-/// peers running with the stats endpoint enabled. Fixed 64-byte body:
-/// the node id plus its seven `u64` counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsPayload {
-    /// Responding node's id.
-    pub node_id: u64,
-    /// Meetings the node initiated.
-    pub meetings_attempted: u64,
-    /// Initiated meetings that completed.
-    pub meetings_completed: u64,
-    /// Initiated meetings abandoned.
-    pub meetings_failed: u64,
-    /// Inbound meeting requests answered.
-    pub meetings_served: u64,
-    /// Retries spent across initiated exchanges.
-    pub retries: u64,
-    /// Wire bytes received.
-    pub bytes_in: u64,
-    /// Wire bytes sent.
-    pub bytes_out: u64,
-}
-
-impl StatsPayload {
-    /// Exact body length of the [`Frame::StatsReply`] encoding.
-    pub const fn wire_size() -> usize {
-        8 * 8
-    }
-}
-
 /// A top-k search request answered by peers running the serve layer.
-/// Peers without a query front end answer [`Frame::Error`]/`Refused`,
-/// mirroring the stats endpoint's opt-in contract.
+/// Peers without a query front end answer [`Frame::Error`]/`Refused`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPayload {
     /// Caller-chosen id echoed in the reply (correlates request/reply
@@ -286,11 +264,6 @@ pub enum Frame {
         /// Human-readable detail.
         detail: String,
     },
-    /// Ask a peer for its counter snapshot (empty body). Peers without
-    /// the stats endpoint enabled answer [`Frame::Error`]/`Refused`.
-    StatsRequest,
-    /// A peer's counter snapshot.
-    StatsReply(StatsPayload),
     /// A top-k search request. Peers without a serve layer answer
     /// [`Frame::Error`]/`Refused`.
     QueryRequest(QueryPayload),
@@ -307,8 +280,6 @@ impl Frame {
             Frame::SynopsisExchange(_) => TYPE_SYNOPSIS_EXCHANGE,
             Frame::Ack { .. } => TYPE_ACK,
             Frame::Error { .. } => TYPE_ERROR,
-            Frame::StatsRequest => TYPE_STATS_REQUEST,
-            Frame::StatsReply(_) => TYPE_STATS_REPLY,
             Frame::QueryRequest(_) => TYPE_QUERY_REQUEST,
             Frame::QueryReply(_) => TYPE_QUERY_REPLY,
         }
@@ -322,8 +293,6 @@ impl Frame {
             Frame::SynopsisExchange(s) => s.wire_size(),
             Frame::Ack { .. } => 1,
             Frame::Error { detail, .. } => 2 + 4 + detail.len(),
-            Frame::StatsRequest => 0,
-            Frame::StatsReply(_) => StatsPayload::wire_size(),
             Frame::QueryRequest(q) => q.wire_size(),
             Frame::QueryReply(r) => r.wire_size(),
         }
@@ -401,17 +370,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             buf.put_u16_le(code.to_u16());
             buf.put_u32_le(detail.len() as u32);
             buf.put_slice(detail.as_bytes());
-        }
-        Frame::StatsRequest => {}
-        Frame::StatsReply(s) => {
-            buf.put_u64_le(s.node_id);
-            buf.put_u64_le(s.meetings_attempted);
-            buf.put_u64_le(s.meetings_completed);
-            buf.put_u64_le(s.meetings_failed);
-            buf.put_u64_le(s.meetings_served);
-            buf.put_u64_le(s.retries);
-            buf.put_u64_le(s.bytes_in);
-            buf.put_u64_le(s.bytes_out);
         }
         Frame::QueryRequest(q) => {
             buf.put_u64_le(q.query_id);
@@ -523,17 +481,6 @@ pub fn decode_frame(input: &[u8]) -> Result<(Frame, usize), WireError> {
                 String::from_utf8(raw).map_err(|_| WireError::Malformed("error detail utf-8"))?;
             Frame::Error { code, detail }
         }
-        TYPE_STATS_REQUEST => Frame::StatsRequest,
-        TYPE_STATS_REPLY => Frame::StatsReply(StatsPayload {
-            node_id: take_u64(&mut body)?,
-            meetings_attempted: take_u64(&mut body)?,
-            meetings_completed: take_u64(&mut body)?,
-            meetings_failed: take_u64(&mut body)?,
-            meetings_served: take_u64(&mut body)?,
-            retries: take_u64(&mut body)?,
-            bytes_in: take_u64(&mut body)?,
-            bytes_out: take_u64(&mut body)?,
-        }),
         TYPE_QUERY_REQUEST => {
             let query_id = take_u64(&mut body)?;
             let k = take_u32(&mut body)?;
@@ -923,30 +870,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stats_frames_roundtrip_at_fixed_size() {
-        let encoded = encode_frame(&Frame::StatsRequest);
-        assert_eq!(encoded.len(), HEADER_LEN);
-        let (decoded, used) = decode_frame(&encoded).unwrap();
-        assert_eq!(decoded, Frame::StatsRequest);
-        assert_eq!(used, HEADER_LEN);
-
-        let payload = StatsPayload {
-            node_id: 7,
-            meetings_attempted: 100,
-            meetings_completed: 96,
-            meetings_failed: 4,
-            meetings_served: 88,
-            retries: 9,
-            bytes_in: 123_456,
-            bytes_out: 654_321,
-        };
-        let encoded = encode_frame(&Frame::StatsReply(payload));
-        assert_eq!(encoded.len(), HEADER_LEN + StatsPayload::wire_size());
-        let (decoded, _) = decode_frame(&encoded).unwrap();
-        assert_eq!(decoded, Frame::StatsReply(payload));
-    }
-
     fn sample_query() -> QueryPayload {
         QueryPayload {
             query_id: 42,
@@ -1056,15 +979,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_reply_truncated_body_is_rejected() {
-        let encoded = encode_frame(&Frame::StatsReply(StatsPayload::default()));
-        let mut short = encoded.clone();
-        short.truncate(HEADER_LEN + 40);
-        short[8..12].copy_from_slice(&40u32.to_le_bytes());
-        assert_eq!(
-            decode_frame(&short),
-            Err(WireError::Malformed("field overruns body"))
-        );
+    fn reserved_type_bytes_are_unknown_frames() {
+        for ty in [7u8, 8] {
+            for body_len in [0usize, 64] {
+                let mut frame = start_frame(ty, body_len);
+                frame.resize(HEADER_LEN + body_len, 0);
+                assert_eq!(decode_frame(&frame), Err(WireError::UnknownFrameType(ty)));
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,6 @@ pub mod frame;
 pub use accum::FrameAccumulator;
 pub use frame::{
     decode_frame, encode_frame, encode_meeting_frame, encoded_len, ErrorCode, Frame, MeetingFrame,
-    QueryHit, QueryPayload, QueryReplyPayload, StatsPayload, SynopsisPayload, WireError,
-    HEADER_LEN, MAGIC, MAX_BLOOM_HASHES, MAX_BODY_LEN, PROTOCOL_VERSION,
+    QueryHit, QueryPayload, QueryReplyPayload, SynopsisPayload, WireError, HEADER_LEN, MAGIC,
+    MAX_BLOOM_HASHES, MAX_BODY_LEN, PROTOCOL_VERSION,
 };

@@ -10,8 +10,8 @@ use jxp_synopses::mips::MipsVector;
 use jxp_webgraph::PageId;
 use jxp_wire::{
     decode_frame, encode_frame, encode_meeting_frame, encoded_len, ErrorCode, Frame,
-    FrameAccumulator, MeetingFrame, QueryHit, QueryPayload, QueryReplyPayload, StatsPayload,
-    SynopsisPayload, WireError, HEADER_LEN, MAGIC, MAX_BODY_LEN,
+    FrameAccumulator, MeetingFrame, QueryHit, QueryPayload, QueryReplyPayload, SynopsisPayload,
+    WireError, HEADER_LEN, MAGIC, MAX_BODY_LEN,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -96,19 +96,6 @@ fn synopsis_payloads() -> impl Strategy<Value = SynopsisPayload> {
         })
 }
 
-fn stats_payloads() -> impl Strategy<Value = StatsPayload> {
-    vec(0u64..u64::MAX, 8).prop_map(|f| StatsPayload {
-        node_id: f[0],
-        meetings_attempted: f[1],
-        meetings_completed: f[2],
-        meetings_failed: f[3],
-        meetings_served: f[4],
-        retries: f[5],
-        bytes_in: f[6],
-        bytes_out: f[7],
-    })
-}
-
 fn query_payloads() -> impl Strategy<Value = QueryPayload> {
     (0u64..u64::MAX, 0u32..1000, vec(0u32..100_000, 0..12))
         .prop_map(|(query_id, k, terms)| QueryPayload { query_id, k, terms })
@@ -140,13 +127,12 @@ fn query_replies() -> impl Strategy<Value = QueryReplyPayload> {
 /// and the components feed it.
 fn frames() -> impl Strategy<Value = Frame> {
     (
-        0u8..10,
+        0u8..8,
         (0u64..u64::MAX, 0u64..1_000_000),
         meeting_payloads(),
         synopsis_payloads(),
         0u8..=255,
         vec(32u8..127, 0..40),
-        stats_payloads(),
         (query_payloads(), query_replies()),
     )
         .prop_map(
@@ -157,7 +143,6 @@ fn frames() -> impl Strategy<Value = Frame> {
                 synopsis,
                 ack_of,
                 detail,
-                stats,
                 (query, reply),
             )| {
                 match selector {
@@ -166,10 +151,8 @@ fn frames() -> impl Strategy<Value = Frame> {
                     2 => Frame::MeetReply(meeting),
                     3 => Frame::SynopsisExchange(synopsis),
                     4 => Frame::Ack { of: ack_of },
-                    5 => Frame::StatsRequest,
-                    6 => Frame::StatsReply(stats),
-                    7 => Frame::QueryRequest(query),
-                    8 => Frame::QueryReply(reply),
+                    5 => Frame::QueryRequest(query),
+                    6 => Frame::QueryReply(reply),
                     _ => Frame::Error {
                         code: ErrorCode::Busy,
                         detail: String::from_utf8(detail).unwrap(),
