@@ -7,6 +7,7 @@ use jxp_p2pnet::assign::{assign_by_crawlers, minerva_fragments, CrawlerParams};
 use jxp_p2pnet::{Network, NetworkConfig};
 use jxp_pagerank::gauss_seidel::pagerank_gauss_seidel;
 use jxp_pagerank::{metrics, pagerank, PageRankConfig};
+use jxp_serve::contiguous_fragments;
 use jxp_telemetry::{TelemetryHub, TelemetrySnapshot};
 use jxp_webgraph::generators::{amazon_2005, web_crawl_2005, CategorizedGraph, DatasetPreset};
 use jxp_webgraph::{io, Subgraph};
@@ -201,23 +202,6 @@ fn generate_graph_with_scale(
     } else {
         preset.generate_scaled(scale)
     })
-}
-
-/// Split the full graph into `n` contiguous fragments of near-equal
-/// size, for the networked commands (crawler-based assignment produces
-/// a category-dependent peer count; `cluster` wants exactly `--peers`).
-fn contiguous_fragments(cg: &CategorizedGraph, n: usize) -> Vec<Subgraph> {
-    use jxp_webgraph::PageId;
-    let total = cg.graph.num_nodes();
-    let per = total.div_ceil(n);
-    (0..n)
-        .map(|i| {
-            let lo = i * per;
-            let hi = ((i + 1) * per).min(total);
-            Subgraph::from_pages(&cg.graph, (lo..hi).map(|p| PageId(p as u32)))
-        })
-        .filter(|f| f.num_pages() > 0)
-        .collect()
 }
 
 /// `jxp-cli cluster` — run N networked nodes through M meetings over

@@ -69,23 +69,6 @@ pub fn meet(a: &mut JxpPeer, b: &mut JxpPeer) -> MeetingStats {
     }
 }
 
-/// One-directional meeting: only `a` learns from `b` (used when modelling
-/// an unreachable or departing peer that can still be read from, and by
-/// tests that need asymmetric knowledge).
-pub fn meet_one_way(a: &mut JxpPeer, b: &JxpPeer) -> MeetingStats {
-    let payload_b = b.payload_for(a.interest());
-    let bytes = payload_b.wire_size();
-    #[expect(clippy::disallowed_methods, reason = "merge timing for MeetingStats")]
-    let t0 = Instant::now();
-    a.absorb(&payload_b);
-    MeetingStats {
-        bytes_a_to_b: 0,
-        bytes_b_to_a: bytes,
-        merge_time_a: t0.elapsed(),
-        merge_time_b: Duration::ZERO,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,17 +122,6 @@ mod tests {
             let s = b.score(p).unwrap();
             assert!((s - 0.25).abs() < 0.01, "{p:?} score {s}");
         }
-    }
-
-    #[test]
-    fn one_way_meeting_only_updates_receiver() {
-        let (mut a, b) = two_peers();
-        let b_world_before = b.world().len();
-        let stats = meet_one_way(&mut a, &b);
-        assert!(!a.world().is_empty());
-        assert_eq!(b.world().len(), b_world_before);
-        assert_eq!(stats.bytes_a_to_b, 0);
-        assert!(stats.bytes_b_to_a > 0);
     }
 
     #[test]

@@ -36,20 +36,23 @@ pub fn rank_by_tfidf(hits: &[SearchHit]) -> Vec<PageId> {
     v.into_iter().map(|h| h.page).collect()
 }
 
-/// Rank `hits` by `w_tfidf · tfidf_norm + w_jxp · jxp_norm` — the paper's
-/// second ranking. Pages missing from the JXP ranking (e.g. never scored
-/// by any consulted peer) get authority 0.
+/// Rank `hits` by `tfidf_weight · tfidf_norm + jxp_weight · jxp_norm` —
+/// the paper's second ranking. Pages missing from the JXP ranking (e.g.
+/// never scored by any consulted peer) get authority 0.
 ///
 /// # Panics
 /// Panics if the weights are negative or both zero.
 pub fn rank_by_fusion(
     hits: &[SearchHit],
     jxp: &Ranking,
-    w_tfidf: f64,
-    w_jxp: f64,
+    tfidf_weight: f64,
+    jxp_weight: f64,
 ) -> Vec<FusedHit> {
-    assert!(w_tfidf >= 0.0 && w_jxp >= 0.0, "negative fusion weight");
-    assert!(w_tfidf + w_jxp > 0.0, "all-zero fusion weights");
+    assert!(
+        tfidf_weight >= 0.0 && jxp_weight >= 0.0,
+        "negative fusion weight"
+    );
+    assert!(tfidf_weight + jxp_weight > 0.0, "all-zero fusion weights");
     let max_tfidf = hits
         .iter()
         .map(|h| h.tfidf)
@@ -67,7 +70,7 @@ pub fn rank_by_fusion(
             let a = jxp.score(h.page).unwrap_or(0.0) / max_jxp;
             FusedHit {
                 page: h.page,
-                score: w_tfidf * t + w_jxp * a,
+                score: tfidf_weight * t + jxp_weight * a,
             }
         })
         .collect();

@@ -6,9 +6,10 @@
 //! mid-experiment.
 
 use crate::loopback::LoopbackNetwork;
-use crate::node::{JxpNode, NodeMetrics, NodeStats};
-use crate::persist::{NodePersist, PersistConfig, SharedStore};
-use crate::reactor::{reactor_premeet_sweep, run_reactor_round, HandlerService, ReactorTransport};
+use crate::node::{JxpNode, MeetOutcome, NodeMetrics, NodeStats};
+use crate::persist::{NodePersist, SharedStore};
+use crate::reactor::{HandlerService, ReactorTransport};
+use crate::round::{premeet_sweep, run_round};
 use crate::transport::{FrameHandler, NodeId, RetryPolicy, StallInjector, Transport};
 use jxp_core::config::JxpConfig;
 use jxp_core::evaluate::{centralized_ranking, score_hash, total_ranking};
@@ -27,8 +28,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Sliding submission window for the reactor's all-pairs pre-meetings
-/// sweep: how many synopsis probes one driver thread keeps in flight.
+/// Sliding submission window for the all-pairs pre-meetings sweep: how
+/// many synopsis probes one driver thread keeps in flight on the reactor.
 /// Sized so even modest clusters exercise hundreds of concurrent
 /// exchanges; the in-flight gauge peaks at `min(window, pairs)`.
 const PREMEET_WINDOW: usize = 512;
@@ -60,8 +61,48 @@ impl std::str::FromStr for TransportKind {
     }
 }
 
-/// Injected fault: just before meeting number `at_meeting` starts, node
-/// `node_index` begins swallowing the next `count` inbound requests.
+impl TransportKind {
+    /// Bring up this transport with `handlers[i]` answering for node `i`.
+    /// The reactor comes back beside it: it owns the loop thread, so it
+    /// must outlive every exchange, and it reports the in-flight peak.
+    pub(crate) fn build(
+        self,
+        handlers: &[Arc<StallInjector>],
+        hub: &TelemetryHub,
+    ) -> (Box<dyn Transport>, Option<Reactor>) {
+        let handler = |i: usize| Arc::clone(&handlers[i]) as Arc<dyn FrameHandler>;
+        match self {
+            TransportKind::Loopback => {
+                let net = LoopbackNetwork::new();
+                for i in 0..handlers.len() {
+                    net.register(i as NodeId, handler(i));
+                }
+                (Box::new(net), None)
+            }
+            TransportKind::Reactor => {
+                let reactor = Reactor::start(
+                    ReactorConfig::default(),
+                    ReactorMetrics::registered(hub.registry()),
+                );
+                let rt = ReactorTransport::new(reactor.handle());
+                for i in 0..handlers.len() {
+                    let service = Arc::new(HandlerService(handler(i)));
+                    let addr = reactor
+                        .handle()
+                        .listen(service)
+                        .expect("bind reactor listener");
+                    rt.add_route(i as NodeId, addr);
+                }
+                (Box::new(rt), Some(reactor))
+            }
+        }
+    }
+}
+
+/// Injected fault: node `node_index` swallows the next `count` inbound
+/// requests, armed just before the round holding meeting `at_meeting`
+/// starts. Rounds are node-disjoint, so the stalled node's requests in
+/// that round all belong to one meeting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallPlan {
     /// Index (0-based) of the node that stalls.
@@ -87,29 +128,33 @@ pub struct ClusterConfig {
     pub retry: RetryPolicy,
     /// Optional stall injection.
     pub stall: Option<StallPlan>,
-    /// Worker threads executing each meeting round (`0` = the machine's
-    /// available parallelism, `1` = serial). The schedule is always drawn
-    /// serially and partitioned into rounds of **node-disjoint** pairs:
-    /// two in-flight meetings sharing a node would interleave their lock
-    /// acquisitions nondeterministically (a node answers inbound requests
-    /// while its own exchange is in flight), so disjointness is what
-    /// makes the results bit-identical for every value of this knob. A
-    /// [`StallPlan`] forces serial round execution so the injector
-    /// swallows exactly the scheduled requests.
+    /// Driver threads executing each meeting round (`0` = the machine's
+    /// available parallelism, `1` = serial), on either transport. The
+    /// schedule is always drawn serially and partitioned into rounds of
+    /// **node-disjoint** pairs; each round is dealt into
+    /// `min(threads, round length)` stripes (meeting k to stripe k mod
+    /// stripes), and each stripe starts all its requests, then redeems
+    /// them in order. Two in-flight meetings sharing a node would
+    /// interleave their lock acquisitions nondeterministically (a node
+    /// answers inbound requests while its own exchange is in flight), so
+    /// disjointness is what makes the results bit-identical for every
+    /// value of this knob. A [`StallPlan`] forces one stripe so the
+    /// injector swallows exactly the scheduled requests.
     pub threads: usize,
-    /// Serve the Prometheus text exposition over HTTP at this address
-    /// (e.g. `127.0.0.1:9184`; port 0 binds an ephemeral port, reported
-    /// in [`ClusterReport::metrics_addr`]) for the duration of the run.
-    /// Without a [`ClusterConfig::hub`] the run creates one for the
-    /// scrape. Observation-only, like the rest of telemetry.
+    /// Serve the Prometheus text exposition of the run's hub over HTTP at
+    /// this address (e.g. `127.0.0.1:9184`; port 0 binds an ephemeral
+    /// port, reported in [`ClusterReport::metrics_addr`]) for the
+    /// duration of the run. Observation-only, like the rest of telemetry.
     pub metrics_listen: Option<String>,
-    /// Record telemetry into this hub: per-node registry counters plus a
-    /// structured event stream. The caller snapshots it after the run;
-    /// nothing moves once [`run_cluster`] returns, so the snapshot's
-    /// counters equal [`ClusterReport::per_node`] exactly. A caller
-    /// embedding the run (e.g. the `jxp-serve` experiment) can register
-    /// its own metrics in the same registry the scrape endpoint exports.
-    /// Observation-only — results are bit-identical either way.
+    /// The hub the run records into: per-node registry counters plus a
+    /// structured event stream. Every run records into a hub; without
+    /// this one it creates its own, which nobody reads after the run.
+    /// The caller snapshots it after the run; nothing moves once
+    /// [`run_cluster`] returns, so the snapshot's counters equal
+    /// [`ClusterReport::per_node`] exactly. A caller embedding the run
+    /// (e.g. the `jxp-serve` experiment) can register its own metrics in
+    /// the same registry the scrape endpoint exports. Observation-only —
+    /// results are bit-identical either way.
     pub hub: Option<Arc<TelemetryHub>>,
     /// Durable state directory. When set, every node journals applied
     /// meeting deltas to a per-node WAL under this directory (with
@@ -277,14 +322,10 @@ pub fn run_cluster_with(
     let num_nodes = fragments.len();
     let perms = MipsPermutations::generate(MIPS_DIMS, config.seed ^ 0x5a5a);
 
-    let hub = config
-        .hub
-        .clone()
-        .or_else(|| config.metrics_listen.is_some().then(TelemetryHub::shared));
+    let hub = config.hub.clone().unwrap_or_else(TelemetryHub::shared);
     // The scrape endpoint stays up for the whole run (dropped on return).
     let metrics_server = config.metrics_listen.as_ref().map(|addr| {
-        let hub = hub.as_ref().expect("metrics_listen implies a hub");
-        MetricsServer::bind(addr.as_str(), Arc::clone(hub))
+        MetricsServer::bind(addr.as_str(), Arc::clone(&hub))
             .unwrap_or_else(|e| panic!("bind metrics listener {addr}: {e}"))
     });
     let metrics_addr = metrics_server.as_ref().map(MetricsServer::local_addr);
@@ -293,10 +334,7 @@ pub fn run_cluster_with(
     // each node left behind, and remember per-node recovery facts for
     // the schedule classification below.
     let store: Option<(SharedStore, StoreMetrics)> = config.state_dir.as_ref().map(|dir| {
-        let store_metrics = match &hub {
-            Some(hub) => StoreMetrics::registered(hub.registry()),
-            None => StoreMetrics::detached(),
-        };
+        let store_metrics = StoreMetrics::registered(hub.registry());
         let dir_store = DirStore::with_metrics(dir, store_metrics.clone())
             .unwrap_or_else(|e| panic!("open state dir {}: {e}", dir.display()));
         (Arc::new(dir_store) as SharedStore, store_metrics)
@@ -308,10 +346,7 @@ pub fn run_cluster_with(
         .into_iter()
         .enumerate()
         .map(|(i, frag)| {
-            let metrics = match &hub {
-                Some(hub) => NodeMetrics::registered(hub.registry(), i as NodeId),
-                None => NodeMetrics::detached(),
-            };
+            let metrics = NodeMetrics::registered(hub.registry(), i as NodeId);
             let mut peer = jxp_core::peer::JxpPeer::new(frag, n_total, jxp.clone());
             let key = format!("node-{i}");
             if let Some((store, _)) = &store {
@@ -330,10 +365,7 @@ pub fn run_cluster_with(
                 node.attach_persistence(NodePersist::new(
                     Arc::clone(store),
                     key,
-                    PersistConfig {
-                        checkpoint_every: config.checkpoint_every,
-                        ..PersistConfig::default()
-                    },
+                    config.checkpoint_every,
                     store_metrics.clone(),
                     recovered_seq[i],
                 ));
@@ -359,70 +391,24 @@ pub fn run_cluster_with(
         })
         .collect();
 
-    // Bring up the chosen transport; the reactor's loop thread stays
-    // alive in `reactor`. The typed `reactor_rt` clone is what the batch
-    // paths (premeet sweep, pipelined rounds) use — the
-    // `Box<dyn Transport>` facade only carries the serial traffic
-    // (hellos, stall runs).
-    let mut reactor: Option<Reactor> = None;
-    let mut reactor_rt: Option<ReactorTransport> = None;
-    let transport: Box<dyn Transport> = match config.transport {
-        TransportKind::Loopback => {
-            let net = LoopbackNetwork::new();
-            for (i, inj) in injectors.iter().enumerate() {
-                net.register(i as NodeId, Arc::clone(inj) as Arc<dyn FrameHandler>);
-            }
-            Box::new(net)
-        }
-        TransportKind::Reactor => {
-            let metrics = match &hub {
-                Some(hub) => ReactorMetrics::registered(hub.registry()),
-                None => ReactorMetrics::detached(),
-            };
-            let r = Reactor::start(ReactorConfig::default(), metrics);
-            let rt = ReactorTransport::new(r.handle());
-            for (i, inj) in injectors.iter().enumerate() {
-                let service = Arc::new(HandlerService(Arc::clone(inj) as Arc<dyn FrameHandler>));
-                let addr = r.handle().listen(service).expect("bind reactor listener");
-                rt.add_route(i as NodeId, addr);
-            }
-            reactor = Some(r);
-            reactor_rt = Some(rt.clone());
-            Box::new(rt)
-        }
-    };
+    // Bring up the chosen transport. From here on the run sees only a
+    // `dyn Transport`; `reactor` (when built) keeps the loop thread alive.
+    let (transport, reactor) = config.transport.build(&injectors, &hub);
+    let transport = transport.as_ref();
 
     // Join handshake: each node hellos its ring successor over the wire.
     for (i, node) in nodes.iter().enumerate() {
         let next = ((i + 1) % num_nodes) as NodeId;
-        let _ = node.hello(next, transport.as_ref(), &config.retry);
+        let _ = node.hello(next, transport, &config.retry);
     }
 
-    // Pre-meetings: one synopsis sweep per node, over the wire, so the
-    // probe traffic is real and counted. On the reactor the all-pairs
-    // sweep runs under a sliding submission window — synopses are
-    // immutable until the first meeting, so the answers (and the bytes
-    // counted) are identical to the serial sweep's, just concurrent.
+    // Pre-meetings: the all-pairs synopsis sweep, over the wire, so the
+    // probe traffic is real and counted.
     let premeet_cfg = PreMeetingsConfig::default();
-    let remote_synopses: Vec<Vec<(NodeId, PeerSynopses)>> = if !config.premeetings {
-        Vec::new()
-    } else if let Some(rt) = &reactor_rt {
-        reactor_premeet_sweep(rt, &nodes, &config.retry, PREMEET_WINDOW)
+    let remote_synopses: Vec<Vec<(NodeId, PeerSynopses)>> = if config.premeetings {
+        premeet_sweep(transport, &nodes, &config.retry, PREMEET_WINDOW)
     } else {
-        nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                (0..num_nodes)
-                    .filter(|&j| j != i)
-                    .filter_map(|j| {
-                        node.fetch_synopses(j as NodeId, transport.as_ref(), &config.retry)
-                            .ok()
-                            .map(|syn| (j as NodeId, syn))
-                    })
-                    .collect()
-            })
-            .collect()
+        Vec::new()
     };
 
     // Draw the whole schedule serially (round-robin initiators, seeded
@@ -530,16 +516,13 @@ pub fn run_cluster_with(
     }
 
     // Telemetry handles are registered once, up front (cold path).
-    let round_metrics = hub.as_ref().map(|h| {
-        (
-            h.registry().counter("jxp_cluster_rounds_total"),
-            h.registry()
-                .histogram("jxp_cluster_round_width", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
-        )
-    });
+    let rounds_total = hub.registry().counter("jxp_cluster_rounds_total");
+    let round_width = hub
+        .registry()
+        .histogram("jxp_cluster_round_width", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0]);
 
     // Stall injection must see requests in schedule order to swallow
-    // exactly the planned ones, so it pins execution to one worker.
+    // exactly the planned ones, so it pins execution to one stripe.
     let workers = if config.stall.is_some() { 1 } else { threads };
     // The concurrent driver (if any) runs for the whole meeting phase
     // and is joined before any teardown, so every frame it sends meets
@@ -548,7 +531,7 @@ pub fn run_cluster_with(
     std::thread::scope(|driver_scope| {
         let driver = hooks.concurrent.map(|run| {
             let ctx = ClusterCtx {
-                transport: transport.as_ref(),
+                transport,
                 nodes: &nodes,
                 meetings_done: &meetings_done,
                 metrics_addr,
@@ -567,66 +550,61 @@ pub fn run_cluster_with(
             if round.is_empty() {
                 continue;
             }
-            // Outcomes are collected in schedule order so telemetry events
-            // can be emitted serially afterwards: the event stream is then
-            // independent of how the round's meetings interleaved.
-            let mut outcomes: Vec<Option<crate::node::MeetOutcome>> = vec![None; round.len()];
-            let slots = round.iter().zip(outcomes.iter_mut());
-            if let (Some(rt), None) = (&reactor_rt, config.stall) {
-                // Reactor path: submit the whole node-disjoint round,
-                // then harvest in schedule order. Disjointness makes
-                // the reordering invisible (no pair touches another's
-                // state), so outcomes are bit-identical to the pooled
-                // path at every `threads` value.
-                let tasks = slots
-                    .map(|(&(_, initiator, target), slot)| (initiator, target, slot))
-                    .collect();
-                run_reactor_round(rt, &nodes, &config.retry, tasks);
-            } else {
-                // Persistent shared pool (inline on this thread when
-                // `workers` is 1): each task owns its outcome slot, so
-                // placement (dealing or stealing) cannot reorder or
-                // lose results.
-                let transport = transport.as_ref();
-                let tasks: Vec<_> = slots.collect();
-                jxp_pool::global().run_dealt(workers, tasks, |(&(m, initiator, target), slot)| {
-                    if let Some(plan) = config.stall.filter(|plan| plan.at_meeting == m) {
-                        injectors[plan.node_index].stall_next(plan.count);
-                    }
-                    // Failures are part of the experiment: counted, never fatal.
-                    *slot = nodes[initiator].meet(target, transport, &config.retry).ok();
-                });
+            if let Some(plan) = config
+                .stall
+                .filter(|plan| round.iter().any(|&(m, ..)| m == plan.at_meeting))
+            {
+                injectors[plan.node_index].stall_next(plan.count);
             }
-            if let Some(hub) = &hub {
-                for (&(m, initiator, target), outcome) in round.iter().zip(&outcomes) {
-                    hub.events().record(Event::MeetingStarted {
+            // Deal the round into stripes, meeting k to stripe k mod
+            // stripes; each stripe is a round of its own on one pool
+            // executor (inline on this thread when there is one stripe).
+            // Every meeting owns its outcome slot, in schedule order, so
+            // placement cannot reorder or lose results — and telemetry
+            // events, emitted serially below, do not depend on how the
+            // stripes interleaved.
+            let mut outcomes: Vec<Option<MeetOutcome>> = vec![None; round.len()];
+            let stripe_count = workers.min(round.len());
+            let mut stripes: Vec<Vec<_>> = (0..stripe_count).map(|_| Vec::new()).collect();
+            for (k, (&(_, initiator, target), slot)) in
+                round.iter().zip(outcomes.iter_mut()).enumerate()
+            {
+                stripes[k % stripe_count].push(((&*nodes[initiator], target), slot));
+            }
+            jxp_pool::global().run_dealt(stripe_count, stripes, |stripe| {
+                let (pairs, slots): (Vec<_>, Vec<_>) = stripe.into_iter().unzip();
+                let outcomes = run_round(transport, &config.retry, &pairs);
+                for (slot, outcome) in slots.into_iter().zip(outcomes) {
+                    // Failures are part of the experiment: counted, never fatal.
+                    *slot = outcome.ok();
+                }
+            });
+            for (&(m, initiator, target), outcome) in round.iter().zip(&outcomes) {
+                hub.events().record(Event::MeetingStarted {
+                    meeting: m as u64,
+                    initiator: initiator as u64,
+                    partner: target,
+                });
+                hub.events().record(match outcome {
+                    Some(o) => Event::MeetingCompleted {
                         meeting: m as u64,
                         initiator: initiator as u64,
                         partner: target,
-                    });
-                    hub.events().record(match outcome {
-                        Some(o) => Event::MeetingCompleted {
-                            meeting: m as u64,
-                            initiator: initiator as u64,
-                            partner: target,
-                            bytes: o.bytes_sent + o.bytes_received,
-                        },
-                        None => Event::MeetingFailed {
-                            meeting: m as u64,
-                            initiator: initiator as u64,
-                            partner: target,
-                        },
-                    });
-                }
-                hub.events().record(Event::RoundExecuted {
-                    round: round_no as u64,
-                    pairs: round.len() as u64,
+                        bytes: o.bytes_sent + o.bytes_received,
+                    },
+                    None => Event::MeetingFailed {
+                        meeting: m as u64,
+                        initiator: initiator as u64,
+                        partner: target,
+                    },
                 });
-                let (rounds_total, round_width) =
-                    round_metrics.as_ref().expect("registered with hub");
-                rounds_total.inc();
-                round_width.observe(round.len() as f64);
             }
+            hub.events().record(Event::RoundExecuted {
+                round: round_no as u64,
+                pairs: round.len() as u64,
+            });
+            rounds_total.inc();
+            round_width.observe(round.len() as f64);
             if let Some(delay) = config.round_delay {
                 std::thread::sleep(delay);
             }
@@ -656,7 +634,7 @@ pub fn run_cluster_with(
         let k = distributed.len().min(100);
         footrule_distance(&distributed, &centralized_ranking(scores), k)
     });
-    if let (Some(hub), Some(f)) = (&hub, footrule) {
+    if let Some(f) = footrule {
         hub.registry().gauge("jxp_cluster_footrule").set(f);
     }
 
@@ -1056,7 +1034,7 @@ mod tests {
     }
 
     #[test]
-    fn reactor_premeet_sweep_holds_many_probes_in_flight() {
+    fn premeet_sweep_on_the_reactor_holds_many_probes_in_flight() {
         use std::io::{Read as _, Write as _};
         // 12 nodes -> 132 ordered pairs: the sweep's initial window
         // fill outpaces the loop thread's connect handshakes by orders
@@ -1291,10 +1269,7 @@ mod tests {
                     node.attach_persistence(NodePersist::new(
                         Arc::clone(&store),
                         format!("node-{i}"),
-                        PersistConfig {
-                            checkpoint_every: base.checkpoint_every,
-                            ..PersistConfig::default()
-                        },
+                        base.checkpoint_every,
                         StoreMetrics::detached(),
                         rec.seq,
                     ));

@@ -19,17 +19,18 @@ pub mod loopback;
 pub mod node;
 pub mod persist;
 pub mod reactor;
+mod round;
 pub mod transport;
 
 pub use cluster::{
     run_cluster, run_cluster_with, ClusterConfig, ClusterCtx, ClusterHooks, ClusterReport,
     StallPlan, TransportKind,
 };
-pub use loopback::{Fault, LoopbackNetwork};
+pub use loopback::LoopbackNetwork;
 pub use node::{JxpNode, MeetOutcome, NodeMetrics, NodeStats};
-pub use persist::{NodePersist, PersistConfig, SharedStore};
-pub use reactor::{reactor_premeet_sweep, run_reactor_round, HandlerService, ReactorTransport};
+pub use persist::{NodePersist, SharedStore};
+pub use reactor::{HandlerService, ReactorTransport};
 pub use transport::{
-    request_with_retry, Exchange, FrameHandler, NodeId, RetriedExchange, RetryError, RetryPolicy,
-    StallInjector, Transport, TransportError,
+    request_with_retry, Exchange, FrameHandler, NodeId, Pending, RetriedExchange, RetryError,
+    RetryPolicy, StallInjector, Transport, TransportError,
 };

@@ -4,35 +4,18 @@
 //! by decoding the bytes on the responder side, handled, and the reply
 //! travels back the same way — so loopback exchanges exercise the real
 //! codec and report exact wire byte counts, without sockets or threads.
-//! Fault injection lets tests and the cluster driver simulate dropped
-//! connections and stalled peers on demand.
+//! Stalls are injected one layer up, by wrapping a handler in a
+//! [`crate::transport::StallInjector`], the same way on every transport.
 
 use crate::transport::{Exchange, FrameHandler, NodeId, Transport, TransportError};
 use jxp_wire::{decode_frame, encode_frame, Frame};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// An injected failure for the next request(s) addressed to a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// The connection is refused: the request never reaches the handler
-    /// and the initiator sees [`TransportError::Unreachable`].
-    DropNext,
-    /// The request is lost in flight: the handler is never invoked and
-    /// the initiator sees [`TransportError::Timeout`].
-    StallNext,
-}
-
-#[derive(Default)]
-struct Inner {
-    handlers: HashMap<NodeId, Arc<dyn FrameHandler>>,
-    faults: HashMap<NodeId, VecDeque<Fault>>,
-}
 
 /// Shared in-memory "network" connecting loopback nodes.
 #[derive(Clone, Default)]
 pub struct LoopbackNetwork {
-    inner: Arc<Mutex<Inner>>,
+    handlers: Arc<Mutex<HashMap<NodeId, Arc<dyn FrameHandler>>>>,
 }
 
 impl LoopbackNetwork {
@@ -44,50 +27,23 @@ impl LoopbackNetwork {
     /// Registry access that survives poisoning: a handler that panicked
     /// while the registry lock was held (it isn't held across handler
     /// calls, but defense in depth) must not wedge every later meeting.
-    fn inner(&self) -> std::sync::MutexGuard<'_, Inner> {
-        jxp_telemetry::sync::lock_unpoisoned(&self.inner)
+    fn handlers(&self) -> std::sync::MutexGuard<'_, HashMap<NodeId, Arc<dyn FrameHandler>>> {
+        jxp_telemetry::sync::lock_unpoisoned(&self.handlers)
     }
 
     /// Attach `handler` as the responder for `id` (replacing any previous).
     pub fn register(&self, id: NodeId, handler: Arc<dyn FrameHandler>) {
-        self.inner().handlers.insert(id, handler);
-    }
-
-    /// Detach the responder for `id`; subsequent requests to it fail
-    /// with [`TransportError::Unreachable`].
-    pub fn unregister(&self, id: NodeId) {
-        self.inner().handlers.remove(&id);
-    }
-
-    /// Queue a fault to hit the next request addressed to `id`. Faults
-    /// queue FIFO and each consumes exactly one request.
-    pub fn inject_fault(&self, id: NodeId, fault: Fault) {
-        self.inner().faults.entry(id).or_default().push_back(fault);
+        self.handlers().insert(id, handler);
     }
 }
 
 impl Transport for LoopbackNetwork {
     fn request(&self, peer: NodeId, frame: &Frame) -> Result<Exchange, TransportError> {
-        // Resolve the handler and pop any pending fault under the lock,
-        // then drop it: the handler may itself issue requests (a node
-        // answering while another meeting is in flight) and must not
-        // deadlock against the registry.
-        let (handler, fault) = {
-            let mut inner = self.inner();
-            let fault = inner.faults.get_mut(&peer).and_then(|q| q.pop_front());
-            let handler = inner.handlers.get(&peer).cloned();
-            (handler, fault)
-        };
-        match fault {
-            Some(Fault::DropNext) => {
-                return Err(TransportError::Unreachable(format!(
-                    "connection to node {peer} refused (injected)"
-                )))
-            }
-            Some(Fault::StallNext) => return Err(TransportError::Timeout),
-            None => {}
-        }
-        let handler = handler.ok_or_else(|| {
+        // Resolve the handler under the lock, then drop it: the handler
+        // may itself issue requests (a node answering while another
+        // meeting is in flight) and must not deadlock against the
+        // registry.
+        let handler = self.handlers().get(&peer).cloned().ok_or_else(|| {
             TransportError::Unreachable(format!("no node {peer} on loopback network"))
         })?;
 
@@ -165,23 +121,5 @@ mod tests {
         net.register(3, Arc::new(Mute));
         let err = net.request(3, &Frame::Ack { of: 1 }).unwrap_err();
         assert!(matches!(err, TransportError::Timeout));
-    }
-
-    #[test]
-    fn faults_fire_once_in_fifo_order() {
-        let net = LoopbackNetwork::new();
-        net.register(5, Arc::new(Echo));
-        net.inject_fault(5, Fault::DropNext);
-        net.inject_fault(5, Fault::StallNext);
-        let req = Frame::Ack { of: 2 };
-        assert!(matches!(
-            net.request(5, &req).unwrap_err(),
-            TransportError::Unreachable(_)
-        ));
-        assert!(matches!(
-            net.request(5, &req).unwrap_err(),
-            TransportError::Timeout
-        ));
-        assert!(net.request(5, &req).is_ok());
     }
 }

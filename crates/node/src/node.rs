@@ -22,6 +22,7 @@
 //! relaxed atomic adds while another thread holds the peer state lock.
 
 use crate::persist::NodePersist;
+use crate::round::run_round;
 use crate::transport::{
     request_with_retry, Exchange, FrameHandler, NodeId, RetriedExchange, RetryError, RetryPolicy,
     Transport, TransportError,
@@ -75,15 +76,7 @@ pub struct NodeMetrics {
 impl NodeMetrics {
     /// Standalone counters, not visible to any registry.
     pub fn detached() -> Self {
-        NodeMetrics {
-            meetings_attempted: Arc::new(Counter::new()),
-            meetings_completed: Arc::new(Counter::new()),
-            meetings_failed: Arc::new(Counter::new()),
-            meetings_served: Arc::new(Counter::new()),
-            retries: Arc::new(Counter::new()),
-            bytes_in: Arc::new(Counter::new()),
-            bytes_out: Arc::new(Counter::new()),
-        }
+        NodeMetrics::registered(&Registry::new(), 0)
     }
 
     /// Counters registered in `registry` as one labelled series per
@@ -286,33 +279,24 @@ impl JxpNode {
     /// and absorb the reply. The node's own lock is **not** held across
     /// the transport call, so this node keeps answering inbound requests
     /// while its own exchange is in flight (and loopback cannot
-    /// self-deadlock).
+    /// self-deadlock). This is the one-meeting case of the cluster's
+    /// round executor, so both run the same probe → request → absorb
+    /// sequence.
     pub fn meet(
         &self,
         target: NodeId,
         transport: &dyn Transport,
         policy: &RetryPolicy,
     ) -> Result<MeetOutcome, TransportError> {
-        if let Some(request) = self.interest_request(target) {
-            let probe = request_with_retry(transport, target, &request, policy);
-            self.interest_fetched(target, probe)?;
-        }
-        let request = self.meet_begin(target);
-        let outcome = match request_with_retry(transport, target, &request, policy) {
-            Ok(done) => done,
-            Err(failed) => {
-                self.meet_abort(failed.retries);
-                return Err(failed.error);
-            }
-        };
-        self.meet_finish(target, outcome.exchange, outcome.retries)
+        run_round(transport, policy, &[(self, target)])
+            .pop()
+            .expect("a one-meeting round has one outcome")
     }
 
-    /// The first-contact probe [`JxpNode::meet`] sends ahead of a meeting
-    /// with a `target` whose filter this node has not been sent yet;
-    /// `None` once it has. Its outcome goes to
-    /// [`JxpNode::interest_fetched`].
-    pub fn interest_request(&self, target: NodeId) -> Option<Frame> {
+    /// The first-contact probe a meeting sends ahead of itself to a
+    /// `target` whose filter this node has not been sent yet; `None` once
+    /// it has. Its outcome goes to [`JxpNode::interest_fetched`].
+    pub(crate) fn interest_request(&self, target: NodeId) -> Option<Frame> {
         let known = self.lock().partner_interest.contains_key(&target);
         (!known).then(|| self.synopses_request())
     }
@@ -323,7 +307,7 @@ impl JxpNode {
     /// go ahead. A `target` the transport could not reach for the probe
     /// will not be reached for the meeting either: that is the `Err`, and
     /// the meeting is already counted as attempted and failed.
-    pub fn interest_fetched(
+    pub(crate) fn interest_fetched(
         &self,
         target: NodeId,
         probe: Result<RetriedExchange, RetryError>,
@@ -342,23 +326,21 @@ impl JxpNode {
         }
     }
 
-    /// First half of [`JxpNode::meet`]: count the attempt and build the
-    /// request frame from pre-absorption state, cut to `target`'s filter
-    /// when this node has it. A multiplexed transport pairs this with
-    /// [`JxpNode::meet_finish`] (reply arrived) or
-    /// [`JxpNode::meet_abort`] (transport gave up), producing exactly
-    /// the counter trace [`JxpNode::meet`] would.
-    pub fn meet_begin(&self, target: NodeId) -> Frame {
+    /// First half of a meeting: count the attempt and build the request
+    /// frame from pre-absorption state, cut to `target`'s filter when
+    /// this node has it. It is settled by [`JxpNode::meet_finish`] (reply
+    /// arrived) or [`JxpNode::meet_abort`] (transport gave up).
+    pub(crate) fn meet_begin(&self, target: NodeId) -> Frame {
         self.metrics.meetings_attempted.inc();
         let state = self.lock();
         let cut_to = state.partner_interest.get(&target).and_then(Option::as_ref);
         Frame::MeetRequest(state.peer.payload_for(cut_to))
     }
 
-    /// Second half of [`JxpNode::meet`]: decode `target`'s reply, absorb
-    /// it (journaling the delta), and settle the success counters.
+    /// Second half of a meeting: decode `target`'s reply, absorb it
+    /// (journaling the delta), and settle the success counters.
     /// `retries` is how many times the transport resubmitted.
-    pub fn meet_finish(
+    pub(crate) fn meet_finish(
         &self,
         target: NodeId,
         exchange: Exchange,
@@ -410,9 +392,9 @@ impl JxpNode {
         })
     }
 
-    /// Failure half of [`JxpNode::meet`]: the transport exhausted its
-    /// retries without a reply.
-    pub fn meet_abort(&self, retries: u32) {
+    /// Failure half of a meeting: the transport exhausted its retries
+    /// without a reply.
+    pub(crate) fn meet_abort(&self, retries: u32) {
         self.metrics.meetings_failed.inc();
         self.metrics.retries.add(u64::from(retries));
     }

@@ -21,30 +21,15 @@ use jxp_store::{StateStore, StoreMetrics, WalKind, WalRecord};
 /// Shared handle to any [`StateStore`] backend.
 pub type SharedStore = Arc<dyn StateStore + Send + Sync>;
 
-/// Knobs for when a node checkpoints.
-#[derive(Debug, Clone)]
-pub struct PersistConfig {
-    /// Checkpoint after this many applied events (0 = only on demand).
-    pub checkpoint_every: u64,
-    /// Also checkpoint early once the WAL outgrows this many bytes,
-    /// which is what bounds WAL growth between interval checkpoints.
-    pub wal_compact_bytes: u64,
-}
-
-impl Default for PersistConfig {
-    fn default() -> Self {
-        PersistConfig {
-            checkpoint_every: 8,
-            wal_compact_bytes: 1 << 20,
-        }
-    }
-}
+/// Checkpoint early once a node's WAL outgrows this many bytes, which is
+/// what bounds WAL growth between interval checkpoints.
+const WAL_COMPACT_BYTES: u64 = 1 << 20;
 
 /// Durable journal for one node.
 pub struct NodePersist {
     store: SharedStore,
     key: String,
-    config: PersistConfig,
+    checkpoint_every: u64,
     metrics: StoreMetrics,
     seq: u64,
     since_checkpoint: u64,
@@ -52,18 +37,20 @@ pub struct NodePersist {
 
 impl NodePersist {
     /// Journal into `store` under `key`, continuing from `start_seq`
-    /// (0 for a fresh node, the recovered sequence after a resume).
+    /// (0 for a fresh node, the recovered sequence after a resume), and
+    /// checkpoint after every `checkpoint_every` applied events (0 = only
+    /// on demand or when the WAL outgrows its bound).
     pub fn new(
         store: SharedStore,
         key: impl Into<String>,
-        config: PersistConfig,
+        checkpoint_every: u64,
         metrics: StoreMetrics,
         start_seq: u64,
     ) -> Self {
         NodePersist {
             store,
             key: key.into(),
-            config,
+            checkpoint_every,
             metrics,
             seq: start_seq,
             since_checkpoint: 0,
@@ -115,10 +102,9 @@ impl NodePersist {
         match self.store.append(&self.key, &record) {
             Ok(wal_bytes) => {
                 self.since_checkpoint += 1;
-                let interval_due = self.config.checkpoint_every > 0
-                    && self.since_checkpoint >= self.config.checkpoint_every;
-                let wal_oversized =
-                    self.config.wal_compact_bytes > 0 && wal_bytes > self.config.wal_compact_bytes;
+                let interval_due =
+                    self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every;
+                let wal_oversized = wal_bytes > WAL_COMPACT_BYTES;
                 if interval_due || wal_oversized {
                     self.checkpoint(peer);
                 }
@@ -128,8 +114,8 @@ impl NodePersist {
     }
 
     /// Install a checkpoint of `peer` at the current sequence (also
-    /// compacts the WAL). Called automatically per [`PersistConfig`]
-    /// and explicitly at clean shutdown.
+    /// compacts the WAL). Called automatically on the checkpoint
+    /// interval or an oversized WAL, and explicitly at clean shutdown.
     pub fn checkpoint(&mut self, peer: &JxpPeer) {
         let snap = snapshot::save(peer);
         match self.store.checkpoint(&self.key, self.seq, &snap) {

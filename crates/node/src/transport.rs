@@ -3,11 +3,13 @@
 //! A transport is *synchronous request/response*: the JXP meeting protocol
 //! is strictly client-driven (the initiator sends a frame, the responder
 //! answers with exactly one frame), so the whole exchange maps onto one
-//! `request` call. Two implementations exist: a deterministic in-memory
-//! loopback ([`crate::loopback`]) and the multiplexed localhost-socket
-//! reactor ([`crate::reactor`]). Both move **real encoded frames**
-//! through [`jxp_wire`], so the byte counts they report are measured
-//! codec output, not estimates.
+//! `request` call — or onto `start` now and [`Pending::wait`] later, which
+//! is how one thread keeps a whole meeting round in flight on a transport
+//! that can queue (the reactor). Two implementations exist: a
+//! deterministic in-memory loopback ([`crate::loopback`]) and the
+//! multiplexed localhost-socket reactor ([`crate::reactor`]). Both move
+//! **real encoded frames** through [`jxp_wire`], so the byte counts they
+//! report are measured codec output, not estimates.
 
 use jxp_wire::{Frame, WireError};
 use std::time::Duration;
@@ -66,6 +68,35 @@ impl From<WireError> for TransportError {
 pub trait Transport: Send + Sync {
     /// Perform one request/response exchange.
     fn request(&self, peer: NodeId, frame: &Frame) -> Result<Exchange, TransportError>;
+
+    /// Start an exchange and return before its reply is needed, so one
+    /// thread can hold many exchanges open and redeem them in order.
+    /// The default performs the whole exchange at once — what a
+    /// transport without a submission queue (loopback) can offer.
+    fn start(&self, peer: NodeId, frame: &Frame) -> Pending {
+        Pending::ready(self.request(peer, frame))
+    }
+}
+
+/// An exchange begun by [`Transport::start`]; [`Pending::wait`] blocks
+/// for its outcome.
+pub struct Pending(Box<dyn FnOnce() -> Result<Exchange, TransportError>>);
+
+impl Pending {
+    /// An exchange whose outcome is already known.
+    pub fn ready(result: Result<Exchange, TransportError>) -> Pending {
+        Pending(Box::new(move || result))
+    }
+
+    /// An exchange whose outcome `wait` produces on demand.
+    pub fn later(wait: impl FnOnce() -> Result<Exchange, TransportError> + 'static) -> Pending {
+        Pending(Box::new(wait))
+    }
+
+    /// Block until the exchange resolves.
+    pub fn wait(self) -> Result<Exchange, TransportError> {
+        (self.0)()
+    }
 }
 
 /// Server side of a transport: turns one inbound frame into one reply.
@@ -197,28 +228,21 @@ pub fn request_with_retry(
     frame: &Frame,
     policy: &RetryPolicy,
 ) -> Result<RetriedExchange, RetryError> {
-    retry_from(
-        || transport.request(peer, frame),
-        transport,
-        peer,
-        frame,
-        policy,
-    )
+    retry_from(transport.start(peer, frame), transport, peer, frame, policy)
 }
 
-/// The one retry loop. `first` makes the first attempt — a plain
-/// `transport.request` for [`request_with_retry`], the wait on an
-/// already-submitted ticket for the reactor's batch paths — and every
-/// later attempt is `transport.request` after the policy's backoff.
+/// The one retry loop. The first attempt is `first`, an exchange of
+/// `frame` already started on `transport`; every later attempt is
+/// `transport.request` after the policy's backoff.
 /// [`TransportError::Rejected`] is final on whichever attempt it lands.
 pub(crate) fn retry_from(
-    first: impl FnOnce() -> Result<Exchange, TransportError>,
+    first: Pending,
     transport: &dyn Transport,
     peer: NodeId,
     frame: &Frame,
     policy: &RetryPolicy,
 ) -> Result<RetriedExchange, RetryError> {
-    let mut result = first();
+    let mut result = first.wait();
     let mut retries = 0;
     loop {
         match result {
@@ -342,13 +366,14 @@ mod tests {
             max_delay: Duration::from_millis(1),
         };
         let frame = Frame::Ack { of: 1 };
-        // The reactor's shape: attempt 0 is the wait on a ticket, later
+        // Attempt 0 is the wait on an exchange started earlier, later
         // attempts go through `transport.request`.
         let t = FlakyTransport {
             fail_first: 0,
             calls: AtomicU32::new(0),
         };
-        let out = retry_from(|| Err(TransportError::Timeout), &t, 0, &frame, &policy).unwrap();
+        let timed_out = Pending::later(|| Err(TransportError::Timeout));
+        let out = retry_from(timed_out, &t, 0, &frame, &policy).unwrap();
         assert_eq!(out.retries, 1);
         assert_eq!(t.calls.load(Ordering::SeqCst), 1);
 
@@ -356,7 +381,7 @@ mod tests {
             fail_first: 0,
             calls: AtomicU32::new(0),
         };
-        let rejected = || Err(TransportError::Rejected("go away".into()));
+        let rejected = Pending::ready(Err(TransportError::Rejected("go away".into())));
         let err = retry_from(rejected, &t, 0, &frame, &policy).unwrap_err();
         assert!(matches!(err.error, TransportError::Rejected(_)));
         assert_eq!(err.retries, 0);

@@ -20,6 +20,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
+/// Seed of the MIPs permutation family every simulated peer shares.
+const MIPS_SEED: u64 = 0x4D49_5053;
+
+/// FM-sketch buckets for the gossiped `N` estimate
+/// ([`NetworkConfig::estimate_n`]).
+const FM_BUCKETS: usize = 256;
+
 /// Simulator configuration.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
@@ -29,14 +36,10 @@ pub struct NetworkConfig {
     pub strategy: SelectionStrategy,
     /// Dimensionality of the MIPs vectors (paper §4.3).
     pub mips_dims: usize,
-    /// Seed of the shared MIPs permutation family.
-    pub mips_seed: u64,
     /// When `true`, peers do not receive the true `N`; they estimate it by
-    /// gossiping FM sketches (the §3 "work without this estimate"
-    /// modification).
+    /// gossiping 256-bucket FM sketches (the §3 "work without this
+    /// estimate" modification).
     pub estimate_n: bool,
-    /// FM-sketch buckets for the `N` estimation.
-    pub fm_buckets: usize,
     /// Worker threads for [`Network::run_parallel`] rounds (`0` = the
     /// machine's available parallelism, `1` = serial). Scores are
     /// bit-identical for every value — see [`crate::parallel`]. The
@@ -50,9 +53,7 @@ impl Default for NetworkConfig {
             jxp: JxpConfig::default(),
             strategy: SelectionStrategy::Random,
             mips_dims: 64,
-            mips_seed: 0x4D49_5053,
             estimate_n: false,
-            fm_buckets: 256,
             threads: 0,
         }
     }
@@ -196,10 +197,10 @@ impl Network {
     /// Panics if fewer than two fragments are supplied.
     pub fn new(fragments: Vec<Subgraph>, n_total: u64, config: NetworkConfig, seed: u64) -> Self {
         assert!(fragments.len() >= 2, "a network needs at least two peers");
-        let perms = MipsPermutations::generate(config.mips_dims, config.mips_seed);
+        let perms = MipsPermutations::generate(config.mips_dims, MIPS_SEED);
         let counter = config
             .estimate_n
-            .then(|| GossipCounter::new(&fragments, config.fm_buckets));
+            .then(|| GossipCounter::new(&fragments, FM_BUCKETS));
         let num = fragments.len();
         let synopses: Vec<PeerSynopses> = fragments
             .iter()
@@ -239,11 +240,6 @@ impl Network {
     /// with telemetry on or off, at every thread count.
     pub fn attach_telemetry(&mut self, hub: Arc<TelemetryHub>) {
         self.telemetry = Some(SimTelemetry::new(hub));
-    }
-
-    /// The attached telemetry hub, if any.
-    pub fn telemetry_hub(&self) -> Option<&Arc<TelemetryHub>> {
-        self.telemetry.as_ref().map(|t| &t.hub)
     }
 
     /// Attach the centralized PageRank vector (global page index order)

@@ -167,14 +167,7 @@ impl ReactorMetrics {
 
     /// Standalone metrics not attached to any registry (tests, tools).
     pub fn detached() -> Self {
-        ReactorMetrics {
-            inflight: Arc::new(Gauge::new()),
-            inflight_peak: Arc::new(Gauge::new()),
-            wakeup_dispatch: Arc::new(Histogram::new(&[
-                1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
-            ])),
-            loop_iteration: Arc::new(Histogram::new(&[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])),
-        }
+        ReactorMetrics::registered(&Registry::new())
     }
 }
 

@@ -102,8 +102,8 @@ impl SegmentedGraph {
         self.cache.metrics()
     }
 
-    /// Fault in the segment holding node `v` with the directions in
-    /// `want`, and return it with `v`'s index inside it.
+    /// Load the segment holding node `v` with the directions in `want`
+    /// (through the cache), and return it with `v`'s index inside it.
     fn segment_for(&self, v: usize, want: Directions) -> (Arc<DecodedSegment>, usize) {
         let idx = self.manifest.segment_of(v as u64);
         let seg = self

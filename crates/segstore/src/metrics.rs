@@ -58,15 +58,7 @@ pub struct SegstoreMetrics {
 impl SegstoreMetrics {
     /// Standalone metrics, not attached to any registry.
     pub fn detached() -> Self {
-        SegstoreMetrics {
-            hits_total: Arc::new(Counter::new()),
-            misses_total: Arc::new(Counter::new()),
-            evictions_total: Arc::new(Counter::new()),
-            read_bytes_total: Arc::new(Counter::new()),
-            resident_bytes: Arc::new(Gauge::new()),
-            resident_segments: Arc::new(Gauge::new()),
-            decode_seconds: Arc::new(Histogram::new(DECODE_BOUNDS)),
-        }
+        SegstoreMetrics::registered(&Registry::new())
     }
 
     /// Metrics registered in `registry` under `jxp_segstore_*` names.

@@ -27,13 +27,10 @@ use jxp_webgraph::{FxHashMap, PageId};
 use jxp_wire::{ErrorCode, Frame, QueryHit, QueryPayload, QueryReplyPayload};
 use std::sync::{Arc, Mutex};
 
-/// Tunables of one node's query front end.
+/// Tunables of one node's query front end. Fusion uses the paper's
+/// weights, [`PAPER_TFIDF_WEIGHT`] and [`PAPER_JXP_WEIGHT`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Fusion weight of the tf·idf component.
-    pub w_tfidf: f64,
-    /// Fusion weight of the JXP authority component.
-    pub w_jxp: f64,
     /// TA retrieves `pool_factor · k` tf·idf candidates before fusion,
     /// so authority can promote pages from beyond the tf·idf top-k.
     pub pool_factor: usize,
@@ -44,8 +41,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            w_tfidf: PAPER_TFIDF_WEIGHT,
-            w_jxp: PAPER_JXP_WEIGHT,
             pool_factor: 4,
             cache_capacity: 256,
         }
@@ -69,12 +64,7 @@ pub struct ServeMetrics {
 impl ServeMetrics {
     /// Standalone counters, registered nowhere.
     pub fn detached() -> Self {
-        ServeMetrics {
-            queries: Arc::new(Counter::new()),
-            cache_hits: Arc::new(Counter::new()),
-            cache_misses: Arc::new(Counter::new()),
-            cache_stale: Arc::new(Counter::new()),
-        }
+        ServeMetrics::registered(&Registry::new(), 0)
     }
 
     /// Counters registered in `registry` as labelled series.
@@ -106,18 +96,13 @@ impl ServeHandler {
     /// node's peer holds).
     ///
     /// # Panics
-    /// Panics if the config's weights are negative/all-zero or
-    /// `pool_factor`/`cache_capacity` is zero.
+    /// Panics if `pool_factor` or `cache_capacity` is zero.
     pub fn new(
         node: Arc<JxpNode>,
         index: ServingIndex,
         config: ServeConfig,
         metrics: ServeMetrics,
     ) -> Self {
-        assert!(
-            config.w_tfidf >= 0.0 && config.w_jxp >= 0.0 && config.w_tfidf + config.w_jxp > 0.0,
-            "degenerate fusion weights"
-        );
         assert!(config.pool_factor > 0, "pool_factor must be positive");
         let cache = Mutex::new(EpochLru::new(config.cache_capacity));
         ServeHandler {
@@ -196,7 +181,7 @@ impl ServeHandler {
         });
         let ranking = Ranking::from_scores(authority);
         let tfidf_of: FxHashMap<PageId, f64> = ta.hits.iter().map(|h| (h.page, h.tfidf)).collect();
-        rank_by_fusion(&ta.hits, &ranking, self.config.w_tfidf, self.config.w_jxp)
+        rank_by_fusion(&ta.hits, &ranking, PAPER_TFIDF_WEIGHT, PAPER_JXP_WEIGHT)
             .into_iter()
             .take(k)
             .map(|f| QueryHit {

@@ -39,17 +39,7 @@ pub struct StoreMetrics {
 impl StoreMetrics {
     /// Standalone metrics, not attached to any registry.
     pub fn detached() -> Self {
-        StoreMetrics {
-            checkpoints_total: Arc::new(Counter::new()),
-            wal_records_total: Arc::new(Counter::new()),
-            wal_bytes_total: Arc::new(Counter::new()),
-            recoveries_total: Arc::new(Counter::new()),
-            fallbacks_total: Arc::new(Counter::new()),
-            repairs_total: Arc::new(Counter::new()),
-            errors_total: Arc::new(Counter::new()),
-            checkpoint_seconds: Arc::new(Histogram::new(DURATION_BOUNDS)),
-            wal_append_seconds: Arc::new(Histogram::new(DURATION_BOUNDS)),
-        }
+        StoreMetrics::registered(&Registry::new())
     }
 
     /// Metrics registered in `registry` under `jxp_store_*` names.
