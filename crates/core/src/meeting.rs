@@ -158,6 +158,7 @@ mod tests {
         evil.pages[0].score = 42.0;
         let scores_before = a.scores().to_vec();
         let world_before = a.world_score();
+        let world_node_before = a.world().clone();
         assert!(a.try_absorb(&evil).is_err());
         assert_eq!(a.scores(), &scores_before[..]);
         assert_eq!(a.world_score(), world_before);
@@ -180,6 +181,20 @@ mod tests {
         evil.pages[0].succs = vec![PageId(0), PageId(1)];
         evil.pages[0].out_degree = 1;
         assert!(a.try_absorb(&evil).unwrap_err().contains("out-degree"));
+        // World records, or one record's targets, out of order: the merge
+        // walks both as sorted runs.
+        let relayed = |src: u32, targets: Vec<PageId>| crate::payload::WorldPayload {
+            src: PageId(src),
+            out_degree: 2,
+            score: 0.01,
+            targets,
+        };
+        let mut evil = honest.clone();
+        evil.world = vec![relayed(9, vec![PageId(0)]), relayed(8, vec![PageId(1)])];
+        assert!(a.try_absorb(&evil).unwrap_err().contains("world records"));
+        evil.world = vec![relayed(9, vec![PageId(1), PageId(0)])];
+        assert!(a.try_absorb(&evil).unwrap_err().contains("targets"));
+        assert_eq!(a.world(), &world_node_before);
         assert_eq!(a.scores(), &scores_before[..]);
         assert_eq!(a.stats().meetings, 0);
 

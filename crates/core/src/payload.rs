@@ -142,7 +142,7 @@ impl MeetingPayload {
         let world_entries: Vec<WorldPayload> = world
             .iter()
             .filter_map(|(src, e)| {
-                let targets = keep(&e.targets);
+                let targets = keep(e.targets);
                 (cut_to.is_none() || !targets.is_empty()).then_some(WorldPayload {
                     src,
                     out_degree: e.out_degree,
@@ -170,19 +170,21 @@ impl MeetingPayload {
     /// scope there and here, but a peer can and should reject *malformed*
     /// payloads before absorbing them: non-finite or negative scores,
     /// scores that exceed the total PageRank mass, a local score list that
-    /// claims more than the whole network's authority, duplicate page
-    /// records, more out-links than the stated out-degree, or an "uncut"
-    /// payload with links missing. Returns a description of the first
-    /// violation. Whether a cut payload was cut for *this* receiver is
-    /// [`JxpPeer::try_absorb`](crate::JxpPeer::try_absorb)'s check.
+    /// claims more than the whole network's authority, more out-links than
+    /// the stated out-degree, or an "uncut" payload with links missing.
+    /// Page records, bare ids, world records and each world record's
+    /// targets must be strictly ascending: light-weight merging walks them
+    /// as sorted runs ([`WorldNode::absorb_light`]), so a duplicate or an
+    /// out-of-order record would be misapplied. Returns a description of
+    /// the first violation. Whether a cut payload was cut for *this*
+    /// receiver is [`JxpPeer::try_absorb`](crate::JxpPeer::try_absorb)'s
+    /// check.
     pub fn validate(&self) -> Result<(), String> {
         let valid_score = |s: f64| s.is_finite() && (0.0..=1.0).contains(&s);
         if !valid_score(self.world_score) {
             return Err(format!("world score {} out of [0, 1]", self.world_score));
         }
         let mut total = 0.0;
-        let mut last: Option<PageId> = None;
-        let mut sorted = true;
         for pp in &self.pages {
             if !valid_score(pp.score) {
                 return Err(format!("page {:?} has invalid score {}", pp.page, pp.score));
@@ -195,15 +197,11 @@ impl MeetingPayload {
                     pp.page
                 ));
             }
-            if let Some(prev) = last {
-                sorted &= prev < pp.page;
-            }
-            last = Some(pp.page);
         }
-        if !sorted {
+        if !self.pages.is_sorted_by(|a, b| a.page < b.page) {
             return Err("page records not sorted / contain duplicates".into());
         }
-        if !self.unlinked.windows(2).all(|w| w[0] < w[1]) {
+        if !self.unlinked.is_sorted_by(|a, b| a < b) {
             return Err("unlinked ids not sorted / contain duplicates".into());
         }
         if self.cut_for == 0 && !self.unlinked.is_empty() {
@@ -228,6 +226,15 @@ impl MeetingPayload {
                     wp.src
                 ));
             }
+            if !wp.targets.is_sorted_by(|a, b| a < b) {
+                return Err(format!(
+                    "world entry {:?} targets not sorted / contain duplicates",
+                    wp.src
+                ));
+            }
+        }
+        if !self.world.is_sorted_by(|a, b| a.src < b.src) {
+            return Err("world records not sorted / contain duplicates".into());
         }
         for &(p, s) in &self.world_dangling {
             if !valid_score(s) {
@@ -468,6 +475,27 @@ mod tests {
             targets: vec![PageId(0), PageId(1)],
         });
         assert!(evil.validate().is_err());
+
+        // World records and their targets must be strictly ascending.
+        let relayed = |src: u32, targets: &[u32]| WorldPayload {
+            src: PageId(src),
+            out_degree: 3,
+            score: 0.01,
+            targets: targets.iter().map(|&t| PageId(t)).collect(),
+        };
+        let mut evil = honest.clone();
+        evil.world = vec![relayed(8, &[0]), relayed(9, &[0, 1])];
+        evil.validate().unwrap();
+        for world in [
+            vec![relayed(9, &[0]), relayed(8, &[0])],
+            vec![relayed(9, &[0]), relayed(9, &[1])],
+            vec![relayed(9, &[1, 0])],
+            vec![relayed(9, &[1, 1])],
+        ] {
+            evil.world = world;
+            let why = evil.validate().unwrap_err();
+            assert!(why.contains("not sorted"), "{why}");
+        }
 
         // Bad world score.
         let mut evil = honest.clone();

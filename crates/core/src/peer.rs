@@ -258,63 +258,14 @@ impl JxpPeer {
     /// the local world node, combine overlapping scores, recompute on the
     /// *unchanged* extended local graph.
     fn absorb_light(&mut self, payload: &MeetingPayload) {
-        let combine = self.config.combine;
         for pp in &payload.pages {
-            match self.graph.local_index(pp.page) {
-                Some(i) => {
-                    // Overlapping page: combine the two score opinions.
-                    self.scores[i] = self.combine_scores(self.scores[i], pp.score);
-                }
-                None => {
-                    // External page held locally by the sender: the sender
-                    // knows its complete, current out-link list, so the
-                    // structural update is authoritative (stale links from
-                    // older crawls are replaced — §5.3 dynamics).
-                    let targets: Vec<PageId> = pp
-                        .succs
-                        .iter()
-                        .copied()
-                        .filter(|&t| self.graph.contains(t))
-                        .collect();
-                    self.world.set_authoritative(
-                        pp.page,
-                        pp.out_degree,
-                        pp.score,
-                        targets,
-                        combine,
-                    );
-                }
+            if let Some(i) = self.graph.local_index(pp.page) {
+                // Overlapping page: combine the two score opinions.
+                self.scores[i] = self.combine_scores(self.scores[i], pp.score);
             }
         }
-        // Pages the sender holds that link to nothing of mine: had they
-        // come as full records, the authoritative update above would have
-        // found no targets and dropped whatever I knew about them.
-        for &page in &payload.unlinked {
-            if !self.graph.contains(page) {
-                self.world.forget(page);
-            }
-        }
-        for &(page, score) in &payload.world_dangling {
-            if !self.graph.contains(page) {
-                self.world.upsert_dangling(page, score, combine);
-            }
-        }
-        for wp in &payload.world {
-            if self.graph.contains(wp.src) {
-                continue; // I hold the page itself; its links are local.
-            }
-            let graph = &self.graph;
-            let mut targets = wp
-                .targets
-                .iter()
-                .copied()
-                .filter(|&t| graph.contains(t))
-                .peekable();
-            if targets.peek().is_some() {
-                self.world
-                    .upsert(wp.src, wp.out_degree, wp.score, targets, combine);
-            }
-        }
+        self.world
+            .absorb_light(payload, &self.graph, self.config.combine);
         // Paper eq. (1): the world node takes whatever mass the local
         // pages do not claim.
         self.world_score = (1.0 - self.local_mass()).clamp(0.0, 1.0);
@@ -349,28 +300,12 @@ impl JxpPeer {
         }
 
         // ---- Merged world node: T_M = (T_A ∪ T_B) − E_M.
-        let mut merged_world = WorldNode::new();
-        for (src, e) in self.world.iter() {
-            merged_world.upsert(
-                src,
-                e.out_degree,
-                e.score,
-                e.targets.iter().copied(),
-                combine,
-            );
-        }
-        for (page, score) in self.world.dangling_iter() {
-            merged_world.upsert_dangling(page, score, combine);
-        }
-        for wp in &payload.world {
-            merged_world.upsert(
-                wp.src,
-                wp.out_degree,
-                wp.score,
-                wp.targets.iter().copied(),
-                combine,
-            );
-        }
+        let mut merged_world = self.world.clone();
+        merged_world.merge(
+            payload.world.iter().map(|wp| (wp.src, wp)),
+            (payload.world.len(), payload.num_links()),
+            |slot, wp| slot.upsert(wp.out_degree, wp.score, wp.targets.iter().copied(), combine),
+        );
         for &(page, score) in &payload.world_dangling {
             merged_world.upsert_dangling(page, score, combine);
         }
@@ -410,50 +345,39 @@ impl JxpPeer {
 
         // ---- … and rebuild W_A: links from W_M into V_A, plus links from
         // E_B into V_A (their sources got fresh scores from the merged PR).
-        let mut new_world = WorldNode::new();
-        for (src, e) in merged_world.iter() {
-            let targets: Vec<PageId> = e
-                .targets
+        // Dangling knowledge "points everywhere": always kept. No source
+        // of W_M is in V_M ⊇ V_A, so only targets are dropped here.
+        let mut new_world = merged_world;
+        new_world.scale_scores(reweight);
+        new_world.retain_relevant(&self.graph);
+        let graph = &self.graph;
+        new_world.merge(
+            payload
+                .pages
                 .iter()
-                .copied()
-                .filter(|&t| self.graph.contains(t))
-                .collect();
-            if !targets.is_empty() {
-                new_world.upsert(src, e.out_degree, e.score * reweight, targets, combine);
-            }
-        }
-        for (page, score) in merged_world.dangling_iter() {
-            // Dangling knowledge "points everywhere": always kept.
-            new_world.upsert_dangling(page, score * reweight, combine);
-        }
-        for pp in &payload.pages {
-            if self.graph.contains(pp.page) {
-                continue;
-            }
-            let mi = merged.local_index(pp.page).expect("V_B ⊆ V_M");
-            if pp.succs.is_empty() {
-                // B's local dangling page, external to me: its fresh score
-                // comes from the merged PageRank run.
-                new_world.upsert_dangling(pp.page, outcome.scores[mi], combine);
-                continue;
-            }
-            let targets: Vec<PageId> = pp
-                .succs
-                .iter()
-                .copied()
-                .filter(|&t| self.graph.contains(t))
-                .collect();
-            if targets.is_empty() {
-                continue;
-            }
-            new_world.upsert(
-                pp.page,
-                pp.succs.len() as u32,
-                outcome.scores[mi],
-                targets,
-                combine,
-            );
-        }
+                .filter(|pp| !graph.contains(pp.page))
+                .map(|pp| (pp.page, pp)),
+            (payload.pages.len(), payload.num_links()),
+            |slot, pp| {
+                let mi = merged.local_index(pp.page).expect("V_B ⊆ V_M");
+                if pp.succs.is_empty() {
+                    // B's local dangling page, external to me: its fresh
+                    // score comes from the merged PageRank run.
+                    slot.upsert_dangling(outcome.scores[mi], combine);
+                    return;
+                }
+                let mut targets = pp
+                    .succs
+                    .iter()
+                    .copied()
+                    .filter(|&t| graph.contains(t))
+                    .peekable();
+                if targets.peek().is_some() {
+                    let degree = pp.succs.len() as u32;
+                    slot.upsert(degree, outcome.scores[mi], targets, combine);
+                }
+            },
+        );
         self.world = new_world;
     }
 

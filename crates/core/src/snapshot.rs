@@ -25,7 +25,12 @@ const VERSION: u32 = 1;
 pub fn save(peer: &JxpPeer) -> Bytes {
     let graph = peer.graph();
     let world = peer.world();
-    let mut buf = BytesMut::with_capacity(64 + graph.num_links() * 4 + world.wire_size());
+    let mut buf = BytesMut::with_capacity(
+        64 + graph.num_links() * 4
+            + world.len() * 20
+            + world.num_links() * 4
+            + world.num_dangling() * 12,
+    );
     buf.put_slice(&MAGIC);
     buf.put_u32_le(VERSION);
     // Config.
@@ -63,7 +68,7 @@ pub fn save(peer: &JxpPeer) -> Bytes {
         buf.put_u32_le(e.out_degree);
         buf.put_f64_le(e.score);
         buf.put_u32_le(e.targets.len() as u32);
-        for t in &e.targets {
+        for t in e.targets {
             buf.put_u32_le(t.0);
         }
     }
@@ -164,10 +169,13 @@ pub fn load(mut buf: impl Buf) -> Result<JxpPeer, String> {
             .ok_or_else(|| err("page lost during reconstruction"))?;
         scores[idx] = score;
     }
-    // World node.
+    // World node, in the order `save` writes it: sources strictly
+    // ascending, each with strictly ascending targets, then the dangling
+    // pages strictly ascending.
     let mut world = WorldNode::new();
     need!(buf, 4);
     let num_entries = buf.get_u32_le() as usize;
+    let (mut last, mut targets) = (None, Vec::new());
     for _ in 0..num_entries {
         need!(buf, 20);
         let src = PageId(buf.get_u32_le());
@@ -175,21 +183,32 @@ pub fn load(mut buf: impl Buf) -> Result<JxpPeer, String> {
         let score = buf.get_f64_le();
         let num_targets = buf.get_u32_le() as usize;
         need!(buf, num_targets * 4);
-        let targets: Vec<PageId> = (0..num_targets).map(|_| PageId(buf.get_u32_le())).collect();
-        if out_degree == 0 || (targets.len() > out_degree as usize) {
+        targets.clear();
+        targets.extend((0..num_targets).map(|_| PageId(buf.get_u32_le())));
+        if out_degree == 0
+            || targets.len() > out_degree as usize
+            || last >= Some(src)
+            || !targets.is_sorted_by(|a, b| a < b)
+        {
             return Err(err("inconsistent world entry"));
         }
+        last = Some(src);
         if !score.is_finite() || score < 0.0 {
             return Err(err("invalid world entry score"));
         }
-        world.upsert(src, out_degree, score, targets, config.combine);
+        world.push(src, out_degree, score, &targets);
     }
     need!(buf, 4);
     let num_dangling = buf.get_u32_le() as usize;
+    let mut last = None;
     for _ in 0..num_dangling {
         need!(buf, 12);
         let p = PageId(buf.get_u32_le());
         let s = buf.get_f64_le();
+        if last >= Some(p) {
+            return Err(err("inconsistent world entry"));
+        }
+        last = Some(p);
         if !s.is_finite() || s < 0.0 {
             return Err(err("invalid dangling score"));
         }
@@ -346,6 +365,61 @@ mod tests {
         let mut bad = good.to_vec();
         bad[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(load(&bad[..]).is_err());
+    }
+
+    #[test]
+    fn disordered_world_section_is_refused() {
+        // A knows pages 2, 3, 4 (one link into A each) and dangling 5, 6.
+        let mut b = GraphBuilder::new();
+        b.ensure_nodes(7);
+        for (s, d) in [
+            (0, 1),
+            (1, 0),
+            (2, 0),
+            (3, 1),
+            (4, 0),
+            (2, 3),
+            (3, 4),
+            (4, 2),
+        ] {
+            b.add_edge(PageId(s), PageId(d));
+        }
+        let g = b.build();
+        let peer = |pages: &[u32]| {
+            let pages = pages.iter().map(|&p| PageId(p));
+            JxpPeer::new(Subgraph::from_pages(&g, pages), 7, JxpConfig::default())
+        };
+        let (mut a, mut c) = (peer(&[0, 1]), peer(&[2, 3, 4, 5, 6]));
+        meet(&mut a, &mut c);
+        assert_eq!((a.world().len(), a.world().num_dangling()), (3, 2));
+        assert!(a.world().iter().all(|(_, e)| e.targets.len() == 1));
+        let good = save(&a);
+        load(&good[..]).unwrap();
+
+        // The world section follows the 46-byte header and the fragment;
+        // an entry with one target takes 24 bytes, a dangling one 12.
+        let fragment: usize = (0..a.num_pages())
+            .map(|i| 16 + 4 * a.graph().successors_at(i).len())
+            .sum();
+        let entries = 46 + 4 + fragment + 4;
+        let dangling = entries + 3 * 24 + 4;
+        assert_eq!(good[entries..entries + 4], 2u32.to_le_bytes());
+        assert_eq!(good[dangling..dangling + 4], 5u32.to_le_bytes());
+        // Overwrite `len` bytes at each `to` with the good bytes at `from`.
+        let refused = |copies: &[(usize, usize)], len: usize| {
+            let mut bad = good.to_vec();
+            for &(to, from) in copies {
+                bad[to..to + len].copy_from_slice(&good[from..from + len]);
+            }
+            load(&bad[..]).unwrap_err()
+        };
+        let inconsistent = err("inconsistent world entry");
+        let (e0, e1) = (entries, entries + 24);
+        assert_eq!(refused(&[(e0, e1), (e1, e0)], 24), inconsistent, "swapped");
+        assert_eq!(refused(&[(e1, e0)], 24), inconsistent, "duplicated");
+        let (d0, d1) = (dangling, dangling + 12);
+        assert_eq!(refused(&[(d0, d1), (d1, d0)], 12), inconsistent, "swapped");
+        assert_eq!(refused(&[(d1, d0)], 12), inconsistent, "duplicated");
     }
 
     #[test]

@@ -14,20 +14,36 @@
 //! Links from external to external pages are *not* enumerated — they are
 //! the world node's self-loop, whose probability `p_ww` absorbs whatever
 //! the explicit `W → i` transitions do not claim (eq. 9).
+//!
+//! **Layout.** The known sources are sorted parallel arrays — source id,
+//! out-degree, score, and an offset into one shared arena of target ids —
+//! because the world node is the part of a peer that grows with every
+//! meeting. Nothing is ever inserted into the middle of them: every change
+//! is one merge, an ascending pass that walks the old arrays beside a
+//! sorted run of records and builds the next arrays, bulk copying the
+//! stretches no record touches. Light-weight absorption
+//! ([`absorb_light`](WorldNode::absorb_light)) is one such pass over a
+//! whole meeting payload; the single-record methods
+//! ([`upsert`](WorldNode::upsert),
+//! [`set_authoritative`](WorldNode::set_authoritative),
+//! [`forget`](WorldNode::forget)) are passes over one record.
 
 use crate::config::CombineMode;
+use crate::payload::{MeetingPayload, PagePayload, WorldPayload};
 use jxp_webgraph::{PageId, Subgraph};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
-/// Knowledge about one external page that links into the local graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorldEntry {
+/// Knowledge about one external page that links into the local graph, as
+/// [`WorldNode::iter`] and [`WorldNode::entry`] read it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WorldEntry<'a> {
     /// The page's true (global) out-degree, `out(r)`.
     pub out_degree: u32,
     /// The freshest learned JXP score of the page, `α(r)`.
     pub score: f64,
-    /// Local pages this external page links to (sorted global ids).
-    pub targets: Vec<PageId>,
+    /// Local pages this external page links to (ascending global ids).
+    pub targets: &'a [PageId],
 }
 
 /// The world node: all known external in-link knowledge of one peer.
@@ -42,9 +58,11 @@ pub struct WorldEntry {
 /// Peers learn about external dangling pages at meetings exactly like
 /// they learn about in-links: a met peer's local dangling pages (and its
 /// own dangling knowledge) ride along in the payload.
-/// Both maps are `BTreeMap`s on purpose (lint rule D1, no hash-ordered
-/// iteration; see DESIGN.md §11): their
-/// iteration order reaches float accumulation in
+///
+/// Both kinds of knowledge are kept in ascending `PageId` order — the
+/// links as sorted arrays (see the module docs), the dangling pages in a
+/// `BTreeMap` (lint rule D1, no hash-ordered iteration; see DESIGN.md
+/// §11) — because that order reaches float accumulation in
 /// [`inflow`](WorldNode::inflow) / [`dangling_mass`](WorldNode::dangling_mass)
 /// and the meeting payload / snapshot encoders, so it must be the same
 /// on every run at every thread count. Sorted-by-`PageId` order is part
@@ -52,9 +70,305 @@ pub struct WorldEntry {
 /// [`dangling_iter`](WorldNode::dangling_iter).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorldNode {
-    entries: BTreeMap<PageId, WorldEntry>,
+    links: Links,
     /// Known external dangling pages → freshest learned score.
     dangling: BTreeMap<PageId, f64>,
+}
+
+/// The linked sources as sorted parallel arrays.
+#[derive(Debug, Clone, PartialEq)]
+struct Links {
+    /// Source pages, strictly ascending.
+    srcs: Vec<PageId>,
+    /// `out(r)` per source.
+    degrees: Vec<u32>,
+    /// `α(r)` per source.
+    scores: Vec<f64>,
+    /// Source `k`'s targets are `targets[offsets[k]..offsets[k + 1]]`;
+    /// one longer than `srcs`. While a merge builds the arrays, the
+    /// targets past the last offset belong to the source being merged.
+    offsets: Vec<u32>,
+    /// Every source's targets, each run ascending, back to back.
+    targets: Vec<PageId>,
+}
+
+impl Default for Links {
+    fn default() -> Self {
+        Links::with_capacity(0, 0)
+    }
+}
+
+impl Links {
+    fn with_capacity(entries: usize, targets: usize) -> Self {
+        let mut offsets = Vec::with_capacity(entries + 1);
+        offsets.push(0);
+        Links {
+            srcs: Vec::with_capacity(entries),
+            degrees: Vec::with_capacity(entries),
+            scores: Vec::with_capacity(entries),
+            offsets,
+            targets: Vec::with_capacity(targets),
+        }
+    }
+
+    fn range(&self, k: usize) -> Range<usize> {
+        self.offsets[k] as usize..self.offsets[k + 1] as usize
+    }
+
+    fn entry(&self, k: usize) -> WorldEntry<'_> {
+        WorldEntry {
+            out_degree: self.degrees[k],
+            score: self.scores[k],
+            targets: &self.targets[self.range(k)],
+        }
+    }
+
+    /// Where the targets not yet claimed by an entry start.
+    fn open(&self) -> usize {
+        self.offsets[self.srcs.len()] as usize
+    }
+
+    /// Close the unclaimed targets as the entry of `src`, which must lie
+    /// above every source so far.
+    fn close(&mut self, src: PageId, out_degree: u32, score: f64) {
+        assert!(
+            self.srcs.last().is_none_or(|&last| last < src),
+            "world entry {src:?} out of order"
+        );
+        let end = self.end();
+        self.srcs.push(src);
+        self.degrees.push(out_degree);
+        self.scores.push(score);
+        self.offsets.push(end);
+    }
+
+    /// Append `from`'s entries `range` unchanged.
+    fn copy(&mut self, from: &Links, range: Range<usize>) {
+        if range.is_empty() {
+            return;
+        }
+        debug_assert!(self.srcs.last() < Some(&from.srcs[range.start]));
+        self.srcs.extend_from_slice(&from.srcs[range.clone()]);
+        self.degrees.extend_from_slice(&from.degrees[range.clone()]);
+        self.scores.extend_from_slice(&from.scores[range.clone()]);
+        let (first, last) = (from.offsets[range.start], from.offsets[range.end]);
+        let base = self.end();
+        self.targets
+            .extend_from_slice(&from.targets[first as usize..last as usize]);
+        // Every shifted offset is at most the new end, so none overflows.
+        self.end();
+        self.offsets.extend(
+            from.offsets[range.start + 1..=range.end]
+                .iter()
+                .map(|&o| o - first + base),
+        );
+    }
+
+    /// The length of the target arena, as an offset.
+    fn end(&self) -> u32 {
+        u32::try_from(self.targets.len()).expect("world node holds < 2^32 links")
+    }
+}
+
+/// One source page while a [`merge`](WorldNode::merge) passes over it:
+/// what the world node knows about the page so far. Its targets are the
+/// unclaimed tail of the arrays being built.
+pub(crate) struct Slot<'a> {
+    next: &'a mut Links,
+    dangling: &'a mut BTreeMap<PageId, f64>,
+    src: PageId,
+    present: bool,
+    out_degree: u32,
+    score: f64,
+}
+
+impl Slot<'_> {
+    fn targets(&self) -> &[PageId] {
+        &self.next.targets[self.next.open()..]
+    }
+
+    fn clear_targets(&mut self) {
+        let open = self.next.open();
+        self.next.targets.truncate(open);
+    }
+
+    /// Sort and deduplicate the targets; an ascending run is left as is.
+    fn normalize_targets(&mut self) {
+        let open = self.next.open();
+        let tail = &mut self.next.targets[open..];
+        if tail.is_sorted_by(|a, b| a < b) {
+            return;
+        }
+        tail.sort_unstable();
+        let mut kept = 0;
+        for i in 0..tail.len() {
+            if kept == 0 || tail[i] != tail[kept - 1] {
+                tail[kept] = tail[i];
+                kept += 1;
+            }
+        }
+        self.next.targets.truncate(open + kept);
+    }
+
+    /// See [`WorldNode::upsert`].
+    pub(crate) fn upsert(
+        &mut self,
+        out_degree: u32,
+        score: f64,
+        targets: impl IntoIterator<Item = PageId>,
+        combine: CombineMode,
+    ) {
+        let src = self.src;
+        assert!(out_degree > 0, "external page {src:?} with zero out-degree");
+        assert!(
+            score.is_finite() && score >= 0.0,
+            "invalid score {score} for {src:?}"
+        );
+        if !self.present {
+            (self.present, self.out_degree, self.score) = (true, out_degree, score);
+        }
+        self.out_degree = self.out_degree.max(out_degree);
+        self.score = match combine {
+            CombineMode::TakeMax => self.score.max(score),
+            CombineMode::Average => {
+                if self.targets().is_empty() {
+                    // Fresh entry: no previous knowledge to average with.
+                    score
+                } else {
+                    (self.score + score) / 2.0
+                }
+            }
+        };
+        self.next.targets.extend(targets);
+        self.normalize_targets();
+        debug_assert!(
+            self.targets().len() <= self.out_degree as usize,
+            "entry {src:?} has more targets than out-degree"
+        );
+    }
+
+    /// See [`WorldNode::set_authoritative`].
+    pub(crate) fn set_authoritative(
+        &mut self,
+        out_degree: u32,
+        score: f64,
+        targets: impl IntoIterator<Item = PageId>,
+        combine: CombineMode,
+    ) {
+        let src = self.src;
+        assert!(
+            score.is_finite() && score >= 0.0,
+            "invalid score {score} for {src:?}"
+        );
+        self.clear_targets();
+        if out_degree == 0 {
+            self.present = false;
+            upsert_dangling(self.dangling, src, score, combine);
+            return;
+        }
+        self.next.targets.extend(targets);
+        if self.targets().is_empty() {
+            // The page no longer links into my fragment at all.
+            self.forget();
+            return;
+        }
+        self.dangling.remove(&src);
+        self.normalize_targets();
+        assert!(
+            self.targets().len() <= out_degree as usize,
+            "more targets than out-degree for {src:?}"
+        );
+        self.score = match (self.present, combine) {
+            (false, _) => score,
+            (true, CombineMode::TakeMax) => self.score.max(score),
+            (true, CombineMode::Average) => (self.score + score) / 2.0,
+        };
+        (self.present, self.out_degree) = (true, out_degree);
+    }
+
+    /// See [`WorldNode::forget`].
+    pub(crate) fn forget(&mut self) {
+        self.dangling.remove(&self.src);
+        self.present = false;
+        self.clear_targets();
+    }
+
+    /// See [`WorldNode::upsert_dangling`].
+    pub(crate) fn upsert_dangling(&mut self, score: f64, combine: CombineMode) {
+        upsert_dangling(self.dangling, self.src, score, combine);
+    }
+}
+
+fn upsert_dangling(
+    dangling: &mut BTreeMap<PageId, f64>,
+    page: PageId,
+    score: f64,
+    combine: CombineMode,
+) {
+    assert!(
+        score.is_finite() && score >= 0.0,
+        "invalid score {score} for dangling {page:?}"
+    );
+    dangling
+        .entry(page)
+        .and_modify(|current| {
+            *current = match combine {
+                CombineMode::TakeMax => current.max(score),
+                CombineMode::Average => (*current + score) / 2.0,
+            }
+        })
+        .or_insert(score);
+}
+
+/// One record of a payload that light-weight merging applies to an
+/// external page.
+enum Record<'p> {
+    /// The sender holds the page: [`Slot::set_authoritative`].
+    Held(&'p PagePayload),
+    /// The sender holds the page, and it links to nothing of mine:
+    /// [`Slot::forget`].
+    Unlinked,
+    /// The sender relays what it knows of the page: [`Slot::upsert`].
+    Relayed(&'p WorldPayload),
+}
+
+/// `payload`'s records about pages `local` does not hold, ascending by
+/// page; where several share a page, in the order pages → unlinked →
+/// world.
+fn light_records<'p>(
+    payload: &'p MeetingPayload,
+    local: &'p Subgraph,
+) -> impl Iterator<Item = (PageId, Record<'p>)> + 'p {
+    let external = move |p: &PageId| !local.contains(*p);
+    let mut held = payload
+        .pages
+        .iter()
+        .filter(move |pp| external(&pp.page))
+        .peekable();
+    let mut unlinked = payload
+        .unlinked
+        .iter()
+        .filter(move |p| external(p))
+        .peekable();
+    let mut relayed = payload
+        .world
+        .iter()
+        .filter(move |wp| external(&wp.src))
+        .peekable();
+    std::iter::from_fn(move || {
+        let h = held.peek().map(|pp| pp.page);
+        let u = unlinked.peek().map(|&&p| p);
+        let r = relayed.peek().map(|wp| wp.src);
+        let page = [h, u, r].into_iter().flatten().min()?;
+        Some(if h == Some(page) {
+            (page, Record::Held(held.next()?))
+        } else if u == Some(page) {
+            unlinked.next();
+            (page, Record::Unlinked)
+        } else {
+            (page, Record::Relayed(relayed.next()?))
+        })
+    })
 }
 
 impl WorldNode {
@@ -66,27 +380,149 @@ impl WorldNode {
 
     /// Number of known external source pages.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.links.srcs.len()
     }
 
     /// Whether no external in-links are known yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.links.srcs.is_empty()
     }
 
     /// Look up the knowledge about external page `r`.
-    pub fn entry(&self, r: PageId) -> Option<&WorldEntry> {
-        self.entries.get(&r)
+    pub fn entry(&self, r: PageId) -> Option<WorldEntry<'_>> {
+        let k = self.links.srcs.binary_search(&r).ok()?;
+        Some(self.links.entry(k))
     }
 
     /// Iterate over `(source page, entry)` in ascending `PageId` order.
-    pub fn iter(&self) -> impl Iterator<Item = (PageId, &WorldEntry)> {
-        self.entries.iter().map(|(&r, e)| (r, e))
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (PageId, WorldEntry<'_>)> {
+        let links = &self.links;
+        links
+            .srcs
+            .iter()
+            .enumerate()
+            .map(move |(k, &r)| (r, links.entry(k)))
     }
 
     /// Total number of stored `external → local` links.
     pub fn num_links(&self) -> usize {
-        self.entries.values().map(|e| e.targets.len()).sum()
+        self.links.targets.len()
+    }
+
+    /// Apply `records` — ascending by page; several for one page apply
+    /// in order — in one pass over the world node: `apply` sees each
+    /// record with the [`Slot`] of its page, and every source no record
+    /// names is carried over as is. `room` is an upper bound on the
+    /// entries and links the records add, so the next arrays are
+    /// allocated once.
+    ///
+    /// # Panics
+    /// Panics if the records are out of order.
+    pub(crate) fn merge<R>(
+        &mut self,
+        records: impl IntoIterator<Item = (PageId, R)>,
+        room: (usize, usize),
+        mut apply: impl FnMut(&mut Slot<'_>, R),
+    ) {
+        let old = std::mem::take(&mut self.links);
+        let mut next = Links::with_capacity(old.srcs.len() + room.0, old.targets.len() + room.1);
+        let (mut k, mut last) = (0, None);
+        let mut records = records.into_iter().peekable();
+        while let Some((src, record)) = records.next() {
+            assert!(last < Some(src), "merge records out of order at {src:?}");
+            last = Some(src);
+            let upto = k + old.srcs[k..].partition_point(|&s| s < src);
+            next.copy(&old, k..upto);
+            k = upto;
+            let mut slot = Slot {
+                next: &mut next,
+                dangling: &mut self.dangling,
+                src,
+                present: false,
+                out_degree: 0,
+                score: 0.0,
+            };
+            if old.srcs.get(k) == Some(&src) {
+                let e = old.entry(k);
+                slot.next.targets.extend_from_slice(e.targets);
+                (slot.present, slot.out_degree, slot.score) = (true, e.out_degree, e.score);
+                k += 1;
+            }
+            apply(&mut slot, record);
+            while let Some((_, record)) = records.next_if(|&(p, _)| p == src) {
+                apply(&mut slot, record);
+            }
+            let Slot {
+                present,
+                out_degree,
+                score,
+                ..
+            } = slot;
+            if present {
+                next.close(src, out_degree, score);
+            } else {
+                next.targets.truncate(next.open());
+            }
+        }
+        next.copy(&old, k..old.srcs.len());
+        self.links = next;
+    }
+
+    /// The world-node half of §4.1 light-weight merging: fold in what
+    /// `payload` says about pages outside `local`, in one pass over the
+    /// arrays. Per page, in this order:
+    ///
+    /// 1. a page the sender holds is a
+    ///    [`set_authoritative`](WorldNode::set_authoritative) with its
+    ///    links into `local`;
+    /// 2. a bare id in [`unlinked`](MeetingPayload::unlinked) is a
+    ///    [`forget`](WorldNode::forget);
+    /// 3. a relayed world entry is an [`upsert`](WorldNode::upsert) of its
+    ///    links into `local`, skipped when it has none.
+    ///
+    /// The sender's dangling knowledge then goes through
+    /// [`upsert_dangling`](WorldNode::upsert_dangling).
+    ///
+    /// The payload's `pages`, `unlinked` and `world` must each be
+    /// ascending, as [`MeetingPayload::validate`] insists.
+    pub fn absorb_light(
+        &mut self,
+        payload: &MeetingPayload,
+        local: &Subgraph,
+        combine: CombineMode,
+    ) {
+        let room = (
+            payload.pages.len() + payload.world.len(),
+            payload.num_links(),
+        );
+        let keep = |t: &PageId| local.contains(*t);
+        self.merge(
+            light_records(payload, local),
+            room,
+            |slot, record| match record {
+                Record::Held(pp) => {
+                    // The sender knows the page's complete, current out-link
+                    // list, so stale links from older crawls are replaced
+                    // (§5.3 dynamics).
+                    let targets = pp.succs.iter().copied().filter(keep);
+                    slot.set_authoritative(pp.out_degree, pp.score, targets, combine);
+                }
+                // Had the page come as a full record, the authoritative
+                // update would have found no targets and dropped it.
+                Record::Unlinked => slot.forget(),
+                Record::Relayed(wp) => {
+                    let mut targets = wp.targets.iter().copied().filter(keep).peekable();
+                    if targets.peek().is_some() {
+                        slot.upsert(wp.out_degree, wp.score, targets, combine);
+                    }
+                }
+            },
+        );
+        for &(page, score) in &payload.world_dangling {
+            if !local.contains(page) {
+                self.upsert_dangling(page, score, combine);
+            }
+        }
     }
 
     /// Insert or refresh knowledge about external page `src`.
@@ -108,37 +544,11 @@ impl WorldNode {
         targets: impl IntoIterator<Item = PageId>,
         combine: CombineMode,
     ) {
-        assert!(out_degree > 0, "external page {src:?} with zero out-degree");
-        assert!(
-            score.is_finite() && score >= 0.0,
-            "invalid score {score} for {src:?}"
-        );
-        let entry = self.entries.entry(src).or_insert_with(|| WorldEntry {
-            out_degree,
-            score,
-            targets: Vec::new(),
+        let targets: Vec<PageId> = targets.into_iter().collect();
+        let room = (1, targets.len());
+        self.merge([(src, targets)], room, |slot, targets| {
+            slot.upsert(out_degree, score, targets, combine);
         });
-        entry.out_degree = entry.out_degree.max(out_degree);
-        entry.score = match combine {
-            CombineMode::TakeMax => entry.score.max(score),
-            CombineMode::Average => {
-                if entry.targets.is_empty() {
-                    // Fresh entry: no previous knowledge to average with.
-                    score
-                } else {
-                    (entry.score + score) / 2.0
-                }
-            }
-        };
-        for t in targets {
-            if let Err(pos) = entry.targets.binary_search(&t) {
-                entry.targets.insert(pos, t);
-            }
-        }
-        debug_assert!(
-            entry.targets.len() <= entry.out_degree as usize,
-            "entry {src:?} has more targets than out-degree"
-        );
     }
 
     /// Authoritative structural update about external page `src` from a
@@ -163,43 +573,10 @@ impl WorldNode {
         targets: Vec<PageId>,
         combine: CombineMode,
     ) {
-        assert!(
-            score.is_finite() && score >= 0.0,
-            "invalid score {score} for {src:?}"
-        );
-        if out_degree == 0 {
-            self.entries.remove(&src);
-            self.upsert_dangling(src, score, combine);
-            return;
-        }
-        if targets.is_empty() {
-            // The page no longer links into my fragment at all.
-            self.forget(src);
-            return;
-        }
-        self.dangling.remove(&src);
-        let mut targets = targets;
-        targets.sort_unstable();
-        targets.dedup();
-        assert!(
-            targets.len() <= out_degree as usize,
-            "more targets than out-degree for {src:?}"
-        );
-        let combined = match self.entries.get(&src) {
-            Some(e) => match combine {
-                CombineMode::TakeMax => e.score.max(score),
-                CombineMode::Average => (e.score + score) / 2.0,
-            },
-            None => score,
-        };
-        self.entries.insert(
-            src,
-            WorldEntry {
-                out_degree,
-                score: combined,
-                targets,
-            },
-        );
+        let room = (1, targets.len());
+        self.merge([(src, targets)], room, |slot, targets| {
+            slot.set_authoritative(out_degree, score, targets, combine);
+        });
     }
 
     /// Drop whatever is recorded about external page `src`: what
@@ -209,30 +586,23 @@ impl WorldNode {
     /// ([`MeetingPayload::unlinked`](crate::MeetingPayload::unlinked))
     /// land here, which is why they need neither score nor links.
     pub fn forget(&mut self, src: PageId) {
-        self.dangling.remove(&src);
-        self.entries.remove(&src);
+        self.merge([(src, ())], (0, 0), |slot, ()| slot.forget());
     }
 
     /// Record knowledge about an external **dangling** page (zero
     /// out-degree); its score combines per `combine` like any other
     /// external score.
     pub fn upsert_dangling(&mut self, page: PageId, score: f64, combine: CombineMode) {
-        assert!(
-            score.is_finite() && score >= 0.0,
-            "invalid score {score} for dangling {page:?}"
-        );
-        match self.dangling.entry(page) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(score);
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                let current = *o.get();
-                *o.get_mut() = match combine {
-                    CombineMode::TakeMax => current.max(score),
-                    CombineMode::Average => (current + score) / 2.0,
-                };
-            }
-        }
+        upsert_dangling(&mut self.dangling, page, score, combine);
+    }
+
+    /// Append an entry for `src`, which must lie above every source so
+    /// far — how [`crate::snapshot::load`] rebuilds a world node it has
+    /// checked.
+    pub(crate) fn push(&mut self, src: PageId, out_degree: u32, score: f64, targets: &[PageId]) {
+        debug_assert!(targets.is_sorted_by(|a, b| a < b));
+        self.links.targets.extend_from_slice(targets);
+        self.links.close(src, out_degree, score);
     }
 
     /// Number of known external dangling pages.
@@ -262,8 +632,8 @@ impl WorldNode {
             factor.is_finite() && factor >= 0.0,
             "bad scale factor {factor}"
         );
-        for e in self.entries.values_mut() {
-            e.score *= factor;
+        for s in &mut self.links.scores {
+            *s *= factor;
         }
         for s in self.dangling.values_mut() {
             *s *= factor;
@@ -280,9 +650,10 @@ impl WorldNode {
     pub fn inflow(&self, graph: &Subgraph, n_total: f64) -> Vec<f64> {
         let dangling_share = self.dangling_mass() / n_total;
         let mut inflow = vec![dangling_share; graph.num_pages()];
-        for e in self.entries.values() {
-            let per_link = e.score / e.out_degree as f64;
-            for &t in &e.targets {
+        let links = &self.links;
+        for (k, bounds) in links.offsets.windows(2).enumerate() {
+            let per_link = links.scores[k] / links.degrees[k] as f64;
+            for &t in &links.targets[bounds[0] as usize..bounds[1] as usize] {
                 if let Some(i) = graph.local_index(t) {
                     inflow[i] += per_link;
                 }
@@ -296,25 +667,22 @@ impl WorldNode {
     /// that are still local; entries left without targets are removed.
     /// Dangling knowledge about now-local pages is dropped likewise.
     pub fn retain_relevant(&mut self, graph: &Subgraph) {
-        self.entries.retain(|&src, e| {
+        let old = std::mem::take(&mut self.links);
+        let mut next = Links::with_capacity(old.srcs.len(), old.targets.len());
+        for (k, &src) in old.srcs.iter().enumerate() {
             if graph.contains(src) {
-                return false;
+                continue;
             }
-            e.targets.retain(|&t| graph.contains(t));
-            !e.targets.is_empty()
-        });
+            let kept = old.targets[old.range(k)]
+                .iter()
+                .filter(|&&t| graph.contains(t));
+            next.targets.extend(kept);
+            if next.targets.len() > next.open() {
+                next.close(src, old.degrees[k], old.scores[k]);
+            }
+        }
+        self.links = next;
         self.dangling.retain(|&p, _| !graph.contains(p));
-    }
-
-    /// Wire size in bytes when shipped in a meeting message: per entry one
-    /// page id (4), out-degree (4), score (8), target count (4) and 4 per
-    /// target; per dangling entry one id (4) and score (8).
-    pub fn wire_size(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| 4 + 4 + 8 + 4 + 4 * e.targets.len())
-            .sum::<usize>()
-            + self.dangling.len() * 12
     }
 }
 
@@ -426,17 +794,6 @@ mod tests {
         w.upsert(PageId(7), 2, 0.2, [PageId(0)], CombineMode::TakeMax);
         w.scale_scores(0.5);
         assert!((w.entry(PageId(7)).unwrap().score - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wire_size_grows_with_knowledge() {
-        let mut w = WorldNode::new();
-        let empty = w.wire_size();
-        w.upsert(PageId(7), 2, 0.2, [PageId(0)], CombineMode::TakeMax);
-        let one = w.wire_size();
-        assert!(one > empty);
-        w.upsert(PageId(7), 2, 0.2, [PageId(1)], CombineMode::TakeMax);
-        assert_eq!(w.wire_size(), one + 4);
     }
 
     #[test]
