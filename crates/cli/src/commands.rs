@@ -221,22 +221,13 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
         .parse()?;
     let premeetings = args.get_choice("premeetings", &["yes", "no"], "no")? == "yes";
     let stall: u32 = args.get_or("stall", 0)?;
+    let loss: f64 = args.get_or("loss", 0.0)?;
     let threads: usize = args.get_or("threads", 0)?;
     let metrics_out = args.get("metrics-out");
     let state_dir = args.get("state-dir").map(std::path::PathBuf::from);
     let checkpoint_every: u64 = args.get_or("checkpoint-every", 8)?;
     let round_delay_ms: u64 = args.get_or("round-delay-ms", 0)?;
     let metrics_listen = args.get("metrics-listen").map(String::from);
-
-    if let Some(dir) = state_dir.as_deref().filter(|dir| dir.exists()) {
-        refuse_foreign_state(dir)?;
-    }
-
-    let cg = generate_graph_with_scale(args, 0.05)?;
-    let n = cg.graph.num_nodes();
-    let top: usize = args.get_or("top", (n / 20).max(10))?;
-    let fragments = contiguous_fragments(&cg, peers);
-    let truth = pagerank(&cg.graph, &PageRankConfig::default()).into_scores();
 
     let config = ClusterConfig {
         meetings,
@@ -248,6 +239,7 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
             at_meeting: 0,
             count: stall,
         }),
+        loss,
         threads,
         hub: metrics_out.is_some().then(TelemetryHub::shared),
         state_dir,
@@ -256,6 +248,16 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
         metrics_listen,
         ..ClusterConfig::default()
     };
+    config.validate(peers)?;
+    if let Some(dir) = config.state_dir.as_deref().filter(|dir| dir.exists()) {
+        refuse_foreign_state(dir)?;
+    }
+
+    let cg = generate_graph_with_scale(args, 0.05)?;
+    let n = cg.graph.num_nodes();
+    let top: usize = args.get_or("top", (n / 20).max(10))?;
+    let fragments = contiguous_fragments(&cg, peers);
+    let truth = pagerank(&cg.graph, &PageRankConfig::default()).into_scores();
     println!(
         "{} pages, {} nodes over {:?}, {} meetings, {} worker threads{}",
         n,
@@ -269,6 +271,9 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
             String::new()
         }
     );
+    if loss > 0.0 {
+        println!("losing each meeting frame and each reply with probability {loss}");
+    }
     let report = jxp_node::run_cluster(
         fragments,
         n as u64,

@@ -43,6 +43,8 @@ commands:
              --peers N (8), --meetings M (200),
              --transport loopback|reactor,
              --premeetings yes|no, --stall K (stall node 1 for K requests),
+             --loss P (0; lose each meeting frame, and each reply, with
+             probability P in [0, 1), seeded; not with --state-dir),
              --dataset, --scale (0.05), --seed N, --top K,
              --threads N (0 = all cores; results thread-count-invariant),
              --metrics-out FILE (write a telemetry JSON snapshot),
@@ -94,7 +96,7 @@ fn accepted_flags(command: &str, action: Option<&str>) -> Option<&'static str> {
         }
         ("search", _) => "dataset scale queries meetings seed",
         ("cluster", _) => {
-            "peers meetings transport premeetings stall dataset scale seed top threads \
+            "peers meetings transport premeetings stall loss dataset scale seed top threads \
              metrics-out state-dir checkpoint-every round-delay-ms metrics-listen"
         }
         ("graph", Some("build")) => "out graph dataset scale seed segment-nodes",
@@ -247,6 +249,32 @@ mod tests {
             "cluster --peers 4 --meetings 16 --scale 0.01 --transport reactor --stall 2",
         ))
         .unwrap();
+    }
+
+    #[test]
+    fn cluster_reactor_with_loss_survives() {
+        run(&argv(
+            "cluster --peers 4 --meetings 16 --scale 0.01 --transport reactor --loss 0.3",
+        ))
+        .unwrap();
+    }
+
+    #[test]
+    fn cluster_refuses_bad_loss_before_any_node_starts() {
+        for bad in ["1", "1.5", "-0.1", "NaN"] {
+            let err = run(&argv(&format!("cluster --peers 3 --loss {bad}"))).unwrap_err();
+            assert!(err.contains("loss must be in [0, 1)"), "{err}");
+        }
+        // Resume cannot replay a meeting served twice, so a lossy run
+        // never journals: the directory is not even created.
+        let dir = std::env::temp_dir().join(format!("jxp-cli-lossy-{}", std::process::id()));
+        let err = run(&argv(&format!(
+            "cluster --peers 3 --loss 0.2 --state-dir {}",
+            dir.display()
+        )))
+        .unwrap_err();
+        assert!(err.contains("state directory"), "{err}");
+        assert!(!dir.exists());
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Cluster driver: spawn N nodes over loopback or the localhost-socket
 //! reactor, run M meetings through the real wire codec, and report
 //! convergence and traffic. Backs the `jxp cluster` CLI command and the
-//! integration tests; fault injection ([`StallPlan`]) proves the
-//! timeout + retry path keeps a run alive when a peer stalls
-//! mid-experiment.
+//! integration tests. Fault injection — a [`StallPlan`], or seeded
+//! message loss ([`ClusterConfig::loss`]) — runs the timeout + retry
+//! path on the shipped transports: a run stays alive, and converges,
+//! when a peer stalls or the network drops frames.
 
 use crate::loopback::LoopbackNetwork;
 use crate::node::{JxpNode, MeetOutcome, NodeMetrics, NodeStats};
 use crate::persist::{NodePersist, SharedStore};
 use crate::reactor::{HandlerService, ReactorTransport};
 use crate::round::{premeet_sweep, run_round};
-use crate::transport::{FrameHandler, NodeId, RetryPolicy, StallInjector, Transport};
+use crate::transport::{FaultInjector, FrameHandler, NodeId, RetryPolicy, Transport};
 use jxp_core::config::JxpConfig;
 use jxp_core::evaluate::{centralized_ranking, score_hash, total_ranking};
 use jxp_core::selection::{PeerSynopses, PreMeetingsConfig};
@@ -67,7 +68,7 @@ impl TransportKind {
     /// must outlive every exchange, and it reports the in-flight peak.
     pub(crate) fn build(
         self,
-        handlers: &[Arc<StallInjector>],
+        handlers: &[Arc<FaultInjector>],
         hub: &TelemetryHub,
     ) -> (Box<dyn Transport>, Option<Reactor>) {
         let handler = |i: usize| Arc::clone(&handlers[i]) as Arc<dyn FrameHandler>;
@@ -128,6 +129,15 @@ pub struct ClusterConfig {
     pub retry: RetryPolicy,
     /// Optional stall injection.
     pub stall: Option<StallPlan>,
+    /// Probability, in `[0, 1)`, that a meeting frame (request or
+    /// first-contact probe) is lost before its responder handles it, and
+    /// again that its reply is lost after: the responder absorbed and
+    /// journalled, the initiator retries. Each decision hashes `seed`,
+    /// the meeting number, the frame's arrival index within the meeting
+    /// and the direction ([`FaultInjector`]), so a lossy run gives the
+    /// same bits on either transport at any thread count. Hellos and the
+    /// pre-meetings sweep are never lost. `0` injects nothing.
+    pub loss: f64,
     /// Driver threads executing each meeting round (`0` = the machine's
     /// available parallelism, `1` = serial), on either transport. The
     /// schedule is always drawn serially and partitioned into rounds of
@@ -185,6 +195,7 @@ impl Default for ClusterConfig {
             premeetings: false,
             retry: RetryPolicy::default(),
             stall: None,
+            loss: 0.0,
             threads: 1,
             metrics_listen: None,
             hub: None,
@@ -193,6 +204,35 @@ impl Default for ClusterConfig {
             checkpoint_on_exit: true,
             round_delay: None,
         }
+    }
+}
+
+impl ClusterConfig {
+    /// Refuse a fault configuration a run over `num_nodes` nodes cannot
+    /// carry out: a `loss` outside `[0, 1)`, a [`StallPlan`] naming a node
+    /// the cluster does not have, or loss together with a state
+    /// directory (a lost reply leaves a served-and-journalled meeting
+    /// that the initiator retries, so the responder journals two serves
+    /// for one meeting — resume's one-event-per-meeting classification
+    /// cannot replay that; DESIGN.md §12).
+    pub fn validate(&self, num_nodes: usize) -> Result<(), String> {
+        if !(0.0..1.0).contains(&self.loss) {
+            return Err(format!("loss must be in [0, 1), got {}", self.loss));
+        }
+        if let Some(plan) = self.stall.filter(|plan| plan.node_index >= num_nodes) {
+            return Err(format!(
+                "stall plan names node {}, but the cluster has {num_nodes} nodes",
+                plan.node_index
+            ));
+        }
+        if self.loss > 0.0 && self.state_dir.is_some() {
+            return Err(
+                "loss cannot be combined with a state directory: a retried meeting whose \
+                 reply was lost is journalled twice, which resume cannot replay"
+                    .to_string(),
+            );
+        }
+        Ok(())
     }
 }
 
@@ -274,7 +314,8 @@ pub struct ClusterHooks<'a> {
 /// the merged distributed ranking (top-100, as in the paper's plots).
 ///
 /// # Panics
-/// Panics if `fragments` has fewer than two entries, or if a reactor
+/// Panics if `fragments` has fewer than two entries, if `config` fails
+/// [`ClusterConfig::validate`] (before any node starts), or if a reactor
 /// listener fails to bind.
 pub fn run_cluster(
     fragments: Vec<Subgraph>,
@@ -320,6 +361,9 @@ pub fn run_cluster_with(
     }
     assert!(fragments.len() >= 2, "a cluster needs at least two nodes");
     let num_nodes = fragments.len();
+    if let Err(why) = config.validate(num_nodes) {
+        panic!("refusing cluster config: {why}");
+    }
     let perms = MipsPermutations::generate(MIPS_DIMS, config.seed ^ 0x5a5a);
 
     let hub = config.hub.clone().unwrap_or_else(TelemetryHub::shared);
@@ -379,7 +423,7 @@ pub fn run_cluster_with(
             node
         })
         .collect();
-    let injectors: Vec<Arc<StallInjector>> = nodes
+    let injectors: Vec<Arc<FaultInjector>> = nodes
         .iter()
         .enumerate()
         .map(|(i, n)| {
@@ -387,7 +431,7 @@ pub fn run_cluster_with(
                 Some(wrap) => wrap(i, n),
                 None => Arc::clone(n) as Arc<dyn FrameHandler>,
             };
-            Arc::new(StallInjector::new(inner))
+            Arc::new(FaultInjector::new(inner, config.seed, config.loss))
         })
         .collect();
 
@@ -556,6 +600,14 @@ pub fn run_cluster_with(
             {
                 injectors[plan.node_index].stall_next(plan.count);
             }
+            // Loss keys each frame by the meeting its responder answers
+            // in this round; rounds are node-disjoint, so there is one.
+            let lossy = config.loss > 0.0;
+            if lossy {
+                for &(m, _, target) in &round {
+                    injectors[target as usize].arm(Some(m as u64));
+                }
+            }
             // Deal the round into stripes, meeting k to stripe k mod
             // stripes; each stripe is a round of its own on one pool
             // executor (inline on this thread when there is one stripe).
@@ -579,6 +631,11 @@ pub fn run_cluster_with(
                     *slot = outcome.ok();
                 }
             });
+            if lossy {
+                for &(_, _, target) in &round {
+                    injectors[target as usize].arm(None);
+                }
+            }
             for (&(m, initiator, target), outcome) in round.iter().zip(&outcomes) {
                 hub.events().record(Event::MeetingStarted {
                     meeting: m as u64,
@@ -743,6 +800,105 @@ mod tests {
         assert_eq!(report.meetings_completed, 12);
         assert_eq!(report.meetings_failed, 0);
         assert!(report.retries >= 1, "expected recorded retries");
+    }
+
+    #[test]
+    fn swallowed_frames_leave_the_hash_and_cost_their_sender() {
+        // A seed whose meeting 0 (initiator 0) targets node 1: its round
+        // holds that meeting alone, so the two swallowed requests are
+        // both attempts of node 0's first-contact probe to node 1.
+        let seed = (0..)
+            .find(|&s| StdRng::seed_from_u64(s).gen_range(0..3usize) == 0)
+            .unwrap();
+        let (frags, n_total) = ring_fragments(4);
+        let run = |stall: Option<StallPlan>| {
+            let config = ClusterConfig {
+                meetings: 12,
+                seed,
+                retry: RetryPolicy {
+                    max_attempts: 4,
+                    base_delay: std::time::Duration::from_millis(1),
+                    max_delay: std::time::Duration::from_millis(2),
+                },
+                stall,
+                ..ClusterConfig::default()
+            };
+            run_cluster(frags.clone(), n_total, JxpConfig::default(), &config, None)
+        };
+        let clean = run(None);
+        let stalled = run(Some(StallPlan {
+            node_index: 1,
+            at_meeting: 0,
+            count: 2,
+        }));
+        // A drop before handling is idempotent: the retry delivers the
+        // same frame and the scores land on the same bits.
+        assert_eq!(stalled.score_hash, clean.score_hash);
+        assert_eq!(stalled.meetings_completed, 12);
+        assert_eq!(stalled.retries, clean.retries + 2);
+        let perms = MipsPermutations::generate(MIPS_DIMS, seed ^ 0x5a5a);
+        let peer = jxp_core::peer::JxpPeer::new(frags[0].clone(), n_total, JxpConfig::default());
+        let probe = JxpNode::new(0, peer, &perms).synopses_request();
+        let swallowed = 2 * jxp_wire::encoded_len(&probe) as u64;
+        assert_eq!(stalled.bytes_total, clean.bytes_total + swallowed);
+        // Charged once, at the sender; the receiver never saw them.
+        assert_eq!(
+            stalled.per_node[0].bytes_out,
+            clean.per_node[0].bytes_out + swallowed
+        );
+        for (s, c) in stalled.per_node.iter().zip(&clean.per_node) {
+            assert_eq!(s.bytes_in, c.bytes_in);
+        }
+    }
+
+    #[test]
+    fn loss_outside_zero_to_one_is_refused() {
+        for loss in [-0.1, 1.0, 1.5, f64::NAN] {
+            let config = ClusterConfig {
+                loss,
+                ..ClusterConfig::default()
+            };
+            let why = config.validate(4).unwrap_err();
+            assert!(why.contains("loss must be in [0, 1)"), "{why}");
+        }
+        for loss in [0.0, 0.3, 0.99] {
+            let config = ClusterConfig {
+                loss,
+                ..ClusterConfig::default()
+            };
+            assert_eq!(config.validate(4), Ok(()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stall plan names node 4, but the cluster has 4 nodes")]
+    fn stall_plan_for_a_missing_node_is_refused_before_any_node_starts() {
+        let (frags, n_total) = ring_fragments(4);
+        let config = ClusterConfig {
+            stall: Some(StallPlan {
+                node_index: 4,
+                at_meeting: 0,
+                count: 1,
+            }),
+            ..ClusterConfig::default()
+        };
+        run_cluster(frags, n_total, JxpConfig::default(), &config, None);
+    }
+
+    #[test]
+    fn loss_with_a_state_dir_is_refused() {
+        let config = ClusterConfig {
+            loss: 0.2,
+            state_dir: Some(temp_state_dir("lossy")),
+            ..ClusterConfig::default()
+        };
+        let why = config.validate(4).unwrap_err();
+        assert!(why.contains("state directory"), "{why}");
+        let lossless = ClusterConfig {
+            loss: 0.0,
+            ..config
+        };
+        assert_eq!(lossless.validate(4), Ok(()));
     }
 
     #[test]

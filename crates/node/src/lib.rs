@@ -31,6 +31,6 @@ pub use node::{JxpNode, MeetOutcome, NodeMetrics, NodeStats};
 pub use persist::{NodePersist, SharedStore};
 pub use reactor::{HandlerService, ReactorTransport};
 pub use transport::{
-    request_with_retry, Exchange, FrameHandler, NodeId, Pending, RetriedExchange, RetryError,
-    RetryPolicy, StallInjector, Transport, TransportError,
+    request_with_retry, Exchange, FaultInjector, FrameHandler, NodeId, Pending, RetriedExchange,
+    RetryError, RetryPolicy, Transport, TransportError,
 };

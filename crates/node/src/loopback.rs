@@ -5,7 +5,7 @@
 //! travels back the same way — so loopback exchanges exercise the real
 //! codec and report exact wire byte counts, without sockets or threads.
 //! Stalls are injected one layer up, by wrapping a handler in a
-//! [`crate::transport::StallInjector`], the same way on every transport.
+//! [`crate::transport::FaultInjector`], the same way on every transport.
 
 use crate::transport::{Exchange, FrameHandler, NodeId, Transport, TransportError};
 use jxp_wire::{decode_frame, encode_frame, Frame};

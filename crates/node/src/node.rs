@@ -24,8 +24,8 @@
 use crate::persist::NodePersist;
 use crate::round::run_round;
 use crate::transport::{
-    request_with_retry, Exchange, FrameHandler, NodeId, RetriedExchange, RetryError, RetryPolicy,
-    Transport, TransportError,
+    request_with_retry, FrameHandler, NodeId, RetriedExchange, RetryError, RetryPolicy, Transport,
+    TransportError,
 };
 use jxp_core::payload::MeetingPayload;
 use jxp_core::peer::JxpPeer;
@@ -262,8 +262,14 @@ impl JxpNode {
                 num_pages: state.peer.num_pages() as u64,
             }
         };
-        let outcome = request_with_retry(transport, target, &request, policy)?;
-        self.metrics.bytes_out.add(outcome.exchange.bytes_sent);
+        let outcome =
+            request_with_retry(transport, target, &request, policy).map_err(|failed| {
+                self.metrics.bytes_out.add(failed.bytes_lost);
+                failed.error
+            })?;
+        self.metrics
+            .bytes_out
+            .add(outcome.exchange.bytes_sent + outcome.bytes_lost);
         self.metrics.bytes_in.add(outcome.exchange.bytes_received);
         match outcome.exchange.reply {
             Frame::Hello { node_id, num_pages } => Ok((node_id, num_pages)),
@@ -315,12 +321,12 @@ impl JxpNode {
         match probe {
             Ok(done) => {
                 self.metrics.retries.add(u64::from(done.retries));
-                let _ = self.synopses_accept(target, done.exchange);
+                let _ = self.synopses_accept(target, Ok(done));
                 Ok(())
             }
             Err(failed) => {
                 self.metrics.meetings_attempted.inc();
-                self.meet_abort(failed.retries);
+                self.meet_abort(&failed);
                 Err(failed.error)
             }
         }
@@ -338,14 +344,19 @@ impl JxpNode {
     }
 
     /// Second half of a meeting: decode `target`'s reply, absorb it
-    /// (journaling the delta), and settle the success counters.
-    /// `retries` is how many times the transport resubmitted.
+    /// (journaling the delta), and settle the success counters. The
+    /// request bytes of failed attempts are charged whatever the reply.
     pub(crate) fn meet_finish(
         &self,
         target: NodeId,
-        exchange: Exchange,
-        retries: u32,
+        done: RetriedExchange,
     ) -> Result<MeetOutcome, TransportError> {
+        let RetriedExchange {
+            exchange,
+            retries,
+            bytes_lost,
+        } = done;
+        self.metrics.bytes_out.add(bytes_lost);
         let remote = match exchange.reply {
             Frame::MeetReply(remote) => remote,
             Frame::Error { detail, .. } => {
@@ -393,10 +404,11 @@ impl JxpNode {
     }
 
     /// Failure half of a meeting: the transport exhausted its retries
-    /// without a reply.
-    pub(crate) fn meet_abort(&self, retries: u32) {
+    /// without a reply. Every attempt's request is charged as sent.
+    pub(crate) fn meet_abort(&self, failed: &RetryError) {
         self.metrics.meetings_failed.inc();
-        self.metrics.retries.add(u64::from(retries));
+        self.metrics.retries.add(u64::from(failed.retries));
+        self.metrics.bytes_out.add(failed.bytes_lost);
     }
 
     /// Pre-meetings probe: swap synopses with `target` and return theirs
@@ -408,8 +420,10 @@ impl JxpNode {
         policy: &RetryPolicy,
     ) -> Result<PeerSynopses, TransportError> {
         let request = self.synopses_request();
-        let outcome = request_with_retry(transport, target, &request, policy)?;
-        self.synopses_accept(target, outcome.exchange)
+        self.synopses_accept(
+            target,
+            request_with_retry(transport, target, &request, policy),
+        )
     }
 
     /// First half of [`JxpNode::fetch_synopses`]: the request frame. It
@@ -423,14 +437,24 @@ impl JxpNode {
         })
     }
 
-    /// Second half of [`JxpNode::fetch_synopses`]: decode `target`'s
-    /// reply and keep its filter, counting bytes only on success — the
-    /// same accounting the blocking path performs.
+    /// Second half of [`JxpNode::fetch_synopses`]: charge the request
+    /// bytes of failed attempts, then decode `target`'s reply and keep
+    /// its filter, counting the exchange's bytes only on success.
     pub fn synopses_accept(
         &self,
         target: NodeId,
-        exchange: Exchange,
+        probe: Result<RetriedExchange, RetryError>,
     ) -> Result<PeerSynopses, TransportError> {
+        let exchange = match probe {
+            Ok(done) => {
+                self.metrics.bytes_out.add(done.bytes_lost);
+                done.exchange
+            }
+            Err(failed) => {
+                self.metrics.bytes_out.add(failed.bytes_lost);
+                return Err(failed.error);
+            }
+        };
         let remote = match exchange.reply {
             Frame::SynopsisExchange(p) => {
                 self.lock().partner_interest.insert(target, p.bloom);
@@ -728,7 +752,12 @@ mod tests {
         assert_eq!(s.meetings_failed, 1);
         assert_eq!(s.meetings_completed, 0);
         assert_eq!(s.retries, 1);
-        assert_eq!(s.bytes_out, 0);
+        // Both attempts of the first-contact probe are charged to their
+        // sender: the reactor cannot tell a frame that was never dialled
+        // from one a closed connection swallowed, so no transport does.
+        let probe = encoded_len(&a.synopses_request()) as u64;
+        assert_eq!(s.bytes_out, 2 * probe);
+        assert_eq!(s.bytes_in, 0);
     }
 
     #[test]

@@ -60,9 +60,9 @@ pub(crate) fn run_round(
         .map(|(&(node, target), started)| {
             let (request, pending) = started?;
             match retry_from(pending, transport, target, &request, retry) {
-                Ok(done) => node.meet_finish(target, done.exchange, done.retries),
+                Ok(done) => node.meet_finish(target, done),
                 Err(failed) => {
-                    node.meet_abort(failed.retries);
+                    node.meet_abort(&failed);
                     Err(failed.error)
                 }
             }
@@ -97,10 +97,8 @@ pub(crate) fn premeet_sweep(
         // Refill before waiting so the window stays full while the
         // front probe resolves.
         queue.extend(pairs.next().map(start));
-        let outcome = retry_from(pending, transport, j, &request, retry)
-            .map_err(|failed| failed.error)
-            .and_then(|done| nodes[i].synopses_accept(j, done.exchange));
-        if let Ok(synopses) = outcome {
+        let probe = retry_from(pending, transport, j, &request, retry);
+        if let Ok(synopses) = nodes[i].synopses_accept(j, probe) {
             results[i].push((j, synopses));
         }
     }
@@ -111,7 +109,7 @@ pub(crate) fn premeet_sweep(
 mod tests {
     use super::*;
     use crate::cluster::TransportKind;
-    use crate::transport::{FrameHandler, StallInjector};
+    use crate::transport::{FaultInjector, FrameHandler};
     use jxp_core::{JxpConfig, JxpPeer};
     use jxp_synopses::mips::MipsPermutations;
     use jxp_telemetry::TelemetryHub;
@@ -140,7 +138,10 @@ mod tests {
                 let nodes = ring_nodes();
                 let handlers: Vec<_> = nodes
                     .iter()
-                    .map(|n| Arc::new(StallInjector::new(Arc::clone(n) as Arc<dyn FrameHandler>)))
+                    .map(|n| {
+                        let inner = Arc::clone(n) as Arc<dyn FrameHandler>;
+                        Arc::new(FaultInjector::new(inner, 0, 0.0))
+                    })
                     .collect();
                 let (transport, _reactor) = kind.build(&handlers, &TelemetryHub::new());
                 let lists =

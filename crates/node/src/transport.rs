@@ -11,7 +11,11 @@
 //! **real encoded frames** through [`jxp_wire`], so the byte counts they
 //! report are measured codec output, not estimates.
 
+use jxp_synopses::splitmix64;
+use jxp_telemetry::lock_unpoisoned;
 use jxp_wire::{Frame, WireError};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Stable identifier of a node within a cluster.
@@ -109,34 +113,84 @@ pub trait FrameHandler: Send + Sync {
     fn handle(&self, frame: Frame) -> Option<Frame>;
 }
 
-/// Wraps a [`FrameHandler`] and swallows the next N inbound requests
-/// (the inner handler never runs and no reply is produced), simulating
-/// a stalled peer on any transport. Used by the cluster driver's fault
-/// injection and by tests.
-pub struct StallInjector {
-    inner: std::sync::Arc<dyn FrameHandler>,
-    stall_remaining: std::sync::atomic::AtomicU32,
+/// Wraps a [`FrameHandler`] with the cluster's injected faults, the same
+/// way on every transport: a swallowed frame or reply is a `None`, which
+/// loopback surfaces as a timeout and the reactor as a dropped
+/// connection.
+///
+/// - **Stalls.** [`FaultInjector::stall_next`] swallows the next N
+///   inbound requests of any kind; the inner handler never runs.
+/// - **Seeded loss.** While [`FaultInjector::arm`]ed with meeting `m`,
+///   each meeting frame (a `MeetRequest` or a first-contact
+///   `SynopsisExchange` probe) is lost with probability `loss` before
+///   handling — the inner handler never runs — and, if handled, its
+///   reply is lost with probability `loss`: the responder absorbed and
+///   journalled, the initiator never hears back. Each decision is a pure
+///   function of `(seed, m, the frame's arrival index within m, before or
+///   after)`, so arrival order across meetings plays no part. Unarmed,
+///   or for any other frame, loss never fires.
+pub struct FaultInjector {
+    inner: Arc<dyn FrameHandler>,
+    stall_remaining: AtomicU32,
+    seed: u64,
+    loss: f64,
+    /// The meeting this node answers in the current round, and how many
+    /// of its frames have arrived so far.
+    armed: Mutex<Option<(u64, u64)>>,
 }
 
-impl StallInjector {
-    /// Wrap `inner` with no stalls pending.
-    pub fn new(inner: std::sync::Arc<dyn FrameHandler>) -> Self {
-        StallInjector {
+impl FaultInjector {
+    /// Wrap `inner` with no stalls pending and, once armed, each meeting
+    /// frame lost with probability `loss` at each of the two points.
+    ///
+    /// # Panics
+    /// Panics if `loss` is not in `[0, 1)`.
+    pub fn new(inner: Arc<dyn FrameHandler>, seed: u64, loss: f64) -> Self {
+        assert!((0.0..1.0).contains(&loss), "loss must be in [0, 1)");
+        FaultInjector {
             inner,
-            stall_remaining: std::sync::atomic::AtomicU32::new(0),
+            stall_remaining: AtomicU32::new(0),
+            seed,
+            loss,
+            armed: Mutex::new(None),
         }
     }
 
     /// Swallow the next `n` requests.
     pub fn stall_next(&self, n: u32) {
-        self.stall_remaining
-            .fetch_add(n, std::sync::atomic::Ordering::SeqCst);
+        self.stall_remaining.fetch_add(n, Ordering::SeqCst);
+    }
+
+    /// Attribute the meeting frames that arrive from now on to meeting
+    /// `meeting`, counting arrivals from zero; `None` disarms.
+    pub fn arm(&self, meeting: Option<u64>) {
+        *lock_unpoisoned(&self.armed) = meeting.map(|m| (m, 0));
+    }
+
+    /// The armed meeting and this frame's arrival index within it, if
+    /// `frame` is a meeting frame arriving while armed.
+    fn arrival(&self, frame: &Frame) -> Option<(u64, u64)> {
+        if !matches!(frame, Frame::MeetRequest(_) | Frame::SynopsisExchange(_)) {
+            return None;
+        }
+        let mut armed = lock_unpoisoned(&self.armed);
+        let (meeting, arrivals) = armed.as_mut()?;
+        *arrivals += 1;
+        Some((*meeting, *arrivals - 1))
+    }
+
+    /// Whether arrival `index` of `meeting` is lost `after` handling (or
+    /// before it): a hash of the four, read as a uniform draw in `[0, 1)`.
+    fn lost(&self, meeting: u64, index: u64, after: bool) -> bool {
+        let h = splitmix64(
+            splitmix64(splitmix64(self.seed) ^ meeting) ^ (index << 1 | u64::from(after)),
+        );
+        ((h >> 11) as f64) / ((1u64 << 53) as f64) < self.loss
     }
 }
 
-impl FrameHandler for StallInjector {
+impl FrameHandler for FaultInjector {
     fn handle(&self, frame: Frame) -> Option<Frame> {
-        use std::sync::atomic::Ordering;
         let mut left = self.stall_remaining.load(Ordering::SeqCst);
         while left > 0 {
             match self.stall_remaining.compare_exchange(
@@ -149,7 +203,17 @@ impl FrameHandler for StallInjector {
                 Err(now) => left = now,
             }
         }
-        self.inner.handle(frame)
+        if self.loss == 0.0 {
+            return self.inner.handle(frame);
+        }
+        let Some((meeting, index)) = self.arrival(&frame) else {
+            return self.inner.handle(frame);
+        };
+        if self.lost(meeting, index, false) {
+            return None;
+        }
+        let reply = self.inner.handle(frame)?;
+        (!self.lost(meeting, index, true)).then_some(reply)
     }
 }
 
@@ -192,6 +256,9 @@ pub struct RetriedExchange {
     pub exchange: Exchange,
     /// Retries that were needed (0 = first attempt succeeded).
     pub retries: u32,
+    /// Request bytes of the attempts that failed: sent, never answered,
+    /// and charged to the sender like any frame it put on the wire.
+    pub bytes_lost: u64,
 }
 
 /// Failure of [`request_with_retry`], carrying how many retries were
@@ -204,6 +271,8 @@ pub struct RetryError {
     pub error: TransportError,
     /// Retries spent (attempts made minus the first try).
     pub retries: u32,
+    /// Request bytes of every attempt made, all of which failed.
+    pub bytes_lost: u64,
 }
 
 impl std::fmt::Display for RetryError {
@@ -235,6 +304,7 @@ pub fn request_with_retry(
 /// `frame` already started on `transport`; every later attempt is
 /// `transport.request` after the policy's backoff.
 /// [`TransportError::Rejected`] is final on whichever attempt it lands.
+/// Every failed attempt adds the frame's encoded length to `bytes_lost`.
 pub(crate) fn retry_from(
     first: Pending,
     transport: &dyn Transport,
@@ -244,13 +314,25 @@ pub(crate) fn retry_from(
 ) -> Result<RetriedExchange, RetryError> {
     let mut result = first.wait();
     let mut retries = 0;
+    let mut bytes_lost = 0;
     loop {
         match result {
-            Ok(exchange) => return Ok(RetriedExchange { exchange, retries }),
+            Ok(exchange) => {
+                return Ok(RetriedExchange {
+                    exchange,
+                    retries,
+                    bytes_lost,
+                })
+            }
             Err(error) => {
+                bytes_lost += jxp_wire::encoded_len(frame) as u64;
                 let fatal = matches!(error, TransportError::Rejected(_));
                 if fatal || retries + 1 >= policy.max_attempts {
-                    return Err(RetryError { error, retries });
+                    return Err(RetryError {
+                        error,
+                        retries,
+                        bytes_lost,
+                    });
                 }
                 std::thread::sleep(policy.backoff(retries));
                 retries += 1;
@@ -312,6 +394,7 @@ mod tests {
         let frame = Frame::Ack { of: 1 };
         let out = request_with_retry(&t, 0, &frame, &policy).unwrap();
         assert_eq!(out.retries, 2);
+        assert_eq!(out.bytes_lost, 2 * jxp_wire::encoded_len(&frame) as u64);
         assert_eq!(
             out.exchange.bytes_sent,
             jxp_wire::encoded_len(&frame) as u64
@@ -329,9 +412,11 @@ mod tests {
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(1),
         };
-        let err = request_with_retry(&t, 0, &Frame::Ack { of: 1 }, &policy).unwrap_err();
+        let frame = Frame::Ack { of: 1 };
+        let err = request_with_retry(&t, 0, &frame, &policy).unwrap_err();
         assert!(matches!(err.error, TransportError::Timeout));
         assert_eq!(err.retries, 2, "three attempts = two retries");
+        assert_eq!(err.bytes_lost, 3 * jxp_wire::encoded_len(&frame) as u64);
         assert_eq!(t.calls.load(Ordering::SeqCst), 3);
     }
 

@@ -16,9 +16,6 @@
 //! * [`churn`] — peer join/leave dynamics (§5.3: JXP "has been designed
 //!   to handle high dynamics"), including a durable mode where departing
 //!   peers checkpoint into a `jxp-store` and rejoin with their state;
-//! * [`event`] — a discrete-event **asynchronous** simulator (latency,
-//!   message loss, independent peer clocks) for stress-testing beyond the
-//!   idealized atomic meetings;
 //! * [`count`] — gossip-based estimation of the global page count `N`
 //!   with duplicate-insensitive FM sketches (the "work without knowing N"
 //!   modification mentioned in §3);
@@ -30,7 +27,6 @@ pub mod assign;
 pub mod bandwidth;
 pub mod churn;
 pub mod count;
-pub mod event;
 pub mod parallel;
 pub mod sim;
 

@@ -5,17 +5,19 @@
 use jxp_core::config::JxpConfig;
 use jxp_core::peer::JxpPeer;
 use jxp_node::{
-    run_cluster, ClusterConfig, FrameHandler, HandlerService, JxpNode, LoopbackNetwork,
-    ReactorTransport, RetryPolicy, StallPlan, TransportKind,
+    run_cluster, run_cluster_with, ClusterConfig, ClusterHooks, ClusterReport, FrameHandler,
+    HandlerService, JxpNode, LoopbackNetwork, ReactorTransport, RetryPolicy, StallPlan,
+    TransportKind,
 };
 use jxp_pagerank::{pagerank, PageRankConfig};
 use jxp_reactor::{Reactor, ReactorConfig, ReactorMetrics};
 use jxp_synopses::mips::MipsPermutations;
+use jxp_telemetry::lock_unpoisoned;
 use jxp_webgraph::generators::{CategorizedGraph, CategorizedParams};
 use jxp_webgraph::{PageId, Subgraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A small categorized world split into `n` contiguous fragments, plus
@@ -245,5 +247,138 @@ fn exhausted_retries_fail_the_meeting_but_not_the_run() {
     let s = a.stats();
     assert_eq!(s.meetings_failed, 1);
     assert_eq!(s.retries, 3); // max_attempts 4 ⇒ 3 retries spent
-    assert_eq!(s.bytes_out, 0, "failed exchanges must not count bytes");
+                              // Each of the four attempts of the first-contact probe is charged to
+                              // its sender, answered or not.
+    let probe = jxp_wire::encoded_len(&a.synopses_request()) as u64;
+    assert_eq!(s.bytes_out, 4 * probe);
+    assert_eq!(s.bytes_in, 0);
+}
+
+/// A 1 ms retry policy with room for a few losses in a row.
+fn lossy_retry() -> RetryPolicy {
+    RetryPolicy {
+        max_attempts: 6,
+        base_delay: Duration::from_millis(1),
+        max_delay: Duration::from_millis(1),
+    }
+}
+
+/// Run `config` and check `check_mass_conservation` on every node's
+/// final state.
+fn run_checked(
+    frags: Vec<Subgraph>,
+    n_total: u64,
+    config: &ClusterConfig,
+    truth: Option<&[f64]>,
+) -> ClusterReport {
+    let nodes = Mutex::new(Vec::new());
+    let keep = |_: usize, node: &Arc<JxpNode>| {
+        lock_unpoisoned(&nodes).push(Arc::clone(node));
+        Arc::clone(node) as Arc<dyn FrameHandler>
+    };
+    let hooks = ClusterHooks {
+        wrap_handler: Some(&keep),
+        ..ClusterHooks::default()
+    };
+    let report = run_cluster_with(frags, n_total, JxpConfig::default(), config, truth, &hooks);
+    let nodes = lock_unpoisoned(&nodes);
+    assert_eq!(nodes.len(), report.num_nodes);
+    for node in nodes.iter() {
+        node.with_peer(jxp_core::invariants::check_mass_conservation)
+            .unwrap_or_else(|why| panic!("node {}: {why}", node.id()));
+    }
+    report
+}
+
+#[test]
+fn lossy_cluster_converges_at_30_and_50_percent_loss() {
+    let (frags, n_total, truth) = world(8);
+    for loss in [0.3, 0.5] {
+        let config = |meetings| ClusterConfig {
+            meetings,
+            seed: 65,
+            loss,
+            retry: lossy_retry(),
+            ..ClusterConfig::default()
+        };
+        let early = run_checked(frags.clone(), n_total, &config(8), Some(&truth));
+        let late = run_checked(frags.clone(), n_total, &config(320), Some(&truth));
+        assert!(late.retries > 0, "loss {loss}: the loss model never fired");
+        assert!(late.meetings_completed > 0, "loss {loss}");
+        let (e, l) = (early.footrule.unwrap(), late.footrule.unwrap());
+        assert!(l < e, "loss {loss}: no improvement: {e} → {l}");
+        assert!(l < 0.05, "loss {loss}: footrule after 320 meetings: {l}");
+    }
+}
+
+/// Run a 6-node cluster for 60 meetings at `loss` and return the
+/// report with the summed `bytes_out` and `bytes_in` of every node.
+fn byte_accounting(loss: f64) -> (ClusterReport, u64, u64) {
+    let (frags, n_total, _) = world(6);
+    let config = ClusterConfig {
+        meetings: 60,
+        seed: 68,
+        loss,
+        retry: lossy_retry(),
+        ..ClusterConfig::default()
+    };
+    let report = run_checked(frags, n_total, &config, None);
+    let sent: u64 = report.per_node.iter().map(|s| s.bytes_out).sum();
+    let received: u64 = report.per_node.iter().map(|s| s.bytes_in).sum();
+    assert_eq!(sent, report.bytes_total);
+    (report, sent, received)
+}
+
+#[test]
+fn lossless_run_counts_every_byte_at_both_ends() {
+    // Without loss every frame is counted once at each end.
+    let (clean, sent, received) = byte_accounting(0.0);
+    assert!(sent > 0);
+    assert_eq!(clean.retries, 0);
+    assert_eq!(
+        sent, received,
+        "sender-side and receiver-side accounting diverged"
+    );
+}
+
+#[test]
+fn lost_frames_cost_their_sender_and_never_their_receiver() {
+    // A lost request was sent but never received; a lost reply too.
+    let (lossy, sent, received) = byte_accounting(0.5);
+    assert!(lossy.retries > 0, "the loss model never fired");
+    assert!(
+        sent > received,
+        "lost frames must be charged to their sender: sent {sent} vs received {received}"
+    );
+}
+
+#[test]
+fn lossy_run_is_the_same_on_both_transports_at_every_thread_count() {
+    let (frags, n_total, _) = world(8);
+    let run = |transport, threads, seed| {
+        let config = ClusterConfig {
+            meetings: 96,
+            seed,
+            loss: 0.3,
+            transport,
+            threads,
+            retry: lossy_retry(),
+            ..ClusterConfig::default()
+        };
+        run_cluster(frags.clone(), n_total, JxpConfig::default(), &config, None)
+    };
+    let want = run(TransportKind::Loopback, 1, 21);
+    assert!(want.retries > 0, "the loss model never fired");
+    for transport in [TransportKind::Loopback, TransportKind::Reactor] {
+        for threads in [1, 2, 8] {
+            let got = run(transport, threads, 21);
+            let at = format!("{transport:?} at {threads} threads");
+            assert_eq!(got.score_hash, want.score_hash, "{at}");
+            assert_eq!(got.bytes_total, want.bytes_total, "{at}");
+            assert_eq!(got.retries, want.retries, "{at}");
+            assert_eq!(got.per_node, want.per_node, "{at}");
+        }
+    }
+    let other_seed = run(TransportKind::Loopback, 1, 22);
+    assert_ne!(other_seed.score_hash, want.score_hash);
 }
