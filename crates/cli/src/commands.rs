@@ -602,7 +602,7 @@ pub fn node(args: &ParsedArgs) -> Result<(), String> {
         .map_err(|e| format!("synopsis probe failed: {e}"))?;
     println!(
         "synopsis probe -> premeet containment score {:.4}",
-        client.premeet_score(&remote_syn)
+        remote_syn.inlink_containment_into(&client.synopses())
     );
     let outcome = client
         .meet(0, &transport, &policy)

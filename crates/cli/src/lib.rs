@@ -42,7 +42,9 @@ commands:
   cluster    run N networked nodes through M meetings over the wire codec
              --peers N (8), --meetings M (200),
              --transport loopback|reactor,
-             --premeetings yes|no, --stall K (stall node 1 for K requests),
+             --premeetings yes|no (pick partners with the paper's §4.3
+             pre-meetings selector; a node's every 5th pick is random),
+             --stall K (stall node 1 for K requests),
              --loss P (0; lose each meeting frame, and each reply, with
              probability P in [0, 1), seeded; not with --state-dir),
              --dataset, --scale (0.05), --seed N, --top K,

@@ -10,11 +10,14 @@ use crate::loopback::LoopbackNetwork;
 use crate::node::{JxpNode, MeetOutcome, NodeMetrics, NodeStats};
 use crate::persist::{NodePersist, SharedStore};
 use crate::reactor::{HandlerService, ReactorTransport};
-use crate::round::{premeet_sweep, run_round};
+use crate::round::run_round;
 use crate::transport::{FaultInjector, FrameHandler, NodeId, RetryPolicy, Transport};
 use jxp_core::config::JxpConfig;
 use jxp_core::evaluate::{centralized_ranking, score_hash, total_ranking};
-use jxp_core::selection::{PeerSynopses, PreMeetingsConfig};
+use jxp_core::selection::{
+    observe_meeting, select_partner, PeerSynopses, PreMeetingsConfig, SelectionStrategy,
+    SelectorState,
+};
 use jxp_pagerank::metrics::footrule_distance;
 use jxp_reactor::{Reactor, ReactorConfig, ReactorMetrics};
 use jxp_store::{DirStore, StoreMetrics, WalKind, WalRecord};
@@ -22,18 +25,12 @@ use jxp_synopses::mips::MipsPermutations;
 use jxp_telemetry::{Event, MetricsServer, TelemetryHub};
 use jxp_webgraph::Subgraph;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Sliding submission window for the all-pairs pre-meetings sweep: how
-/// many synopsis probes one driver thread keeps in flight on the reactor.
-/// Sized so even modest clusters exercise hundreds of concurrent
-/// exchanges; the in-flight gauge peaks at `min(window, pairs)`.
-const PREMEET_WINDOW: usize = 512;
 
 /// Min-wise permutations per synopsis vector.
 const MIPS_DIMS: usize = 64;
@@ -123,7 +120,9 @@ pub struct ClusterConfig {
     pub transport: TransportKind,
     /// Seed for partner selection (and synopsis permutations).
     pub seed: u64,
-    /// Select partners by exchanged synopses instead of uniformly.
+    /// Select partners with the §4.3 pre-meetings selector
+    /// ([`SelectionStrategy::PreMeetings`] at its default configuration)
+    /// instead of uniformly.
     pub premeetings: bool,
     /// Retry policy for every exchange.
     pub retry: RetryPolicy,
@@ -135,8 +134,8 @@ pub struct ClusterConfig {
     /// journalled, the initiator retries. Each decision hashes `seed`,
     /// the meeting number, the frame's arrival index within the meeting
     /// and the direction ([`FaultInjector`]), so a lossy run gives the
-    /// same bits on either transport at any thread count. Hellos and the
-    /// pre-meetings sweep are never lost. `0` injects nothing.
+    /// same bits on either transport at any thread count. Hellos are
+    /// never lost. `0` injects nothing.
     pub loss: f64,
     /// Driver threads executing each meeting round (`0` = the machine's
     /// available parallelism, `1` = serial), on either transport. The
@@ -250,8 +249,8 @@ pub struct ClusterReport {
     /// Retries spent across all exchanges.
     pub retries: u64,
     /// Total wire bytes, counted once at each frame's sender: hellos,
-    /// the pre-meetings sweep, every first-contact filter probe, and the
-    /// meeting frames as shipped (cut payloads, filters included).
+    /// every first-contact filter probe, and the meeting frames as
+    /// shipped (cut payloads, filters included).
     pub bytes_total: u64,
     /// Spearman's footrule vs. centralized PageRank (if truth given).
     pub footrule: Option<f64>,
@@ -446,49 +445,13 @@ pub fn run_cluster_with(
         let _ = node.hello(next, transport, &config.retry);
     }
 
-    // Pre-meetings: the all-pairs synopsis sweep, over the wire, so the
-    // probe traffic is real and counted.
-    let premeet_cfg = PreMeetingsConfig::default();
-    let remote_synopses: Vec<Vec<(NodeId, PeerSynopses)>> = if config.premeetings {
-        premeet_sweep(transport, &nodes, &config.retry, PREMEET_WINDOW)
+    let strategy = if config.premeetings {
+        SelectionStrategy::PreMeetings(PreMeetingsConfig::default())
     } else {
-        Vec::new()
+        SelectionStrategy::Random
     };
-
-    // Draw the whole schedule serially (round-robin initiators, seeded
-    // partner choice), partitioned into rounds of node-disjoint pairs; a
-    // drawn pair that conflicts with its round carries over to open the
-    // next one, so the executed sequence is exactly the drawn sequence.
-    // Disjoint meetings commute — each touches only its two nodes — so
-    // executing a round concurrently is bit-identical to replaying it
-    // serially in schedule order, for every thread count.
-    let threads = jxp_pagerank::par::resolve_threads(config.threads);
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut rounds: Vec<Vec<(usize, usize, NodeId)>> = Vec::new();
-    let mut round: Vec<(usize, usize, NodeId)> = Vec::new();
-    let mut busy = vec![false; num_nodes];
-    for m in 0..config.meetings {
-        let initiator = m % num_nodes;
-        let target = pick_target(
-            initiator,
-            num_nodes,
-            m,
-            config.premeetings.then(|| &remote_synopses[initiator]),
-            &nodes[initiator],
-            &premeet_cfg,
-            &mut rng,
-        );
-        if busy[initiator] || busy[target as usize] {
-            rounds.push(std::mem::take(&mut round));
-            busy.fill(false);
-        }
-        busy[initiator] = true;
-        busy[target as usize] = true;
-        round.push((m, initiator, target));
-    }
-    if !round.is_empty() {
-        rounds.push(round);
-    }
+    let synopses: Vec<PeerSynopses> = nodes.iter().map(|n| n.synopses()).collect();
+    let rounds = draw_schedule(config.meetings, &strategy, &synopses, config.seed);
 
     // Resume classification: walk the drawn schedule tracking how many
     // events each node *would* have applied, and compare against what
@@ -567,7 +530,10 @@ pub fn run_cluster_with(
 
     // Stall injection must see requests in schedule order to swallow
     // exactly the planned ones, so it pins execution to one stripe.
-    let workers = if config.stall.is_some() { 1 } else { threads };
+    let workers = match config.stall {
+        Some(_) => 1,
+        None => jxp_pagerank::par::resolve_threads(config.threads),
+    };
     // The concurrent driver (if any) runs for the whole meeting phase
     // and is joined before any teardown, so every frame it sends meets
     // a live handler chain.
@@ -710,43 +676,72 @@ pub fn run_cluster_with(
     }
 }
 
-/// Choose a meeting partner: synopsis-guided when pre-meetings data is
-/// available (with every k-th meeting random, as the paper's selector
-/// keeps exploring), uniform otherwise.
-fn pick_target(
-    initiator: usize,
-    num_nodes: usize,
-    meeting_no: usize,
-    synopses: Option<&Vec<(NodeId, PeerSynopses)>>,
-    node: &JxpNode,
-    premeet_cfg: &PreMeetingsConfig,
-    rng: &mut StdRng,
-) -> NodeId {
-    if let Some(candidates) = synopses {
-        let force_random =
-            premeet_cfg.random_every_k > 0 && meeting_no.is_multiple_of(premeet_cfg.random_every_k);
-        if !force_random {
-            if let Some(best) = node.select_by_synopses(candidates, premeet_cfg) {
-                return best;
+/// Draw the whole schedule before anything executes. Meeting `m`'s
+/// initiator is node `m % n`; its partner comes from the §4.3 selector
+/// ([`select_partner`], one [`SelectorState`] per node). The sequence is
+/// cut greedily into rounds of node-disjoint pairs: a drawn pair that
+/// conflicts with its round opens the next one, so the executed sequence
+/// is exactly the drawn sequence. Disjoint meetings commute — each
+/// touches only its two nodes — so executing a round concurrently is
+/// bit-identical to replaying it serially, for every thread count.
+///
+/// Under pre-meetings, closing round r + 1 observes every pair of round
+/// r ([`observe_meeting`]), so round r's draws see rounds 0…r − 2: the
+/// lag of the simulator's pipelined engine (`p2pnet::parallel`).
+/// Observing reads only the pair and the static `synopses`, never a
+/// score, so the schedule is a pure function of the arguments and a
+/// resumed run draws the one it was interrupted in.
+fn draw_schedule(
+    meetings: usize,
+    strategy: &SelectionStrategy,
+    synopses: &[PeerSynopses],
+    seed: u64,
+) -> Vec<Vec<(usize, usize, NodeId)>> {
+    let n = synopses.len();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut states = vec![SelectorState::default(); n];
+    let mut rounds: Vec<Vec<(usize, usize, NodeId)>> = Vec::new();
+    let mut round = Vec::new();
+    let mut busy = vec![false; n];
+    for m in 0..meetings {
+        let initiator = m % n;
+        let partner = select_partner(&mut states[initiator], strategy, initiator, n, &mut rng);
+        if busy[initiator] || busy[partner] {
+            rounds.push(std::mem::take(&mut round));
+            busy.fill(false);
+            if let (SelectionStrategy::PreMeetings(cfg), [.., observed, _]) =
+                (strategy, rounds.as_slice())
+            {
+                for &(_, a, b) in observed {
+                    observe_meeting(&mut states, synopses, a, b as usize, cfg);
+                }
             }
         }
+        busy[initiator] = true;
+        busy[partner] = true;
+        round.push((m, initiator, partner as NodeId));
     }
-    let mut t = rng.gen_range(0..num_nodes - 1);
-    if t >= initiator {
-        t += 1;
+    if !round.is_empty() {
+        rounds.push(round);
     }
-    t as NodeId
+    rounds
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use jxp_webgraph::PageId;
+    use rand::Rng;
 
     /// A 12-page ring split into `n` fragments of 12/n pages each.
     fn ring_fragments(n: usize) -> (Vec<Subgraph>, u64) {
-        let total = 12u32;
-        let per = total as usize / n;
+        ring_of(n, 12 / n)
+    }
+
+    /// A ring of `n * per` pages split into `n` fragments of `per` pages:
+    /// node i's last page links to node i + 1's first.
+    fn ring_of(n: usize, per: usize) -> (Vec<Subgraph>, u64) {
+        let total = (n * per) as u32;
         let frags = (0..n)
             .map(|i| {
                 let lo = (i * per) as u32;
@@ -1127,9 +1122,9 @@ mod tests {
     #[test]
     fn reactor_transport_matches_loopback_bit_for_bit() {
         let (frags, n_total) = ring_fragments(4);
-        // With the pre-meetings sweep the partner filters ride on its
-        // replies; without it every first contact probes for one. Both
-        // transports must send the same frames either way.
+        // Every first contact probes for the partner's filter, with or
+        // without pre-meetings. Both transports must send the same
+        // frames either way.
         for premeetings in [true, false] {
             let run = |transport: TransportKind, threads: usize| {
                 let config = ClusterConfig {
@@ -1190,16 +1185,12 @@ mod tests {
     }
 
     #[test]
-    fn premeet_sweep_on_the_reactor_holds_many_probes_in_flight() {
+    fn reactor_run_scrapes_the_inflight_gauge_and_its_peak() {
         use std::io::{Read as _, Write as _};
-        // 12 nodes -> 132 ordered pairs: the sweep's initial window
-        // fill outpaces the loop thread's connect handshakes by orders
-        // of magnitude, so dozens of probes pile up in flight.
-        let (frags, n_total) = ring_fragments(12);
+        let (frags, n_total) = ring_fragments(4);
         let config = ClusterConfig {
             meetings: 24,
             seed: 23,
-            premeetings: true,
             transport: TransportKind::Reactor,
             metrics_listen: Some("127.0.0.1:0".into()),
             ..ClusterConfig::default()
@@ -1222,12 +1213,54 @@ mod tests {
         let report = run_cluster_with(frags, n_total, JxpConfig::default(), &config, None, &hooks);
         assert_eq!(report.meetings_completed, 24);
         let peak = report.inflight_peak.expect("reactor reports its peak");
-        assert!(peak >= 16, "expected a crowded window, saw peak {peak}");
+        assert!(peak >= 1, "the meeting rounds put nothing in flight");
         // The gauge is a first-class scrape metric, not just a report
         // field.
         let body = jxp_telemetry::lock_unpoisoned(&scraped);
         assert!(body.contains("jxp_node_inflight_meetings"), "{body}");
         assert!(body.contains("jxp_node_inflight_meetings_peak"), "{body}");
+    }
+
+    #[test]
+    fn premeetings_keep_every_initiator_meeting_many_partners() {
+        // 10 nodes, a multiple of the selector's `random_every_k` (5):
+        // keying the every-k-th random draw on the global meeting number
+        // would give each node's meetings one residue mod 5, so most
+        // nodes would never draw at random. Every node of this ring
+        // links into its successor, so a static synopsis argmax would
+        // send each of them to its predecessor every time.
+        let (frags, n_total) = ring_of(10, 4);
+        // Room for every event: two per meeting plus one per round.
+        let hub = Arc::new(TelemetryHub::with_event_capacity(4096));
+        let config = ClusterConfig {
+            meetings: 400,
+            seed: 7,
+            premeetings: true,
+            hub: Some(Arc::clone(&hub)),
+            ..ClusterConfig::default()
+        };
+        let report = run_cluster(frags, n_total, JxpConfig::default(), &config, None);
+        assert_eq!(report.meetings_completed, 400);
+        let mut tally = vec![vec![0usize; 10]; 10];
+        for record in &hub.snapshot().events {
+            if let Event::MeetingStarted {
+                initiator, partner, ..
+            } = record.event
+            {
+                tally[initiator as usize][partner as usize] += 1;
+            }
+        }
+        for (i, partners) in tally.iter().enumerate() {
+            let total: usize = partners.iter().sum();
+            let distinct = partners.iter().filter(|&&k| k > 0).count();
+            let top = partners.iter().max().copied().unwrap_or(0);
+            assert_eq!(total, 40, "node {i} initiates every 10th meeting");
+            assert!(distinct >= 3, "node {i} met only {distinct} partners");
+            assert!(
+                2 * top <= total,
+                "node {i} spent {top} of {total} meetings on one partner"
+            );
+        }
     }
 
     #[test]

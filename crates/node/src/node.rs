@@ -11,10 +11,10 @@
 //! cut. For the request the initiator needs the target's filter first: it
 //! keeps every filter it has been sent, and on first contact asks for it
 //! with one `SynopsisExchange` (whose reply carries the filter in its
-//! `bloom` slot) — or already has it from the pre-meetings sweep. A
-//! `JxpNode`'s fragment never changes, so a kept filter cannot go stale;
-//! should that stop being true, the payload's `cut_for` fingerprint makes
-//! the receiver refuse it rather than absorb a payload with holes.
+//! `bloom` slot). A `JxpNode`'s fragment never changes, so a kept filter
+//! cannot go stale; should that stop being true, the payload's `cut_for`
+//! fingerprint makes the receiver refuse it rather than absorb a payload
+//! with holes.
 //!
 //! Stats bookkeeping never touches the node's state mutex: every counter
 //! lives in a [`NodeMetrics`] of sharded [`Counter`] handles (see
@@ -29,7 +29,7 @@ use crate::transport::{
 };
 use jxp_core::payload::MeetingPayload;
 use jxp_core::peer::JxpPeer;
-use jxp_core::selection::{PeerSynopses, PreMeetingsConfig};
+use jxp_core::selection::PeerSynopses;
 use jxp_synopses::mips::MipsPermutations;
 use jxp_synopses::BloomFilter;
 use jxp_telemetry::{Counter, Registry};
@@ -411,8 +411,9 @@ impl JxpNode {
         self.metrics.bytes_out.add(failed.bytes_lost);
     }
 
-    /// Pre-meetings probe: swap synopses with `target` and return theirs
-    /// (its filter comes along and is kept for the meetings).
+    /// Synopsis probe: swap synopses with `target` and return theirs (its
+    /// filter comes along and is kept for the meetings). A meeting's
+    /// first-contact probe is the same exchange.
     pub fn fetch_synopses(
         &self,
         target: NodeId,
@@ -470,30 +471,6 @@ impl JxpNode {
         self.metrics.bytes_out.add(exchange.bytes_sent);
         self.metrics.bytes_in.add(exchange.bytes_received);
         Ok(remote)
-    }
-
-    /// Score a candidate partner from its synopses: the estimated
-    /// containment of the candidate's out-link targets in our local
-    /// fragment (paper §6 — peers that link into us teach us the most).
-    pub fn premeet_score(&self, remote: &PeerSynopses) -> f64 {
-        remote.inlink_containment_into(&self.lock().synopses)
-    }
-
-    /// Pick the best-scoring candidate above the configured containment
-    /// threshold, or `None` if nobody qualifies (caller falls back to a
-    /// random partner, as the paper's pre-meetings loop does).
-    pub fn select_by_synopses(
-        &self,
-        candidates: &[(NodeId, PeerSynopses)],
-        config: &PreMeetingsConfig,
-    ) -> Option<NodeId> {
-        let state = self.lock();
-        candidates
-            .iter()
-            .map(|(id, syn)| (*id, syn.inlink_containment_into(&state.synopses)))
-            .filter(|(_, score)| *score >= config.containment_threshold)
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(id, _)| id)
     }
 
     /// The whole, uncut payload this node could send right now (for
@@ -803,9 +780,9 @@ mod tests {
         net.register(2, Arc::new(b));
         let fetched = a.fetch_synopses(2, &net, &RetryPolicy::default()).unwrap();
         assert_eq!(fetched, b_syn);
-        // B links into A (5 -> 0), so B must outscore a candidate with
-        // no links into A at all.
-        let score = a.premeet_score(&fetched);
+        // B links into A (5 -> 0): the §4.3 selector's score of B as
+        // A's partner is positive.
+        let score = fetched.inlink_containment_into(&a.synopses());
         assert!(score > 0.0, "expected positive containment, got {score}");
     }
 

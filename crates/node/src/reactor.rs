@@ -3,8 +3,7 @@
 //!
 //! [`ReactorTransport`] is the [`Transport`] over the reactor. Its
 //! [`Transport::start`] submits without waiting, so the cluster's round
-//! executor and pre-meetings sweep hold a whole round — or a window of
-//! synopsis probes — in flight from one driver thread.
+//! executor holds a whole round in flight from one driver thread.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;

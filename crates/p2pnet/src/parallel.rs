@@ -22,6 +22,9 @@
 //!    merges and the meeting counter replay in schedule order through the
 //!    same code path as [`Network::step`].
 //!
+//! [`Network::run`] is this engine; [`Network::step`] is its one-meeting
+//! round.
+//!
 //! **Pipelining.** While round *k* executes on the pool, the scheduler
 //! thread already draws round *k + 1*; once the draw is done it joins
 //! the round's execution, and accounting of round *k* runs after the
@@ -46,11 +49,13 @@
 //! same canonical sequence inline without touching the pool. This is
 //! verified by tests at 1/2/8 threads and enforced in CI.
 //!
-//! The only observable difference vs. the one-at-a-time [`Network::run`]
-//! loop is *scheduling granularity*: within a round, partner selection
-//! sees a slightly older selector state (see above). That matches the
-//! paper's asynchronous model — a peer cannot observe the outcome of a
-//! meeting that is still in flight.
+//! The only observable difference vs. a loop of one-meeting
+//! [`Network::step`]s is *scheduling granularity*: under pre-meetings,
+//! partner selection sees a slightly older selector state (see above).
+//! That matches the paper's asynchronous model — a peer cannot observe
+//! the outcome of a meeting that is still in flight. Under `Random` (with
+//! or without `estimate_n`) accounting never feeds the draw, and N steps
+//! are bit-identical to one `run_parallel(N)`.
 //!
 //! [`SelectionStrategy`]: jxp_core::selection::SelectionStrategy
 
@@ -464,20 +469,44 @@ mod tests {
 
     #[test]
     fn run_and_run_parallel_can_interleave() {
-        // The engines share all state; switching between them mid-run
-        // keeps every invariant (counters, bandwidth, selector state).
-        // Repeated `run_parallel` calls also reuse the same persistent
-        // pool workers — interleaving engines must not wedge or leak
-        // rounds (pool lifecycle coverage through the public API).
+        // `run`, `run_parallel` and the one-meeting `step` share all
+        // state; switching between them mid-run keeps every invariant
+        // (counters, bandwidth, selector state). Repeated `run_parallel`
+        // calls also reuse the same persistent pool workers — they must
+        // not wedge or leak rounds (pool lifecycle coverage through the
+        // public API).
         let mut net = net_with(4, NetworkConfig::default());
         net.run(15);
         let report = net.run_parallel(30);
-        net.run(5);
+        for _ in 0..5 {
+            net.step();
+        }
         let again = net.run_parallel(25);
         assert_eq!(report.meetings, 30);
         assert_eq!(again.meetings, 25);
         assert_eq!(net.meetings(), 75);
         assert!(net.bandwidth().total_bytes() > 0);
+    }
+
+    #[test]
+    fn steps_are_bit_identical_to_run_parallel_without_premeetings() {
+        // Without pre-meetings, accounting never feeds the draw, so the
+        // round engine's schedule is the one-meeting loop's schedule.
+        for config in [
+            NetworkConfig::default(),
+            NetworkConfig {
+                estimate_n: true,
+                ..Default::default()
+            },
+        ] {
+            let mut stepped = net_with(1, config.clone());
+            for _ in 0..300 {
+                stepped.step();
+            }
+            let mut rounds = net_with(2, config.clone());
+            rounds.run_parallel(300);
+            assert_eq!(fingerprint(&stepped), fingerprint(&rounds), "{config:?}");
+        }
     }
 
     #[test]

@@ -40,10 +40,11 @@ pub struct NetworkConfig {
     /// gossiping 256-bucket FM sketches (the §3 "work without this
     /// estimate" modification).
     pub estimate_n: bool,
-    /// Worker threads for [`Network::run_parallel`] rounds (`0` = the
-    /// machine's available parallelism, `1` = serial). Scores are
-    /// bit-identical for every value — see [`crate::parallel`]. The
-    /// sequential [`Network::step`]/[`Network::run`] path ignores it.
+    /// Worker threads for the rounds of [`Network::run`] and
+    /// [`Network::run_parallel`] (`0` = the machine's available
+    /// parallelism, `1` = serial). Scores are bit-identical for every
+    /// value — see [`crate::parallel`]. The one-meeting
+    /// [`Network::step`] ignores it.
     pub threads: usize,
 }
 
@@ -301,7 +302,12 @@ impl Network {
     }
 
     /// Execute one meeting: a uniformly random initiator chooses a partner
-    /// per the configured strategy; both sides exchange and absorb.
+    /// per the configured strategy; both sides exchange and absorb. This
+    /// is the one-meeting round: it draws, executes and accounts before
+    /// returning, so under pre-meetings the next draw already sees this
+    /// meeting (a round's draws see it two rounds later). Under
+    /// `Random` and `estimate_n`, `step` × N is bit-identical to
+    /// [`Network::run`]`(N)`.
     pub fn step(&mut self) -> MeetingRecord {
         let n = self.peers.len();
         let initiator = self.rng.gen_range(0..n);
@@ -323,8 +329,8 @@ impl Network {
         }
     }
 
-    /// Post-meeting bookkeeping shared by the sequential [`step`] path
-    /// and the round-based parallel engine ([`crate::parallel`]):
+    /// Post-meeting bookkeeping shared by the one-meeting [`step`] and
+    /// the round-based engine ([`crate::parallel`]):
     /// bandwidth accounting, pre-meetings synopsis exchange, FM-sketch
     /// gossip, and the global meeting counter. Always runs serially, in
     /// schedule order, so both paths account identically.
@@ -394,11 +400,10 @@ impl Network {
         self.meetings += 1;
     }
 
-    /// Run `count` meetings.
+    /// Run `count` meetings through the round engine
+    /// ([`Network::run_parallel`]).
     pub fn run(&mut self, count: usize) {
-        for _ in 0..count {
-            self.step();
-        }
+        self.run_parallel(count);
     }
 
     /// Aggregate peer-selection statistics:
@@ -718,8 +723,9 @@ mod tests {
         assert!(counters["jxp_sim_premeeting_bytes_total"] > 0);
         assert_eq!(counters["jxp_sim_churn_joins_total"], 1);
         assert_eq!(counters["jxp_sim_churn_departures_total"], 1);
-        // The sequential path runs no rounds.
-        assert_eq!(counters["jxp_sim_rounds_total"], 0);
+        // `run` is the round engine: more than one meeting per round.
+        let rounds = counters["jxp_sim_rounds_total"];
+        assert!(rounds > 0 && rounds < 30, "{rounds} rounds");
 
         let churn: Vec<(u64, bool)> = snap
             .events
@@ -730,8 +736,9 @@ mod tests {
             })
             .collect();
         assert_eq!(churn, vec![(6, true), (departed_index as u64, false)]);
-        // 30 meetings × (started + completed) + 2 churn events.
-        assert_eq!(hub.events().recorded(), 62);
+        // 30 meetings × (started + completed) + 2 churn events + one
+        // event per round.
+        assert_eq!(hub.events().recorded(), 62 + rounds);
     }
 
     #[test]
