@@ -62,9 +62,12 @@ pub fn generate(args: &ParsedArgs) -> Result<(), String> {
 /// `jxp-cli pagerank` — centralized PageRank over a stored graph.
 pub fn pagerank_cmd(args: &ParsedArgs) -> Result<(), String> {
     let path = args.require("graph")?;
+    let epsilon: f64 = args.get_or("epsilon", 0.85)?;
+    if !(epsilon > 0.0 && epsilon < 1.0) {
+        return Err(format!("--epsilon must be in (0, 1), got {epsilon}"));
+    }
     let g = io::load_binary(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
     let top: usize = args.get_or("top", 10)?;
-    let epsilon: f64 = args.get_or("epsilon", 0.85)?;
     let threads: usize = args.get_or("threads", 0)?;
     let cfg = PageRankConfig {
         epsilon,
@@ -208,7 +211,7 @@ fn generate_graph_with_scale(
 /// the wire codec (loopback or the localhost-socket reactor) and report
 /// convergence plus measured traffic.
 pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
-    use jxp_node::{ClusterConfig, StallPlan, TransportKind};
+    use jxp_node::{ClusterConfig, TransportKind};
 
     let peers: usize = args.get_or("peers", 8)?;
     if peers < 2 {
@@ -220,7 +223,6 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
         .get_choice("transport", &["loopback", "reactor"], "loopback")?
         .parse()?;
     let premeetings = args.get_choice("premeetings", &["yes", "no"], "no")? == "yes";
-    let stall: u32 = args.get_or("stall", 0)?;
     let loss: f64 = args.get_or("loss", 0.0)?;
     let threads: usize = args.get_or("threads", 0)?;
     let metrics_out = args.get("metrics-out");
@@ -234,11 +236,6 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
         transport,
         seed,
         premeetings,
-        stall: (stall > 0).then_some(StallPlan {
-            node_index: 1 % peers,
-            at_meeting: 0,
-            count: stall,
-        }),
         loss,
         threads,
         hub: metrics_out.is_some().then(TelemetryHub::shared),
@@ -248,7 +245,7 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
         metrics_listen,
         ..ClusterConfig::default()
     };
-    config.validate(peers)?;
+    config.validate()?;
     if let Some(dir) = config.state_dir.as_deref().filter(|dir| dir.exists()) {
         refuse_foreign_state(dir)?;
     }
@@ -259,17 +256,12 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
     let fragments = contiguous_fragments(&cg, peers);
     let truth = pagerank(&cg.graph, &PageRankConfig::default()).into_scores();
     println!(
-        "{} pages, {} nodes over {:?}, {} meetings, {} worker threads{}",
+        "{} pages, {} nodes over {:?}, {} meetings, {} worker threads",
         n,
         fragments.len(),
         transport,
         meetings,
         jxp_pagerank::par::resolve_threads(threads),
-        if stall > 0 {
-            format!(" (stalling node 1 for {stall} requests, serial rounds)")
-        } else {
-            String::new()
-        }
     );
     if loss > 0.0 {
         println!("losing each meeting frame and each reply with probability {loss}");

@@ -44,7 +44,6 @@ commands:
              --transport loopback|reactor,
              --premeetings yes|no (pick partners with the paper's §4.3
              pre-meetings selector; a node's every 5th pick is random),
-             --stall K (stall node 1 for K requests),
              --loss P (0; lose each meeting frame, and each reply, with
              probability P in [0, 1), seeded; not with --state-dir),
              --dataset, --scale (0.05), --seed N, --top K,
@@ -98,7 +97,7 @@ fn accepted_flags(command: &str, action: Option<&str>) -> Option<&'static str> {
         }
         ("search", _) => "dataset scale queries meetings seed",
         ("cluster", _) => {
-            "peers meetings transport premeetings stall loss dataset scale seed top threads \
+            "peers meetings transport premeetings loss dataset scale seed top threads \
              metrics-out state-dir checkpoint-every round-delay-ms metrics-listen"
         }
         ("graph", Some("build")) => "out graph dataset scale seed segment-nodes",
@@ -246,14 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_reactor_with_stall_survives() {
-        run(&argv(
-            "cluster --peers 4 --meetings 16 --scale 0.01 --transport reactor --stall 2",
-        ))
-        .unwrap();
-    }
-
-    #[test]
     fn cluster_reactor_with_loss_survives() {
         run(&argv(
             "cluster --peers 4 --meetings 16 --scale 0.01 --transport reactor --loss 0.3",
@@ -277,6 +268,27 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("state directory"), "{err}");
         assert!(!dir.exists());
+    }
+
+    #[test]
+    fn pagerank_rejects_epsilon_outside_zero_one() {
+        let dir = std::env::temp_dir().join(format!("jxp-cli-epsilon-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tiny.jxpg");
+        run(&argv(&format!(
+            "generate --dataset amazon --scale 0.01 --out {}",
+            path.display()
+        )))
+        .unwrap();
+        for bad in ["1.5", "1", "0", "-0.2", "NaN"] {
+            let err = run(&argv(&format!(
+                "pagerank --graph {} --epsilon {bad}",
+                path.display()
+            )))
+            .unwrap_err();
+            assert!(err.contains("must be in (0, 1)"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -37,70 +37,6 @@ pub fn route(indexes: &[PeerIndex], query: &Query, fanout: usize) -> Vec<usize> 
     scored.into_iter().take(fanout).map(|(i, _)| i).collect()
 }
 
-/// Authority-aware peer score — the paper's §7 future-work item
-/// ("integrate the JXP scores into the query routing mechanism in order to
-/// guide the search for relevant peers"), implemented here: the df-based
-/// resource-selection evidence is boosted by the JXP authority mass of the
-/// peer's documents that match the query, so a peer holding *authoritative*
-/// answers outranks a peer holding merely *many* answers.
-///
-/// `authority_weight` interpolates: 0 reproduces [`peer_score`]; 1 weighs
-/// the accumulated authority of matching documents as strongly as the df
-/// evidence.
-pub fn peer_score_with_authority(
-    index: &PeerIndex,
-    query: &Query,
-    jxp: &jxp_pagerank::Ranking,
-    authority_weight: f64,
-) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&authority_weight),
-        "authority_weight must be in [0, 1]"
-    );
-    let df_evidence = peer_score(index, query);
-    if authority_weight == 0.0 {
-        return df_evidence;
-    }
-    // Authority mass of this peer's matching documents, deduplicated.
-    let mut seen = jxp_webgraph::FxHashSet::default();
-    let mut mass = 0.0;
-    for &t in &query.terms {
-        for p in index.postings(t) {
-            if seen.insert(p.page) {
-                mass += jxp.score(p.page).unwrap_or(0.0);
-            }
-        }
-    }
-    // Saturating authority evidence on a comparable scale to the df term:
-    // `mass` is a PageRank mass (≤ 1 network-wide); the knee at ~10 top
-    // pages' worth of mass keeps a few strong authorities decisive.
-    let knee = 10.0 / jxp.len().max(1) as f64;
-    let authority_evidence = query.terms.len() as f64 * mass / (mass + knee);
-    (1.0 - authority_weight) * df_evidence + authority_weight * authority_evidence
-}
-
-/// [`route`] with the §7 authority-aware peer score.
-pub fn route_with_authority(
-    indexes: &[PeerIndex],
-    query: &Query,
-    fanout: usize,
-    jxp: &jxp_pagerank::Ranking,
-    authority_weight: f64,
-) -> Vec<usize> {
-    let mut scored: Vec<(usize, f64)> = indexes
-        .iter()
-        .enumerate()
-        .map(|(i, idx)| {
-            (
-                i,
-                peer_score_with_authority(idx, query, jxp, authority_weight),
-            )
-        })
-        .collect();
-    scored.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    scored.into_iter().take(fanout).map(|(i, _)| i).collect()
-}
-
 /// Execute a routed query: run it locally on each selected peer (taking
 /// `per_peer_k` results from each) and merge by page, keeping the maximum
 /// tf·idf score for pages returned by several peers.
@@ -128,34 +64,6 @@ pub fn execute_routed(
             .then(a.page.cmp(&b.page))
     });
     hits
-}
-
-/// Execute a routed query with the threshold algorithm ([`crate::topk`]):
-/// the selected peers contribute per-term score lists (term-wise maximum
-/// across peers), and TA finds the exact top-`k` of the summed scores
-/// while shipping only list prefixes. Returns the hits plus the access
-/// accounting.
-pub fn execute_routed_topk(
-    indexes: &[PeerIndex],
-    query: &Query,
-    fanout: usize,
-    k: usize,
-) -> crate::topk::TaResult {
-    let peers = route(indexes, query, fanout);
-    let lists: Vec<crate::topk::ScoredList> = query
-        .terms
-        .iter()
-        .map(|&t| {
-            crate::topk::ScoredList::from_pairs(peers.iter().flat_map(|&p| {
-                let idx = &indexes[p];
-                let idf = idx.idf(t);
-                idx.postings(t)
-                    .iter()
-                    .map(move |post| (post.page, (1.0 + (post.tf as f64).ln()) * idf))
-            }))
-        })
-        .collect();
-    crate::topk::ta_topk(&lists, k)
 }
 
 #[cfg(test)]
@@ -238,108 +146,6 @@ mod tests {
         pages.dedup();
         assert_eq!(pages.len(), before, "duplicate pages in merged results");
         assert!(hits.windows(2).all(|w| w[0].tfidf >= w[1].tfidf));
-    }
-
-    #[test]
-    fn topk_execution_matches_term_max_aggregate() {
-        let (corpus, indexes) = setup();
-        let q = crate::corpus::Query {
-            name: "c0".into(),
-            terms: corpus.top_topic_terms(0, 3),
-            category: 0,
-        };
-        let r = execute_routed_topk(&indexes, &q, 3, 10);
-        assert_eq!(r.hits.len(), 10);
-        assert!(r.hits.windows(2).all(|w| w[0].tfidf >= w[1].tfidf));
-        // Verify against an exhaustive computation of the same aggregate
-        // (per-term max across the routed peers, summed over terms).
-        let peers = route(&indexes, &q, 3);
-        let mut acc: FxHashMap<PageId, f64> = FxHashMap::default();
-        for &t in &q.terms {
-            let mut per_term: FxHashMap<PageId, f64> = FxHashMap::default();
-            for &p in &peers {
-                let idf = indexes[p].idf(t);
-                for post in indexes[p].postings(t) {
-                    let s = (1.0 + (post.tf as f64).ln()) * idf;
-                    let e = per_term.entry(post.page).or_insert(f64::NEG_INFINITY);
-                    *e = e.max(s);
-                }
-            }
-            for (p, s) in per_term {
-                *acc.entry(p).or_insert(0.0) += s;
-            }
-        }
-        let mut expect: Vec<(PageId, f64)> = acc.into_iter().collect();
-        expect.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        for (hit, (p, s)) in r.hits.iter().zip(expect.iter()) {
-            assert!((hit.tfidf - s).abs() < 1e-9, "{:?} vs {p:?}", hit.page);
-        }
-        // TA should not have read everything.
-        assert!(r.sorted_accesses <= r.total_entries);
-    }
-
-    use jxp_webgraph::FxHashMap;
-
-    #[test]
-    fn authority_aware_routing_prefers_authoritative_peers() {
-        // Peer 0 holds many matching documents of no authority; peer 1
-        // holds two matching documents that carry all the JXP mass.
-        let cg = CategorizedGraph::generate(
-            &CategorizedParams {
-                num_categories: 1,
-                nodes_per_category: 40,
-                intra_out_per_node: 3,
-                cross_fraction: 0.0,
-            },
-            &mut StdRng::seed_from_u64(9),
-        );
-        let pr = pagerank(&cg.graph, &PageRankConfig::default()).into_scores();
-        let corpus = Corpus::generate(
-            &cg,
-            &pr,
-            CorpusParams::default(),
-            &mut StdRng::seed_from_u64(10),
-        );
-        let indexes = vec![
-            PeerIndex::build(
-                &Subgraph::from_pages(&cg.graph, (0..30).map(PageId)),
-                &corpus,
-            ),
-            PeerIndex::build(
-                &Subgraph::from_pages(&cg.graph, (30..40).map(PageId)),
-                &corpus,
-            ),
-        ];
-        let q = crate::corpus::Query {
-            name: "auth".into(),
-            terms: corpus.top_topic_terms(0, 2),
-            category: 0,
-        };
-        // All authority lives at pages 30..40 (peer 1's fragment).
-        let jxp = jxp_pagerank::Ranking::from_scores(
-            (0..40u32).map(|p| (PageId(p), if p >= 30 { 0.09 } else { 1e-6 })),
-        );
-        // Pure df evidence: the big peer wins.
-        assert_eq!(route_with_authority(&indexes, &q, 1, &jxp, 0.0), vec![0]);
-        // Authority-guided: the authoritative peer wins.
-        assert_eq!(route_with_authority(&indexes, &q, 1, &jxp, 0.9), vec![1]);
-        // Scores are monotone in the weight direction for the small peer.
-        let s_low = peer_score_with_authority(&indexes[1], &q, &jxp, 0.1);
-        let s_high = peer_score_with_authority(&indexes[1], &q, &jxp, 0.9);
-        assert!(s_high > s_low);
-    }
-
-    #[test]
-    #[should_panic(expected = "authority_weight")]
-    fn authority_weight_out_of_range_panics() {
-        let (corpus, indexes) = setup();
-        let q = crate::corpus::Query {
-            name: "x".into(),
-            terms: corpus.top_topic_terms(0, 1),
-            category: 0,
-        };
-        let jxp = jxp_pagerank::Ranking::from_scores(std::iter::empty());
-        let _ = peer_score_with_authority(&indexes[0], &q, &jxp, 1.5);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Cluster driver: spawn N nodes over loopback or the localhost-socket
 //! reactor, run M meetings through the real wire codec, and report
 //! convergence and traffic. Backs the `jxp cluster` CLI command and the
-//! integration tests. Fault injection — a [`StallPlan`], or seeded
-//! message loss ([`ClusterConfig::loss`]) — runs the timeout + retry
-//! path on the shipped transports: a run stays alive, and converges,
-//! when a peer stalls or the network drops frames.
+//! integration tests. Fault injection — seeded message loss
+//! ([`ClusterConfig::loss`]) — runs the timeout + retry path on the
+//! shipped transports: a run stays alive, and converges, when the
+//! network drops frames.
 
 use crate::loopback::LoopbackNetwork;
 use crate::node::{JxpNode, MeetOutcome, NodeMetrics, NodeStats};
@@ -97,20 +97,6 @@ impl TransportKind {
     }
 }
 
-/// Injected fault: node `node_index` swallows the next `count` inbound
-/// requests, armed just before the round holding meeting `at_meeting`
-/// starts. Rounds are node-disjoint, so the stalled node's requests in
-/// that round all belong to one meeting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallPlan {
-    /// Index (0-based) of the node that stalls.
-    pub node_index: usize,
-    /// Meeting number at which the stall is armed.
-    pub at_meeting: usize,
-    /// How many consecutive requests it swallows.
-    pub count: u32,
-}
-
 /// Everything configurable about a cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -126,8 +112,6 @@ pub struct ClusterConfig {
     pub premeetings: bool,
     /// Retry policy for every exchange.
     pub retry: RetryPolicy,
-    /// Optional stall injection.
-    pub stall: Option<StallPlan>,
     /// Probability, in `[0, 1)`, that a meeting frame (request or
     /// first-contact probe) is lost before its responder handles it, and
     /// again that its reply is lost after: the responder absorbed and
@@ -147,8 +131,7 @@ pub struct ClusterConfig {
     /// interleave their lock acquisitions nondeterministically (a node
     /// answers inbound requests while its own exchange is in flight), so
     /// disjointness is what makes the results bit-identical for every
-    /// value of this knob. A [`StallPlan`] forces one stripe so the
-    /// injector swallows exactly the scheduled requests.
+    /// value of this knob, lossy runs included.
     pub threads: usize,
     /// Serve the Prometheus text exposition of the run's hub over HTTP at
     /// this address (e.g. `127.0.0.1:9184`; port 0 binds an ephemeral
@@ -193,7 +176,6 @@ impl Default for ClusterConfig {
             seed: 42,
             premeetings: false,
             retry: RetryPolicy::default(),
-            stall: None,
             loss: 0.0,
             threads: 1,
             metrics_listen: None,
@@ -207,22 +189,15 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Refuse a fault configuration a run over `num_nodes` nodes cannot
-    /// carry out: a `loss` outside `[0, 1)`, a [`StallPlan`] naming a node
-    /// the cluster does not have, or loss together with a state
-    /// directory (a lost reply leaves a served-and-journalled meeting
-    /// that the initiator retries, so the responder journals two serves
-    /// for one meeting — resume's one-event-per-meeting classification
-    /// cannot replay that; DESIGN.md §12).
-    pub fn validate(&self, num_nodes: usize) -> Result<(), String> {
+    /// Refuse a fault configuration a run cannot carry out: a `loss`
+    /// outside `[0, 1)`, or loss together with a state directory (a lost
+    /// reply leaves a served-and-journalled meeting that the initiator
+    /// retries, so the responder journals two serves for one meeting —
+    /// resume's one-event-per-meeting classification cannot replay that;
+    /// DESIGN.md §12).
+    pub fn validate(&self) -> Result<(), String> {
         if !(0.0..1.0).contains(&self.loss) {
             return Err(format!("loss must be in [0, 1), got {}", self.loss));
-        }
-        if let Some(plan) = self.stall.filter(|plan| plan.node_index >= num_nodes) {
-            return Err(format!(
-                "stall plan names node {}, but the cluster has {num_nodes} nodes",
-                plan.node_index
-            ));
         }
         if self.loss > 0.0 && self.state_dir.is_some() {
             return Err(
@@ -292,9 +267,9 @@ pub struct ClusterCtx<'a> {
 #[derive(Default)]
 pub struct ClusterHooks<'a> {
     /// Wrap node `i`'s frame handler. The returned handler sits between
-    /// the node and the stall injector (injector outermost), so wire
-    /// faults still hit the whole chain. The wrapper must delegate any
-    /// frame it does not consume to the node itself.
+    /// the node and the [`FaultInjector`] (injector outermost), so a
+    /// frame lost before handling never reaches it. The wrapper must
+    /// delegate any frame it does not consume to the node itself.
     #[allow(
         clippy::type_complexity,
         reason = "a named alias would hide the borrowed-callback shape at the one use site"
@@ -360,7 +335,7 @@ pub fn run_cluster_with(
     }
     assert!(fragments.len() >= 2, "a cluster needs at least two nodes");
     let num_nodes = fragments.len();
-    if let Err(why) = config.validate(num_nodes) {
+    if let Err(why) = config.validate() {
         panic!("refusing cluster config: {why}");
     }
     let perms = MipsPermutations::generate(MIPS_DIMS, config.seed ^ 0x5a5a);
@@ -528,12 +503,7 @@ pub fn run_cluster_with(
         .registry()
         .histogram("jxp_cluster_round_width", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0]);
 
-    // Stall injection must see requests in schedule order to swallow
-    // exactly the planned ones, so it pins execution to one stripe.
-    let workers = match config.stall {
-        Some(_) => 1,
-        None => jxp_pagerank::par::resolve_threads(config.threads),
-    };
+    let workers = jxp_pagerank::par::resolve_threads(config.threads);
     // The concurrent driver (if any) runs for the whole meeting phase
     // and is joined before any teardown, so every frame it sends meets
     // a live handler chain.
@@ -559,12 +529,6 @@ pub fn run_cluster_with(
                 .collect();
             if round.is_empty() {
                 continue;
-            }
-            if let Some(plan) = config
-                .stall
-                .filter(|plan| round.iter().any(|&(m, ..)| m == plan.at_meeting))
-            {
-                injectors[plan.node_index].stall_next(plan.count);
             }
             // Loss keys each frame by the meeting its responder answers
             // in this round; rounds are node-disjoint, so there is one.
@@ -772,78 +736,83 @@ mod tests {
     }
 
     #[test]
-    fn stall_is_survived_via_retry() {
-        let (frags, n_total) = ring_fragments(4);
-        let config = ClusterConfig {
-            meetings: 12,
-            seed: 5,
-            retry: RetryPolicy {
-                max_attempts: 4,
-                base_delay: std::time::Duration::from_millis(1),
-                max_delay: std::time::Duration::from_millis(2),
-            },
-            stall: Some(StallPlan {
-                node_index: 1,
-                at_meeting: 0,
-                count: 2,
-            }),
-            ..ClusterConfig::default()
-        };
-        let report = run_cluster(frags, n_total, JxpConfig::default(), &config, None);
-        // The stalled requests were retried, not fatal: every meeting
-        // still completed and retries were recorded somewhere.
-        assert_eq!(report.meetings_completed, 12);
-        assert_eq!(report.meetings_failed, 0);
-        assert!(report.retries >= 1, "expected recorded retries");
-    }
-
-    #[test]
     fn swallowed_frames_leave_the_hash_and_cost_their_sender() {
-        // A seed whose meeting 0 (initiator 0) targets node 1: its round
-        // holds that meeting alone, so the two swallowed requests are
-        // both attempts of node 0's first-contact probe to node 1.
-        let seed = (0..)
-            .find(|&s| StdRng::seed_from_u64(s).gen_range(0..3usize) == 0)
-            .unwrap();
+        use jxp_wire::Frame;
+        use std::sync::Mutex;
+
+        /// Records every frame that reaches node `node`, i.e. every frame
+        /// the injector outside it did not lose before handling.
+        struct Recording {
+            node: usize,
+            inner: Arc<JxpNode>,
+            seen: Arc<Mutex<Vec<(usize, Frame)>>>,
+        }
+        impl FrameHandler for Recording {
+            fn handle(&self, frame: Frame) -> Option<Frame> {
+                jxp_telemetry::lock_unpoisoned(&self.seen).push((self.node, frame.clone()));
+                self.inner.handle(frame)
+            }
+        }
+
         let (frags, n_total) = ring_fragments(4);
-        let run = |stall: Option<StallPlan>| {
+        let run = |seed: u64, loss: f64| {
             let config = ClusterConfig {
                 meetings: 12,
                 seed,
+                loss,
                 retry: RetryPolicy {
                     max_attempts: 4,
                     base_delay: std::time::Duration::from_millis(1),
                     max_delay: std::time::Duration::from_millis(2),
                 },
-                stall,
                 ..ClusterConfig::default()
             };
-            run_cluster(frags.clone(), n_total, JxpConfig::default(), &config, None)
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let wrap = |node: usize, inner: &Arc<JxpNode>| {
+                Arc::new(Recording {
+                    node,
+                    inner: Arc::clone(inner),
+                    seen: Arc::clone(&seen),
+                }) as Arc<dyn FrameHandler>
+            };
+            let hooks = ClusterHooks {
+                wrap_handler: Some(&wrap),
+                ..ClusterHooks::default()
+            };
+            let report = run_cluster_with(
+                frags.clone(),
+                n_total,
+                JxpConfig::default(),
+                &config,
+                None,
+                &hooks,
+            );
+            let seen = std::mem::take(&mut *jxp_telemetry::lock_unpoisoned(&seen));
+            (report, seen)
         };
-        let clean = run(None);
-        let stalled = run(Some(StallPlan {
-            node_index: 1,
-            at_meeting: 0,
-            count: 2,
-        }));
+        // A seed whose lossy run retried, yet no frame reached a node
+        // twice: a reply lost after handling would have been handled
+        // again on the retry, so every loss of this run fired before its
+        // frame was handled.
+        let (seed, lossy) = (0..64u64)
+            .find_map(|seed| {
+                let (report, seen) = run(seed, 0.1);
+                let handled_twice = seen.iter().enumerate().any(|(i, a)| seen[..i].contains(a));
+                (report.retries > 0 && report.meetings_failed == 0 && !handled_twice)
+                    .then_some((seed, report))
+            })
+            .expect("some seed loses only frames before handling");
+        let (clean, _) = run(seed, 0.0);
         // A drop before handling is idempotent: the retry delivers the
         // same frame and the scores land on the same bits.
-        assert_eq!(stalled.score_hash, clean.score_hash);
-        assert_eq!(stalled.meetings_completed, 12);
-        assert_eq!(stalled.retries, clean.retries + 2);
-        let perms = MipsPermutations::generate(MIPS_DIMS, seed ^ 0x5a5a);
-        let peer = jxp_core::peer::JxpPeer::new(frags[0].clone(), n_total, JxpConfig::default());
-        let probe = JxpNode::new(0, peer, &perms).synopses_request();
-        let swallowed = 2 * jxp_wire::encoded_len(&probe) as u64;
-        assert_eq!(stalled.bytes_total, clean.bytes_total + swallowed);
+        assert_eq!(lossy.score_hash, clean.score_hash);
+        assert_eq!(lossy.meetings_completed, 12);
         // Charged once, at the sender; the receiver never saw them.
-        assert_eq!(
-            stalled.per_node[0].bytes_out,
-            clean.per_node[0].bytes_out + swallowed
-        );
-        for (s, c) in stalled.per_node.iter().zip(&clean.per_node) {
-            assert_eq!(s.bytes_in, c.bytes_in);
+        for (l, c) in lossy.per_node.iter().zip(&clean.per_node) {
+            assert_eq!(l.bytes_in, c.bytes_in);
         }
+        let bytes_out = |r: &ClusterReport| r.per_node.iter().map(|s| s.bytes_out).sum::<u64>();
+        assert!(bytes_out(&lossy) > bytes_out(&clean));
     }
 
     #[test]
@@ -853,7 +822,7 @@ mod tests {
                 loss,
                 ..ClusterConfig::default()
             };
-            let why = config.validate(4).unwrap_err();
+            let why = config.validate().unwrap_err();
             assert!(why.contains("loss must be in [0, 1)"), "{why}");
         }
         for loss in [0.0, 0.3, 0.99] {
@@ -861,23 +830,8 @@ mod tests {
                 loss,
                 ..ClusterConfig::default()
             };
-            assert_eq!(config.validate(4), Ok(()));
+            assert_eq!(config.validate(), Ok(()));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "stall plan names node 4, but the cluster has 4 nodes")]
-    fn stall_plan_for_a_missing_node_is_refused_before_any_node_starts() {
-        let (frags, n_total) = ring_fragments(4);
-        let config = ClusterConfig {
-            stall: Some(StallPlan {
-                node_index: 4,
-                at_meeting: 0,
-                count: 1,
-            }),
-            ..ClusterConfig::default()
-        };
-        run_cluster(frags, n_total, JxpConfig::default(), &config, None);
     }
 
     #[test]
@@ -887,13 +841,13 @@ mod tests {
             state_dir: Some(temp_state_dir("lossy")),
             ..ClusterConfig::default()
         };
-        let why = config.validate(4).unwrap_err();
+        let why = config.validate().unwrap_err();
         assert!(why.contains("state directory"), "{why}");
         let lossless = ClusterConfig {
             loss: 0.0,
             ..config
         };
-        assert_eq!(lossless.validate(4), Ok(()));
+        assert_eq!(lossless.validate(), Ok(()));
     }
 
     #[test]
@@ -1155,33 +1109,6 @@ mod tests {
                 assert!(got.inflight_peak.unwrap_or(0) >= 1, "{threads} threads");
             }
         }
-    }
-
-    #[test]
-    fn stall_on_the_reactor_is_survived_via_retry() {
-        let (frags, n_total) = ring_fragments(4);
-        let config = ClusterConfig {
-            meetings: 12,
-            seed: 5,
-            transport: TransportKind::Reactor,
-            retry: RetryPolicy {
-                max_attempts: 4,
-                base_delay: std::time::Duration::from_millis(1),
-                max_delay: std::time::Duration::from_millis(2),
-            },
-            stall: Some(StallPlan {
-                node_index: 1,
-                at_meeting: 0,
-                count: 2,
-            }),
-            ..ClusterConfig::default()
-        };
-        let report = run_cluster(frags, n_total, JxpConfig::default(), &config, None);
-        // A swallowed request drains the multiplexed connection; the
-        // retry reconnects and the run completes in full.
-        assert_eq!(report.meetings_completed, 12);
-        assert_eq!(report.meetings_failed, 0);
-        assert!(report.retries >= 1, "expected recorded retries");
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod transport;
 
 pub use cluster::{
     run_cluster, run_cluster_with, ClusterConfig, ClusterCtx, ClusterHooks, ClusterReport,
-    StallPlan, TransportKind,
+    TransportKind,
 };
 pub use loopback::LoopbackNetwork;
 pub use node::{JxpNode, MeetOutcome, NodeMetrics, NodeStats};

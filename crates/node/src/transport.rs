@@ -14,7 +14,6 @@
 use jxp_synopses::splitmix64;
 use jxp_telemetry::lock_unpoisoned;
 use jxp_wire::{Frame, WireError};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -114,24 +113,21 @@ pub trait FrameHandler: Send + Sync {
 }
 
 /// Wraps a [`FrameHandler`] with the cluster's injected faults, the same
-/// way on every transport: a swallowed frame or reply is a `None`, which
+/// way on every transport: a lost frame or reply is a `None`, which
 /// loopback surfaces as a timeout and the reactor as a dropped
 /// connection.
 ///
-/// - **Stalls.** [`FaultInjector::stall_next`] swallows the next N
-///   inbound requests of any kind; the inner handler never runs.
-/// - **Seeded loss.** While [`FaultInjector::arm`]ed with meeting `m`,
-///   each meeting frame (a `MeetRequest` or a first-contact
-///   `SynopsisExchange` probe) is lost with probability `loss` before
-///   handling — the inner handler never runs — and, if handled, its
-///   reply is lost with probability `loss`: the responder absorbed and
-///   journalled, the initiator never hears back. Each decision is a pure
-///   function of `(seed, m, the frame's arrival index within m, before or
-///   after)`, so arrival order across meetings plays no part. Unarmed,
-///   or for any other frame, loss never fires.
+/// The one fault is seeded loss. While [`FaultInjector::arm`]ed with
+/// meeting `m`, each meeting frame (a `MeetRequest` or a first-contact
+/// `SynopsisExchange` probe) is lost with probability `loss` before
+/// handling — the inner handler never runs — and, if handled, its reply
+/// is lost with probability `loss`: the responder absorbed and
+/// journalled, the initiator never hears back. Each decision is a pure
+/// function of `(seed, m, the frame's arrival index within m, before or
+/// after)`, so arrival order across meetings plays no part. Unarmed, or
+/// for any other frame, loss never fires.
 pub struct FaultInjector {
     inner: Arc<dyn FrameHandler>,
-    stall_remaining: AtomicU32,
     seed: u64,
     loss: f64,
     /// The meeting this node answers in the current round, and how many
@@ -140,8 +136,8 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// Wrap `inner` with no stalls pending and, once armed, each meeting
-    /// frame lost with probability `loss` at each of the two points.
+    /// Wrap `inner` so that, once armed, each meeting frame is lost with
+    /// probability `loss` at each of the two points.
     ///
     /// # Panics
     /// Panics if `loss` is not in `[0, 1)`.
@@ -149,16 +145,10 @@ impl FaultInjector {
         assert!((0.0..1.0).contains(&loss), "loss must be in [0, 1)");
         FaultInjector {
             inner,
-            stall_remaining: AtomicU32::new(0),
             seed,
             loss,
             armed: Mutex::new(None),
         }
-    }
-
-    /// Swallow the next `n` requests.
-    pub fn stall_next(&self, n: u32) {
-        self.stall_remaining.fetch_add(n, Ordering::SeqCst);
     }
 
     /// Attribute the meeting frames that arrive from now on to meeting
@@ -191,18 +181,6 @@ impl FaultInjector {
 
 impl FrameHandler for FaultInjector {
     fn handle(&self, frame: Frame) -> Option<Frame> {
-        let mut left = self.stall_remaining.load(Ordering::SeqCst);
-        while left > 0 {
-            match self.stall_remaining.compare_exchange(
-                left,
-                left - 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return None,
-                Err(now) => left = now,
-            }
-        }
         if self.loss == 0.0 {
             return self.inner.handle(frame);
         }
@@ -471,5 +449,97 @@ mod tests {
         assert!(matches!(err.error, TransportError::Rejected(_)));
         assert_eq!(err.retries, 0);
         assert_eq!(t.calls.load(Ordering::SeqCst), 0, "a rejection is final");
+    }
+
+    /// Answers every frame with an `Ack`, counting the frames it handled.
+    struct Counting(AtomicU32);
+
+    impl FrameHandler for Counting {
+        fn handle(&self, _frame: Frame) -> Option<Frame> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Some(Frame::Ack { of: 0 })
+        }
+    }
+
+    #[test]
+    fn fault_injector_loses_exactly_the_hashed_arrivals() {
+        use jxp_webgraph::{PageId, Subgraph};
+
+        let meeting = Frame::MeetRequest(jxp_core::payload::MeetingPayload {
+            pages: Vec::new(),
+            unlinked: Vec::new(),
+            world: Vec::new(),
+            world_dangling: Vec::new(),
+            world_score: 0.0,
+            interest: None,
+            cut_for: 0,
+        });
+        let probe = Frame::SynopsisExchange(jxp_wire::SynopsisPayload {
+            synopses: jxp_core::selection::PeerSynopses::compute(
+                &Subgraph::from_adjacency(vec![(PageId(0), vec![PageId(1)])]),
+                &jxp_synopses::mips::MipsPermutations::generate(8, 1),
+            ),
+            sketch: None,
+            bloom: None,
+        });
+        let others = [
+            Frame::Hello {
+                node_id: 1,
+                num_pages: 1,
+            },
+            Frame::Ack { of: 1 },
+            Frame::QueryRequest(jxp_wire::QueryPayload {
+                query_id: 1,
+                k: 1,
+                terms: vec![1],
+            }),
+        ];
+        let inner = Arc::new(Counting(AtomicU32::new(0)));
+        let handled = || inner.0.load(Ordering::SeqCst);
+        // Every frame passes untouched: each reaches the inner handler
+        // once and its reply comes back.
+        let passes = |injector: &FaultInjector, frame: &Frame| {
+            let before = handled();
+            assert!(injector.handle(frame.clone()).is_some(), "{frame:?}");
+            assert_eq!(handled(), before + 1, "{frame:?}");
+        };
+
+        let injector = FaultInjector::new(Arc::clone(&inner) as Arc<dyn FrameHandler>, 7, 0.5);
+        for frame in [&meeting, &probe].into_iter().chain(&others) {
+            passes(&injector, frame);
+        }
+        let m = 3;
+        injector.arm(Some(m));
+        let (mut lost_before, mut lost_after) = (0, 0);
+        for i in 0..64 {
+            // Other frames are never lost and take no arrival index.
+            for other in &others {
+                passes(&injector, other);
+            }
+            let frame = if i % 2 == 0 { &meeting } else { &probe };
+            let before = handled();
+            let reply = injector.handle(frame.clone());
+            let ran = handled() > before;
+            assert_eq!(ran, !injector.lost(m, i, false), "arrival {i}");
+            assert_eq!(
+                reply.is_some(),
+                ran && !injector.lost(m, i, true),
+                "arrival {i}"
+            );
+            lost_before += u32::from(!ran);
+            lost_after += u32::from(ran && reply.is_none());
+        }
+        assert!(lost_before > 0 && lost_after > 0, "both loss points fired");
+        injector.arm(None);
+        for frame in [&meeting, &probe] {
+            passes(&injector, frame);
+        }
+
+        let lossless = FaultInjector::new(Arc::clone(&inner) as Arc<dyn FrameHandler>, 7, 0.0);
+        lossless.arm(Some(m));
+        for _ in 0..16 {
+            passes(&lossless, &meeting);
+            passes(&lossless, &probe);
+        }
     }
 }

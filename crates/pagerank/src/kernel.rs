@@ -7,6 +7,11 @@
 //! block**: a run of consecutive rows whose predecessor lists sit in one
 //! `preds` array, delimited by `offsets`.
 //!
+//! The one predecessor sweep that does not is Gauss–Seidel
+//! ([`crate::gauss_seidel`]): each row reads scores updated earlier in
+//! the same sweep, which a pull over a `contrib` vector filled once
+//! before the sweep cannot see.
+//!
 //! The source vector is **pre-multiplied**: the caller fills
 //! `contrib[j] = curr[j] · inv_out[j]` once per sweep, so an edge costs
 //! one gather and one add instead of two gathers, a multiply and an add.

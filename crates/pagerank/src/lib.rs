@@ -43,7 +43,6 @@ pub mod kernel;
 pub mod metrics;
 pub mod opic;
 pub mod par;
-pub mod personalized;
 pub mod power;
 pub mod ranking;
 

@@ -73,8 +73,8 @@ pub struct PageRankResult {
 }
 
 impl PageRankResult {
-    /// Assemble a result from raw parts (used by the alternative solvers
-    /// in this crate).
+    /// Assemble a result from raw parts (used by the Gauss–Seidel solver,
+    /// [`crate::gauss_seidel`]).
     pub(crate) fn from_parts(scores: Vec<f64>, iterations: usize, converged: bool) -> Self {
         PageRankResult {
             scores,

@@ -95,16 +95,4 @@ fn main() {
         "\nauthority-aware ranking changed average precision@10 by {:+.0} points",
         (f - t) * 100.0
     );
-
-    // Bonus — the paper's §7 future-work item, implemented: JXP scores can
-    // also guide *query routing* (which peers to ask), not just result
-    // ranking.
-    use jxp::minerva::routing::{route, route_with_authority};
-    let q = &queries[0];
-    let plain = route(&indexes, q, 3);
-    let guided = route_with_authority(&indexes, q, 3, &jxp_ranking, 0.5);
-    println!(
-        "\nquery {}: df-based routing asks peers {:?}; JXP-guided routing asks {:?}",
-        q.name, plain, guided
-    );
 }

@@ -6,8 +6,7 @@ use jxp_core::config::JxpConfig;
 use jxp_core::peer::JxpPeer;
 use jxp_node::{
     run_cluster, run_cluster_with, ClusterConfig, ClusterHooks, ClusterReport, FrameHandler,
-    HandlerService, JxpNode, LoopbackNetwork, ReactorTransport, RetryPolicy, StallPlan,
-    TransportKind,
+    HandlerService, JxpNode, LoopbackNetwork, ReactorTransport, RetryPolicy, TransportKind,
 };
 use jxp_pagerank::{pagerank, PageRankConfig};
 use jxp_reactor::{Reactor, ReactorConfig, ReactorMetrics};
@@ -103,23 +102,20 @@ fn loopback_cluster_is_deterministic_per_seed() {
 }
 
 #[test]
-fn socket_cluster_with_stalled_peer_survives_via_retry() {
+fn socket_cluster_with_lossy_frames_survives_via_retry() {
     let (frags, n_total, truth) = world(8);
     let config = ClusterConfig {
         meetings: 200,
         transport: TransportKind::Reactor,
         seed: 13,
-        retry: fast_retry(),
-        stall: Some(StallPlan {
-            node_index: 1,
-            at_meeting: 0,
-            count: 3,
-        }),
+        loss: 0.05,
+        retry: lossy_retry(),
         ..ClusterConfig::default()
     };
     let report = run_cluster(frags, n_total, JxpConfig::default(), &config, Some(&truth));
     assert_eq!(report.num_nodes, 8);
-    // The stall must be survived, not fatal: every meeting completes.
+    assert!(report.retries > 0, "the loss model never fired");
+    // The losses must be survived, not fatal: every meeting completes.
     assert_eq!(report.meetings_attempted, 200);
     assert_eq!(report.meetings_completed, 200);
     assert_eq!(report.meetings_failed, 0);
