@@ -388,36 +388,39 @@ mod tests {
 
     #[test]
     fn cluster_refuses_a_state_dir_of_another_protocol_version() {
-        // The protocol-1 fixture of crates/store: node-0's seed
-        // checkpoint and one journaled meeting.
-        let dir = std::env::temp_dir().join(format!("jxp_cli_v1_state_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(dir.join("node-0")).unwrap();
-        for (name, bytes) in [
+        // The protocol-1 and protocol-2 fixtures of crates/store: node-0's
+        // seed checkpoint and one journaled meeting.
+        let fixtures = [
             (
-                "current.ckpt",
-                &include_bytes!("../../store/tests/fixtures/v1/node-0/current.ckpt")[..],
+                1,
+                include_bytes!("../../store/tests/fixtures/v1/node-0/current.ckpt").as_slice(),
+                include_bytes!("../../store/tests/fixtures/v1/node-0/wal.log").as_slice(),
             ),
             (
-                "wal.log",
-                &include_bytes!("../../store/tests/fixtures/v1/node-0/wal.log")[..],
+                2,
+                include_bytes!("../../store/tests/fixtures/v2/node-0/current.ckpt").as_slice(),
+                include_bytes!("../../store/tests/fixtures/v2/node-0/wal.log").as_slice(),
             ),
-        ] {
-            std::fs::write(dir.join("node-0").join(name), bytes).unwrap();
+        ];
+        for (version, checkpoint, wal) in fixtures {
+            let dir = std::env::temp_dir()
+                .join(format!("jxp_cli_v{version}_state_{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(dir.join("node-0")).unwrap();
+            std::fs::write(dir.join("node-0").join("current.ckpt"), checkpoint).unwrap();
+            std::fs::write(dir.join("node-0").join("wal.log"), wal).unwrap();
+            let state = dir.display();
+            let err = run(&argv(&format!(
+                "cluster --peers 3 --meetings 12 --scale 0.01 --state-dir {state}"
+            )))
+            .unwrap_err();
+            let want = format!("node-0: state written by protocol {version}, this build speaks 3");
+            assert!(err.ends_with(&want), "{err}");
+            // The inspection commands name the same cause.
+            let err = run(&argv(&format!("checkpoint verify --state-dir {state}"))).unwrap_err();
+            assert!(err.contains("unrecoverable"), "{err}");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let state = dir.display();
-        let err = run(&argv(&format!(
-            "cluster --peers 3 --meetings 12 --scale 0.01 --state-dir {state}"
-        )))
-        .unwrap_err();
-        assert!(
-            err.ends_with("node-0: state written by protocol 1, this build speaks 2"),
-            "{err}"
-        );
-        // The inspection commands name the same cause.
-        let err = run(&argv(&format!("checkpoint verify --state-dir {state}"))).unwrap_err();
-        assert!(err.contains("unrecoverable"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

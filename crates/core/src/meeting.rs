@@ -141,10 +141,12 @@ mod tests {
         let (mut a, mut b, mut c) = (peer(&[0, 1]), peer(&[0, 2]), peer(&[3]));
         let first = meet(&mut a, &mut b);
         // A learns 3 → 0 from C. B holds page 0 too, so the entry is of
-        // use to it and A's next message to B is bigger by that entry.
+        // use to it and A's next message to B is bigger by that entry:
+        // a 1-byte src, 1-byte out-degree, 8-byte score, 1-byte target
+        // count and 1-byte target.
         meet(&mut a, &mut c);
         let second = meet(&mut a, &mut b);
-        assert_eq!(second.bytes_a_to_b, first.bytes_a_to_b + 4 + 4 + 8 + 4 + 4);
+        assert_eq!(second.bytes_a_to_b, first.bytes_a_to_b + 1 + 1 + 8 + 1 + 1);
         // C holds nothing the entry points at: it never travels to C.
         let to_c = a.payload_for(c.interest());
         assert!(to_c.world.is_empty());

@@ -31,6 +31,7 @@
 
 use crate::world::WorldNode;
 use jxp_synopses::BloomFilter;
+use jxp_webgraph::codec::{gaps_len, varint_len};
 use jxp_webgraph::{PageId, Subgraph};
 
 /// Knowledge about one of the sender's local pages.
@@ -172,13 +173,15 @@ impl MeetingPayload {
     /// scores that exceed the total PageRank mass, a local score list that
     /// claims more than the whole network's authority, more out-links than
     /// the stated out-degree, or an "uncut" payload with links missing.
-    /// Page records, bare ids, world records and each world record's
-    /// targets must be strictly ascending: light-weight merging walks them
-    /// as sorted runs ([`WorldNode::absorb_light`]), so a duplicate or an
-    /// out-of-order record would be misapplied. Returns a description of
-    /// the first violation. Whether a cut payload was cut for *this*
-    /// receiver is [`JxpPeer::try_absorb`](crate::JxpPeer::try_absorb)'s
-    /// check.
+    /// Page records, each page's out-links, bare ids, world records, each
+    /// world record's targets and the dangling entries must be strictly
+    /// ascending: light-weight merging walks them as sorted runs
+    /// ([`WorldNode::absorb_light`]), so a duplicate or an out-of-order
+    /// record would be misapplied, and the wire gap-codes every one of
+    /// these lists, so it cannot carry anything else. Returns a
+    /// description of the first violation. Whether a cut payload was cut
+    /// for *this* receiver is
+    /// [`JxpPeer::try_absorb`](crate::JxpPeer::try_absorb)'s check.
     pub fn validate(&self) -> Result<(), String> {
         let valid_score = |s: f64| s.is_finite() && (0.0..=1.0).contains(&s);
         if !valid_score(self.world_score) {
@@ -194,6 +197,12 @@ impl MeetingPayload {
             if links > degree || (self.cut_for == 0 && links != degree) {
                 return Err(format!(
                     "page {:?} carries {links} out-links at out-degree {degree}",
+                    pp.page
+                ));
+            }
+            if !pp.succs.is_sorted_by(|a, b| a < b) {
+                return Err(format!(
+                    "page {:?} out-links not sorted / contain duplicates",
                     pp.page
                 ));
             }
@@ -241,37 +250,48 @@ impl MeetingPayload {
                 return Err(format!("dangling entry {p:?} has invalid score {s}"));
             }
         }
+        if !self.world_dangling.is_sorted_by(|a, b| a.0 < b.0) {
+            return Err("dangling entries not sorted / contain duplicates".into());
+        }
         Ok(())
     }
 
     /// Serialized size in bytes: the quantity plotted in Figures 11/12.
     ///
-    /// Accounting: 4 bytes per page id, 8 per score, 4 per out-degree or
-    /// list length, 8 for the world score, 8 for `cut_for`, a presence
-    /// byte plus the sender's filter, 16 for the four section lengths
-    /// (pages, unlinked, world, dangling). This is exactly the length of
-    /// the `jxp-wire` frame *body* encoding the payload — pinned by a test
-    /// in `crates/wire` — so Figures 11/12 report measured bytes; the
-    /// codec's fixed 12-byte frame header is the only residual delta.
+    /// This is exactly the length of the `jxp-wire` protocol-3 frame
+    /// *body* encoding the payload — pinned by a test in `crates/wire` —
+    /// so Figures 11/12 report measured bytes; the codec's fixed 12-byte
+    /// frame header is the only residual delta. It is counted with the
+    /// length functions of the codec the encoder writes with
+    /// ([`jxp_webgraph::codec`]): 8 bytes each for the world score and
+    /// `cut_for`, a presence byte plus the sender's filter, then four
+    /// sections, each a varint record count followed by its records. A
+    /// record's id is a varint gap from the previous record's (the first
+    /// verbatim), a score is 8 bytes, a degree a varint, and a link list
+    /// a varint count followed by its gap-coded ids. Nothing is
+    /// allocated.
     pub fn wire_size(&self) -> usize {
-        let pages: usize = self
-            .pages
-            .iter()
-            .map(|p| 4 + 8 + 4 + 4 + 4 * p.succs.len())
-            .sum();
-        let world: usize = self
-            .world
-            .iter()
-            .map(|w| 4 + 4 + 8 + 4 + 4 * w.targets.len())
-            .sum();
+        let count = |n: usize| varint_len(n as u64);
+        let list = |ids: &[PageId]| count(ids.len()) + gaps_len(ids.iter().map(|p| p.0));
+        let pages = count(self.pages.len())
+            + gaps_len(self.pages.iter().map(|p| p.page.0))
+            + self
+                .pages
+                .iter()
+                .map(|p| 8 + varint_len(u64::from(p.out_degree)) + list(&p.succs))
+                .sum::<usize>();
+        let world = count(self.world.len())
+            + gaps_len(self.world.iter().map(|w| w.src.0))
+            + self
+                .world
+                .iter()
+                .map(|w| varint_len(u64::from(w.out_degree)) + 8 + list(&w.targets))
+                .sum::<usize>();
+        let dangling = count(self.world_dangling.len())
+            + gaps_len(self.world_dangling.iter().map(|(p, _)| p.0))
+            + 8 * self.world_dangling.len();
         let interest = 1 + self.interest.as_ref().map_or(0, BloomFilter::wire_size);
-        8 + 8
-            + interest
-            + 16
-            + pages
-            + 4 * self.unlinked.len()
-            + world
-            + 12 * self.world_dangling.len()
+        8 + 8 + interest + pages + list(&self.unlinked) + world + dangling
     }
 
     /// Number of local pages described, bare ids included.
@@ -326,10 +346,30 @@ mod tests {
         let graph = fragment();
         let world = WorldNode::new();
         let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
-        // Two pages, one succ each: 2 × (4+8+4+4+4) = 48; world score,
-        // cut_for, the filter's presence byte and four section lengths:
-        // 8 + 8 + 1 + 16 = 33.
-        assert_eq!(p.wire_size(), 33 + 48);
+        // Two pages, one succ each. A record is a 1-byte id (page 0
+        // verbatim, then page 1 as gap 1), an 8-byte score, a 1-byte
+        // out-degree, a 1-byte link count and one 1-byte link: 2 × 12 =
+        // 24. World score, cut_for, the filter's presence byte and four
+        // 1-byte section counts: 8 + 8 + 1 + 4 = 21.
+        assert_eq!(p.wire_size(), 21 + 24);
+        // Far ids cost their varint length, near ones one byte a gap:
+        // page 1 000 000 is 3 bytes, page 1 000 001 one; the links
+        // 1 000 000 and 1 000 200 are 3 and 2.
+        let far = |page: u32, succs: Vec<u32>| PagePayload {
+            page: PageId(page),
+            score: 0.1,
+            out_degree: succs.len() as u32,
+            succs: succs.into_iter().map(PageId).collect(),
+        };
+        let mut q = p.clone();
+        q.pages = vec![
+            far(1_000_000, vec![]),
+            far(1_000_001, vec![1_000_000, 1_000_200]),
+        ];
+        assert_eq!(
+            q.wire_size(),
+            21 + (3 + 8 + 1 + 1) + (1 + 8 + 1 + 1 + 3 + 2)
+        );
         // The sender's own filter rides along at its wire size.
         let filter = BloomFilter::new(128, 3);
         let q = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, Some(&filter), None);
@@ -445,6 +485,17 @@ mod tests {
         evil.pages.insert(1, dup);
         assert!(evil.validate().is_err());
 
+        // Out-links must be strictly ascending.
+        let mut evil = honest.clone();
+        evil.pages[0].out_degree = 2;
+        evil.pages[0].succs = vec![PageId(5), PageId(1)];
+        let why = evil.validate().unwrap_err();
+        assert!(why.contains("not sorted"), "{why}");
+        evil.pages[0].succs = vec![PageId(1), PageId(1)];
+        assert!(evil.validate().unwrap_err().contains("not sorted"));
+        evil.pages[0].succs = vec![PageId(1), PageId(5)];
+        evil.validate().unwrap();
+
         // More out-links than the stated out-degree.
         let mut evil = honest.clone();
         evil.pages[0].succs.push(PageId(7));
@@ -493,6 +544,17 @@ mod tests {
             vec![relayed(9, &[1, 1])],
         ] {
             evil.world = world;
+            let why = evil.validate().unwrap_err();
+            assert!(why.contains("not sorted"), "{why}");
+        }
+
+        // Dangling entries must be strictly ascending.
+        let mut evil = honest.clone();
+        let dangling = |ids: &[u32]| ids.iter().map(|&p| (PageId(p), 0.01)).collect::<Vec<_>>();
+        evil.world_dangling = dangling(&[7, 11]);
+        evil.validate().unwrap();
+        for ids in [[11, 7], [7, 7]] {
+            evil.world_dangling = dangling(&ids);
             let why = evil.validate().unwrap_err();
             assert!(why.contains("not sorted"), "{why}");
         }

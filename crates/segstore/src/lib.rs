@@ -14,7 +14,8 @@
 //!
 //! The pieces:
 //!
-//! * [`codec`] — LEB128 varints and delta encoding of sorted adjacency,
+//! * [`codec`] — LEB128 varints and delta encoding of sorted adjacency
+//!   (`jxp_webgraph::codec`, which the wire's meeting body shares),
 //! * [`segment`] — the `JXPS` container: encode one node range, decode
 //!   it with just the adjacency [`Directions`] a reader wants,
 //! * [`manifest`] — the `JXPM` directory manifest tying segments together,
@@ -79,6 +80,12 @@ impl std::fmt::Display for SegStoreError {
 }
 
 impl std::error::Error for SegStoreError {}
+
+impl From<codec::CodecError> for SegStoreError {
+    fn from(e: codec::CodecError) -> Self {
+        SegStoreError::Corrupt(e.0.to_owned())
+    }
+}
 
 impl From<std::io::Error> for SegStoreError {
     fn from(e: std::io::Error) -> Self {

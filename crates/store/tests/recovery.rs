@@ -252,44 +252,51 @@ fn dir_store_falls_back_when_current_file_is_corrupted() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `fixtures/v1/node-0`: the seed checkpoint of `peer_pair().0` and one
-/// `Serve` record, written by the last protocol-1 build (commit 9f82289).
+/// `fixtures/v{1,2}/node-0`: the seed checkpoint of `peer_pair().0` and
+/// one `Serve` record, written by the last build of each protocol
+/// (commits 9f82289 and 127cf95). The checkpoints are byte-identical.
 const V1_CHECKPOINT: &[u8] = include_bytes!("fixtures/v1/node-0/current.ckpt");
 const V1_WAL: &[u8] = include_bytes!("fixtures/v1/node-0/wal.log");
+const V2_CHECKPOINT: &[u8] = include_bytes!("fixtures/v2/node-0/current.ckpt");
+const V2_WAL: &[u8] = include_bytes!("fixtures/v2/node-0/wal.log");
 
 #[test]
 fn a_journal_of_another_protocol_version_is_refused_by_name() {
-    let protocol_1 = StoreError::Protocol {
-        found: 1,
-        speaks: jxp_wire::PROTOCOL_VERSION,
-    };
-    assert_eq!(check_wal_protocol(V1_WAL), Err(protocol_1.clone()));
-    assert_eq!(
-        protocol_1.to_string(),
-        "state written by protocol 1, this build speaks 2"
-    );
-    let store = MemStore::new();
-    store
-        .checkpoint("node-0", 0, &snapshot::save(&peer_pair().0))
-        .expect("checkpoint");
-    store.set_wal("node-0", V1_WAL.to_vec());
-    assert_eq!(store.load("node-0").expect_err("protocol 1"), protocol_1);
-    // The checkpoint container did not change: without the journal the
-    // old state loads.
-    let rec = jxp_store::recover(Some(V1_CHECKPOINT), None, &[])
-        .expect("recover")
-        .expect("state exists");
-    assert_eq!(rec.peer.scores(), peer_pair().0.scores());
+    assert_eq!(V1_CHECKPOINT, V2_CHECKPOINT);
+    for (found, wal) in [(1, V1_WAL), (2, V2_WAL)] {
+        let refused = StoreError::Protocol {
+            found,
+            speaks: jxp_wire::PROTOCOL_VERSION,
+        };
+        assert_eq!(check_wal_protocol(wal), Err(refused.clone()));
+        assert_eq!(
+            refused.to_string(),
+            format!("state written by protocol {found}, this build speaks 3")
+        );
+        let store = MemStore::new();
+        store
+            .checkpoint("node-0", 0, &snapshot::save(&peer_pair().0))
+            .expect("checkpoint");
+        store.set_wal("node-0", wal.to_vec());
+        assert_eq!(store.load("node-0").expect_err("old protocol"), refused);
+        // The checkpoint container did not change: without the journal
+        // the old state loads.
+        let rec = jxp_store::recover(Some(V1_CHECKPOINT), None, &[])
+            .expect("recover")
+            .expect("state exists");
+        assert_eq!(rec.peer.scores(), peer_pair().0.scores());
 
-    // What this build writes passes, and only a whole first record is
-    // believed: a torn or flipped one is `scan_wal`'s to judge.
+        // Only a whole first record is believed: a torn or flipped one
+        // is `scan_wal`'s to judge.
+        assert_eq!(check_wal_protocol(&wal[..40]), Ok(()));
+        let mut flipped = wal.to_vec();
+        flipped[60] ^= 0xFF;
+        assert_eq!(check_wal_protocol(&flipped), Ok(()));
+    }
+    // What this build writes passes.
     let own = MemStore::new();
     persisted_run(&own, "a", 0, 2);
     assert_eq!(check_wal_protocol(&own.raw_wal("a")), Ok(()));
-    assert_eq!(check_wal_protocol(&V1_WAL[..40]), Ok(()));
-    let mut flipped = V1_WAL.to_vec();
-    flipped[60] ^= 0xFF;
-    assert_eq!(check_wal_protocol(&flipped), Ok(()));
     assert_eq!(check_wal_protocol(&[]), Ok(()));
 }
 

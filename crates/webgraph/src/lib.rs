@@ -15,7 +15,9 @@
 //!   BFS) used to validate the generators against the paper's Figure 3,
 //! * **subgraph** extraction with local↔global id maps (peers hold
 //!   fragments of the global graph),
-//! * text and binary **I/O**.
+//! * text and binary **I/O**,
+//! * the varint and gap-coded id-list [`codec`] that segment files and
+//!   the wire's meeting body are both written with.
 //!
 //! ```
 //! use jxp_webgraph::{GraphBuilder, PageId};
@@ -31,6 +33,7 @@
 
 pub mod analysis;
 pub mod builder;
+pub mod codec;
 pub mod csr;
 pub mod generators;
 pub mod hash;

@@ -12,7 +12,20 @@
 //! 12      n     body (frame-type specific, little-endian throughout)
 //! ```
 //!
-//! The body of [`Frame::MeetRequest`] / [`Frame::MeetReply`] is exactly
+//! The body of [`Frame::MeetRequest`] / [`Frame::MeetReply`] (protocol
+//! 3; `v` a LEB128 varint, `Δid` an id written as its gap from the
+//! previous id of the same section or list, the first verbatim):
+//!
+//! ```text
+//! world_score f64 | cut_for u64 | filter (presence byte [+ filter])
+//! pages    v × (Δid v | score f64 | out_degree v | n v | n × Δid v)
+//! unlinked v × Δid v
+//! world    v × (Δsrc v | out_degree v | score f64 | n v | n × Δid v)
+//! dangling v × (Δid v | score f64)
+//! ```
+//!
+//! Varints and gaps are [`jxp_webgraph::codec`]'s, the codec `JXPS`
+//! segments are written with. The body is exactly
 //! `MeetingPayload::wire_size()` bytes — the analytic accounting that
 //! Figures 11/12 plot *is* the measured encoding (pinned by
 //! [`tests::meeting_body_is_exactly_wire_size`]); the fixed
@@ -26,15 +39,20 @@ use jxp_core::MeetingPayload;
 use jxp_synopses::bloom::BloomFilter;
 use jxp_synopses::fm_sketch::FmSketch;
 use jxp_synopses::mips::MipsVector;
+use jxp_webgraph::codec::{
+    get_gap, get_varint, put_gap, put_gaps, put_varint, varint_len, CodecError,
+};
 use jxp_webgraph::PageId;
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"JXPW";
 
 /// Current protocol version; bumped on any incompatible layout change.
-/// Version 2 is the receiver-filtered meeting payload: `cut_for`, the
+/// Version 2 was the receiver-filtered meeting payload: `cut_for`, the
 /// sender's filter, a per-page out-degree and the `unlinked` section.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// Version 3 writes the same meeting payload with gap-coded ids and
+/// varint counts and degrees instead of fixed 4-byte fields.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Fixed frame-header length (magic + version + type + flags + body len).
 pub const HEADER_LEN: usize = 12;
@@ -563,53 +581,70 @@ fn decode_bloom(body: &mut &[u8]) -> Result<Option<BloomFilter>, WireError> {
     }
 }
 
+/// The protocol-3 meeting body: fixed-width scores, `cut_for` and filter,
+/// then four sections of varint counts and gap-coded ids (module docs).
+/// [`MeetingPayload::wire_size`] counts exactly these bytes with the same
+/// codec's length functions.
 fn encode_meeting_payload(buf: &mut Vec<u8>, p: &MeetingPayload) {
     buf.put_f64_le(p.world_score);
     buf.put_u64_le(p.cut_for);
     encode_bloom(buf, p.interest.as_ref());
-    buf.put_u32_le(p.pages.len() as u32);
+    put_varint(buf, p.pages.len() as u64);
+    let mut prev = None;
     for pp in &p.pages {
-        buf.put_u32_le(pp.page.0);
+        put_gap(buf, prev, pp.page.0);
+        prev = Some(pp.page.0);
         buf.put_f64_le(pp.score);
-        buf.put_u32_le(pp.out_degree);
-        buf.put_u32_le(pp.succs.len() as u32);
-        for s in &pp.succs {
-            buf.put_u32_le(s.0);
-        }
+        put_varint(buf, u64::from(pp.out_degree));
+        put_ids(buf, &pp.succs);
     }
-    buf.put_u32_le(p.unlinked.len() as u32);
-    for id in &p.unlinked {
-        buf.put_u32_le(id.0);
-    }
-    buf.put_u32_le(p.world.len() as u32);
+    put_ids(buf, &p.unlinked);
+    put_varint(buf, p.world.len() as u64);
+    let mut prev = None;
     for wp in &p.world {
-        buf.put_u32_le(wp.src.0);
-        buf.put_u32_le(wp.out_degree);
+        put_gap(buf, prev, wp.src.0);
+        prev = Some(wp.src.0);
+        put_varint(buf, u64::from(wp.out_degree));
         buf.put_f64_le(wp.score);
-        buf.put_u32_le(wp.targets.len() as u32);
-        for t in &wp.targets {
-            buf.put_u32_le(t.0);
-        }
+        put_ids(buf, &wp.targets);
     }
-    buf.put_u32_le(p.world_dangling.len() as u32);
+    put_varint(buf, p.world_dangling.len() as u64);
+    let mut prev = None;
     for &(page, score) in &p.world_dangling {
-        buf.put_u32_le(page.0);
+        put_gap(buf, prev, page.0);
+        prev = Some(page.0);
         buf.put_f64_le(score);
     }
 }
+
+/// A varint count, then that many gap-coded ids.
+fn put_ids(buf: &mut Vec<u8>, ids: &[PageId]) {
+    put_varint(buf, ids.len() as u64);
+    put_gaps(buf, ids.iter().map(|p| p.0));
+}
+
+/// Least bytes a page or world record takes: a one-byte id, an 8-byte
+/// score, a one-byte degree and a one-byte (zero) link count.
+const MIN_RECORD_LEN: usize = 1 + 8 + 1 + 1;
+/// Least bytes a dangling entry takes: a one-byte id and a score.
+const MIN_DANGLING_LEN: usize = 1 + 8;
 
 fn decode_meeting_payload(body: &mut &[u8]) -> Result<MeetingPayload, WireError> {
     let world_score = take_f64(body)?;
     let cut_for = take_u64(body)?;
     let interest = decode_bloom(body)?;
-    let num_pages = take_u32(body)? as usize;
-    check_claimed(body, num_pages, 20)?;
+    let mut at = Sections {
+        bytes: body,
+        pos: 0,
+    };
+    let num_pages = at.count(MIN_RECORD_LEN)?;
     let mut pages = Vec::with_capacity(num_pages);
+    let mut prev = None;
     for _ in 0..num_pages {
-        let page = PageId(take_u32(body)?);
-        let score = take_f64(body)?;
-        let out_degree = take_u32(body)?;
-        let succs = take_page_ids(body)?;
+        let page = at.id(&mut prev)?;
+        let score = at.f64()?;
+        let out_degree = at.degree()?;
+        let succs = at.ids()?;
         pages.push(PagePayload {
             page,
             score,
@@ -617,15 +652,15 @@ fn decode_meeting_payload(body: &mut &[u8]) -> Result<MeetingPayload, WireError>
             succs,
         });
     }
-    let unlinked = take_page_ids(body)?;
-    let num_world = take_u32(body)? as usize;
-    check_claimed(body, num_world, 20)?;
+    let unlinked = at.ids()?;
+    let num_world = at.count(MIN_RECORD_LEN)?;
     let mut world = Vec::with_capacity(num_world);
+    let mut prev = None;
     for _ in 0..num_world {
-        let src = PageId(take_u32(body)?);
-        let out_degree = take_u32(body)?;
-        let score = take_f64(body)?;
-        let targets = take_page_ids(body)?;
+        let src = at.id(&mut prev)?;
+        let out_degree = at.degree()?;
+        let score = at.f64()?;
+        let targets = at.ids()?;
         world.push(WorldPayload {
             src,
             out_degree,
@@ -633,14 +668,14 @@ fn decode_meeting_payload(body: &mut &[u8]) -> Result<MeetingPayload, WireError>
             targets,
         });
     }
-    let num_dangling = take_u32(body)? as usize;
-    check_claimed(body, num_dangling, 12)?;
+    let num_dangling = at.count(MIN_DANGLING_LEN)?;
     let mut world_dangling = Vec::with_capacity(num_dangling);
+    let mut prev = None;
     for _ in 0..num_dangling {
-        let page = PageId(take_u32(body)?);
-        let score = take_f64(body)?;
-        world_dangling.push((page, score));
+        let page = at.id(&mut prev)?;
+        world_dangling.push((page, at.f64()?));
     }
+    *body = &body[at.pos..];
     Ok(MeetingPayload {
         pages,
         unlinked,
@@ -652,11 +687,76 @@ fn decode_meeting_payload(body: &mut &[u8]) -> Result<MeetingPayload, WireError>
     })
 }
 
-/// A `u32` count followed by that many page ids.
-fn take_page_ids(body: &mut &[u8]) -> Result<Vec<PageId>, WireError> {
-    let n = take_u32(body)? as usize;
-    check_claimed(body, n, 4)?;
-    Ok((0..n).map(|_| PageId(body.get_u32_le())).collect())
+/// A read position in a meeting body's sections. Every varint must be
+/// the shortest encoding of its value, so a body decodes only if
+/// re-encoding its payload gives back the same bytes.
+struct Sections<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Sections<'_> {
+    fn varint(&mut self) -> Result<u64, WireError> {
+        let start = self.pos;
+        let v = get_varint(self.bytes, &mut self.pos).map_err(malformed)?;
+        canonical(self.pos - start, v)?;
+        Ok(v)
+    }
+
+    /// A record count, refused before anything is allocated when that
+    /// many records of at least `min_len` bytes cannot fit in the rest.
+    fn count(&mut self, min_len: usize) -> Result<usize, WireError> {
+        let n = self.varint()?;
+        if n > ((self.bytes.len() - self.pos) / min_len) as u64 {
+            return Err(WireError::Malformed("length field overruns body"));
+        }
+        Ok(n as usize)
+    }
+
+    fn degree(&mut self) -> Result<u32, WireError> {
+        u32::try_from(self.varint()?).map_err(|_| WireError::Malformed("degree exceeds u32"))
+    }
+
+    fn f64(&mut self) -> Result<f64, WireError> {
+        let raw = self
+            .bytes
+            .get(self.pos..self.pos + 8)
+            .ok_or(WireError::Malformed("field overruns body"))?;
+        self.pos += 8;
+        Ok(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
+    }
+
+    /// The next id of a gap-coded run whose last id was `*prev`.
+    fn id(&mut self, prev: &mut Option<u32>) -> Result<PageId, WireError> {
+        let start = self.pos;
+        let id = get_gap(self.bytes, &mut self.pos, *prev).map_err(malformed)?;
+        canonical(self.pos - start, u64::from(id - prev.unwrap_or(0)))?;
+        *prev = Some(id);
+        Ok(PageId(id))
+    }
+
+    /// A varint count, then that many gap-coded ids.
+    fn ids(&mut self) -> Result<Vec<PageId>, WireError> {
+        let n = self.count(1)?;
+        let mut ids = Vec::with_capacity(n);
+        let mut prev = None;
+        for _ in 0..n {
+            ids.push(self.id(&mut prev)?);
+        }
+        Ok(ids)
+    }
+}
+
+fn malformed(e: CodecError) -> WireError {
+    WireError::Malformed(e.0)
+}
+
+/// Refuse a varint of `len` bytes that a shorter encoding of `v` exists for.
+fn canonical(len: usize, v: u64) -> Result<(), WireError> {
+    if len != varint_len(v) {
+        return Err(WireError::Malformed("non-canonical varint"));
+    }
+    Ok(())
 }
 
 fn encode_mips(buf: &mut Vec<u8>, v: &MipsVector) {
@@ -768,7 +868,8 @@ mod tests {
 
     #[test]
     fn meeting_body_is_exactly_wire_size() {
-        // With every v2 field in use, and with none of them.
+        // With every receiver-filter field in use, and with none of
+        // them: the bare ids 4 and 5 cost a byte each (4, then gap 1).
         let full = sample_payload();
         let bare = MeetingPayload {
             unlinked: vec![],
@@ -778,7 +879,14 @@ mod tests {
         };
         assert_eq!(
             full.wire_size(),
-            bare.wire_size() + 2 * 4 + full.interest.as_ref().unwrap().wire_size()
+            bare.wire_size() + 2 + full.interest.as_ref().unwrap().wire_size()
+        );
+        // Fixed fields 8 + 8 + 1 and four 1-byte section counts; pages
+        // 0 (3 links, carrying 1 and 7) and 1 (dangling); world record
+        // 7 → {0}; dangling entry 9.
+        assert_eq!(
+            bare.wire_size(),
+            17 + 4 + (1 + 8 + 1 + 1 + 2) + (1 + 8 + 1 + 1) + (1 + 1 + 8 + 1 + 1) + (1 + 8)
         );
         for p in [full, bare] {
             let frame = Frame::MeetRequest(p.clone());
@@ -1043,14 +1151,128 @@ mod tests {
     #[test]
     fn corrupt_length_field_is_rejected_without_allocating() {
         let p = sample_payload();
-        let mut encoded = encode_frame(&Frame::MeetRequest(p.clone()));
-        // Clobber the page-count field: after world_score, cut_for and
-        // the sender's filter with its presence byte.
+        let encoded = encode_frame(&Frame::MeetRequest(p.clone()));
+        // Swap the one-byte page count — after world_score, cut_for and
+        // the sender's filter with its presence byte — for a claim of
+        // u32::MAX pages, and fix up the header's body length.
         let off = HEADER_LEN + 8 + 8 + 1 + p.interest.as_ref().unwrap().wire_size();
-        encoded[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(encoded[off], 2);
+        let mut forged = encoded[..off].to_vec();
+        put_varint(&mut forged, u64::from(u32::MAX));
+        forged.extend_from_slice(&encoded[off + 1..]);
+        let body_len = (forged.len() - HEADER_LEN) as u32;
+        forged[8..12].copy_from_slice(&body_len.to_le_bytes());
         assert_eq!(
-            decode_frame(&encoded),
+            decode_frame(&forged),
             Err(WireError::Malformed("length field overruns body"))
+        );
+    }
+
+    /// A meeting frame around a hand-written protocol-3 body: no filter,
+    /// then `sections` (counts, ids, degrees and scores in wire order).
+    fn hand_body(sections: &[Field]) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.put_f64_le(0.5);
+        body.put_u64_le(1);
+        body.put_u8(0);
+        for field in sections {
+            match *field {
+                Field::V(v) => put_varint(&mut body, v),
+                Field::Score => body.put_f64_le(0.01),
+            }
+        }
+        let mut frame = start_frame(TYPE_MEET_REQUEST, body.len());
+        frame.extend_from_slice(&body);
+        frame
+    }
+
+    /// One field of a hand-written body: a varint, or an 8-byte score.
+    #[derive(Clone, Copy)]
+    enum Field {
+        V(u64),
+        Score,
+    }
+
+    #[test]
+    fn a_zero_gap_is_malformed_so_no_unsorted_list_comes_off_the_wire() {
+        use Field::{Score, V};
+        // Each body has one list of two ids, the second written as gap
+        // `g`: at g = 1 it decodes, at g = 0 (the same id twice) not.
+        type Body = fn(u64) -> Vec<Field>;
+        let cases: [(&str, Body); 6] = [
+            ("page records", |g| {
+                let page = |id| [V(id), Score, V(0), V(0)];
+                [vec![V(2)], page(3).into(), page(g).into(), vec![V(0); 3]].concat()
+            }),
+            ("out-links", |g| {
+                vec![V(1), V(3), Score, V(2), V(2), V(7), V(g), V(0), V(0), V(0)]
+            }),
+            ("bare ids", |g| vec![V(0), V(2), V(4), V(g), V(0), V(0)]),
+            ("world records", |g| {
+                let record = |src| [V(src), V(1), Score, V(0)];
+                [
+                    vec![V(0), V(0), V(2)],
+                    record(9).into(),
+                    record(g).into(),
+                    vec![V(0)],
+                ]
+                .concat()
+            }),
+            ("world targets", |g| {
+                vec![V(0), V(0), V(1), V(9), V(3), Score, V(2), V(1), V(g), V(0)]
+            }),
+            ("dangling", |g| {
+                vec![V(0), V(0), V(0), V(2), V(5), Score, V(g), Score]
+            }),
+        ];
+        for (what, body) in cases {
+            assert!(decode_frame(&hand_body(&body(1))).is_ok(), "{what}");
+            assert_eq!(
+                decode_frame(&hand_body(&body(0))),
+                Err(WireError::Malformed("zero gap in id list")),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn varints_must_be_canonical_and_ids_fit_u32() {
+        use Field::V;
+        // One bare id, 5, written in two bytes instead of one.
+        let mut padded = hand_body(&[V(0), V(1), V(5), V(0), V(0)]);
+        assert!(decode_frame(&padded).is_ok());
+        let at = HEADER_LEN + 17 + 2;
+        padded[at] = 0x85;
+        padded.insert(at + 1, 0x00);
+        let body_len = (padded.len() - HEADER_LEN) as u32;
+        padded[8..12].copy_from_slice(&body_len.to_le_bytes());
+        assert_eq!(
+            decode_frame(&padded),
+            Err(WireError::Malformed("non-canonical varint"))
+        );
+        // A first id, or a gap, past u32::MAX.
+        let over = u64::from(u32::MAX) + 1;
+        for ids in [
+            vec![V(1), V(over)],
+            vec![V(2), V(u64::from(u32::MAX)), V(1)],
+        ] {
+            let mut body = vec![V(0)];
+            body.extend(ids);
+            body.extend([V(0), V(0)]);
+            assert_eq!(
+                decode_frame(&hand_body(&body)),
+                Err(WireError::Malformed("id exceeds u32"))
+            );
+        }
+        // A ten-byte varint that overflows u64.
+        let mut overlong = hand_body(&[V(0), V(0), V(0), V(0)]);
+        let at = HEADER_LEN + 17;
+        overlong.splice(at..at + 1, [0xff; 9].into_iter().chain([0x02]));
+        let body_len = (overlong.len() - HEADER_LEN) as u32;
+        overlong[8..12].copy_from_slice(&body_len.to_le_bytes());
+        assert_eq!(
+            decode_frame(&overlong),
+            Err(WireError::Malformed("varint overflows u64"))
         );
     }
 

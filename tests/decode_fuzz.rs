@@ -1,0 +1,157 @@
+//! Decode fuzz for the protocol-3 meeting body, over a real cut payload:
+//! peer 0's payload to a partner after 300 meetings on Amazon crawler
+//! fragments (the `sim_converge` layout at 1/20 scale). Every strict
+//! prefix of a frame or journal record is refused, every single-byte
+//! flip decodes or is refused without a panic, and a count no body could
+//! hold is refused before anything is allocated.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use jxp::core::{JxpConfig, MeetingPayload};
+use jxp::p2pnet::assign::{assign_by_crawlers, CrawlerParams};
+use jxp::p2pnet::{Network, NetworkConfig};
+use jxp::webgraph::codec::put_varint;
+use jxp::webgraph::generators::amazon_2005;
+use jxp_store::{encode_wal_record, scan_wal, WalKind, WalRecord, WAL_HEADER_LEN};
+use jxp_wire::{decode_frame, encode_frame, Frame, WireError, HEADER_LEN};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Counts the bytes each thread allocates, so one test can show that a
+/// decode allocated nothing while other tests run beside it.
+struct Counting;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is
+// a const-initialised thread-local `Cell` that needs no allocation.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.with(|a| a.set(a.get() + layout.size()));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocated() -> usize {
+    ALLOCATED.with(Cell::get)
+}
+
+/// Peer 0's payload cut to a partner's filter, after 300 meetings.
+fn real_cut_payload() -> MeetingPayload {
+    let cg = amazon_2005().generate_scaled(0.05);
+    let params = CrawlerParams {
+        peers_per_category: 10,
+        seeds_per_peer: 2,
+        max_depth: 6,
+        max_pages: Some(40),
+        max_pages_jitter: 1.0,
+        off_category_follow_prob: 0.5,
+    };
+    let fragments = assign_by_crawlers(&cg, &params, &mut StdRng::seed_from_u64(0xC4A3));
+    let config = NetworkConfig {
+        jxp: JxpConfig::optimized(),
+        ..Default::default()
+    };
+    let mut net = Network::new(fragments, cg.graph.num_nodes() as u64, config, 7);
+    net.run_parallel(300);
+    // The first partner whose cut payload uses every section, so every
+    // section's decoder is fuzzed.
+    let peers = net.peers();
+    peers[1..]
+        .iter()
+        .map(|b| peers[0].payload_for(b.interest()))
+        .find(|p| {
+            p.cut_for != 0
+                && p.interest.is_some()
+                && !p.pages.is_empty()
+                && !p.unlinked.is_empty()
+                && !p.world.is_empty()
+                && !p.world_dangling.is_empty()
+        })
+        .expect("a partner that needs every section")
+}
+
+#[test]
+fn a_real_meeting_body_survives_every_prefix_and_every_byte_flip() {
+    let payload = real_cut_payload();
+    let frame = encode_frame(&Frame::MeetRequest(payload.clone()));
+    assert_eq!(frame.len(), HEADER_LEN + payload.wire_size());
+    for keep in 0..frame.len() {
+        assert!(decode_frame(&frame[..keep]).is_err(), "prefix {keep}");
+    }
+    let mut decoded = 0;
+    for at in 0..frame.len() {
+        for mask in [0x01, 0x80, 0xff] {
+            let mut flipped = frame.clone();
+            flipped[at] ^= mask;
+            // Whatever decodes re-encodes to the bytes it came from:
+            // every varint is canonical and every id list ascending.
+            if let Ok((back, used)) = decode_frame(&flipped) {
+                assert_eq!(used, flipped.len());
+                assert_eq!(encode_frame(&back), flipped, "byte {at} ^ {mask:#x}");
+                decoded += 1;
+            }
+        }
+    }
+    // Flips inside scores and the filter still decode.
+    assert!(decoded > 0);
+}
+
+#[test]
+fn a_real_journal_record_survives_every_prefix_and_every_byte_flip() {
+    let payload = real_cut_payload();
+    let record = encode_wal_record(&WalRecord {
+        seq: 1,
+        kind: WalKind::Serve,
+        inbound: payload.clone(),
+        outbound: Some(payload),
+    });
+    assert_eq!(scan_wal(&record).records.len(), 1);
+    for keep in 1..record.len() {
+        let scan = scan_wal(&record[..keep]);
+        assert!(scan.records.is_empty() && scan.torn, "prefix {keep}");
+    }
+    // A flip with the CRC recomputed reaches the frame decoder.
+    for at in WAL_HEADER_LEN..record.len() {
+        let mut flipped = record.clone();
+        flipped[at] ^= 0xff;
+        let crc = jxp_store::crc32(&flipped[WAL_HEADER_LEN..]);
+        flipped[4..8].copy_from_slice(&crc.to_le_bytes());
+        let scan = scan_wal(&flipped);
+        assert!(
+            scan.records.len() + usize::from(scan.torn) == 1,
+            "byte {at}"
+        );
+    }
+}
+
+#[test]
+fn a_count_no_body_could_hold_is_refused_before_allocating() {
+    // world_score, cut_for, no filter, then a claim of u32::MAX pages
+    // followed by 20 bytes.
+    let mut body = vec![0u8; 8 + 8 + 1];
+    put_varint(&mut body, u64::from(u32::MAX));
+    body.extend_from_slice(&[0u8; 20]);
+    let mut frame = encode_frame(&Frame::Ack { of: 0 });
+    frame.truncate(HEADER_LEN);
+    frame[6] = 2; // MeetRequest
+    frame[8..12].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&body);
+    let before = allocated();
+    let got = decode_frame(&frame);
+    let used = allocated() - before;
+    assert_eq!(got, Err(WireError::Malformed("length field overruns body")));
+    assert_eq!(used, 0, "decoding allocated {used} bytes");
+}
