@@ -7,12 +7,17 @@
 //! dispatched inline to a [`FrameService`], and client connections that
 //! pipeline requests FIFO per peer. All sockets are `std::net` streams
 //! set non-blocking; readiness is discovered by polling reads/writes
-//! until `WouldBlock` and sleeping a short, configurable interval only
-//! when a full pass found no work. That trades a little idle latency
-//! for zero platform-specific poller code — and it bounds the thread
-//! count: a 256-node single-process cluster runs on exactly one reactor
-//! thread plus whoever calls [`ReactorHandle::submit`], no matter how
-//! many meetings are in flight.
+//! until `WouldBlock`. A pass that found no work parks the loop thread
+//! until [`ReactorHandle::submit`], [`ReactorHandle::listen`] or
+//! shutdown unparks it. Only while another process owes bytes (a reply
+//! to an outstanding request, or the rest of a frame it has begun) does
+//! the loop poll again after a fraction of a millisecond. Listeners are
+//! swept for new connections after the loop dials a peer, when a
+//! listener arrives, and every few milliseconds for dialers elsewhere.
+//! That costs no platform-specific poller code, and it bounds the
+//! thread count: a 256-node single-process cluster runs on exactly one
+//! reactor thread plus whoever calls [`ReactorHandle::submit`], no
+//! matter how many meetings are in flight.
 //!
 //! Two properties the rest of the system leans on:
 //!
@@ -42,8 +47,8 @@ use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
 use jxp_telemetry::{lock_unpoisoned, Gauge, Histogram, Registry};
@@ -71,8 +76,6 @@ pub struct ReactorConfig {
     pub backoff_base: Duration,
     /// Reconnect backoff cap.
     pub backoff_max: Duration,
-    /// Sleep between polling passes that found no work.
-    pub idle_sleep: Duration,
 }
 
 impl Default for ReactorConfig {
@@ -84,7 +87,6 @@ impl Default for ReactorConfig {
             connect_retries: 2,
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_millis(80),
-            idle_sleep: Duration::from_micros(200),
         }
     }
 }
@@ -192,9 +194,20 @@ pub(crate) struct Shared {
     pub(crate) metrics: ReactorMetrics,
     pub(crate) inflight: AtomicU64,
     pub(crate) peak: AtomicU64,
+    /// The loop thread, set once it is spawned, so callers can unpark
+    /// it when they hand it work.
+    pub(crate) loop_thread: OnceLock<Thread>,
 }
 
 impl Shared {
+    /// Unpark the loop thread. A loop that is not parked keeps the
+    /// token, so its next park returns at once and no wakeup is lost.
+    pub(crate) fn wake(&self) {
+        if let Some(thread) = self.loop_thread.get() {
+            thread.unpark();
+        }
+    }
+
     /// Count a submission. Called on the submitter's thread, so the
     /// in-flight gauge rises the moment a request exists, not when the
     /// loop first sees it.
@@ -234,12 +247,15 @@ impl Reactor {
             metrics,
             inflight: AtomicU64::new(0),
             peak: AtomicU64::new(0),
+            loop_thread: OnceLock::new(),
         });
         let loop_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("jxp-reactor".to_string())
             .spawn(move || machine::run_loop(loop_shared))
             .expect("spawn reactor loop thread");
+        // Set before any handle exists, so every submit can wake the loop.
+        let _ = shared.loop_thread.set(thread.thread().clone());
         Reactor {
             shared,
             thread: Some(thread),
@@ -264,6 +280,7 @@ impl Reactor {
 impl Drop for Reactor {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.wake();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -286,6 +303,7 @@ impl ReactorHandle {
         lock_unpoisoned(&self.shared.intake)
             .listeners
             .push((listener, service));
+        self.shared.wake();
         Ok(addr)
     }
 
@@ -308,6 +326,7 @@ impl ReactorHandle {
                     bytes,
                     pending: Arc::clone(&pending),
                 });
+            self.shared.wake();
         }
         Ticket::new(pending, Arc::clone(&self.shared), bytes_sent)
     }

@@ -4,8 +4,16 @@
 //! server connections (read → accumulate → dispatch inline → queue
 //! reply) → client connections (connect/backoff → write → read →
 //! complete FIFO waiters) → timers (reply deadlines, idle closes).
-//! A pass that moved no bytes and fired no timers sleeps
-//! `cfg.idle_sleep` before polling again.
+//!
+//! Accepts run only when a connection can be waiting: in the pass after
+//! this loop dialed a peer (on loopback `connect` completes the
+//! handshake, so the peer's listener already holds it), in a pass that
+//! adopted a new listener, and every [`SWEEP_EVERY`] for dialers in
+//! other processes. A pass that moved no bytes and fired no timers
+//! parks the thread until a submit, a listen or shutdown unparks it, or
+//! the next sweep is due. While another process owes this loop bytes
+//! (a reply to an outstanding waiter, or the rest of a frame a socket
+//! has begun), the park lasts at most [`POLL`] instead.
 //!
 //! Client connections walk Connecting → Handshake → Ready → (Failed);
 //! server connections walk Serving → Draining → closed. "Handshake"
@@ -28,6 +36,17 @@ use crate::pending::Pending;
 use crate::{FrameService, ReactorError, Shared, Submission};
 
 const READ_CHUNK: usize = 64 * 1024;
+
+/// Longest park while another process owes this loop bytes, which no
+/// unpark announces.
+const POLL: Duration = Duration::from_micros(200);
+
+/// Cadence of the listener sweep when this loop has not dialed: the
+/// longest a dialer in another process waits to be accepted, and the
+/// longest an idle loop parks (so deadlines and idle closes fire at
+/// most this late). An idle reactor pays one failing `accept` per
+/// listener per sweep (DESIGN.md §14 gives the trade).
+const SWEEP_EVERY: Duration = Duration::from_millis(5);
 
 struct Acceptor {
     listener: TcpListener,
@@ -105,6 +124,10 @@ pub(crate) fn run_loop(shared: Arc<Shared>) {
     let mut servers: Vec<ServerConn> = Vec::new();
     let mut clients: Vec<ClientConn> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
+    // A dial or a new listener asks for a sweep in the next pass;
+    // `sweep_at` is when the cadence sweep falls due.
+    let mut sweep_now = false;
+    let mut sweep_at = Instant::now();
 
     loop {
         let began = Instant::now();
@@ -119,6 +142,7 @@ pub(crate) fn run_loop(shared: Arc<Shared>) {
             for (listener, service) in intake.listeners.drain(..) {
                 acceptors.push(Acceptor { listener, service });
                 did_work = true;
+                sweep_now = true;
             }
             for sub in intake.submissions.drain(..) {
                 did_work = true;
@@ -137,32 +161,12 @@ pub(crate) fn run_loop(shared: Arc<Shared>) {
             break;
         }
 
-        // Accept ready connections on every listener.
-        for acceptor in &acceptors {
-            loop {
-                match acceptor.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        did_work = true;
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        servers.push(ServerConn {
-                            stream,
-                            service: Arc::clone(&acceptor.service),
-                            acc: FrameAccumulator::new(),
-                            wbuf: Vec::new(),
-                            wpos: 0,
-                            draining: false,
-                            dead: false,
-                            last_activity: began,
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                }
-            }
+        // Accept ready connections on every listener, when one can be
+        // waiting.
+        if sweep_now || began >= sweep_at {
+            sweep_now = false;
+            sweep_at = began + SWEEP_EVERY;
+            did_work |= accept_all(&acceptors, &mut servers, began);
         }
 
         // Serve: read requests, dispatch inline, queue + flush replies.
@@ -172,7 +176,7 @@ pub(crate) fn run_loop(shared: Arc<Shared>) {
 
         // Clients: connect, write queued requests, read replies.
         for conn in &mut clients {
-            did_work |= pump_client(&shared, conn, &mut scratch, &mut dispatched);
+            did_work |= pump_client(&shared, conn, &mut scratch, &mut dispatched, &mut sweep_now);
         }
 
         // Timers: reply deadlines and idle closes.
@@ -202,9 +206,51 @@ pub(crate) fn run_loop(shared: Arc<Shared>) {
                 .loop_iteration
                 .observe(began.elapsed().as_secs_f64());
         } else {
-            std::thread::sleep(shared.cfg.idle_sleep);
+            let owed = clients.iter().any(|c| !c.awaiting.is_empty())
+                || servers
+                    .iter()
+                    .any(|c| c.acc.buffered() > 0 || c.wpos < c.wbuf.len());
+            let park = if owed {
+                POLL
+            } else {
+                sweep_at.saturating_duration_since(now)
+            };
+            std::thread::park_timeout(park);
         }
     }
+}
+
+/// Accept every waiting connection on every listener. Returns whether
+/// any arrived.
+fn accept_all(acceptors: &[Acceptor], servers: &mut Vec<ServerConn>, now: Instant) -> bool {
+    let mut accepted = false;
+    for acceptor in acceptors {
+        loop {
+            match acceptor.listener.accept() {
+                Ok((stream, _peer)) => {
+                    accepted = true;
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    servers.push(ServerConn {
+                        stream,
+                        service: Arc::clone(&acceptor.service),
+                        acc: FrameAccumulator::new(),
+                        wbuf: Vec::new(),
+                        wpos: 0,
+                        draining: false,
+                        dead: false,
+                        last_activity: now,
+                    });
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+    }
+    accepted
 }
 
 /// Route a submission onto its peer's connection, dialing one if none
@@ -348,11 +394,14 @@ fn pump_server(conn: &mut ServerConn, scratch: &mut [u8], dispatched: &mut u64) 
     progressed
 }
 
+/// Pump one client connection. Sets `dialed` when it connects, so the
+/// next pass sweeps the listeners for the other end.
 fn pump_client(
     shared: &Shared,
     conn: &mut ClientConn,
     scratch: &mut [u8],
     dispatched: &mut u64,
+    dialed: &mut bool,
 ) -> bool {
     if conn.dead {
         return false;
@@ -373,6 +422,7 @@ fn pump_client(
         match TcpStream::connect(conn.addr) {
             Ok(stream) => {
                 progressed = true;
+                *dialed = true;
                 // Handshake: non-blocking + nodelay before any frame.
                 if stream.set_nonblocking(true).is_err() {
                     fail_all(
@@ -450,10 +500,12 @@ fn pump_client(
                 conn.acc.feed(&scratch[..n]);
                 loop {
                     match conn.acc.next_frame() {
-                        Ok(Some((frame, _used))) => {
+                        Ok(Some((frame, used))) => {
                             *dispatched += 1;
                             match conn.awaiting.pop_front() {
-                                Some(waiter) => waiter.pending.resolve(shared, Ok(frame)),
+                                Some(waiter) => {
+                                    waiter.pending.resolve(shared, Ok((frame, used as u64)))
+                                }
                                 None => {
                                     // A reply nobody asked for: the
                                     // stream is not trustworthy.

@@ -5,17 +5,21 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use jxp_telemetry::lock_unpoisoned;
-use jxp_wire::{encoded_len, Frame};
+use jxp_wire::Frame;
 
 use crate::{ReactorConfig, ReactorError, Shared};
+
+/// A reply frame and its encoded length, as the accumulator read it.
+pub(crate) type Reply = (Frame, u64);
 
 pub(crate) enum PendingState {
     /// Submitted, unresolved.
     Waiting,
     /// Resolved by the loop; result not yet taken by the waiter.
-    Done(Result<Frame, ReactorError>),
-    /// The waiter gave up (backstop cap); a late loop resolution is
-    /// dropped without touching the in-flight count again.
+    Done(Result<Reply, ReactorError>),
+    /// The waiter took the result or gave up (backstop cap); a late
+    /// loop resolution is dropped without touching the in-flight count
+    /// again.
     Abandoned,
 }
 
@@ -37,7 +41,7 @@ impl Pending {
 
     /// Loop side: deliver the result. No-op if the waiter already
     /// abandoned or the request was somehow resolved twice.
-    pub(crate) fn resolve(&self, shared: &Shared, result: Result<Frame, ReactorError>) {
+    pub(crate) fn resolve(&self, shared: &Shared, result: Result<Reply, ReactorError>) {
         let mut state = lock_unpoisoned(&self.state);
         if matches!(*state, PendingState::Waiting) {
             *state = PendingState::Done(result);
@@ -88,16 +92,13 @@ impl Ticket {
         let deadline = Instant::now() + wait_cap(&self.shared.cfg);
         let mut state = lock_unpoisoned(&self.pending.state);
         loop {
-            match &*state {
+            // Move the reply out rather than clone it under the lock.
+            match std::mem::replace(&mut *state, PendingState::Abandoned) {
                 PendingState::Done(result) => {
-                    let result = result.clone();
-                    return result.map(|frame| {
-                        let received = encoded_len(&frame) as u64;
-                        (frame, self.bytes_sent, received)
-                    });
+                    return result.map(|(frame, received)| (frame, self.bytes_sent, received));
                 }
                 PendingState::Abandoned => return Err(ReactorError::Timeout),
-                PendingState::Waiting => {}
+                PendingState::Waiting => *state = PendingState::Waiting,
             }
             let now = Instant::now();
             if now >= deadline {

@@ -1,12 +1,15 @@
 //! End-to-end reactor tests over real loopback sockets: request
-//! multiplexing, FIFO pipelining, failure surfacing, and the in-flight
-//! accounting the cluster's acceptance gate reads.
+//! multiplexing, FIFO pipelining, failure surfacing, the in-flight
+//! accounting the cluster's acceptance gate reads, and bytes from
+//! sockets the loop does not feed itself.
 
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use jxp_reactor::{FrameService, Reactor, ReactorConfig, ReactorError, ReactorMetrics};
-use jxp_wire::Frame;
+use jxp_wire::{encode_frame, encoded_len, Frame, FrameAccumulator};
 
 /// Replies to Hello with `node_id + 1000` so ordering mistakes show up
 /// as wrong payloads, not just hangs.
@@ -14,13 +17,33 @@ struct Echo;
 
 impl FrameService for Echo {
     fn serve(&self, frame: Frame) -> Option<Frame> {
-        match frame {
-            Frame::Hello { node_id, num_pages } => Some(Frame::Hello {
-                node_id: node_id + 1000,
-                num_pages,
-            }),
-            other => Some(other),
+        Some(echo(frame))
+    }
+}
+
+fn echo(frame: Frame) -> Frame {
+    match frame {
+        Frame::Hello { node_id, num_pages } => Frame::Hello {
+            node_id: node_id + 1000,
+            num_pages,
+        },
+        other => other,
+    }
+}
+
+/// Read one whole frame off a blocking stream, chunk by chunk: the
+/// accumulator, not `read_exact`, finds the frame's end (rule N1).
+/// Returns the frame and its encoded length.
+fn read_frame(stream: &mut TcpStream) -> (Frame, usize) {
+    let mut acc = FrameAccumulator::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(done) = acc.next_frame().unwrap() {
+            return done;
         }
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "the peer closed before a whole frame arrived");
+        acc.feed(&chunk[..n]);
     }
 }
 
@@ -289,4 +312,71 @@ fn concurrent_submitters_share_one_reactor() {
             });
         }
     });
+}
+
+#[test]
+fn a_blocking_client_dialing_an_idle_reactor_is_answered() {
+    let reactor = Reactor::start(quick_config(), ReactorMetrics::detached());
+    let addr = reactor.handle().listen(Arc::new(Echo)).unwrap();
+    // Let the loop adopt the listener, sweep it and park: the dial
+    // below comes from no submit, so only the loop's own listener
+    // cadence can find it.
+    std::thread::sleep(Duration::from_millis(50));
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let frame = Frame::Hello {
+        node_id: 21,
+        num_pages: 5,
+    };
+    stream.write_all(&encode_frame(&frame)).unwrap();
+    let (reply, used) = read_frame(&mut stream);
+    assert_eq!(
+        reply,
+        Frame::Hello {
+            node_id: 1021,
+            num_pages: 5
+        }
+    );
+    assert_eq!(used, encoded_len(&reply));
+}
+
+#[test]
+fn a_late_reply_from_a_peer_outside_the_loop_resolves_its_ticket() {
+    let reactor = Reactor::start(quick_config(), ReactorMetrics::detached());
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    // A peer on its own thread, which the loop cannot wake on: it
+    // answers ≈ 20 ms after the request arrives, well inside the
+    // 400 ms reply budget.
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let (request, _) = read_frame(&mut stream);
+        std::thread::sleep(Duration::from_millis(20));
+        stream.write_all(&encode_frame(&echo(request))).unwrap();
+        // Hold the connection open until the client hangs up.
+        let mut rest = [0u8; 64];
+        while matches!(stream.read(&mut rest), Ok(n) if n > 0) {}
+    });
+
+    let frame = Frame::Hello {
+        node_id: 5,
+        num_pages: 9,
+    };
+    let ticket = reactor.handle().submit(addr, &frame);
+    let (reply, sent, received) = ticket.wait_full().unwrap();
+    let expected = Frame::Hello {
+        node_id: 1005,
+        num_pages: 9,
+    };
+    assert_eq!(reply, expected);
+    assert_eq!(sent, encoded_len(&frame) as u64);
+    assert_eq!(received, encoded_len(&expected) as u64);
+    drop(reactor);
+    peer.join().unwrap();
 }
