@@ -73,6 +73,7 @@ pub fn meet(a: &mut JxpPeer, b: &mut JxpPeer) -> MeetingStats {
 mod tests {
     use super::*;
     use crate::config::JxpConfig;
+    use crate::payload::Record;
     use jxp_webgraph::{GraphBuilder, PageId, Subgraph};
 
     fn two_peers() -> (JxpPeer, JxpPeer) {
@@ -149,8 +150,8 @@ mod tests {
         assert_eq!(second.bytes_a_to_b, first.bytes_a_to_b + 1 + 1 + 8 + 1 + 1);
         // C holds nothing the entry points at: it never travels to C.
         let to_c = a.payload_for(c.interest());
-        assert!(to_c.world.is_empty());
-        assert_eq!(a.payload().world.len(), 1);
+        assert_eq!(to_c.world().len(), 0);
+        assert_eq!(a.payload().world().len(), 1);
     }
 
     #[test]
@@ -180,21 +181,24 @@ mod tests {
         assert!(a.try_absorb(&evil).unwrap_err().contains("unlinked"));
         // More out-links than the page is said to have.
         let mut evil = honest.clone();
-        evil.pages[0].succs = vec![PageId(0), PageId(1)];
-        evil.pages[0].out_degree = 1;
+        let record = |id: u32, out_degree: u32, links: std::ops::Range<u32>| Record {
+            id: PageId(id),
+            score: 0.01,
+            out_degree,
+            start: links.start,
+            end: links.end,
+        };
+        let first = evil.pages[0].id.0;
+        evil.links = vec![PageId(0), PageId(1), PageId(0)];
+        evil.pages = vec![record(first, 1, 0..2)];
+        evil.world.clear();
         assert!(a.try_absorb(&evil).unwrap_err().contains("out-degree"));
         // World records, or one record's targets, out of order: the merge
         // walks both as sorted runs.
-        let relayed = |src: u32, targets: Vec<PageId>| crate::payload::WorldPayload {
-            src: PageId(src),
-            out_degree: 2,
-            score: 0.01,
-            targets,
-        };
-        let mut evil = honest.clone();
-        evil.world = vec![relayed(9, vec![PageId(0)]), relayed(8, vec![PageId(1)])];
+        evil.pages.clear();
+        evil.world = vec![record(9, 2, 0..1), record(8, 2, 1..2)];
         assert!(a.try_absorb(&evil).unwrap_err().contains("world records"));
-        evil.world = vec![relayed(9, vec![PageId(1), PageId(0)])];
+        evil.world = vec![record(9, 2, 1..3)];
         assert!(a.try_absorb(&evil).unwrap_err().contains("targets"));
         assert_eq!(a.world(), &world_node_before);
         assert_eq!(a.scores(), &scores_before[..]);

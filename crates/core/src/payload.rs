@@ -28,29 +28,46 @@
 //!   the page (§5.3 stale links) — which needs no score and no links;
 //! * a world entry travels with `targets ∩ filter`, and only when that is
 //!   not empty.
+//!
+//! **Layout.** A payload is a flat table, laid out like the world node's
+//! own arrays (see [`crate::world`]): every link list it carries — each
+//! page's out-links, then each world record's targets — lives back to
+//! back in one shared arena of ids, and a page or world record holds its
+//! id, score, out-degree and the span of its list in that arena. So
+//! assembling, decoding or merging a payload allocates a fixed handful of
+//! vectors however many records it has. Readers get borrowed views,
+//! [`PagePayload`] and [`WorldPayload`], from [`MeetingPayload::pages`]
+//! and [`MeetingPayload::world`]; a payload built by hand (or by a
+//! decoder) goes through [`MeetingPayload::push_page`] and
+//! [`MeetingPayload::push_world`], which append a record together with
+//! its list and keep the records and every list strictly ascending, so
+//! every link in the arena belongs to exactly one record.
 
 use crate::world::WorldNode;
 use jxp_synopses::BloomFilter;
 use jxp_webgraph::codec::{gaps_len, varint_len};
 use jxp_webgraph::{PageId, Subgraph};
 
-/// Knowledge about one of the sender's local pages.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PagePayload {
+/// Knowledge about one of the sender's local pages, as
+/// [`MeetingPayload::pages`] reads it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PagePayload<'a> {
     /// The page's global id.
     pub page: PageId,
     /// The sender's current JXP score for it.
     pub score: f64,
     /// The page's true out-degree `out(page)`.
     pub out_degree: u32,
-    /// The page's out-links (global ids): all `out_degree` of them in an
-    /// uncut payload, those that hit the receiver's filter in a cut one.
-    pub succs: Vec<PageId>,
+    /// The page's out-links (global ids, ascending): all `out_degree` of
+    /// them in an uncut payload, those that hit the receiver's filter in
+    /// a cut one.
+    pub succs: &'a [PageId],
 }
 
-/// Knowledge about one external page relayed from the sender's world node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorldPayload {
+/// Knowledge about one external page relayed from the sender's world
+/// node, as [`MeetingPayload::world`] reads it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WorldPayload<'a> {
     /// The external source page.
     pub src: PageId,
     /// Its true out-degree.
@@ -58,22 +75,36 @@ pub struct WorldPayload {
     /// The sender's learned score for it.
     pub score: f64,
     /// The link targets the sender knows (pages of the *sender's*
-    /// fragment; relevant to the receiver when fragments overlap). A cut
-    /// payload keeps those that hit the receiver's filter.
-    pub targets: Vec<PageId>,
+    /// fragment, ascending; relevant to the receiver when fragments
+    /// overlap). A cut payload keeps those that hit the receiver's filter.
+    pub targets: &'a [PageId],
+}
+
+/// One page or world record: its links are `links[start..end]` of the
+/// payload's arena.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Record {
+    pub(crate) id: PageId,
+    pub(crate) score: f64,
+    pub(crate) out_degree: u32,
+    pub(crate) start: u32,
+    pub(crate) end: u32,
 }
 
 /// Everything one peer sends to another in a meeting.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MeetingPayload {
-    /// The sender's local pages: scores and out-link lists.
-    pub pages: Vec<PagePayload>,
+    /// The sender's local pages, ascending: scores and out-link spans.
+    pub(crate) pages: Vec<Record>,
     /// Ids (ascending) of the sender's local pages that neither are nor
     /// link to anything in the filter the payload was cut to. Always
     /// empty in an uncut payload.
     pub unlinked: Vec<PageId>,
-    /// The sender's world-node entries.
-    pub world: Vec<WorldPayload>,
+    /// The sender's world-node entries, ascending.
+    pub(crate) world: Vec<Record>,
+    /// The arena: every page's out-links, then every world record's
+    /// targets, back to back.
+    pub(crate) links: Vec<PageId>,
     /// External dangling pages the sender knows about, with scores.
     /// (The sender's *local* dangling pages already appear in `pages`
     /// with out-degree zero.)
@@ -89,6 +120,11 @@ pub struct MeetingPayload {
     pub cut_for: u64,
 }
 
+/// An arena length as a span bound.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a payload holds < 2^32 links")
+}
+
 impl MeetingPayload {
     /// Assemble the payload from a peer's state: `interest` is the
     /// sender's own filter (it rides along), `cut_to` the receiver's —
@@ -101,67 +137,180 @@ impl MeetingPayload {
         interest: Option<&BloomFilter>,
         cut_to: Option<&BloomFilter>,
     ) -> Self {
-        assert_eq!(graph.num_pages(), scores.len(), "score list out of sync");
+        let n = graph.num_pages();
+        assert_eq!(n, scores.len(), "score list out of sync");
         // One probe per local page. Successors and world-entry targets
         // that are local — every world-entry target is — read this table;
         // only external successors probe the filter themselves.
         let local_hit: Vec<bool> = cut_to.map_or_else(Vec::new, |f| {
             graph.pages().iter().map(|&p| f.contains(key(p))).collect()
         });
-        // Collecting nothing allocates nothing: only kept links cost.
-        let keep = |links: &[PageId]| -> Vec<PageId> {
-            let Some(filter) = cut_to else {
-                return links.to_vec();
-            };
-            links
-                .iter()
-                .copied()
-                .filter(|&t| match graph.local_index(t) {
-                    Some(j) => local_hit[j],
-                    None => filter.contains(key(t)),
-                })
-                .collect()
+        // The whole payload's links bound a cut one's, so every vector is
+        // allocated once.
+        let mut p = MeetingPayload {
+            pages: Vec::with_capacity(n),
+            unlinked: Vec::with_capacity(if cut_to.is_some() { n } else { 0 }),
+            world: Vec::with_capacity(world.len()),
+            links: Vec::with_capacity(graph.num_links() + world.num_links()),
+            world_dangling: world.dangling_iter().collect(),
+            world_score,
+            interest: interest.cloned(),
+            cut_for: cut_to.map_or(0, BloomFilter::fingerprint),
         };
-        let mut pages = Vec::new();
-        let mut unlinked = Vec::new();
+        // Append the links `cut_to` keeps to the arena.
+        let keep = |links: &[PageId], arena: &mut Vec<PageId>| {
+            let Some(filter) = cut_to else {
+                return arena.extend_from_slice(links);
+            };
+            let hit = |&t: &PageId| match graph.local_index(t) {
+                Some(j) => local_hit[j],
+                None => filter.contains(key(t)),
+            };
+            arena.extend(links.iter().copied().filter(hit));
+        };
         for (i, &score) in scores.iter().enumerate() {
             let all = graph.successors_at(i);
-            let succs = keep(all);
-            if cut_to.is_some() && !local_hit[i] && succs.is_empty() && !all.is_empty() {
-                unlinked.push(graph.page_at(i));
+            let start = p.links.len();
+            keep(all, &mut p.links);
+            let kept_none = p.links.len() == start;
+            if cut_to.is_some() && !local_hit[i] && kept_none && !all.is_empty() {
+                p.unlinked.push(graph.page_at(i));
             } else {
-                pages.push(PagePayload {
-                    page: graph.page_at(i),
+                p.pages.push(Record {
+                    id: graph.page_at(i),
                     score,
                     out_degree: all.len() as u32,
-                    succs,
+                    start: offset(start),
+                    end: offset(p.links.len()),
                 });
             }
         }
         // WorldNode iterates in ascending PageId order (documented
         // contract), so the payload is deterministic without re-sorting.
-        let world_entries: Vec<WorldPayload> = world
-            .iter()
-            .filter_map(|(src, e)| {
-                let targets = keep(e.targets);
-                (cut_to.is_none() || !targets.is_empty()).then_some(WorldPayload {
-                    src,
-                    out_degree: e.out_degree,
-                    score: e.score,
-                    targets,
-                })
-            })
-            .collect();
-        let world_dangling: Vec<(PageId, f64)> = world.dangling_iter().collect();
-        MeetingPayload {
-            pages,
-            unlinked,
-            world: world_entries,
-            world_dangling,
-            world_score,
-            interest: interest.cloned(),
-            cut_for: cut_to.map_or(0, BloomFilter::fingerprint),
+        // A cut entry travels only when some of its targets hit.
+        for (src, e) in world.iter() {
+            let start = p.links.len();
+            keep(e.targets, &mut p.links);
+            if cut_to.is_some() && p.links.len() == start {
+                continue;
+            }
+            p.world.push(Record {
+                id: src,
+                score: e.score,
+                out_degree: e.out_degree,
+                start: offset(start),
+                end: offset(p.links.len()),
+            });
         }
+        p.shrink_to_fit();
+        p
+    }
+
+    fn links_of(&self, r: &Record) -> &[PageId] {
+        &self.links[r.start as usize..r.end as usize]
+    }
+
+    /// The page records, ascending by page.
+    pub fn pages(&self) -> impl ExactSizeIterator<Item = PagePayload<'_>> + '_ {
+        self.pages.iter().map(|r| PagePayload {
+            page: r.id,
+            score: r.score,
+            out_degree: r.out_degree,
+            succs: self.links_of(r),
+        })
+    }
+
+    /// The world records, ascending by source.
+    pub fn world(&self) -> impl ExactSizeIterator<Item = WorldPayload<'_>> + '_ {
+        self.world.iter().map(|r| WorldPayload {
+            src: r.id,
+            out_degree: r.out_degree,
+            score: r.score,
+            targets: self.links_of(r),
+        })
+    }
+
+    /// Make room for `pages` more page records, `world` more world
+    /// records and `links` more links, so the pushes that follow do not
+    /// reallocate.
+    pub fn reserve(&mut self, pages: usize, world: usize, links: usize) {
+        self.pages.reserve(pages);
+        self.world.reserve(world);
+        self.links.reserve(links);
+    }
+
+    /// Give back the arena capacity no link uses: what a decoder that
+    /// [`reserve`](MeetingPayload::reserve)d for the worst case calls
+    /// once it is done.
+    pub fn shrink_to_fit(&mut self) {
+        self.links.shrink_to_fit();
+    }
+
+    /// Append a page record whose out-links are `succs`.
+    ///
+    /// # Panics
+    /// Panics unless `page` lies above every page so far and `succs` is
+    /// strictly ascending, or if a world record was pushed already (pages
+    /// come first).
+    pub fn push_page(
+        &mut self,
+        page: PageId,
+        score: f64,
+        out_degree: u32,
+        succs: impl IntoIterator<Item = PageId>,
+    ) {
+        assert!(self.world.is_empty(), "page {page:?} after a world record");
+        assert!(
+            self.pages.last().is_none_or(|r| r.id < page),
+            "page {page:?} out of order"
+        );
+        let (start, end) = self.push_links(succs);
+        self.pages.push(Record {
+            id: page,
+            score,
+            out_degree,
+            start,
+            end,
+        });
+    }
+
+    /// Append a world record whose targets are `targets`.
+    ///
+    /// # Panics
+    /// Panics unless `src` lies above every world record so far and
+    /// `targets` is strictly ascending.
+    pub fn push_world(
+        &mut self,
+        src: PageId,
+        out_degree: u32,
+        score: f64,
+        targets: impl IntoIterator<Item = PageId>,
+    ) {
+        assert!(
+            self.world.last().is_none_or(|r| r.id < src),
+            "world record {src:?} out of order"
+        );
+        let (start, end) = self.push_links(targets);
+        self.world.push(Record {
+            id: src,
+            score,
+            out_degree,
+            start,
+            end,
+        });
+    }
+
+    /// Append `ids` to the arena; returns their span.
+    fn push_links(&mut self, ids: impl IntoIterator<Item = PageId>) -> (u32, u32) {
+        let start = self.links.len();
+        for id in ids {
+            assert!(
+                self.links.len() == start || self.links.last() < Some(&id),
+                "link {id:?} out of order"
+            );
+            self.links.push(id);
+        }
+        (offset(start), offset(self.links.len()))
     }
 
     /// Sanity-check a payload received from an untrusted peer.
@@ -188,7 +337,7 @@ impl MeetingPayload {
             return Err(format!("world score {} out of [0, 1]", self.world_score));
         }
         let mut total = 0.0;
-        for pp in &self.pages {
+        for pp in self.pages() {
             if !valid_score(pp.score) {
                 return Err(format!("page {:?} has invalid score {}", pp.page, pp.score));
             }
@@ -207,7 +356,7 @@ impl MeetingPayload {
                 ));
             }
         }
-        if !self.pages.is_sorted_by(|a, b| a.page < b.page) {
+        if !self.pages.is_sorted_by(|a, b| a.id < b.id) {
             return Err("page records not sorted / contain duplicates".into());
         }
         if !self.unlinked.is_sorted_by(|a, b| a < b) {
@@ -219,7 +368,7 @@ impl MeetingPayload {
         if total > 1.0 + 1e-6 {
             return Err(format!("local score list claims total mass {total} > 1"));
         }
-        for wp in &self.world {
+        for wp in self.world() {
             if !valid_score(wp.score) {
                 return Err(format!(
                     "world entry {:?} has invalid score {}",
@@ -242,7 +391,7 @@ impl MeetingPayload {
                 ));
             }
         }
-        if !self.world.is_sorted_by(|a, b| a.src < b.src) {
+        if !self.world.is_sorted_by(|a, b| a.id < b.id) {
             return Err("world records not sorted / contain duplicates".into());
         }
         for &(p, s) in &self.world_dangling {
@@ -273,25 +422,24 @@ impl MeetingPayload {
     pub fn wire_size(&self) -> usize {
         let count = |n: usize| varint_len(n as u64);
         let list = |ids: &[PageId]| count(ids.len()) + gaps_len(ids.iter().map(|p| p.0));
-        let pages = count(self.pages.len())
-            + gaps_len(self.pages.iter().map(|p| p.page.0))
-            + self
-                .pages
-                .iter()
-                .map(|p| 8 + varint_len(u64::from(p.out_degree)) + list(&p.succs))
-                .sum::<usize>();
-        let world = count(self.world.len())
-            + gaps_len(self.world.iter().map(|w| w.src.0))
-            + self
-                .world
-                .iter()
-                .map(|w| varint_len(u64::from(w.out_degree)) + 8 + list(&w.targets))
-                .sum::<usize>();
+        let records = |records: &[Record]| {
+            count(records.len())
+                + gaps_len(records.iter().map(|r| r.id.0))
+                + records
+                    .iter()
+                    .map(|r| 8 + varint_len(u64::from(r.out_degree)) + list(self.links_of(r)))
+                    .sum::<usize>()
+        };
         let dangling = count(self.world_dangling.len())
             + gaps_len(self.world_dangling.iter().map(|(p, _)| p.0))
             + 8 * self.world_dangling.len();
         let interest = 1 + self.interest.as_ref().map_or(0, BloomFilter::wire_size);
-        8 + 8 + interest + pages + list(&self.unlinked) + world + dangling
+        8 + 8
+            + interest
+            + records(&self.pages)
+            + list(&self.unlinked)
+            + records(&self.world)
+            + dangling
     }
 
     /// Number of local pages described, bare ids included.
@@ -301,8 +449,7 @@ impl MeetingPayload {
 
     /// Total links carried (page out-links plus world-entry links).
     pub fn num_links(&self) -> usize {
-        self.pages.iter().map(|p| p.succs.len()).sum::<usize>()
-            + self.world.iter().map(|w| w.targets.len()).sum::<usize>()
+        self.links.len()
     }
 }
 
@@ -332,11 +479,14 @@ mod tests {
         world.upsert(PageId(9), 3, 0.2, [PageId(0)], CombineMode::TakeMax);
         let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
         assert_eq!(p.num_pages(), 2);
-        assert_eq!(p.pages[0].page, PageId(0));
-        assert_eq!(p.pages[0].succs, vec![PageId(1)]);
-        assert_eq!(p.pages[1].succs, vec![PageId(5)]);
-        assert_eq!(p.world.len(), 1);
-        assert_eq!(p.world[0].src, PageId(9));
+        let pages: Vec<_> = p.pages().collect();
+        assert_eq!(pages[0].page, PageId(0));
+        assert_eq!(pages[0].succs, [PageId(1)]);
+        assert_eq!(pages[1].succs, [PageId(5)]);
+        let world: Vec<_> = p.world().collect();
+        assert_eq!(world.len(), 1);
+        assert_eq!(world[0].src, PageId(9));
+        assert_eq!(world[0].targets, [PageId(0)]);
         assert_eq!(p.world_score, 0.3);
         assert_eq!(p.num_links(), 3);
     }
@@ -355,17 +505,17 @@ mod tests {
         // Far ids cost their varint length, near ones one byte a gap:
         // page 1 000 000 is 3 bytes, page 1 000 001 one; the links
         // 1 000 000 and 1 000 200 are 3 and 2.
-        let far = |page: u32, succs: Vec<u32>| PagePayload {
-            page: PageId(page),
-            score: 0.1,
-            out_degree: succs.len() as u32,
-            succs: succs.into_iter().map(PageId).collect(),
+        let mut q = MeetingPayload {
+            world_score: 0.3,
+            ..MeetingPayload::default()
         };
-        let mut q = p.clone();
-        q.pages = vec![
-            far(1_000_000, vec![]),
-            far(1_000_001, vec![1_000_000, 1_000_200]),
-        ];
+        q.push_page(PageId(1_000_000), 0.1, 0, []);
+        q.push_page(
+            PageId(1_000_001),
+            0.1,
+            2,
+            [PageId(1_000_000), PageId(1_000_200)],
+        );
         assert_eq!(
             q.wire_size(),
             21 + (3 + 8 + 1 + 1) + (1 + 8 + 1 + 1 + 3 + 2)
@@ -411,12 +561,12 @@ mod tests {
         let p = MeetingPayload::assemble(&graph, &world, &scores, 0.6, None, Some(&filter));
         p.validate().unwrap();
         assert_eq!(p.cut_for, filter.fingerprint());
-        let page = |id: u32| p.pages.iter().find(|pp| pp.page == PageId(id));
+        let page = |id: u32| p.pages().find(|pp| pp.page == PageId(id));
         // 0: the id itself hits; no successor does.
-        assert_eq!(page(0).unwrap().succs, vec![]);
+        assert_eq!(page(0).unwrap().succs, []);
         assert_eq!(page(0).unwrap().out_degree, 2);
         // 1: linked to 6.
-        assert_eq!(page(1).unwrap().succs, vec![PageId(6)]);
+        assert_eq!(page(1).unwrap().succs, [PageId(6)]);
         // 2: dangling pages always travel whole.
         assert_eq!(page(2).unwrap().out_degree, 0);
         // 3: nothing of it concerns the receiver — a bare id.
@@ -424,14 +574,16 @@ mod tests {
         assert_eq!(p.unlinked, vec![PageId(3)]);
         assert_eq!(p.num_pages(), 4);
         // World entries keep the targets that hit; 9 → {3} has none.
-        assert_eq!(p.world.len(), 1);
-        assert_eq!(p.world[0].src, PageId(8));
-        assert_eq!(p.world[0].out_degree, 3);
-        assert_eq!(p.world[0].targets, vec![PageId(0)]);
+        let relayed: Vec<_> = p.world().collect();
+        assert_eq!(relayed.len(), 1);
+        assert_eq!(relayed[0].src, PageId(8));
+        assert_eq!(relayed[0].out_degree, 3);
+        assert_eq!(relayed[0].targets, [PageId(0)]);
+        assert_eq!(p.num_links(), 2);
         // The uncut payload has none of this.
         let whole = MeetingPayload::assemble(&graph, &world, &scores, 0.6, None, None);
         assert_eq!((whole.cut_for, whole.unlinked.len()), (0, 0));
-        assert_eq!((whole.pages.len(), whole.world.len()), (4, 2));
+        assert_eq!((whole.pages().len(), whole.world().len()), (4, 2));
         assert!(p.wire_size() < whole.wire_size());
     }
 
@@ -443,7 +595,7 @@ mod tests {
             world.upsert(PageId(src), 1, 0.1, [PageId(0)], CombineMode::TakeMax);
         }
         let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
-        let srcs: Vec<u32> = p.world.iter().map(|w| w.src.0).collect();
+        let srcs: Vec<u32> = p.world().map(|w| w.src.0).collect();
         assert_eq!(srcs, vec![3, 7, 9]);
     }
 
@@ -455,6 +607,14 @@ mod tests {
         world.upsert_dangling(PageId(11), 0.05, CombineMode::TakeMax);
         let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
         p.validate().unwrap();
+    }
+
+    /// Point `record` at `ids`, appended to the arena as they are: how a
+    /// test forges the lists the push methods refuse.
+    fn forge(links: &mut Vec<PageId>, record: &mut Record, ids: &[u32]) {
+        record.start = offset(links.len());
+        links.extend(ids.iter().map(|&t| PageId(t)));
+        record.end = offset(links.len());
     }
 
     #[test]
@@ -481,29 +641,29 @@ mod tests {
 
         // Duplicate page records.
         let mut evil = honest.clone();
-        let dup = evil.pages[0].clone();
+        let dup = evil.pages[0];
         evil.pages.insert(1, dup);
         assert!(evil.validate().is_err());
 
         // Out-links must be strictly ascending.
         let mut evil = honest.clone();
         evil.pages[0].out_degree = 2;
-        evil.pages[0].succs = vec![PageId(5), PageId(1)];
+        forge(&mut evil.links, &mut evil.pages[0], &[5, 1]);
         let why = evil.validate().unwrap_err();
         assert!(why.contains("not sorted"), "{why}");
-        evil.pages[0].succs = vec![PageId(1), PageId(1)];
+        forge(&mut evil.links, &mut evil.pages[0], &[1, 1]);
         assert!(evil.validate().unwrap_err().contains("not sorted"));
-        evil.pages[0].succs = vec![PageId(1), PageId(5)];
+        forge(&mut evil.links, &mut evil.pages[0], &[1, 5]);
         evil.validate().unwrap();
 
         // More out-links than the stated out-degree.
         let mut evil = honest.clone();
-        evil.pages[0].succs.push(PageId(7));
+        forge(&mut evil.links, &mut evil.pages[0], &[1, 7]);
         assert!(evil.validate().is_err());
 
         // "Uncut", yet links or whole pages are missing.
         let mut evil = honest.clone();
-        evil.pages[0].succs.clear();
+        forge(&mut evil.links, &mut evil.pages[0], &[]);
         assert!(evil.validate().is_err());
         let mut evil = honest.clone();
         evil.unlinked.push(PageId(4));
@@ -519,31 +679,37 @@ mod tests {
 
         // World entry with impossible structure.
         let mut evil = honest.clone();
-        evil.world.push(WorldPayload {
-            src: PageId(9),
-            out_degree: 1,
-            score: 0.1,
-            targets: vec![PageId(0), PageId(1)],
-        });
+        evil.push_world(PageId(9), 1, 0.1, [PageId(0), PageId(1)]);
         assert!(evil.validate().is_err());
 
         // World records and their targets must be strictly ascending.
-        let relayed = |src: u32, targets: &[u32]| WorldPayload {
-            src: PageId(src),
-            out_degree: 3,
-            score: 0.01,
-            targets: targets.iter().map(|&t| PageId(t)).collect(),
+        let relayed = |links: &mut Vec<PageId>, &(src, ref targets): &(u32, Vec<u32>)| {
+            let mut record = Record {
+                id: PageId(src),
+                score: 0.01,
+                out_degree: 3,
+                start: 0,
+                end: 0,
+            };
+            forge(links, &mut record, targets);
+            record
         };
         let mut evil = honest.clone();
-        evil.world = vec![relayed(8, &[0]), relayed(9, &[0, 1])];
+        let forged = |evil: &mut MeetingPayload, records: &[(u32, Vec<u32>)]| {
+            evil.world = records
+                .iter()
+                .map(|r| relayed(&mut evil.links, r))
+                .collect();
+        };
+        forged(&mut evil, &[(8, vec![0]), (9, vec![0, 1])]);
         evil.validate().unwrap();
         for world in [
-            vec![relayed(9, &[0]), relayed(8, &[0])],
-            vec![relayed(9, &[0]), relayed(9, &[1])],
-            vec![relayed(9, &[1, 0])],
-            vec![relayed(9, &[1, 1])],
+            vec![(9, vec![0]), (8, vec![0])],
+            vec![(9, vec![0]), (9, vec![1])],
+            vec![(9, vec![1, 0])],
+            vec![(9, vec![1, 1])],
         ] {
-            evil.world = world;
+            forged(&mut evil, &world);
             let why = evil.validate().unwrap_err();
             assert!(why.contains("not sorted"), "{why}");
         }
@@ -563,6 +729,37 @@ mod tests {
         let mut evil = honest.clone();
         evil.world_score = -0.2;
         assert!(evil.validate().is_err());
+    }
+
+    #[test]
+    fn push_methods_keep_records_and_links_ascending() {
+        let mut p = MeetingPayload::default();
+        p.push_page(PageId(2), 0.1, 2, [PageId(3), PageId(8)]);
+        // The next record's links start afresh.
+        p.push_world(PageId(5), 4, 0.01, [PageId(1)]);
+        p.push_world(PageId(6), 1, 0.01, []);
+        let pages: Vec<_> = p.pages().collect();
+        let world: Vec<_> = p.world().collect();
+        assert_eq!(pages[0].succs, [PageId(3), PageId(8)]);
+        assert_eq!(world[0].targets, [PageId(1)]);
+        assert_eq!(world[1].targets, []);
+        assert_eq!(p.num_links(), 3);
+        p.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn push_refuses_a_record_out_of_order() {
+        let mut p = MeetingPayload::default();
+        p.push_world(PageId(6), 1, 0.01, []);
+        p.push_world(PageId(6), 1, 0.01, []);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn push_refuses_a_link_out_of_order() {
+        let mut p = MeetingPayload::default();
+        p.push_page(PageId(0), 0.1, 2, [PageId(4), PageId(4)]);
     }
 
     #[test]

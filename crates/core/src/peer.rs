@@ -258,7 +258,7 @@ impl JxpPeer {
     /// the local world node, combine overlapping scores, recompute on the
     /// *unchanged* extended local graph.
     fn absorb_light(&mut self, payload: &MeetingPayload) {
-        for pp in &payload.pages {
+        for pp in payload.pages() {
             if let Some(i) = self.graph.local_index(pp.page) {
                 // Overlapping page: combine the two score opinions.
                 self.scores[i] = self.combine_scores(self.scores[i], pp.score);
@@ -280,12 +280,12 @@ impl JxpPeer {
         let combine = self.config.combine;
         // ---- Build the merged graph V_M = V_A ∪ V_B, E_M = E_A ∪ E_B.
         let other =
-            Subgraph::from_adjacency(payload.pages.iter().map(|pp| (pp.page, pp.succs.clone())));
+            Subgraph::from_adjacency(payload.pages().map(|pp| (pp.page, pp.succs.to_vec())));
         let merged = self.graph.union(&other);
 
         // ---- Merged score list (average / max for pages in both).
         let their_score: FxHashMap<PageId, f64> =
-            payload.pages.iter().map(|pp| (pp.page, pp.score)).collect();
+            payload.pages().map(|pp| (pp.page, pp.score)).collect();
         let mut merged_scores = vec![0.0f64; merged.num_pages()];
         for (i, s) in merged_scores.iter_mut().enumerate() {
             let p = merged.page_at(i);
@@ -302,8 +302,8 @@ impl JxpPeer {
         // ---- Merged world node: T_M = (T_A ∪ T_B) − E_M.
         let mut merged_world = self.world.clone();
         merged_world.merge(
-            payload.world.iter().map(|wp| (wp.src, wp)),
-            (payload.world.len(), payload.num_links()),
+            payload.world().map(|wp| (wp.src, wp)),
+            (payload.world().len(), payload.num_links()),
             |slot, wp| slot.upsert(wp.out_degree, wp.score, wp.targets.iter().copied(), combine),
         );
         for &(page, score) in &payload.world_dangling {
@@ -353,11 +353,10 @@ impl JxpPeer {
         let graph = &self.graph;
         new_world.merge(
             payload
-                .pages
-                .iter()
+                .pages()
                 .filter(|pp| !graph.contains(pp.page))
                 .map(|pp| (pp.page, pp)),
-            (payload.pages.len(), payload.num_links()),
+            (payload.pages().len(), payload.num_links()),
             |slot, pp| {
                 let mi = merged.local_index(pp.page).expect("V_B ⊆ V_M");
                 if pp.succs.is_empty() {
@@ -711,7 +710,7 @@ mod tests {
         b.update_fragment(Subgraph::from_pages(&g_newer, [PageId(2), PageId(3)]));
         let to_a = b.payload_for(a.interest());
         assert_eq!(to_a.unlinked, vec![PageId(2), PageId(3)]);
-        assert!(to_a.pages.is_empty());
+        assert_eq!(to_a.pages().len(), 0);
         crate::meeting::meet(&mut a, &mut b);
         assert!(
             a.world().entry(PageId(3)).is_none(),

@@ -21,7 +21,9 @@
 //! meeting. Nothing is ever inserted into the middle of them: every change
 //! is one merge, an ascending pass that walks the old arrays beside a
 //! sorted run of records and builds the next arrays, bulk copying the
-//! stretches no record touches. Light-weight absorption
+//! stretches no record touches. The end of each stretch is found by
+//! galloping from the cursor, so a record costs a search of the distance
+//! to the previous one, not of the whole rest. Light-weight absorption
 //! ([`absorb_light`](WorldNode::absorb_light)) is one such pass over a
 //! whole meeting payload; the single-record methods
 //! ([`upsert`](WorldNode::upsert),
@@ -324,12 +326,12 @@ fn upsert_dangling(
 /// external page.
 enum Record<'p> {
     /// The sender holds the page: [`Slot::set_authoritative`].
-    Held(&'p PagePayload),
+    Held(PagePayload<'p>),
     /// The sender holds the page, and it links to nothing of mine:
     /// [`Slot::forget`].
     Unlinked,
     /// The sender relays what it knows of the page: [`Slot::upsert`].
-    Relayed(&'p WorldPayload),
+    Relayed(WorldPayload<'p>),
 }
 
 /// `payload`'s records about pages `local` does not hold, ascending by
@@ -341,8 +343,7 @@ fn light_records<'p>(
 ) -> impl Iterator<Item = (PageId, Record<'p>)> + 'p {
     let external = move |p: &PageId| !local.contains(*p);
     let mut held = payload
-        .pages
-        .iter()
+        .pages()
         .filter(move |pp| external(&pp.page))
         .peekable();
     let mut unlinked = payload
@@ -351,8 +352,7 @@ fn light_records<'p>(
         .filter(move |p| external(p))
         .peekable();
     let mut relayed = payload
-        .world
-        .iter()
+        .world()
         .filter(move |wp| external(&wp.src))
         .peekable();
     std::iter::from_fn(move || {
@@ -369,6 +369,21 @@ fn light_records<'p>(
             (page, Record::Relayed(relayed.next()?))
         })
     })
+}
+
+/// How many leading entries of `srcs` lie below `src`. Records are
+/// dense in a world node, so the answer is usually near the front:
+/// probe 1, 2, 4, … entries ahead, then binary-search the last step.
+fn gallop(srcs: &[PageId], src: PageId) -> usize {
+    // Every entry before `below` lies below `src`.
+    let (mut below, mut step) = (0, 1);
+    while below + step <= srcs.len() && srcs[below + step - 1] < src {
+        below += step;
+        step *= 2;
+    }
+    // The entry at `below + step - 1`, if any, does not.
+    let end = (below + step - 1).min(srcs.len());
+    below + srcs[below..end].partition_point(|&s| s < src)
 }
 
 impl WorldNode {
@@ -431,7 +446,7 @@ impl WorldNode {
         while let Some((src, record)) = records.next() {
             assert!(last < Some(src), "merge records out of order at {src:?}");
             last = Some(src);
-            let upto = k + old.srcs[k..].partition_point(|&s| s < src);
+            let upto = k + gallop(&old.srcs[k..], src);
             next.copy(&old, k..upto);
             k = upto;
             let mut slot = Slot {
@@ -483,7 +498,7 @@ impl WorldNode {
     /// The sender's dangling knowledge then goes through
     /// [`upsert_dangling`](WorldNode::upsert_dangling).
     ///
-    /// The payload's `pages`, `unlinked` and `world` must each be
+    /// The payload's page records, bare ids and world records must each be
     /// ascending, as [`MeetingPayload::validate`] insists.
     pub fn absorb_light(
         &mut self,
@@ -492,7 +507,7 @@ impl WorldNode {
         combine: CombineMode,
     ) {
         let room = (
-            payload.pages.len() + payload.world.len(),
+            payload.pages().len() + payload.world().len(),
             payload.num_links(),
         );
         let keep = |t: &PageId| local.contains(*t);

@@ -4,9 +4,12 @@
 //! search plus insert per target. On random worlds and random payloads —
 //! pages, bare ids and relayed entries that share a source, dangling ↔
 //! linked transitions, both combine modes — the two must agree on every
-//! entry, every dangling page and every bit of `inflow`.
+//! entry, every dangling page and every bit of `inflow`. Deterministic
+//! cases pin the edges of the merge's galloping search: records before
+//! the first source and after the last, at consecutive positions and at
+//! gaps of 2^k − 1, 2^k and 2^k + 1 entries, into empty and 1-entry
+//! worlds.
 
-use jxp_core::payload::{PagePayload, WorldPayload};
 use jxp_core::{CombineMode, MeetingPayload, WorldNode};
 use jxp_webgraph::{PageId, Subgraph};
 use proptest::collection::vec;
@@ -113,7 +116,7 @@ impl Reference {
     }
 
     fn absorb_light(&mut self, payload: &MeetingPayload, local: &Subgraph, combine: CombineMode) {
-        for pp in &payload.pages {
+        for pp in payload.pages() {
             if !local.contains(pp.page) {
                 let targets = pp.succs.iter().copied().filter(|&t| local.contains(t));
                 let targets = targets.collect();
@@ -130,7 +133,7 @@ impl Reference {
                 self.upsert_dangling(page, score, combine);
             }
         }
-        for wp in &payload.world {
+        for wp in payload.world() {
             if local.contains(wp.src) {
                 continue;
             }
@@ -253,33 +256,20 @@ proptest! {
         prop_assert_eq!(flat_state(&flat, &local), reference_state(&reference, &local));
 
         // A payload whose three sorted streams share sources. A held page
-        // of out-degree 0 is dangling; its successors are left unsorted.
-        let pages = by_key(pages, |p| p.0)
-            .into_iter()
-            .map(|(page, out_degree, score, succs)| {
-                let mut succs = ids(&succs);
-                succs.truncate(out_degree as usize);
-                PagePayload { page: PageId(page), score, out_degree, succs }
-            })
-            .collect();
-        let world = by_key(world, |w| w.0)
-            .into_iter()
-            .map(|(src, degree, score, targets)| WorldPayload {
-                src: PageId(src),
-                out_degree: RELAYED_DEGREE + degree,
-                score,
-                targets: sorted(&targets),
-            })
-            .collect();
-        let payload = MeetingPayload {
-            pages,
-            unlinked: sorted(&unlinked),
-            world,
-            world_dangling: world_dangling.iter().map(|&(p, s)| (PageId(p), s)).collect(),
-            world_score: 0.5,
-            interest: None,
-            cut_for: 1,
-        };
+        // of out-degree 0 is dangling.
+        let mut payload = MeetingPayload::default();
+        for (page, out_degree, score, succs) in by_key(pages, |p| p.0) {
+            let mut succs = sorted(&succs);
+            succs.truncate(out_degree as usize);
+            payload.push_page(PageId(page), score, out_degree, succs);
+        }
+        for (src, degree, score, targets) in by_key(world, |w| w.0) {
+            payload.push_world(PageId(src), RELAYED_DEGREE + degree, score, sorted(&targets));
+        }
+        payload.unlinked = sorted(&unlinked);
+        payload.world_dangling = world_dangling.iter().map(|&(p, s)| (PageId(p), s)).collect();
+        payload.world_score = 0.5;
+        payload.cut_for = 1;
         flat.absorb_light(&payload, &local, combine);
         reference.absorb_light(&payload, &local, combine);
         prop_assert_eq!(flat_state(&flat, &local), reference_state(&reference, &local));
@@ -287,6 +277,102 @@ proptest! {
         for (src, e) in &reference.entries {
             let found = flat.entry(*src).map(|f| f.targets.to_vec());
             prop_assert_eq!(found, Some(e.targets.clone()));
+        }
+    }
+}
+
+/// Where a world of `len` spaced sources keeps source `i`: 1000, 1002, …,
+/// so a record at an odd id lands between two sources.
+fn on(i: usize) -> u32 {
+    1000 + 2 * i as u32
+}
+
+/// Absorb records at `srcs` (ascending) into a world of `len` spaced
+/// sources that each link to local page 0, flat and per record, in both
+/// combine modes, and compare. Record `j` is a relayed entry, a held page
+/// or a bare id as `j % 3` is 0, 1 or 2, so the merge meets every kind.
+fn merge_at(len: usize, srcs: &[u32]) {
+    let local = Subgraph::from_adjacency([(PageId(0), vec![]), (PageId(1), vec![])]);
+    for combine in [CombineMode::TakeMax, CombineMode::Average] {
+        let (mut flat, mut reference) = (WorldNode::new(), Reference::default());
+        for i in 0..len {
+            let score = 0.001 * (i % 7) as f64;
+            flat.upsert(PageId(on(i)), 2, score, [PageId(0)], combine);
+            reference.upsert(PageId(on(i)), 2, score, [PageId(0)], combine);
+        }
+        let mut payload = MeetingPayload::default();
+        for (j, &src) in srcs.iter().enumerate().filter(|(j, _)| j % 3 == 1) {
+            payload.push_page(PageId(src), 0.002 * j as f64, 3, [PageId(1)]);
+        }
+        payload.unlinked = srcs.iter().skip(2).step_by(3).map(|&s| PageId(s)).collect();
+        for (j, &src) in srcs.iter().enumerate().step_by(3) {
+            let targets = [PageId(0), PageId(1)];
+            payload.push_world(PageId(src), RELAYED_DEGREE, 0.003 * j as f64, targets);
+        }
+        payload.cut_for = 1;
+        flat.absorb_light(&payload, &local, combine);
+        reference.absorb_light(&payload, &local, combine);
+        assert_eq!(
+            flat_state(&flat, &local),
+            reference_state(&reference, &local),
+            "{len} sources, records at {srcs:?}"
+        );
+    }
+}
+
+#[test]
+fn merge_into_an_empty_or_one_entry_world() {
+    merge_at(0, &[]);
+    merge_at(0, &[5]);
+    merge_at(0, &[5, 6, 900, 2000]);
+    merge_at(1, &[]);
+    merge_at(1, &[999]);
+    merge_at(1, &[on(0)]);
+    merge_at(1, &[on(0) + 1]);
+    merge_at(1, &[999, on(0), on(0) + 1]);
+}
+
+#[test]
+fn merge_records_before_the_first_source_and_after_the_last() {
+    let len = 300;
+    merge_at(len, &[999]);
+    merge_at(len, &[5, 999]);
+    merge_at(len, &[on(0)]);
+    merge_at(len, &[on(len - 1)]);
+    merge_at(len, &[on(len - 1) + 1]);
+    merge_at(len, &[on(len - 1) + 1, on(len - 1) + 2, 50_000]);
+    merge_at(len, &[999, on(len - 1) + 1]);
+}
+
+#[test]
+fn merge_records_at_consecutive_positions() {
+    let len = 300;
+    let sources: Vec<u32> = (0..40).map(on).collect();
+    merge_at(len, &sources);
+    let gaps: Vec<u32> = (0..40).map(|i| on(i) + 1).collect();
+    merge_at(len, &gaps);
+    // Every id from 999 on: before, on and between sources in turn.
+    let every: Vec<u32> = (999..1100).collect();
+    merge_at(len, &every);
+    let tail: Vec<u32> = (on(len - 20)..on(len - 1) + 5).collect();
+    merge_at(len, &tail);
+}
+
+#[test]
+fn merge_records_at_gaps_around_powers_of_two() {
+    let len = 300;
+    for k in 0..8 {
+        for gap in [(1usize << k) - 1, 1 << k, (1 << k) + 1] {
+            if gap == 0 {
+                continue;
+            }
+            for start in [0, 1, gap / 2] {
+                let at: Vec<usize> = (start..len).step_by(gap).collect();
+                let sources: Vec<u32> = at.iter().map(|&i| on(i)).collect();
+                merge_at(len, &sources);
+                let between: Vec<u32> = at.iter().map(|&i| on(i) + 1).collect();
+                merge_at(len, &between);
+            }
         }
     }
 }

@@ -465,15 +465,7 @@ mod tests {
     fn fault_injector_loses_exactly_the_hashed_arrivals() {
         use jxp_webgraph::{PageId, Subgraph};
 
-        let meeting = Frame::MeetRequest(jxp_core::payload::MeetingPayload {
-            pages: Vec::new(),
-            unlinked: Vec::new(),
-            world: Vec::new(),
-            world_dangling: Vec::new(),
-            world_score: 0.0,
-            interest: None,
-            cut_for: 0,
-        });
+        let meeting = Frame::MeetRequest(jxp_core::payload::MeetingPayload::default());
         let probe = Frame::SynopsisExchange(jxp_wire::SynopsisPayload {
             synopses: jxp_core::selection::PeerSynopses::compute(
                 &Subgraph::from_adjacency(vec![(PageId(0), vec![PageId(1)])]),

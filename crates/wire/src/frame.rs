@@ -33,7 +33,6 @@
 //! synopsis types encode to exactly their `wire_size()`.
 
 use bytes::{Buf, BufMut};
-use jxp_core::payload::{PagePayload, WorldPayload};
 use jxp_core::selection::PeerSynopses;
 use jxp_core::MeetingPayload;
 use jxp_synopses::bloom::BloomFilter;
@@ -589,24 +588,24 @@ fn encode_meeting_payload(buf: &mut Vec<u8>, p: &MeetingPayload) {
     buf.put_f64_le(p.world_score);
     buf.put_u64_le(p.cut_for);
     encode_bloom(buf, p.interest.as_ref());
-    put_varint(buf, p.pages.len() as u64);
+    put_varint(buf, p.pages().len() as u64);
     let mut prev = None;
-    for pp in &p.pages {
+    for pp in p.pages() {
         put_gap(buf, prev, pp.page.0);
         prev = Some(pp.page.0);
         buf.put_f64_le(pp.score);
         put_varint(buf, u64::from(pp.out_degree));
-        put_ids(buf, &pp.succs);
+        put_ids(buf, pp.succs);
     }
     put_ids(buf, &p.unlinked);
-    put_varint(buf, p.world.len() as u64);
+    put_varint(buf, p.world().len() as u64);
     let mut prev = None;
-    for wp in &p.world {
+    for wp in p.world() {
         put_gap(buf, prev, wp.src.0);
         prev = Some(wp.src.0);
         put_varint(buf, u64::from(wp.out_degree));
         buf.put_f64_le(wp.score);
-        put_ids(buf, &wp.targets);
+        put_ids(buf, wp.targets);
     }
     put_varint(buf, p.world_dangling.len() as u64);
     let mut prev = None;
@@ -629,62 +628,52 @@ const MIN_RECORD_LEN: usize = 1 + 8 + 1 + 1;
 /// Least bytes a dangling entry takes: a one-byte id and a score.
 const MIN_DANGLING_LEN: usize = 1 + 8;
 
+/// Decodes into the payload's one id arena: a fixed handful of
+/// allocations however many records the body holds.
 fn decode_meeting_payload(body: &mut &[u8]) -> Result<MeetingPayload, WireError> {
-    let world_score = take_f64(body)?;
-    let cut_for = take_u64(body)?;
-    let interest = decode_bloom(body)?;
+    let mut p = MeetingPayload::default();
+    p.world_score = take_f64(body)?;
+    p.cut_for = take_u64(body)?;
+    p.interest = decode_bloom(body)?;
     let mut at = Sections {
         bytes: body,
         pos: 0,
     };
     let num_pages = at.count(MIN_RECORD_LEN)?;
-    let mut pages = Vec::with_capacity(num_pages);
+    // Every link takes a byte at least, and none is in a page record's
+    // fixed part: the arena is reserved once, bounded by the body.
+    p.reserve(num_pages, 0, at.left() - num_pages * MIN_RECORD_LEN);
     let mut prev = None;
     for _ in 0..num_pages {
         let page = at.id(&mut prev)?;
         let score = at.f64()?;
         let out_degree = at.degree()?;
-        let succs = at.ids()?;
-        pages.push(PagePayload {
-            page,
-            score,
-            out_degree,
-            succs,
-        });
+        let mut succs = at.list()?;
+        p.push_page(page, score, out_degree, &mut succs);
+        succs.finish()?;
     }
-    let unlinked = at.ids()?;
+    p.unlinked = at.ids()?;
     let num_world = at.count(MIN_RECORD_LEN)?;
-    let mut world = Vec::with_capacity(num_world);
+    p.reserve(0, num_world, 0);
     let mut prev = None;
     for _ in 0..num_world {
         let src = at.id(&mut prev)?;
         let out_degree = at.degree()?;
         let score = at.f64()?;
-        let targets = at.ids()?;
-        world.push(WorldPayload {
-            src,
-            out_degree,
-            score,
-            targets,
-        });
+        let mut targets = at.list()?;
+        p.push_world(src, out_degree, score, &mut targets);
+        targets.finish()?;
     }
     let num_dangling = at.count(MIN_DANGLING_LEN)?;
-    let mut world_dangling = Vec::with_capacity(num_dangling);
+    p.world_dangling = Vec::with_capacity(num_dangling);
     let mut prev = None;
     for _ in 0..num_dangling {
         let page = at.id(&mut prev)?;
-        world_dangling.push((page, at.f64()?));
+        p.world_dangling.push((page, at.f64()?));
     }
+    p.shrink_to_fit();
     *body = &body[at.pos..];
-    Ok(MeetingPayload {
-        pages,
-        unlinked,
-        world,
-        world_dangling,
-        world_score,
-        interest,
-        cut_for,
-    })
+    Ok(p)
 }
 
 /// A read position in a meeting body's sections. Every varint must be
@@ -695,7 +684,7 @@ struct Sections<'a> {
     pos: usize,
 }
 
-impl Sections<'_> {
+impl<'a> Sections<'a> {
     fn varint(&mut self) -> Result<u64, WireError> {
         let start = self.pos;
         let v = get_varint(self.bytes, &mut self.pos).map_err(malformed)?;
@@ -703,11 +692,16 @@ impl Sections<'_> {
         Ok(v)
     }
 
+    /// Bytes not yet read.
+    fn left(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     /// A record count, refused before anything is allocated when that
     /// many records of at least `min_len` bytes cannot fit in the rest.
     fn count(&mut self, min_len: usize) -> Result<usize, WireError> {
         let n = self.varint()?;
-        if n > ((self.bytes.len() - self.pos) / min_len) as u64 {
+        if n > (self.left() / min_len) as u64 {
             return Err(WireError::Malformed("length field overruns body"));
         }
         Ok(n as usize)
@@ -737,13 +731,56 @@ impl Sections<'_> {
 
     /// A varint count, then that many gap-coded ids.
     fn ids(&mut self) -> Result<Vec<PageId>, WireError> {
-        let n = self.count(1)?;
-        let mut ids = Vec::with_capacity(n);
-        let mut prev = None;
-        for _ in 0..n {
-            ids.push(self.id(&mut prev)?);
+        let mut list = self.list()?;
+        let mut ids = Vec::with_capacity(list.left);
+        ids.extend(&mut list);
+        list.finish().map(|()| ids)
+    }
+
+    /// A varint count, then that many gap-coded ids, read as they are
+    /// pulled: how a record's list goes straight into a payload's arena.
+    fn list(&mut self) -> Result<IdList<'_, 'a>, WireError> {
+        let left = self.count(1)?;
+        Ok(IdList {
+            at: self,
+            left,
+            prev: None,
+            bad: None,
+        })
+    }
+}
+
+/// The ids of one gap-coded list, strictly ascending, read as they are
+/// pulled. The first bad id ends the list, and
+/// [`finish`](IdList::finish) returns why.
+struct IdList<'s, 'a> {
+    at: &'s mut Sections<'a>,
+    left: usize,
+    prev: Option<u32>,
+    bad: Option<WireError>,
+}
+
+impl IdList<'_, '_> {
+    fn finish(self) -> Result<(), WireError> {
+        self.bad.map_or(Ok(()), Err)
+    }
+}
+
+impl Iterator for IdList<'_, '_> {
+    type Item = PageId;
+
+    fn next(&mut self) -> Option<PageId> {
+        if self.left == 0 {
+            return None;
         }
-        Ok(ids)
+        self.left -= 1;
+        match self.at.id(&mut self.prev) {
+            Ok(id) => Some(id),
+            Err(e) => {
+                (self.left, self.bad) = (0, Some(e));
+                None
+            }
+        }
     }
 }
 
@@ -820,33 +857,16 @@ mod tests {
         let mut interest = BloomFilter::new(128, 3);
         interest.insert(0);
         interest.insert(1);
-        MeetingPayload {
-            pages: vec![
-                PagePayload {
-                    page: PageId(0),
-                    score: 0.25,
-                    out_degree: 3,
-                    succs: vec![PageId(1), PageId(7)],
-                },
-                PagePayload {
-                    page: PageId(1),
-                    score: 0.5,
-                    out_degree: 0,
-                    succs: vec![],
-                },
-            ],
-            unlinked: vec![PageId(4), PageId(5)],
-            world: vec![WorldPayload {
-                src: PageId(7),
-                out_degree: 3,
-                score: 0.125,
-                targets: vec![PageId(0)],
-            }],
-            world_dangling: vec![(PageId(9), 0.0625)],
-            world_score: 0.0625,
-            interest: Some(interest),
-            cut_for: 0xC0FF_EE00_0000_0001,
-        }
+        let mut p = MeetingPayload::default();
+        p.push_page(PageId(0), 0.25, 3, [PageId(1), PageId(7)]);
+        p.push_page(PageId(1), 0.5, 0, []);
+        p.unlinked = vec![PageId(4), PageId(5)];
+        p.push_world(PageId(7), 3, 0.125, [PageId(0)]);
+        p.world_dangling = vec![(PageId(9), 0.0625)];
+        p.world_score = 0.0625;
+        p.interest = Some(interest);
+        p.cut_for = 0xC0FF_EE00_0000_0001;
+        p
     }
 
     fn sample_synopses() -> SynopsisPayload {
@@ -871,12 +891,10 @@ mod tests {
         // With every receiver-filter field in use, and with none of
         // them: the bare ids 4 and 5 cost a byte each (4, then gap 1).
         let full = sample_payload();
-        let bare = MeetingPayload {
-            unlinked: vec![],
-            interest: None,
-            cut_for: 0,
-            ..full.clone()
-        };
+        let mut bare = full.clone();
+        bare.unlinked.clear();
+        bare.interest = None;
+        bare.cut_for = 0;
         assert_eq!(
             full.wire_size(),
             bare.wire_size() + 2 + full.interest.as_ref().unwrap().wire_size()

@@ -2,7 +2,7 @@
 //! unchanged, report its length exactly, and the decoder must reject
 //! truncations and version clobbering at every position.
 
-use jxp_core::payload::{MeetingPayload, PagePayload, WorldPayload};
+use jxp_core::payload::MeetingPayload;
 use jxp_core::selection::PeerSynopses;
 use jxp_synopses::bloom::BloomFilter;
 use jxp_synopses::fm_sketch::FmSketch;
@@ -43,48 +43,30 @@ fn optional_blooms() -> impl Strategy<Value = Option<BloomFilter>> {
 }
 
 fn meeting_payloads() -> impl Strategy<Value = MeetingPayload> {
-    let pages =
-        vec((0u32..50_000, -1.0f64..1.0, 0u32..100, page_ids()), 0..5).prop_map(|entries| {
-            let records = entries
-                .into_iter()
-                .map(|(page, score, out_degree, succs)| PagePayload {
-                    page: PageId(page),
-                    score,
-                    out_degree,
-                    succs,
-                })
-                .collect();
-            ascending(records, |r| r.page)
-        });
-    let world =
-        vec((0u32..50_000, 0u32..100, -1.0f64..1.0, page_ids()), 0..5).prop_map(|entries| {
-            let records = entries
-                .into_iter()
-                .map(|(src, out_degree, score, targets)| WorldPayload {
-                    src: PageId(src),
-                    out_degree,
-                    score,
-                    targets,
-                })
-                .collect();
-            ascending(records, |r| r.src)
-        });
+    let records = || {
+        vec((0u32..50_000, -1.0f64..1.0, 0u32..100, page_ids()), 0..5)
+            .prop_map(|records| ascending(records, |r| PageId(r.0)))
+    };
     let dangling = vec((0u32..50_000, 0.0f64..1.0), 0..4).prop_map(|entries| {
         let records = entries.into_iter().map(|(p, s)| (PageId(p), s)).collect();
         ascending(records, |r| r.0)
     });
     let filtering = (page_ids(), optional_blooms(), 0u64..u64::MAX);
-    (pages, world, dangling, 0.0f64..1.0, filtering).prop_map(
+    (records(), records(), dangling, 0.0f64..1.0, filtering).prop_map(
         |(pages, world, world_dangling, world_score, (unlinked, interest, cut_for))| {
-            MeetingPayload {
-                pages,
-                unlinked,
-                world,
-                world_dangling,
-                world_score,
-                interest,
-                cut_for,
+            let mut p = MeetingPayload::default();
+            for (page, score, out_degree, succs) in pages {
+                p.push_page(PageId(page), score, out_degree, succs);
             }
+            for (src, score, out_degree, targets) in world {
+                p.push_world(PageId(src), out_degree, score, targets);
+            }
+            p.unlinked = unlinked;
+            p.world_dangling = world_dangling;
+            p.world_score = world_score;
+            p.interest = interest;
+            p.cut_for = cut_for;
+            p
         },
     )
 }

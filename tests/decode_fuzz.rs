@@ -3,7 +3,9 @@
 //! fragments (the `sim_converge` layout at 1/20 scale). Every strict
 //! prefix of a frame or journal record is refused, every single-byte
 //! flip decodes or is refused without a panic, and a count no body could
-//! hold is refused before anything is allocated.
+//! hold is refused before anything is allocated. Assembling that
+//! payload and decoding its frame each take a fixed handful of
+//! allocations, however many records it has.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,12 +20,14 @@ use jxp_wire::{decode_frame, encode_frame, Frame, WireError, HEADER_LEN};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Counts the bytes each thread allocates, so one test can show that a
-/// decode allocated nothing while other tests run beside it.
+/// Counts the bytes each thread allocates, and the allocation calls, so
+/// one test can show that a decode allocated nothing while other tests
+/// run beside it. A `realloc` goes through `alloc`, so it counts as one.
 struct Counting;
 
 thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    static CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the counter is
@@ -31,6 +35,7 @@ thread_local! {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.with(|a| a.set(a.get() + layout.size()));
+        CALLS.with(|c| c.set(c.get() + 1));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -48,8 +53,13 @@ fn allocated() -> usize {
     ALLOCATED.with(Cell::get)
 }
 
-/// Peer 0's payload cut to a partner's filter, after 300 meetings.
-fn real_cut_payload() -> MeetingPayload {
+fn allocation_calls() -> usize {
+    CALLS.with(Cell::get)
+}
+
+/// The network after 300 meetings, and the partner of peer 0 whose cut
+/// payload uses every section, so every section's decoder is fuzzed.
+fn real_meeting() -> (Network, usize) {
     let cg = amazon_2005().generate_scaled(0.05);
     let params = CrawlerParams {
         peers_per_category: 10,
@@ -66,21 +76,25 @@ fn real_cut_payload() -> MeetingPayload {
     };
     let mut net = Network::new(fragments, cg.graph.num_nodes() as u64, config, 7);
     net.run_parallel(300);
-    // The first partner whose cut payload uses every section, so every
-    // section's decoder is fuzzed.
     let peers = net.peers();
-    peers[1..]
-        .iter()
-        .map(|b| peers[0].payload_for(b.interest()))
-        .find(|p| {
+    let partner = (1..peers.len())
+        .find(|&b| {
+            let p = peers[0].payload_for(peers[b].interest());
             p.cut_for != 0
                 && p.interest.is_some()
-                && !p.pages.is_empty()
+                && p.pages().len() > 0
                 && !p.unlinked.is_empty()
-                && !p.world.is_empty()
+                && p.world().len() > 0
                 && !p.world_dangling.is_empty()
         })
-        .expect("a partner that needs every section")
+        .expect("a partner that needs every section");
+    (net, partner)
+}
+
+/// Peer 0's payload cut to a partner's filter, after 300 meetings.
+fn real_cut_payload() -> MeetingPayload {
+    let (net, partner) = real_meeting();
+    net.peers()[0].payload_for(net.peers()[partner].interest())
 }
 
 #[test]
@@ -154,4 +168,43 @@ fn a_count_no_body_could_hold_is_refused_before_allocating() {
     let used = allocated() - before;
     assert_eq!(got, Err(WireError::Malformed("length field overruns body")));
     assert_eq!(used, 0, "decoding allocated {used} bytes");
+}
+
+/// Allocation calls that assembling, or decoding, a meeting payload may
+/// make: one per vector — the sender's filter, page records, bare ids,
+/// world records, the id arena and dangling entries — one more to give
+/// back the arena capacity reserved for the worst case, and the
+/// assembler's table of which local pages the filter holds. The cut
+/// payload here takes all 8 to assemble and 7 to decode; the same code
+/// with a vector per link list took 63 to assemble its 52 records.
+const MEETING_ALLOCATIONS: usize = 8;
+
+#[test]
+fn assembling_and_decoding_a_meeting_allocate_a_fixed_handful() {
+    let (net, partner) = real_meeting();
+    let sender = &net.peers()[0];
+    // The cut payload the partner gets, and the whole one.
+    for filter in [net.peers()[partner].interest(), None] {
+        let before = allocation_calls();
+        let payload = sender.payload_for(filter);
+        let assembling = allocation_calls() - before;
+        // A vector per record, as a payload that owns each link list
+        // needs, would be far past the bound.
+        let records = payload.pages().len() + payload.world().len();
+        let request = Frame::MeetRequest(payload);
+        let frame = encode_frame(&request);
+        let before = allocation_calls();
+        let decoded = decode_frame(&frame);
+        let decoding = allocation_calls() - before;
+        assert_eq!(decoded, Ok((request, frame.len())));
+        assert!(records > 4 * MEETING_ALLOCATIONS, "{records} records");
+        assert!(
+            assembling <= MEETING_ALLOCATIONS,
+            "assembling {records} records took {assembling} allocations"
+        );
+        assert!(
+            decoding <= MEETING_ALLOCATIONS,
+            "decoding {records} records took {decoding} allocations"
+        );
+    }
 }
