@@ -64,6 +64,23 @@ impl ParsedArgs {
         }
     }
 
+    /// Optional count that must be at least 1 when given: a zero
+    /// sample, top-k, query mix or worker pool has no meaning, so it is
+    /// refused here, naming the flag, before any work starts.
+    pub fn get_count<T>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T: std::str::FromStr + From<u8> + PartialEq,
+    {
+        if self.get(key).is_none() {
+            return Ok(None);
+        }
+        let n: T = self.get_or(key, T::from(0))?;
+        if n == T::from(0) {
+            return Err(format!("--{key} must be at least 1, got 0"));
+        }
+        Ok(Some(n))
+    }
+
     /// Optional enum-ish value constrained to a fixed set.
     pub fn get_choice<'a>(
         &'a self,

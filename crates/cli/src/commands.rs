@@ -5,7 +5,6 @@ use jxp_core::selection::{PreMeetingsConfig, SelectionStrategy};
 use jxp_core::{CombineMode, JxpConfig, MergeMode};
 use jxp_p2pnet::assign::{assign_by_crawlers, minerva_fragments, CrawlerParams};
 use jxp_p2pnet::{Network, NetworkConfig};
-use jxp_pagerank::gauss_seidel::pagerank_gauss_seidel;
 use jxp_pagerank::{metrics, pagerank, PageRankConfig};
 use jxp_serve::contiguous_fragments;
 use jxp_telemetry::{TelemetryHub, TelemetrySnapshot};
@@ -37,16 +36,29 @@ fn preset(args: &ParsedArgs) -> Result<DatasetPreset, String> {
     }
 }
 
-fn generate_graph(args: &ParsedArgs) -> Result<CategorizedGraph, String> {
-    generate_graph_with_scale(args, 0.1)
-}
-
-/// `jxp-cli generate` — synthesize a dataset and write it to disk.
+/// `jxp-cli generate` — synthesize a dataset and write it to disk as a
+/// segment directory (the out-of-core `jxp-segstore` format), plus an
+/// optional text edge list.
 pub fn generate(args: &ParsedArgs) -> Result<(), String> {
-    let cg = generate_graph(args)?;
-    let out = args.get("out").unwrap_or("graph.jxpg");
-    io::save_binary(&cg.graph, Path::new(out)).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {out} ({} categories)", cg.num_categories);
+    use jxp_segstore::segment::MAX_SEGMENT_NODES;
+
+    let out = args.require("out")?;
+    let segment_nodes = args.get_count("segment-nodes")?.unwrap_or(4096);
+    if segment_nodes > MAX_SEGMENT_NODES {
+        return Err(format!(
+            "--segment-nodes must be at most {MAX_SEGMENT_NODES}, got {segment_nodes}"
+        ));
+    }
+    let cg = generate_graph_with_scale(args, 0.1)?;
+    let manifest = jxp_segstore::write_segments(&cg.graph, Path::new(out), segment_nodes)
+        .map_err(|e| format!("writing {out}: {e}"))?;
+    println!(
+        "wrote {out}: {} segments of up to {} nodes ({} encoded bytes), {} categories",
+        manifest.segments.len(),
+        manifest.nodes_per_segment,
+        manifest.total_encoded_bytes(),
+        cg.num_categories
+    );
     println!(
         "  {}",
         jxp_webgraph::analysis::GraphSummary::compute(&cg.graph)
@@ -59,31 +71,43 @@ pub fn generate(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// `jxp-cli pagerank` — centralized PageRank over a stored graph.
+/// `jxp-cli pagerank` — centralized PageRank over a segment directory
+/// written by `generate`. Every segment is CRC-checked first, so a
+/// corrupt directory is refused by name instead of failing mid-sweep.
 pub fn pagerank_cmd(args: &ParsedArgs) -> Result<(), String> {
-    let path = args.require("graph")?;
+    use jxp_segstore::{verify_dir, SegmentedGraph};
+    use jxp_webgraph::GraphSource;
+
+    let dir = args.require("graph")?;
     let epsilon: f64 = args.get_or("epsilon", 0.85)?;
     if !(epsilon > 0.0 && epsilon < 1.0) {
         return Err(format!("--epsilon must be in (0, 1), got {epsilon}"));
     }
-    let g = io::load_binary(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
     let top: usize = args.get_or("top", 10)?;
     let threads: usize = args.get_or("threads", 0)?;
+    let report = verify_dir(Path::new(dir)).map_err(|e| format!("reading {dir}: {e}"))?;
+    if let Some(bad) = report.segments.iter().find(|s| s.error.is_some()) {
+        return Err(format!("{dir}: segment {} is corrupt", bad.index));
+    }
+    let g = SegmentedGraph::open(Path::new(dir)).map_err(|e| format!("reading {dir}: {e}"))?;
+    if g.num_nodes() == 0 {
+        return Err(format!("{dir}: the graph has no pages"));
+    }
     let cfg = PageRankConfig {
         epsilon,
         threads,
         ..Default::default()
     };
-    let solver = args.get_choice("solver", &["power", "gauss-seidel"], "power")?;
-    let result = match solver {
-        "gauss-seidel" => pagerank_gauss_seidel(&g, &cfg),
-        _ => pagerank(&g, &cfg),
-    };
+    let result = pagerank(&g, &cfg);
     println!(
-        "{} pages, {} links — {} converged in {} iterations",
+        "{} pages, {} links — power iteration {} after {} iterations",
         g.num_nodes(),
         g.num_edges(),
-        solver,
+        if result.converged() {
+            "converged"
+        } else {
+            "hit the iteration cap"
+        },
         result.iterations()
     );
     println!("{:>6} {:>10} {:>12}", "rank", "page", "score");
@@ -95,12 +119,10 @@ pub fn pagerank_cmd(args: &ParsedArgs) -> Result<(), String> {
 
 /// `jxp-cli simulate` — run a JXP network and report convergence.
 pub fn simulate(args: &ParsedArgs) -> Result<(), String> {
-    let cg = generate_graph_with_scale(args, 0.05)?;
     let seed: u64 = args.get_or("seed", 42)?;
     let meetings: usize = args.get_or("meetings", 600)?;
-    let sample: usize = args.get_or("sample", (meetings / 10).max(1))?;
-    let n = cg.graph.num_nodes();
-    let top: usize = args.get_or("top", (n / 20).max(10))?;
+    let sample = args.get_count("sample")?.unwrap_or((meetings / 10).max(1));
+    let top = args.get_count("top")?;
     let merge = match args.get_choice("merge", &["light", "full"], "light")? {
         "full" => MergeMode::Full,
         _ => MergeMode::LightWeight,
@@ -116,6 +138,9 @@ pub fn simulate(args: &ParsedArgs) -> Result<(), String> {
     let estimate_n = args.get_choice("estimate-n", &["yes", "no"], "no")? == "yes";
     let threads: usize = args.get_or("threads", 0)?;
     let metrics_out = args.get("metrics-out");
+    let cg = generate_graph_with_scale(args, 0.05)?;
+    let n = cg.graph.num_nodes();
+    let top = top.unwrap_or((n / 20).max(10));
     let fragments = assign_by_crawlers(
         &cg,
         &CrawlerParams {
@@ -428,40 +453,17 @@ pub fn checkpoint(action: &str, args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// `jxp-cli graph build|inspect|verify` — manage disk-backed segmented
-/// webgraphs (the out-of-core format behind `jxp-segstore`). `build`
-/// converts a stored `.jxpg` graph (or a freshly generated dataset)
-/// into a segment directory; `inspect` prints the manifest and the
-/// per-segment layout; `verify` decodes every container — full CRC and
-/// codec validation — and fails with a nonzero exit when any segment
-/// is corrupt, mirroring `checkpoint verify`.
+/// `jxp-cli graph inspect|verify` — examine a disk-backed segmented
+/// webgraph (the out-of-core format behind `jxp-segstore`, written by
+/// `generate`). `inspect` prints the manifest and the per-segment
+/// layout; `verify` decodes every container — full CRC and codec
+/// validation — and fails with a nonzero exit when any segment is
+/// corrupt, mirroring `checkpoint verify`.
 pub fn graph_cmd(action: &str, args: &ParsedArgs) -> Result<(), String> {
-    use jxp_segstore::{verify_dir, write_segments, SegmentedGraph};
+    use jxp_segstore::{verify_dir, SegmentedGraph};
     use jxp_webgraph::GraphSource;
 
     match action {
-        "build" => {
-            let out = args.require("out")?;
-            let segment_nodes: usize = args.get_or("segment-nodes", 4096)?;
-            let g = match args.get("graph") {
-                Some(path) => {
-                    io::load_binary(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?
-                }
-                None => generate_graph(args)?.graph,
-            };
-            let manifest = write_segments(&g, Path::new(out), segment_nodes)
-                .map_err(|e| format!("building {out}: {e}"))?;
-            println!(
-                "wrote {out}: {} nodes, {} edges in {} segments of up to {} nodes \
-                 ({} encoded bytes)",
-                manifest.num_nodes,
-                manifest.num_edges,
-                manifest.segments.len(),
-                manifest.nodes_per_segment,
-                manifest.total_encoded_bytes()
-            );
-            Ok(())
-        }
         "inspect" => {
             let dir = args.require("dir")?;
             let sg =
@@ -521,7 +523,7 @@ pub fn graph_cmd(action: &str, args: &ParsedArgs) -> Result<(), String> {
             Ok(())
         }
         other => Err(format!(
-            "graph: unknown action {other:?} (expected build|inspect|verify)"
+            "graph: unknown action {other:?} (expected inspect|verify)"
         )),
     }
 }
@@ -620,10 +622,10 @@ pub fn search(args: &ParsedArgs) -> Result<(), String> {
     use jxp_minerva::eval::{averages, table2};
     use jxp_minerva::{Corpus, CorpusParams, PeerIndex};
 
-    let cg = generate_graph_with_scale(args, 0.05)?;
     let seed: u64 = args.get_or("seed", 42)?;
-    let queries_n: usize = args.get_or("queries", 10)?;
+    let queries_n = args.get_count("queries")?.unwrap_or(10);
     let meetings: usize = args.get_or("meetings", 400)?;
+    let cg = generate_graph_with_scale(args, 0.05)?;
     let truth = pagerank(&cg.graph, &PageRankConfig::default()).into_scores();
     let fragments = minerva_fragments(&cg, 4, &mut StdRng::seed_from_u64(seed));
     let frag_refs: Vec<Subgraph> = fragments.clone();
@@ -686,10 +688,10 @@ fn serve_params(args: &ParsedArgs) -> Result<jxp_serve::ServeExperimentParams, S
         seed: args.get_or("seed", 42)?,
         peers,
         meetings: args.get_or("meetings", 200)?,
-        num_queries: args.get_or("queries", 10)?,
-        k: args.get_or("k", 10)?,
-        repeats: args.get_or("repeats", 3)?,
-        concurrency: args.get_or("concurrency", 2)?,
+        num_queries: args.get_count("queries")?.unwrap_or(10),
+        k: args.get_count("k")?.unwrap_or(10),
+        repeats: args.get_count("repeats")?.unwrap_or(3),
+        concurrency: args.get_count("concurrency")?.unwrap_or(2),
         threads: args.get_or("threads", 1)?,
         scale,
         dataset: preset(args)?,

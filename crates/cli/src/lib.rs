@@ -4,8 +4,8 @@
 //! Command-line driver for the JXP reproduction:
 //!
 //! ```text
-//! jxp-cli generate --dataset amazon --scale 0.1 --out web.jxpg
-//! jxp-cli pagerank --graph web.jxpg --top 10 --solver gauss-seidel
+//! jxp-cli generate --dataset amazon --scale 0.1 --out web
+//! jxp-cli pagerank --graph web --top 10
 //! jxp-cli simulate --dataset amazon --scale 0.1 --meetings 800
 //! jxp-cli search   --scale 0.1 --queries 10
 //! ```
@@ -23,12 +23,15 @@ pub const USAGE: &str = "\
 usage: jxp-cli <command> [--key value ...]
 
 commands:
-  generate   synthesize a dataset and write it to disk
-             --dataset amazon|web (default amazon), --scale 0..=1 (0.1),
-             --seed N, --out FILE (graph.jxpg), --edge-list FILE (optional)
-  pagerank   compute centralized PageRank over a graph file
-             --graph FILE, --top K (10), --solver power|gauss-seidel,
-             --epsilon 0.85, --threads N (0 = all cores; power solver)
+  generate   synthesize a dataset and write it to disk as a segmented
+             webgraph directory (the out-of-core jxp-segstore format)
+             --out DIR, --dataset amazon|web (default amazon),
+             --scale 0..=1 (0.1), --seed N, --segment-nodes N (4096),
+             --edge-list FILE (optional text copy)
+  pagerank   compute centralized PageRank (power iteration) over a
+             directory written by generate
+             --graph DIR, --top K (10), --epsilon 0.85,
+             --threads N (0 = all cores)
   simulate   run a JXP P2P network and report convergence
              --dataset amazon|web, --scale (0.05), --meetings N (600),
              --merge light|full, --combine max|avg,
@@ -52,11 +55,8 @@ commands:
              --state-dir DIR (durable checkpoints + WAL; reruns resume),
              --checkpoint-every N (8), --round-delay-ms MS (0),
              --metrics-listen ADDR (Prometheus scrape endpoint)
-  graph      build, inspect or CRC-verify a disk-backed segmented
-             webgraph directory (the out-of-core jxp-segstore format)
-             graph build   --out DIR [--graph FILE.jxpg |
-                           --dataset amazon|web --scale S --seed N]
-                           [--segment-nodes N (4096)]
+  graph      inspect or CRC-verify a segmented webgraph directory
+             written by generate
              graph inspect --dir DIR
              graph verify  --dir DIR
              (verify exits nonzero when any segment is corrupt)
@@ -89,8 +89,8 @@ commands:
 /// a command or action that does not exist.
 fn accepted_flags(command: &str, action: Option<&str>) -> Option<&'static str> {
     Some(match (command, action) {
-        ("generate", _) => "dataset scale seed out edge-list",
-        ("pagerank", _) => "graph top solver epsilon threads",
+        ("generate", _) => "dataset scale seed out segment-nodes edge-list",
+        ("pagerank", _) => "graph top epsilon threads",
         ("simulate", _) => {
             "dataset scale meetings merge combine strategy estimate-n sample top seed threads \
              metrics-out"
@@ -100,7 +100,6 @@ fn accepted_flags(command: &str, action: Option<&str>) -> Option<&'static str> {
             "peers meetings transport premeetings loss dataset scale seed top threads \
              metrics-out state-dir checkpoint-every round-delay-ms metrics-listen"
         }
-        ("graph", Some("build")) => "out graph dataset scale seed segment-nodes",
         ("graph", Some("inspect" | "verify")) => "dir",
         ("checkpoint", Some("inspect" | "verify")) => "state-dir node key",
         ("metrics", _) => "in format",
@@ -131,7 +130,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "graph" => rest
             .split_first()
             .map(|(a, r)| (Some(a.as_str()), r))
-            .ok_or("graph: missing action (build|inspect|verify)")?,
+            .ok_or("graph: missing action (inspect|verify)")?,
         _ => (None, rest),
     };
     let parsed = ParsedArgs::parse(rest)?;
@@ -180,20 +179,72 @@ mod tests {
 
     #[test]
     fn end_to_end_generate_pagerank_roundtrip() {
-        let dir = std::env::temp_dir().join("jxp_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tiny.jxpg");
+        use jxp_pagerank::{pagerank, PageRankConfig};
+        use jxp_segstore::SegmentedGraph;
+
+        let dir = std::env::temp_dir().join(format!("jxp_cli_roundtrip_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         run(&argv(&format!(
-            "generate --dataset amazon --scale 0.01 --out {}",
-            path.display()
+            "generate --dataset amazon --scale 0.01 --out {} --segment-nodes 64",
+            dir.display()
         )))
         .unwrap();
-        assert!(path.exists());
         run(&argv(&format!(
-            "pagerank --graph {} --top 5 --solver gauss-seidel",
-            path.display()
+            "pagerank --graph {} --top 5",
+            dir.display()
         )))
         .unwrap();
+        // The directory's PageRank is the in-memory graph's, bit for bit.
+        let g = jxp_webgraph::generators::amazon_2005()
+            .generate_scaled(0.01)
+            .graph;
+        let sg = SegmentedGraph::open(&dir).unwrap();
+        assert!(
+            sg.manifest().segments.len() > 1,
+            "one segment proves little"
+        );
+        let cfg = PageRankConfig::default();
+        let (mem, disk) = (pagerank(&g, &cfg), pagerank(&sg, &cfg));
+        assert_eq!(mem.iterations(), disk.iterations());
+        let bits = |r: &jxp_pagerank::PageRankResult| -> Vec<u64> {
+            r.scores().iter().map(|s| s.to_bits()).collect()
+        };
+        assert_eq!(bits(&mem), bits(&disk));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn retired_format_solver_and_build_action_are_refused() {
+        let err = run(&argv("pagerank --graph x --solver gauss-seidel")).unwrap_err();
+        assert_eq!(err, "unknown flag --solver for pagerank");
+        let err = run(&argv("graph build --out x")).unwrap_err();
+        assert!(err.contains("unknown action \"build\""), "{err}");
+        // A file that is not a segment directory is refused, not parsed.
+        let file = std::env::temp_dir().join(format!("jxp_cli_flat_{}", std::process::id()));
+        std::fs::write(&file, b"JXPG").unwrap();
+        assert!(run(&argv(&format!("pagerank --graph {}", file.display()))).is_err());
+        std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
+    fn zero_counts_are_refused_naming_the_flag() {
+        for (line, flag) in [
+            ("simulate --sample 0", "sample"),
+            ("simulate --top 0", "top"),
+            ("search --queries 0", "queries"),
+            ("serve --k 0", "k"),
+            ("serve --queries 0", "queries"),
+            ("serve --concurrency 0", "concurrency"),
+            ("serve --repeats 0", "repeats"),
+            ("loadgen --k 0", "k"),
+            ("loadgen --queries 0", "queries"),
+            ("loadgen --concurrency 0", "concurrency"),
+            ("loadgen --repeats 0", "repeats"),
+            ("generate --out x --segment-nodes 0", "segment-nodes"),
+        ] {
+            let err = run(&argv(line)).unwrap_err();
+            assert_eq!(err, format!("--{flag} must be at least 1, got 0"), "{line}");
+        }
     }
 
     #[test]
@@ -273,17 +324,16 @@ mod tests {
     #[test]
     fn pagerank_rejects_epsilon_outside_zero_one() {
         let dir = std::env::temp_dir().join(format!("jxp-cli-epsilon-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tiny.jxpg");
+        std::fs::remove_dir_all(&dir).ok();
         run(&argv(&format!(
             "generate --dataset amazon --scale 0.01 --out {}",
-            path.display()
+            dir.display()
         )))
         .unwrap();
         for bad in ["1.5", "1", "0", "-0.2", "NaN"] {
             let err = run(&argv(&format!(
                 "pagerank --graph {} --epsilon {bad}",
-                path.display()
+                dir.display()
             )))
             .unwrap_err();
             assert!(err.contains("must be in (0, 1)"), "{err}");
@@ -424,52 +474,35 @@ mod tests {
     }
 
     #[test]
-    fn graph_build_inspect_verify_roundtrip_and_corruption_detection() {
+    fn generate_inspect_verify_roundtrip_and_corruption_detection() {
         let dir = std::env::temp_dir().join(format!("jxp_cli_graph_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let jxpg = dir.join("tiny.jxpg");
-        run(&argv(&format!(
-            "generate --dataset amazon --scale 0.02 --out {}",
-            jxpg.display()
-        )))
-        .unwrap();
         let segs = dir.join("segments");
         run(&argv(&format!(
-            "graph build --graph {} --out {} --segment-nodes 128",
-            jxpg.display(),
+            "generate --dataset amazon --scale 0.02 --out {} --segment-nodes 128",
             segs.display()
         )))
         .unwrap();
         run(&argv(&format!("graph inspect --dir {}", segs.display()))).unwrap();
         run(&argv(&format!("graph verify --dir {}", segs.display()))).unwrap();
-        // Flip one byte in a segment container: verify must now fail.
+        // Flip one byte in a segment container: verify must now fail,
+        // and pagerank refuses the directory before its first sweep.
         let seg0 = segs.join("seg-000000.jxps");
         let mut bytes = std::fs::read(&seg0).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(&seg0, &bytes).unwrap();
         assert!(run(&argv(&format!("graph verify --dir {}", segs.display()))).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn graph_build_from_generated_dataset() {
-        let dir = std::env::temp_dir().join(format!("jxp_cli_graph_gen_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        run(&argv(&format!(
-            "graph build --dataset amazon --scale 0.02 --out {} --segment-nodes 256",
-            dir.display()
-        )))
-        .unwrap();
-        run(&argv(&format!("graph verify --dir {}", dir.display()))).unwrap();
+        let err = run(&argv(&format!("pagerank --graph {}", segs.display()))).unwrap_err();
+        assert!(err.ends_with("segment 0 is corrupt"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn graph_command_rejects_bad_input() {
         assert!(run(&argv("graph")).is_err()); // missing action
-        assert!(run(&argv("graph build")).is_err()); // missing --out
+        assert!(run(&argv("graph inspect")).is_err()); // missing --dir
+        assert!(run(&argv("generate --dataset amazon")).is_err()); // missing --out
         assert!(run(&argv("graph frob --dir /tmp/nope")).is_err());
         assert!(run(&argv("graph inspect --dir /nonexistent/segments")).is_err());
         assert!(run(&argv("graph verify --dir /nonexistent/segments")).is_err());

@@ -1,16 +1,11 @@
 //! The one pull kernel of the power sweep.
 //!
-//! Every power iteration in the workspace that walks predecessors —
-//! global PageRank over any `GraphSource` ([`crate::power`]) and the
+//! Every PageRank sweep in the workspace — global PageRank over any
+//! `GraphSource` ([`crate::power`], the one centralized solver) and the
 //! per-peer extended-graph PageRank (`jxp_core::local_pr`) — runs this
 //! loop, inside [`crate::par::chunked_fill`], over a **reverse-CSR row
 //! block**: a run of consecutive rows whose predecessor lists sit in one
 //! `preds` array, delimited by `offsets`.
-//!
-//! The one predecessor sweep that does not is Gauss–Seidel
-//! ([`crate::gauss_seidel`]): each row reads scores updated earlier in
-//! the same sweep, which a pull over a `contrib` vector filled once
-//! before the sweep cannot see.
 //!
 //! The source vector is **pre-multiplied**: the caller fills
 //! `contrib[j] = curr[j] · inv_out[j]` once per sweep, so an edge costs

@@ -37,7 +37,6 @@
 
 pub mod blockrank;
 pub mod chen_local;
-pub mod gauss_seidel;
 pub mod hits;
 pub mod kernel;
 pub mod metrics;

@@ -73,16 +73,6 @@ pub struct PageRankResult {
 }
 
 impl PageRankResult {
-    /// Assemble a result from raw parts (used by the Gauss–Seidel solver,
-    /// [`crate::gauss_seidel`]).
-    pub(crate) fn from_parts(scores: Vec<f64>, iterations: usize, converged: bool) -> Self {
-        PageRankResult {
-            scores,
-            iterations,
-            converged,
-        }
-    }
-
     /// Score vector indexed by page id; sums to 1.
     pub fn scores(&self) -> &[f64] {
         &self.scores

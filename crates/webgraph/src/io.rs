@@ -1,28 +1,14 @@
-//! Graph serialization: a human-readable text edge-list format and a
-//! compact little-endian binary format.
+//! Graph serialization: a human-readable text edge-list format that
+//! round-trips through [`CsrGraph`].
 //!
-//! Both formats round-trip through [`CsrGraph`]; the binary format is used
-//! by the experiment binaries to cache generated datasets between runs.
+//! The one binary format at rest is the segment directory of
+//! `jxp-segstore` (gap-coded, CRC'd), which `jxp-cli generate --out DIR`
+//! writes and every `GraphSource` consumer reads.
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::id::PageId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{self, BufRead, Write};
-
-/// Magic header of the binary format ("JXPG" + version 1).
-const MAGIC: [u8; 4] = *b"JXPG";
-const VERSION: u32 = 1;
-
-/// Upper bound on the node count accepted from a binary header.
-///
-/// The header is read before any allocation, so a corrupt or hostile
-/// file could otherwise request a multi-gigabyte offset table from 24
-/// bytes of input. 2³⁰ nodes is far beyond any dataset this in-memory
-/// format is used for (larger graphs go through `jxp-segstore`), while
-/// still leaving the id space (`u32`) the binding constraint for real
-/// data.
-pub const MAX_BIN_NODES: usize = 1 << 30;
 
 /// Write `g` as a text edge list: a header line `# nodes <n>` followed by
 /// one `src dst` pair per line.
@@ -67,79 +53,6 @@ pub fn read_edge_list(r: &mut impl BufRead) -> io::Result<CsrGraph> {
     Ok(b.build())
 }
 
-/// Serialize `g` into the compact binary format.
-pub fn to_bytes(g: &CsrGraph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + g.num_edges() * 8);
-    buf.put_slice(&MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(g.num_nodes() as u64);
-    buf.put_u64_le(g.num_edges() as u64);
-    for (s, d) in g.edges() {
-        buf.put_u32_le(s.0);
-        buf.put_u32_le(d.0);
-    }
-    buf.freeze()
-}
-
-/// Deserialize a graph from the binary format.
-///
-/// # Errors
-/// Returns `InvalidData` on bad magic, unsupported version or truncation.
-pub fn from_bytes(mut buf: impl Buf) -> io::Result<CsrGraph> {
-    let err = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if buf.remaining() < 24 {
-        return Err(err("truncated header"));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if magic != MAGIC {
-        return Err(err("bad magic"));
-    }
-    if buf.get_u32_le() != VERSION {
-        return Err(err("unsupported version"));
-    }
-    // Bound both counts BEFORE allocating anything: a 24-byte header
-    // can claim arbitrary u64 values, and `m * 8` on an unchecked
-    // `usize` cast would wrap for huge edge counts, sneaking past a
-    // naive truncation check into an allocation (or a panic) sized by
-    // attacker-controlled data.
-    let n64 = buf.get_u64_le();
-    let m64 = buf.get_u64_le();
-    if n64 > MAX_BIN_NODES as u64 {
-        return Err(err("header node count exceeds limit"));
-    }
-    let n = n64 as usize;
-    if m64 > (buf.remaining() / 8) as u64 {
-        return Err(err("truncated edge section"));
-    }
-    let m = m64 as usize;
-    if buf.remaining() != m * 8 {
-        return Err(err("oversized edge section"));
-    }
-    let mut b = GraphBuilder::with_capacity(m);
-    b.ensure_nodes(n);
-    for _ in 0..m {
-        let s = buf.get_u32_le();
-        let d = buf.get_u32_le();
-        if s as usize >= n || d as usize >= n {
-            return Err(err("edge references node out of range"));
-        }
-        b.add_edge(PageId(s), PageId(d));
-    }
-    Ok(b.build())
-}
-
-/// Write the binary format to a file.
-pub fn save_binary(g: &CsrGraph, path: &std::path::Path) -> io::Result<()> {
-    std::fs::write(path, to_bytes(g))
-}
-
-/// Read the binary format from a file.
-pub fn load_binary(path: &std::path::Path) -> io::Result<CsrGraph> {
-    let data = std::fs::read(path)?;
-    from_bytes(&data[..])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,117 +89,5 @@ mod tests {
         assert!(read_edge_list(&mut text.as_bytes()).is_err());
         let text = "0\n";
         assert!(read_edge_list(&mut text.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let g = sample();
-        let bytes = to_bytes(&g);
-        let g2 = from_bytes(&bytes[..]).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let mut bytes = to_bytes(&sample()).to_vec();
-        bytes[0] = b'X';
-        assert!(from_bytes(&bytes[..]).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_truncation() {
-        let bytes = to_bytes(&sample());
-        assert!(from_bytes(&bytes[..bytes.len() - 3]).is_err());
-        assert!(from_bytes(&bytes[..10]).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_out_of_range_edges() {
-        let g = sample();
-        let mut bytes = to_bytes(&g).to_vec();
-        // Corrupt the first edge's src to a huge id.
-        let off = 24;
-        bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(from_bytes(&bytes[..]).is_err());
-    }
-
-    /// A 24-byte header claiming `n` nodes and `m` edges with no edge
-    /// payload at all.
-    fn bare_header(n: u64, m: u64) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&n.to_le_bytes());
-        bytes.extend_from_slice(&m.to_le_bytes());
-        bytes
-    }
-
-    #[test]
-    fn binary_rejects_huge_node_count_before_allocating() {
-        // Must error out, not attempt a u64::MAX-sized offset table.
-        for n in [u64::MAX, MAX_BIN_NODES as u64 + 1] {
-            let e = from_bytes(&bare_header(n, 0)[..]).unwrap_err();
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "n = {n}");
-        }
-        // Edge-free graphs below the bound still decode (isolated
-        // nodes are legal; only absurd counts are rejected).
-        let g = from_bytes(&bare_header(1000, 0)[..]).unwrap();
-        assert_eq!(g.num_nodes(), 1000);
-        assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn binary_rejects_overflowing_edge_count() {
-        // m * 8 wraps to 0 for m = 2^61 on 64-bit, which slipped past
-        // the old `remaining() < m * 8` truncation check and panicked
-        // reading edges from an empty buffer. Must be a clean error.
-        for m in [u64::MAX, 1u64 << 61, (1u64 << 61) + 1] {
-            let e = from_bytes(&bare_header(4, m)[..]).unwrap_err();
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "m = {m}");
-        }
-    }
-
-    #[test]
-    fn binary_rejects_trailing_garbage() {
-        let mut bytes = to_bytes(&sample()).to_vec();
-        bytes.extend_from_slice(&[0u8; 5]);
-        assert!(from_bytes(&bytes[..]).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_header_shrunk_edge_count() {
-        // A header corrupted to claim fewer edges than the payload
-        // carries must not silently drop the tail.
-        let g = sample();
-        let mut bytes = to_bytes(&g).to_vec();
-        bytes[16..24].copy_from_slice(&(g.num_edges() as u64 - 1).to_le_bytes());
-        assert!(from_bytes(&bytes[..]).is_err());
-    }
-
-    #[test]
-    fn load_binary_rejects_corrupt_file_on_disk() {
-        let dir = std::env::temp_dir().join("jxp_io_test_corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.jxpg");
-        std::fs::write(&path, bare_header(u64::MAX, u64::MAX)).unwrap();
-        assert!(load_binary(&path).is_err());
-    }
-
-    #[test]
-    fn load_missing_file_reports_io_error() {
-        let path = std::env::temp_dir().join("jxp_io_test_does_not_exist.jxpg");
-        let _ = std::fs::remove_file(&path);
-        assert!(load_binary(&path).is_err());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let g = sample();
-        let dir = std::env::temp_dir().join("jxp_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.jxpg");
-        save_binary(&g, &path).unwrap();
-        let g2 = load_binary(&path).unwrap();
-        assert_eq!(g, g2);
     }
 }

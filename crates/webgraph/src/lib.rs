@@ -15,7 +15,7 @@
 //!   BFS) used to validate the generators against the paper's Figure 3,
 //! * **subgraph** extraction with local↔global id maps (peers hold
 //!   fragments of the global graph),
-//! * text and binary **I/O**,
+//! * text edge-list **I/O**,
 //! * the varint and gap-coded id-list [`codec`] that segment files and
 //!   the wire's meeting body are both written with.
 //!
