@@ -26,7 +26,7 @@ commands:
   generate   synthesize a dataset and write it to disk as a segmented
              webgraph directory (the out-of-core jxp-segstore format)
              --out DIR, --dataset amazon|web (default amazon),
-             --scale 0..=1 (0.1), --seed N, --segment-nodes N (4096),
+             --scale 0..=1 (0.1), --segment-nodes N (4096),
              --edge-list FILE (optional text copy)
   pagerank   compute centralized PageRank (power iteration) over a
              directory written by generate
@@ -89,7 +89,7 @@ commands:
 /// a command or action that does not exist.
 fn accepted_flags(command: &str, action: Option<&str>) -> Option<&'static str> {
     Some(match (command, action) {
-        ("generate", _) => "dataset scale seed out segment-nodes edge-list",
+        ("generate", _) => "dataset scale out segment-nodes edge-list",
         ("pagerank", _) => "graph top epsilon threads",
         ("simulate", _) => {
             "dataset scale meetings merge combine strategy estimate-n sample top seed threads \
@@ -403,6 +403,7 @@ mod tests {
                 "cluster",
             ),
             ("simulate --meeting 40", "--meeting", "simulate"),
+            ("generate --seed 9", "--seed", "generate"),
             ("graph inspect --dir x --out y", "--out", "graph inspect"),
         ] {
             let err = run(&argv(line)).unwrap_err();

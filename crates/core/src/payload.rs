@@ -206,7 +206,7 @@ impl MeetingPayload {
         p
     }
 
-    fn links_of(&self, r: &Record) -> &[PageId] {
+    pub(crate) fn links_of(&self, r: &Record) -> &[PageId] {
         &self.links[r.start as usize..r.end as usize]
     }
 

@@ -19,19 +19,28 @@
 //! out-degree, score, and an offset into one shared arena of target ids —
 //! because the world node is the part of a peer that grows with every
 //! meeting. Nothing is ever inserted into the middle of them: every change
-//! is one merge, an ascending pass that walks the old arrays beside a
-//! sorted run of records and builds the next arrays, bulk copying the
-//! stretches no record touches. The end of each stretch is found by
-//! galloping from the cursor, so a record costs a search of the distance
-//! to the previous one, not of the whole rest. Light-weight absorption
-//! ([`absorb_light`](WorldNode::absorb_light)) is one such pass over a
-//! whole meeting payload; the single-record methods
+//! is one merge, an ascending pass that walks the arrays beside a sorted
+//! run of records. The records about one source form a page group. A
+//! group that leaves its entry's presence, out-degree and targets as they
+//! were — a relayed record whose targets the entry already has, a held
+//! page that restates them, a bare id about a source the world node does
+//! not hold — is decided by a two-pointer walk over the entry's targets
+//! and writes only its combined score, in place. The first group that
+//! does change structure allocates the next arrays and bulk copies the
+//! entries below it; from there on the pass bulk copies the stretches
+//! between such groups — in-place scores ride along — and builds the
+//! next arrays, which replace the old ones at the end. So a payload that
+//! changes no structure copies and allocates nothing. The next group is
+//! found by galloping from the cursor, so a record costs a search of the
+//! distance to the previous one, not of the whole rest. Light-weight
+//! absorption ([`absorb_light`](WorldNode::absorb_light)) is one such
+//! pass over a whole meeting payload; the single-record methods
 //! ([`upsert`](WorldNode::upsert),
 //! [`set_authoritative`](WorldNode::set_authoritative),
 //! [`forget`](WorldNode::forget)) are passes over one record.
 
 use crate::config::CombineMode;
-use crate::payload::{MeetingPayload, PagePayload, WorldPayload};
+use crate::payload::MeetingPayload;
 use jxp_webgraph::{PageId, Subgraph};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -172,32 +181,162 @@ impl Links {
     }
 }
 
+/// A [`merge`](WorldNode::merge) in progress. It reads the world node's
+/// arrays in order. A page group that leaves the structure — which
+/// sources there are, their out-degrees and their targets — as it was
+/// writes only its combined score, in place. The first group that changes
+/// structure allocates the next arrays; every stretch of entries before a
+/// structural group is bulk copied into them, and they replace the old
+/// arrays at [`finish`](Merge::finish).
+struct Merge<'w> {
+    links: &'w mut Links,
+    dangling: &'w mut BTreeMap<PageId, f64>,
+    /// Entries and links the records may add: the next arrays' headroom.
+    room: (usize, usize),
+    /// The first entry of `links` no group has reached.
+    k: usize,
+    /// The last group's source; the next one must lie above it.
+    last: Option<PageId>,
+    /// The rebuilt arrays, from the first structural edit on.
+    next: Option<Links>,
+    /// The first entry of `links` not yet copied into `next`.
+    copied: usize,
+}
+
+impl<'w> Merge<'w> {
+    fn new(world: &'w mut WorldNode, room: (usize, usize)) -> Self {
+        Merge {
+            links: &mut world.links,
+            dangling: &mut world.dangling,
+            room,
+            k: 0,
+            last: None,
+            next: None,
+            copied: 0,
+        }
+    }
+
+    /// Pass over source `src`: `apply` hands the [`Slot`] of the page to
+    /// each record of its group in turn.
+    ///
+    /// # Panics
+    /// Panics unless `src` lies above the previous group's source.
+    fn group(&mut self, src: PageId, apply: impl FnOnce(&mut Slot<'_, 'w>)) {
+        assert!(
+            self.last < Some(src),
+            "merge records out of order at {src:?}"
+        );
+        self.last = Some(src);
+        let at = self.k + gallop(&self.links.srcs[self.k..], src);
+        let held = self.links.srcs.get(at) == Some(&src);
+        let (out_degree, score) = if held {
+            (self.links.degrees[at], self.links.scores[at])
+        } else {
+            (0, 0.0)
+        };
+        let mut slot = Slot {
+            merge: self,
+            src,
+            at,
+            building: false,
+            present: held,
+            out_degree,
+            score,
+        };
+        apply(&mut slot);
+        let Slot {
+            building,
+            present,
+            out_degree,
+            score,
+            ..
+        } = slot;
+        self.k = at + usize::from(held);
+        if building {
+            let next = self.next.as_mut().expect("a built page has next arrays");
+            if present {
+                next.close(src, out_degree, score);
+            } else {
+                next.targets.truncate(next.open());
+            }
+            self.copied = self.k;
+        } else if held {
+            self.links.scores[at] = score;
+        }
+    }
+
+    /// Install the rebuilt arrays, if any group changed structure.
+    fn finish(self) {
+        if let Some(mut next) = self.next {
+            next.copy(self.links, self.copied..self.links.srcs.len());
+            *self.links = next;
+        }
+    }
+}
+
 /// One source page while a [`merge`](WorldNode::merge) passes over it:
-/// what the world node knows about the page so far. Its targets are the
-/// unclaimed tail of the arrays being built.
-pub(crate) struct Slot<'a> {
-    next: &'a mut Links,
-    dangling: &'a mut BTreeMap<PageId, f64>,
+/// what the world node knows about the page so far. Until a record
+/// changes the page's structure, its targets are its entry's in the old
+/// arrays; from then on they are the unclaimed tail of the next arrays.
+pub(crate) struct Slot<'m, 'w> {
+    merge: &'m mut Merge<'w>,
     src: PageId,
+    /// Where the page's entry is, or would go, in the old arrays.
+    at: usize,
+    /// Whether the page's targets have moved to the next arrays.
+    building: bool,
     present: bool,
     out_degree: u32,
     score: f64,
 }
 
-impl Slot<'_> {
+impl Slot<'_, '_> {
     fn targets(&self) -> &[PageId] {
-        &self.next.targets[self.next.open()..]
+        let m = &*self.merge;
+        match &m.next {
+            Some(next) if self.building => &next.targets[next.open()..],
+            // Not built yet, so a present page is its old entry.
+            _ if self.present => &m.links.targets[m.links.range(self.at)],
+            _ => &[],
+        }
+    }
+
+    fn next(&mut self) -> &mut Links {
+        self.merge
+            .next
+            .as_mut()
+            .expect("a built page has next arrays")
+    }
+
+    /// Prepare a structural edit: the next arrays hold every entry below
+    /// the page, then its targets as their unclaimed tail.
+    fn build(&mut self) {
+        if self.building {
+            return;
+        }
+        self.building = true;
+        let m = &mut *self.merge;
+        let old = &*m.links;
+        let next = m.next.get_or_insert_with(|| {
+            Links::with_capacity(old.srcs.len() + m.room.0, old.targets.len() + m.room.1)
+        });
+        next.copy(old, m.copied..self.at);
+        if self.present {
+            next.targets
+                .extend_from_slice(&old.targets[old.range(self.at)]);
+        }
     }
 
     fn clear_targets(&mut self) {
-        let open = self.next.open();
-        self.next.targets.truncate(open);
+        let next = self.next();
+        next.targets.truncate(next.open());
     }
 
     /// Sort and deduplicate the targets; an ascending run is left as is.
     fn normalize_targets(&mut self) {
-        let open = self.next.open();
-        let tail = &mut self.next.targets[open..];
+        let next = self.next();
+        let open = next.open();
+        let tail = &mut next.targets[open..];
         if tail.is_sorted_by(|a, b| a < b) {
             return;
         }
@@ -209,27 +348,39 @@ impl Slot<'_> {
                 kept += 1;
             }
         }
-        self.next.targets.truncate(open + kept);
+        next.targets.truncate(open + kept);
     }
 
-    /// See [`WorldNode::upsert`].
-    pub(crate) fn upsert(
+    /// See [`WorldNode::upsert`]. A record about a present page whose
+    /// degree is at most the page's, and whose targets it already has,
+    /// moves only the score.
+    pub(crate) fn upsert<I>(
         &mut self,
         out_degree: u32,
         score: f64,
-        targets: impl IntoIterator<Item = PageId>,
+        targets: I,
         combine: CombineMode,
-    ) {
+    ) where
+        I: IntoIterator<Item = PageId, IntoIter: Clone>,
+    {
         let src = self.src;
         assert!(out_degree > 0, "external page {src:?} with zero out-degree");
         assert!(
             score.is_finite() && score >= 0.0,
             "invalid score {score} for {src:?}"
         );
-        if !self.present {
-            (self.present, self.out_degree, self.score) = (true, out_degree, score);
+        let targets = targets.into_iter();
+        let in_place = !self.building
+            && self.present
+            && out_degree <= self.out_degree
+            && covers(self.targets(), targets.clone());
+        if !in_place {
+            self.build();
+            if !self.present {
+                (self.present, self.out_degree, self.score) = (true, out_degree, score);
+            }
+            self.out_degree = self.out_degree.max(out_degree);
         }
-        self.out_degree = self.out_degree.max(out_degree);
         self.score = match combine {
             CombineMode::TakeMax => self.score.max(score),
             CombineMode::Average => {
@@ -241,41 +392,54 @@ impl Slot<'_> {
                 }
             }
         };
-        self.next.targets.extend(targets);
-        self.normalize_targets();
+        if !in_place {
+            self.next().targets.extend(targets);
+            self.normalize_targets();
+        }
         debug_assert!(
             self.targets().len() <= self.out_degree as usize,
             "entry {src:?} has more targets than out-degree"
         );
     }
 
-    /// See [`WorldNode::set_authoritative`].
-    pub(crate) fn set_authoritative(
+    /// See [`WorldNode::set_authoritative`]. A record that restates a
+    /// present page's degree and targets moves only the score.
+    pub(crate) fn set_authoritative<I>(
         &mut self,
         out_degree: u32,
         score: f64,
-        targets: impl IntoIterator<Item = PageId>,
+        targets: I,
         combine: CombineMode,
-    ) {
+    ) where
+        I: IntoIterator<Item = PageId, IntoIter: Clone>,
+    {
         let src = self.src;
         assert!(
             score.is_finite() && score >= 0.0,
             "invalid score {score} for {src:?}"
         );
-        self.clear_targets();
+        let targets = targets.into_iter();
         if out_degree == 0 {
-            self.present = false;
-            upsert_dangling(self.dangling, src, score, combine);
+            self.unlink();
+            self.upsert_dangling(score, combine);
             return;
         }
-        self.next.targets.extend(targets);
-        if self.targets().is_empty() {
+        if targets.clone().next().is_none() {
             // The page no longer links into my fragment at all.
             self.forget();
             return;
         }
-        self.dangling.remove(&src);
-        self.normalize_targets();
+        self.merge.dangling.remove(&src);
+        let same = !self.building
+            && self.present
+            && out_degree == self.out_degree
+            && targets.clone().eq(self.targets().iter().copied());
+        if !same {
+            self.build();
+            self.clear_targets();
+            self.next().targets.extend(targets);
+            self.normalize_targets();
+        }
         assert!(
             self.targets().len() <= out_degree as usize,
             "more targets than out-degree for {src:?}"
@@ -290,15 +454,30 @@ impl Slot<'_> {
 
     /// See [`WorldNode::forget`].
     pub(crate) fn forget(&mut self) {
-        self.dangling.remove(&self.src);
-        self.present = false;
-        self.clear_targets();
+        self.merge.dangling.remove(&self.src);
+        self.unlink();
+    }
+
+    /// Drop the page's entry, if it has one.
+    fn unlink(&mut self) {
+        if self.present {
+            self.build();
+            self.clear_targets();
+            self.present = false;
+        }
     }
 
     /// See [`WorldNode::upsert_dangling`].
     pub(crate) fn upsert_dangling(&mut self, score: f64, combine: CombineMode) {
-        upsert_dangling(self.dangling, self.src, score, combine);
+        upsert_dangling(self.merge.dangling, self.src, score, combine);
     }
+}
+
+/// Whether `within` (ascending) holds every id `ids` yields, a two-pointer
+/// walk; ids that are not strictly ascending answer `false`.
+fn covers(within: &[PageId], mut ids: impl Iterator<Item = PageId>) -> bool {
+    let mut rest = within.iter();
+    ids.all(|t| rest.any(|&e| e == t))
 }
 
 fn upsert_dangling(
@@ -320,55 +499,6 @@ fn upsert_dangling(
             }
         })
         .or_insert(score);
-}
-
-/// One record of a payload that light-weight merging applies to an
-/// external page.
-enum Record<'p> {
-    /// The sender holds the page: [`Slot::set_authoritative`].
-    Held(PagePayload<'p>),
-    /// The sender holds the page, and it links to nothing of mine:
-    /// [`Slot::forget`].
-    Unlinked,
-    /// The sender relays what it knows of the page: [`Slot::upsert`].
-    Relayed(WorldPayload<'p>),
-}
-
-/// `payload`'s records about pages `local` does not hold, ascending by
-/// page; where several share a page, in the order pages → unlinked →
-/// world.
-fn light_records<'p>(
-    payload: &'p MeetingPayload,
-    local: &'p Subgraph,
-) -> impl Iterator<Item = (PageId, Record<'p>)> + 'p {
-    let external = move |p: &PageId| !local.contains(*p);
-    let mut held = payload
-        .pages()
-        .filter(move |pp| external(&pp.page))
-        .peekable();
-    let mut unlinked = payload
-        .unlinked
-        .iter()
-        .filter(move |p| external(p))
-        .peekable();
-    let mut relayed = payload
-        .world()
-        .filter(move |wp| external(&wp.src))
-        .peekable();
-    std::iter::from_fn(move || {
-        let h = held.peek().map(|pp| pp.page);
-        let u = unlinked.peek().map(|&&p| p);
-        let r = relayed.peek().map(|wp| wp.src);
-        let page = [h, u, r].into_iter().flatten().min()?;
-        Some(if h == Some(page) {
-            (page, Record::Held(held.next()?))
-        } else if u == Some(page) {
-            unlinked.next();
-            (page, Record::Unlinked)
-        } else {
-            (page, Record::Relayed(relayed.next()?))
-        })
-    })
 }
 
 /// How many leading entries of `srcs` lie below `src`. Records are
@@ -427,7 +557,11 @@ impl WorldNode {
     /// Apply `records` — ascending by page; several for one page apply
     /// in order — in one pass over the world node: `apply` sees each
     /// record with the [`Slot`] of its page, and every source no record
-    /// names is carried over as is. `room` is an upper bound on the
+    /// names is carried over as is. A page group that leaves its entry's
+    /// presence, out-degree and targets as they were only writes its
+    /// combined score into the arrays; the next arrays are allocated at
+    /// the first group that does change structure, so a run of records
+    /// that changes none copies nothing. `room` is an upper bound on the
     /// entries and links the records add, so the next arrays are
     /// allocated once.
     ///
@@ -437,55 +571,24 @@ impl WorldNode {
         &mut self,
         records: impl IntoIterator<Item = (PageId, R)>,
         room: (usize, usize),
-        mut apply: impl FnMut(&mut Slot<'_>, R),
+        mut apply: impl FnMut(&mut Slot<'_, '_>, R),
     ) {
-        let old = std::mem::take(&mut self.links);
-        let mut next = Links::with_capacity(old.srcs.len() + room.0, old.targets.len() + room.1);
-        let (mut k, mut last) = (0, None);
+        let mut merge = Merge::new(self, room);
         let mut records = records.into_iter().peekable();
         while let Some((src, record)) = records.next() {
-            assert!(last < Some(src), "merge records out of order at {src:?}");
-            last = Some(src);
-            let upto = k + gallop(&old.srcs[k..], src);
-            next.copy(&old, k..upto);
-            k = upto;
-            let mut slot = Slot {
-                next: &mut next,
-                dangling: &mut self.dangling,
-                src,
-                present: false,
-                out_degree: 0,
-                score: 0.0,
-            };
-            if old.srcs.get(k) == Some(&src) {
-                let e = old.entry(k);
-                slot.next.targets.extend_from_slice(e.targets);
-                (slot.present, slot.out_degree, slot.score) = (true, e.out_degree, e.score);
-                k += 1;
-            }
-            apply(&mut slot, record);
-            while let Some((_, record)) = records.next_if(|&(p, _)| p == src) {
-                apply(&mut slot, record);
-            }
-            let Slot {
-                present,
-                out_degree,
-                score,
-                ..
-            } = slot;
-            if present {
-                next.close(src, out_degree, score);
-            } else {
-                next.targets.truncate(next.open());
-            }
+            merge.group(src, |slot| {
+                apply(slot, record);
+                while let Some((_, record)) = records.next_if(|&(p, _)| p == src) {
+                    apply(slot, record);
+                }
+            });
         }
-        next.copy(&old, k..old.srcs.len());
-        self.links = next;
+        merge.finish();
     }
 
     /// The world-node half of §4.1 light-weight merging: fold in what
-    /// `payload` says about pages outside `local`, in one pass over the
-    /// arrays. Per page, in this order:
+    /// `payload` says about pages outside `local`, in one merge pass over
+    /// the arrays (see the module docs). Per page, in this order:
     ///
     /// 1. a page the sender holds is a
     ///    [`set_authoritative`](WorldNode::set_authoritative) with its
@@ -507,32 +610,61 @@ impl WorldNode {
         combine: CombineMode,
     ) {
         let room = (
-            payload.pages().len() + payload.world().len(),
+            payload.pages.len() + payload.world.len(),
             payload.num_links(),
         );
         let keep = |t: &PageId| local.contains(*t);
-        self.merge(
-            light_records(payload, local),
-            room,
-            |slot, record| match record {
-                Record::Held(pp) => {
-                    // The sender knows the page's complete, current out-link
-                    // list, so stale links from older crawls are replaced
-                    // (§5.3 dynamics).
-                    let targets = pp.succs.iter().copied().filter(keep);
+        let (pages, unlinked, world) = (&payload.pages, &payload.unlinked, &payload.world);
+        let mine = local.pages();
+        let mut merge = Merge::new(self, room);
+        // Cursors into the three record streams and into my pages. A
+        // stream that has ended reads as u64::MAX, above every page.
+        let key = |page: Option<PageId>| page.map_or(u64::MAX, |p| u64::from(p.0));
+        let (mut h, mut u, mut r, mut l) = (0, 0, 0, 0);
+        loop {
+            let hk = key(pages.get(h).map(|pp| pp.id));
+            let uk = key(unlinked.get(u).copied());
+            let rk = key(world.get(r).map(|wp| wp.id));
+            let first = hk.min(uk).min(rk);
+            if first == u64::MAX {
+                break;
+            }
+            let page = PageId(first as u32);
+            let held = (hk == first).then(|| &pages[h]);
+            let bare = uk == first;
+            let relayed = (rk == first).then(|| &world[r]);
+            h += usize::from(held.is_some());
+            u += usize::from(bare);
+            r += usize::from(relayed.is_some());
+            // Records about a page I hold are not the world node's: a
+            // merge-join against my ascending pages tells.
+            l += gallop(&mine[l..], page);
+            if mine.get(l) == Some(&page) {
+                continue;
+            }
+            merge.group(page, |slot| {
+                if let Some(pp) = held {
+                    // The sender knows the page's complete, current
+                    // out-link list, so stale links from older crawls are
+                    // replaced (§5.3 dynamics).
+                    let targets = payload.links_of(pp).iter().copied().filter(keep);
                     slot.set_authoritative(pp.out_degree, pp.score, targets, combine);
                 }
-                // Had the page come as a full record, the authoritative
-                // update would have found no targets and dropped it.
-                Record::Unlinked => slot.forget(),
-                Record::Relayed(wp) => {
-                    let mut targets = wp.targets.iter().copied().filter(keep).peekable();
+                if bare {
+                    // Had the page come as a full record, the authoritative
+                    // update would have found no targets and dropped it.
+                    slot.forget();
+                }
+                if let Some(wp) = relayed {
+                    let targets = payload.links_of(wp).iter().copied().filter(keep);
+                    let mut targets = targets.peekable();
                     if targets.peek().is_some() {
                         slot.upsert(wp.out_degree, wp.score, targets, combine);
                     }
                 }
-            },
-        );
+            });
+        }
+        merge.finish();
         for &(page, score) in &payload.world_dangling {
             if !local.contains(page) {
                 self.upsert_dangling(page, score, combine);

@@ -3,12 +3,15 @@
 //! updated one record at a time with a map probe per record and a binary
 //! search plus insert per target. On random worlds and random payloads —
 //! pages, bare ids and relayed entries that share a source, dangling ↔
-//! linked transitions, both combine modes — the two must agree on every
-//! entry, every dangling page and every bit of `inflow`. Deterministic
-//! cases pin the edges of the merge's galloping search: records before
-//! the first source and after the last, at consecutive positions and at
-//! gaps of 2^k − 1, 2^k and 2^k + 1 entries, into empty and 1-entry
-//! worlds.
+//! linked transitions, relayed records about sources the world holds
+//! with the same targets, fewer or one more, both combine modes — the two
+//! must agree on every entry, every dangling page and every bit of
+//! `inflow`. Deterministic cases pin the edges of the merge's galloping
+//! search: records before the first source and after the last, at
+//! consecutive positions and at gaps of 2^k − 1, 2^k and 2^k + 1
+//! entries, into empty and 1-entry worlds. Others pin the in-place path,
+//! where a record that leaves its entry's degree, targets and presence
+//! as they were only moves the score, and its fall-through to a rebuild.
 
 use jxp_core::{CombineMode, MeetingPayload, WorldNode};
 use jxp_webgraph::{PageId, Subgraph};
@@ -219,9 +222,12 @@ proptest! {
         take_max in 0u8..2,
         local in vec(0..IDS, 1..10),
         ops in vec((0u8..4, 0..IDS, 0..4u32, 0.0..0.2f64, vec(0..IDS, 0..4)), 0..40),
+        linked in vec((0..IDS, 0..4u32, 0.0..0.2f64, vec(0..IDS as usize, 1..4)), 0..8),
         pages in vec((0..IDS, 0..4u32, 0.0..0.2f64, vec(0..IDS, 0..4)), 0..12),
         unlinked in vec(0..IDS, 0..6),
         world in vec((0..IDS, 0..6u32, 0.0..0.2f64, vec(0..IDS, 0..5)), 0..12),
+        known in vec((0..64usize, 0u8..3, 0..3u32, 0.0..0.2f64, 0..IDS), 0..12),
+        restated in vec((0..64usize, 0..3u32, 0.0..0.2f64), 0..4),
         world_dangling in vec((0..IDS, 0.0..0.2f64), 0..6),
     ) {
         let combine = if take_max == 1 { CombineMode::TakeMax } else { CombineMode::Average };
@@ -253,18 +259,67 @@ proptest! {
                 }
             }
         }
+        // External sources that link into the fragment, so relayed
+        // records about them have local targets.
+        for (src, degree, score, picks) in linked {
+            let src = PageId(src);
+            if local.contains(src) {
+                continue;
+            }
+            let targets: Vec<PageId> = picks.iter().map(|&i| local.page_at(i % local.num_pages())).collect();
+            let degree = RELAYED_DEGREE + degree;
+            flat.upsert(src, degree, score, targets.clone(), combine);
+            reference.upsert(src, degree, score, targets, combine);
+        }
         prop_assert_eq!(flat_state(&flat, &local), reference_state(&reference, &local));
 
+        // The world's external entries that link into the fragment, for
+        // records about sources it holds.
+        let entries: Vec<(u32, u32, Vec<u32>)> = flat
+            .iter()
+            .filter(|&(src, e)| !local.contains(src) && e.targets.iter().any(|&t| local.contains(t)))
+            .map(|(src, e)| (src.0, e.out_degree, e.targets.iter().map(|t| t.0).collect()))
+            .collect();
+        let entry = |k: usize| (!entries.is_empty()).then(|| &entries[k % entries.len()]);
+
         // A payload whose three sorted streams share sources. A held page
-        // of out-degree 0 is dangling.
+        // of out-degree 0 is dangling. Some held pages restate an entry's
+        // targets, at a degree one below, at or one above the entry's.
+        let restated = restated.iter().filter_map(|&(k, shift, score)| {
+            let (src, degree, targets) = entry(k)?;
+            let degree = (degree + shift).saturating_sub(1).max(targets.len() as u32);
+            Some((*src, degree, score, targets.clone()))
+        });
+        let pages = restated.chain(pages).collect();
         let mut payload = MeetingPayload::default();
         for (page, out_degree, score, succs) in by_key(pages, |p| p.0) {
             let mut succs = sorted(&succs);
             succs.truncate(out_degree as usize);
             payload.push_page(PageId(page), score, out_degree, succs);
         }
-        for (src, degree, score, targets) in by_key(world, |w| w.0) {
-            payload.push_world(PageId(src), RELAYED_DEGREE + degree, score, sorted(&targets));
+        // About half the relayed records name a source the world holds:
+        // the entry's targets, every other one of them, or one more, at a
+        // degree one below, at or one above the entry's. One more target
+        // comes at a relayed degree, so the union stays within it.
+        let known = known.iter().filter_map(|&(k, kind, shift, score, extra)| {
+            let (src, degree, targets) = entry(k)?;
+            Some(match kind {
+                0 => (*src, (degree + shift).saturating_sub(1).max(1), score, targets.clone()),
+                1 => {
+                    let fewer = targets.iter().copied().step_by(2).collect();
+                    (*src, (degree + shift).saturating_sub(1).max(1), score, fewer)
+                }
+                _ => {
+                    let more = targets.iter().copied().chain([extra]).collect();
+                    (*src, RELAYED_DEGREE + shift, score, more)
+                }
+            })
+        });
+        let relayed = world
+            .into_iter()
+            .map(|(src, degree, score, targets)| (src, RELAYED_DEGREE + degree, score, targets));
+        for (src, degree, score, targets) in by_key(known.chain(relayed).collect(), |w| w.0) {
+            payload.push_world(PageId(src), degree, score, sorted(&targets));
         }
         payload.unlinked = sorted(&unlinked);
         payload.world_dangling = world_dangling.iter().map(|&(p, s)| (PageId(p), s)).collect();
@@ -373,6 +428,183 @@ fn merge_records_at_gaps_around_powers_of_two() {
                 let between: Vec<u32> = at.iter().map(|&i| on(i) + 1).collect();
                 merge_at(len, &between);
             }
+        }
+    }
+}
+
+/// Local pages 0..4; a world of `len` spaced sources, source `i` of
+/// out-degree 3 linking to local pages 0 and 2 at score 0.01 · (i + 1).
+fn linked_world(len: usize, combine: CombineMode) -> (Subgraph, WorldNode, Reference) {
+    let local = Subgraph::from_adjacency((0..4).map(|p| (PageId(p), vec![])));
+    let (mut flat, mut reference) = (WorldNode::new(), Reference::default());
+    for i in 0..len {
+        let (src, score) = (PageId(on(i)), entry_score(i));
+        let targets = vec![PageId(0), PageId(2)];
+        flat.set_authoritative(src, 3, score, targets.clone(), combine);
+        reference.set_authoritative(src, 3, score, targets, combine);
+    }
+    (local, flat, reference)
+}
+
+fn entry_score(i: usize) -> f64 {
+    0.01 * (i + 1) as f64
+}
+
+/// Absorb the payload `build` makes into a `linked_world` of `len`
+/// sources, flat and per record, in both combine modes, and compare.
+/// Returns the flat worlds' entries before and after, per mode.
+fn absorb_into_linked(len: usize, build: impl Fn(&mut MeetingPayload)) -> Vec<(Entries, Entries)> {
+    let mut seen = Vec::new();
+    for combine in [CombineMode::TakeMax, CombineMode::Average] {
+        let (local, mut flat, mut reference) = linked_world(len, combine);
+        let before = flat_state(&flat, &local).0;
+        let mut payload = MeetingPayload::default();
+        build(&mut payload);
+        payload.cut_for = 1;
+        flat.absorb_light(&payload, &local, combine);
+        reference.absorb_light(&payload, &local, combine);
+        let after = flat_state(&flat, &local);
+        assert_eq!(after, reference_state(&reference, &local), "{combine:?}");
+        let links: usize = reference.entries.values().map(|e| e.targets.len()).sum();
+        assert_eq!(flat.num_links(), links, "{combine:?}");
+        seen.push((before, after.0));
+    }
+    seen
+}
+
+/// A relayed record about source `on(1)` of a 3-source world.
+fn relay_to_second(degree: u32, score: f64, targets: &[u32]) -> Vec<(Entries, Entries)> {
+    absorb_into_linked(3, |p| {
+        p.push_world(PageId(on(1)), degree, score, ids(targets))
+    })
+}
+
+#[test]
+fn relayed_records_the_entry_covers_move_only_the_score() {
+    let entry = entry_score(1);
+    // The entry's own targets, a strict subset, and both with a target
+    // that is not local (filtered out before the merge sees it).
+    for targets in [&[0, 2][..], &[2], &[0], &[0, 2, 50], &[2, 60]] {
+        for score in [entry / 2.0, entry, entry * 2.0] {
+            for degree in [2, 3] {
+                for (before, after) in relay_to_second(degree, score, targets) {
+                    let (src, e) = (&after[1].0, &after[1].3);
+                    assert_eq!((src, e), (&before[1].0, &before[1].3), "{targets:?}");
+                    assert_eq!(after[1].1, 3, "{targets:?} at degree {degree}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn relayed_records_above_the_entrys_degree_or_with_a_new_target_rebuild() {
+    let entry = entry_score(1);
+    for score in [entry / 2.0, entry, entry * 2.0] {
+        // Above the entry's degree, with its targets or a subset.
+        for targets in [&[0, 2][..], &[2]] {
+            for (_, after) in relay_to_second(4, score, targets) {
+                assert_eq!(after[1].1, 4);
+            }
+        }
+        // A target the entry lacks, alone or beside known ones.
+        for targets in [&[1][..], &[0, 1], &[0, 1, 2], &[3]] {
+            for (_, after) in relay_to_second(3, score, targets) {
+                assert_eq!(after[1].3.len(), 3, "{targets:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_held_page_a_bare_id_and_a_relayed_record_on_one_source() {
+    // On a source the world holds and on one it does not.
+    for src in [on(1), on(1) + 1] {
+        // The held page restates the entry; a covered relayed record.
+        absorb_into_linked(3, |p| {
+            p.push_page(PageId(src), 0.05, 3, ids(&[0, 2]));
+            p.push_world(PageId(src), 3, 0.07, ids(&[2]));
+        });
+        // The held page restates the entry, the bare id drops it and the
+        // relayed record brings it back.
+        absorb_into_linked(3, |p| {
+            p.push_page(PageId(src), 0.05, 3, ids(&[0, 2]));
+            p.unlinked = vec![PageId(src)];
+            p.push_world(PageId(src), RELAYED_DEGREE, 0.07, ids(&[0]));
+        });
+        // The held page links nowhere local, the bare id finds nothing
+        // left, and the relayed record links nowhere local either.
+        absorb_into_linked(3, |p| {
+            p.push_page(PageId(src), 0.05, 3, ids(&[40, 41]));
+            p.unlinked = vec![PageId(src)];
+            p.push_world(PageId(src), 3, 0.07, ids(&[50]));
+        });
+        // The held page restates the targets at another degree, or the
+        // degree with other targets.
+        for degree in [2, 4] {
+            absorb_into_linked(3, |p| p.push_page(PageId(src), 0.05, degree, ids(&[0, 2])));
+        }
+        for succs in [&[0][..], &[0, 1], &[1, 2], &[0, 2, 40]] {
+            absorb_into_linked(3, |p| p.push_page(PageId(src), 0.05, 3, ids(succs)));
+        }
+        // A dangling held page, then a relayed record.
+        absorb_into_linked(3, |p| {
+            p.push_page(PageId(src), 0.05, 0, ids(&[]));
+            p.push_world(PageId(src), 3, 0.07, ids(&[0, 2]));
+        });
+    }
+}
+
+#[test]
+fn a_payload_that_changes_nothing_leaves_the_world_as_it_was() {
+    let len = 50;
+    let seen = absorb_into_linked(len, |p| {
+        // Held pages that restate entries, at their scores, and held
+        // pages and bare ids about sources the world does not hold whose
+        // links are not local.
+        for i in (0..len).step_by(5) {
+            p.push_page(PageId(on(i)), entry_score(i), 3, ids(&[0, 2]));
+            p.push_page(PageId(on(i) + 1), 0.02, 2, ids(&[30, 31]));
+        }
+        p.unlinked = (0..len).step_by(7).map(|i| PageId(on(i) + 1)).collect();
+        // Relayed records covered by every entry, at its score, and ones
+        // that link nowhere local.
+        for i in 0..len {
+            let targets = if i % 2 == 0 { &[0, 2][..] } else { &[2] };
+            p.push_world(
+                PageId(on(i)),
+                3 - (i % 2) as u32,
+                entry_score(i),
+                ids(targets),
+            );
+            p.push_world(PageId(on(i) + 1), 3, 0.03, ids(&[40]));
+        }
+    });
+    for (before, after) in seen {
+        assert_eq!(before, after);
+    }
+}
+
+#[test]
+fn structural_edits_only_at_the_first_or_only_at_the_last_source() {
+    let len = 300;
+    for edited in [0, len - 1] {
+        // Every source gets a covered relayed record; the edited one
+        // gains a target, loses its entry, or changes its degree.
+        for edit in 0..3 {
+            absorb_into_linked(len, |p| {
+                let mut unlinked = Vec::new();
+                for i in 0..len {
+                    let (src, score) = (PageId(on(i)), 0.5 * entry_score(i));
+                    match (i == edited, edit) {
+                        (true, 0) => p.push_world(src, 4, score, ids(&[0, 1])),
+                        (true, 1) => unlinked.push(src),
+                        (true, _) => p.push_world(src, 5, score, ids(&[2])),
+                        (false, _) => p.push_world(src, 3, score, ids(&[0])),
+                    }
+                }
+                p.unlinked = unlinked;
+            });
         }
     }
 }

@@ -5,7 +5,8 @@
 //! flip decodes or is refused without a panic, and a count no body could
 //! hold is refused before anything is allocated. Assembling that
 //! payload and decoding its frame each take a fixed handful of
-//! allocations, however many records it has.
+//! allocations, however many records it has, and a world node that
+//! absorbs a payload it already covers allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -207,4 +208,28 @@ fn assembling_and_decoding_a_meeting_allocate_a_fixed_handful() {
             "decoding {records} records took {decoding} allocations"
         );
     }
+}
+
+#[test]
+fn absorbing_a_payload_the_world_node_already_covers_allocates_nothing() {
+    let (net, _) = real_meeting();
+    let peers = net.peers();
+    let combine = JxpConfig::optimized().combine;
+    let mut records = 0;
+    // Every partner's world node takes peer 0's payload, cut to it, a
+    // second time: every record then restates what the first absorb
+    // left, so the merge only writes scores in place.
+    for receiver in &peers[1..] {
+        let payload = peers[0].payload_for(receiver.interest());
+        records += payload.pages().len() + payload.unlinked.len() + payload.world().len();
+        let mut world = receiver.world().clone();
+        world.absorb_light(&payload, receiver.graph(), combine);
+        let once = world.clone();
+        let before = allocation_calls();
+        world.absorb_light(&payload, receiver.graph(), combine);
+        let calls = allocation_calls() - before;
+        assert_eq!(calls, 0, "a covered payload took {calls} allocations");
+        assert_eq!(world, once, "a covered payload changed the world node");
+    }
+    assert!(records > 1000, "{records} records");
 }
