@@ -7,20 +7,20 @@
 //!
 //! 1. on a **static** network (control),
 //! 2. under **churn with cold rejoin** — a leaving peer loses all its JXP
-//!    state, rejoining starts from scratch,
-//! 3. under **churn with warm rejoin** — a leaving peer's state is saved
-//!    with [`jxp_core::snapshot`] and restored when it rejoins,
+//!    state and rejoins from scratch on its own crawl,
+//! 3. under **churn with warm rejoin** — a leaving peer keeps its state
+//!    across the leave and rejoins exactly as it left,
 //!
-//! and reports the footrule trajectory of each condition.
+//! and reports the footrule trajectory of each condition. Both churn
+//! conditions run the one [`ChurnModel`]; only [`Rejoin`] differs.
 
 use jxp_bench::{load_dataset, ExperimentCtx};
-use jxp_core::{snapshot, JxpConfig};
-use jxp_p2pnet::{Network, NetworkConfig};
+use jxp_core::JxpConfig;
+use jxp_p2pnet::{ChurnModel, ChurnParams, Network, NetworkConfig, Rejoin};
 use jxp_pagerank::metrics;
 use jxp_webgraph::generators::amazon_2005;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use rand::SeedableRng;
 use std::fmt::Write as _;
 
 fn main() {
@@ -36,7 +36,12 @@ fn main() {
     let mut csv = String::from("condition,meetings,footrule\n");
     let mut finals = Vec::new();
 
-    for condition in ["static", "churn-cold", "churn-warm"] {
+    let conditions = [
+        ("static", None),
+        ("churn-cold", Some(Rejoin::Cold)),
+        ("churn-warm", Some(Rejoin::Warm)),
+    ];
+    for (condition, rejoin) in conditions {
         let mut net = Network::new(
             ds.fragments.clone(),
             n,
@@ -47,10 +52,18 @@ fn main() {
             91,
         );
         let mut rng = StdRng::seed_from_u64(92);
-        // Parked peers waiting to rejoin: either their snapshot (warm) or
-        // just their fragment index into the dataset layout (cold).
-        let mut parked_snapshots: VecDeque<Vec<u8>> = VecDeque::new();
-        let mut parked_fragments: VecDeque<usize> = VecDeque::new();
+        // One leave and one rejoin attempt per ~25 meetings; nobody new
+        // joins, so the pool is empty and only departed peers come back.
+        let mut churn = rejoin.map(|rejoin| {
+            let params = ChurnParams {
+                leave_prob: 0.04,
+                join_prob: 0.04,
+                min_peers: 60,
+                max_peers: usize::MAX,
+                rejoin,
+            };
+            ChurnModel::new(params, Vec::new()).expect("valid churn parameters")
+        });
         let mut leaves = 0u32;
         let mut rejoins = 0u32;
 
@@ -59,32 +72,10 @@ fn main() {
         for cp in 0..checkpoints {
             for _ in 0..per_checkpoint {
                 net.step();
-                if condition == "static" {
-                    continue;
-                }
-                // One leave and one rejoin attempt per ~25 meetings.
-                if rng.gen_bool(0.04) && net.num_peers() > 60 {
-                    let victim = rng.gen_range(0..net.num_peers());
-                    let peer = net.remove_peer(victim);
-                    leaves += 1;
-                    if condition == "churn-warm" {
-                        parked_snapshots.push_back(snapshot::save(&peer).to_vec());
-                    } else {
-                        // Cold: remember only *which* crawl the user had.
-                        parked_fragments.push_back(victim % ds.fragments.len());
-                    }
-                }
-                if rng.gen_bool(0.04) {
-                    if condition == "churn-warm" {
-                        if let Some(bytes) = parked_snapshots.pop_front() {
-                            let peer = snapshot::load(&bytes[..]).expect("own snapshot must load");
-                            net.add_existing_peer(peer);
-                            rejoins += 1;
-                        }
-                    } else if let Some(f) = parked_fragments.pop_front() {
-                        net.add_peer(ds.fragments[f].clone());
-                        rejoins += 1;
-                    }
+                if let Some(churn) = &mut churn {
+                    let tick = churn.tick(&mut net, &mut rng);
+                    leaves += u32::from(tick.left.is_some());
+                    rejoins += u32::from(tick.joined.is_some());
                 }
             }
             let f = metrics::footrule_distance(&net.total_ranking(), &ds.truth_ranking, ctx.top_k);

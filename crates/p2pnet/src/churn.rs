@@ -1,177 +1,137 @@
-//! Peer churn: a stochastic join/leave driver over a [`Network`].
+//! Peer churn: the one stochastic join/leave driver over a [`Network`].
 //!
 //! §5.3: "peers join and leave the P2P network at high rate (the
 //! so-called 'churn' phenomenon)… JXP has been designed to handle high
 //! dynamics, and the algorithms themselves can easily cope with changes in
 //! the Web graph, repeated crawls, or peer churn." There is no convergence
 //! proof under churn (the paper defers that to future work) — this module
-//! exists to *exercise* the robustness claim: the churn example and the
-//! integration tests drive a network through joins and leaves and verify
-//! that scores stay valid and keep approximating centralized PageRank.
+//! exists to *exercise* the robustness claim: the churn example, the
+//! `dynamics` experiment and the integration tests drive a network through
+//! joins and leaves and verify that scores stay valid and keep
+//! approximating centralized PageRank.
+//!
+//! A departing peer is parked, not discarded: a later join revives the
+//! oldest parked peer, [warm](Rejoin::Warm) (with everything it learned)
+//! or [cold](Rejoin::Cold) (a fresh peer on its own crawl). Only when
+//! nobody is parked does a join draw a fresh fragment from the pool.
+//! Everything is deterministic given the rng.
 
 use crate::sim::Network;
-use jxp_core::snapshot;
-use jxp_store::StateStore;
+use jxp_core::JxpPeer;
 use jxp_webgraph::Subgraph;
 use rand::Rng;
 use std::collections::VecDeque;
 
-/// A stochastic churn model applied between meetings.
+/// How a parked peer comes back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rejoin {
+    /// Exactly as it left: its world knowledge and scores are kept across
+    /// the leave (a peer with a local disk).
+    Warm,
+    /// A fresh peer on the departed peer's own fragment: everything it
+    /// learned in meetings is lost.
+    Cold,
+}
+
+/// The settable values of a [`ChurnModel`].
 #[derive(Debug, Clone)]
-pub struct ChurnModel {
+pub struct ChurnParams {
     /// Probability that a churn tick makes one peer leave.
     pub leave_prob: f64,
-    /// Probability that a churn tick makes one peer join (a fragment is
-    /// drawn from the replacement pool).
+    /// Probability that a churn tick makes one peer join.
     pub join_prob: f64,
-    /// Minimum network size: leaves are suppressed below this.
+    /// Minimum network size: leaves are suppressed at or below this.
+    /// At least 2, the smallest network that can hold a meeting.
     pub min_peers: usize,
-    /// Maximum network size: joins are suppressed above this.
+    /// Maximum network size: joins are suppressed at or above this.
     pub max_peers: usize,
+    /// How a parked peer comes back.
+    pub rejoin: Rejoin,
 }
 
-impl Default for ChurnModel {
-    fn default() -> Self {
-        ChurnModel {
-            leave_prob: 0.02,
-            join_prob: 0.02,
-            min_peers: 3,
-            max_peers: 256,
-        }
-    }
+/// What one churn tick did. A tick may both remove a peer and add one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChurnTick {
+    /// The index the departed peer held, when one left.
+    pub left: Option<usize>,
+    /// How a peer joined, when one did. A joiner takes the last index.
+    pub joined: Option<Join>,
 }
 
-/// What a churn tick did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChurnEvent {
-    /// Nothing happened this tick.
-    None,
-    /// A peer joined (new index).
-    Joined(usize),
-    /// A peer left (former index).
-    Left(usize),
-    /// A previously departed peer rejoined with its persisted state
-    /// (new index). Only [`DurableChurn`] emits this.
-    Rejoined(usize),
+/// Where a joining peer came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Join {
+    /// The oldest parked peer came back, as [`ChurnParams::rejoin`] says.
+    Revived,
+    /// Nobody was parked: a fresh peer joined on the next pool fragment.
+    Fresh,
+}
+
+/// A stochastic churn driver applied between meetings. It owns the peers
+/// that left (oldest first) and the pool of fresh fragments, which it
+/// draws round-robin.
+#[derive(Debug)]
+pub struct ChurnModel {
+    params: ChurnParams,
+    pool: Vec<Subgraph>,
+    cursor: usize,
+    parked: VecDeque<JxpPeer>,
 }
 
 impl ChurnModel {
-    /// Apply one churn tick to `net`, drawing replacement fragments from
-    /// `pool` (round-robin by an internal cursor the caller supplies).
-    pub fn tick(
-        &self,
-        net: &mut Network,
-        pool: &[Subgraph],
-        cursor: &mut usize,
-        rng: &mut impl Rng,
-    ) -> ChurnEvent {
-        if net.num_peers() > self.min_peers && rng.gen_bool(self.leave_prob) {
+    /// A driver following `params` that admits fresh peers from `pool`
+    /// (which may be empty: then only departed peers rejoin).
+    ///
+    /// Refuses `min_peers < 2`: a leave from a two-peer network would
+    /// leave no partner to meet, and [`Network::remove_peer`] panics on it.
+    pub fn new(params: ChurnParams, pool: Vec<Subgraph>) -> Result<Self, String> {
+        if params.min_peers < 2 {
+            return Err(format!(
+                "min_peers must be at least 2, got {}",
+                params.min_peers
+            ));
+        }
+        Ok(ChurnModel {
+            params,
+            pool,
+            cursor: 0,
+            parked: VecDeque::new(),
+        })
+    }
+
+    /// Apply one churn tick to `net`. The draws come in a fixed order:
+    /// the leave coin, then (above the floor) the victim, then the join
+    /// coin, whose join happens only below the cap.
+    pub fn tick(&mut self, net: &mut Network, rng: &mut impl Rng) -> ChurnTick {
+        let mut tick = ChurnTick::default();
+        if rng.gen_bool(self.params.leave_prob) && net.num_peers() > self.params.min_peers {
             let victim = rng.gen_range(0..net.num_peers());
-            net.remove_peer(victim);
-            return ChurnEvent::Left(victim);
+            self.parked.push_back(net.remove_peer(victim));
+            tick.left = Some(victim);
         }
-        if net.num_peers() < self.max_peers && !pool.is_empty() && rng.gen_bool(self.join_prob) {
-            let fragment = pool[*cursor % pool.len()].clone();
-            *cursor += 1;
-            net.add_peer(fragment);
-            return ChurnEvent::Joined(net.num_peers() - 1);
+        if rng.gen_bool(self.params.join_prob) && net.num_peers() < self.params.max_peers {
+            tick.joined = self.join(net);
         }
-        ChurnEvent::None
-    }
-}
-
-/// Churn with durability (the `jxp-store` integration): a departing peer
-/// checkpoints its full state into a [`StateStore`] before it goes, and
-/// a later join *resurrects* the oldest departed peer from the store —
-/// with all its accumulated world knowledge and scores — instead of
-/// admitting an amnesiac replacement from the fragment pool.
-///
-/// This models peers with local disks: in JXP a peer's world-node
-/// quality is earned over many meetings, so a network whose peers
-/// resume beats one whose peers restart. Everything is deterministic
-/// given the rng: the decision draws are exactly [`ChurnModel::tick`]'s,
-/// and the resurrection order is FIFO over departure order.
-pub struct DurableChurn<S: StateStore> {
-    model: ChurnModel,
-    store: S,
-    departed: VecDeque<String>,
-    next_id: u64,
-}
-
-impl<S: StateStore> DurableChurn<S> {
-    /// Durable churn following `model`'s probabilities, persisting into
-    /// `store`.
-    pub fn new(model: ChurnModel, store: S) -> Self {
-        DurableChurn {
-            model,
-            store,
-            departed: VecDeque::new(),
-            next_id: 0,
-        }
+        tick
     }
 
-    /// Keys of departed peers currently held in the store, oldest first.
-    pub fn departed(&self) -> impl Iterator<Item = &str> {
-        self.departed.iter().map(String::as_str)
-    }
-
-    /// The underlying store (for inspection in tests/tools).
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-
-    /// Apply one durable churn tick: like [`ChurnModel::tick`], but a
-    /// leave persists the victim and a join prefers resurrection. Falls
-    /// back to a fresh `pool` fragment when the store has nobody to
-    /// revive (or the revival fails to load).
-    pub fn tick(
-        &mut self,
-        net: &mut Network,
-        pool: &[Subgraph],
-        cursor: &mut usize,
-        rng: &mut impl Rng,
-    ) -> ChurnEvent {
-        if net.num_peers() > self.model.min_peers && rng.gen_bool(self.model.leave_prob) {
-            let victim = rng.gen_range(0..net.num_peers());
-            let peer = net.remove_peer(victim);
-            let key = format!("peer-{}", self.next_id);
-            self.next_id += 1;
-            let snap = snapshot::save(&peer);
-            // A failed checkpoint degrades to plain (stateless) churn:
-            // the peer is gone either way, it just can't come back.
-            if self.store.checkpoint(&key, 0, &snap).is_ok() {
-                self.departed.push_back(key);
+    /// Revive the oldest parked peer, or else admit the next pool
+    /// fragment; `None` when both are empty.
+    fn join(&mut self, net: &mut Network) -> Option<Join> {
+        if let Some(peer) = self.parked.pop_front() {
+            match self.params.rejoin {
+                Rejoin::Warm => net.add_existing_peer(peer),
+                Rejoin::Cold => net.add_peer(peer.graph().clone()),
             }
-            return ChurnEvent::Left(victim);
+            return Some(Join::Revived);
         }
-        let can_join = !pool.is_empty() || !self.departed.is_empty();
-        if net.num_peers() < self.model.max_peers && can_join && rng.gen_bool(self.model.join_prob)
-        {
-            if let Some(index) = self.revive(net) {
-                return ChurnEvent::Rejoined(index);
-            }
-            if pool.is_empty() {
-                return ChurnEvent::None;
-            }
-            let fragment = pool[*cursor % pool.len()].clone();
-            *cursor += 1;
-            net.add_peer(fragment);
-            return ChurnEvent::Joined(net.num_peers() - 1);
+        if self.pool.is_empty() {
+            return None;
         }
-        ChurnEvent::None
-    }
-
-    /// Resurrect the oldest departed peer from the store into `net`,
-    /// returning its new index — `None` when nobody is waiting (or every
-    /// waiting checkpoint failed to load).
-    pub fn revive(&mut self, net: &mut Network) -> Option<usize> {
-        while let Some(key) = self.departed.pop_front() {
-            if let Ok(Some(recovered)) = self.store.load(&key) {
-                net.add_existing_peer(recovered.peer);
-                return Some(net.num_peers() - 1);
-            }
-        }
-        None
+        let fragment = self.pool[self.cursor % self.pool.len()].clone();
+        self.cursor += 1;
+        net.add_peer(fragment);
+        Some(Join::Fresh)
     }
 }
 
@@ -207,6 +167,16 @@ mod tests {
         (cg, frags)
     }
 
+    fn params(leave_prob: f64, join_prob: f64, min_peers: usize, max_peers: usize) -> ChurnParams {
+        ChurnParams {
+            leave_prob,
+            join_prob,
+            min_peers,
+            max_peers,
+            rejoin: Rejoin::Cold,
+        }
+    }
+
     #[test]
     fn network_survives_heavy_churn() {
         let (cg, frags) = world();
@@ -217,23 +187,15 @@ mod tests {
             NetworkConfig::default(),
             5,
         );
-        let model = ChurnModel {
-            leave_prob: 0.3,
-            join_prob: 0.3,
-            min_peers: 3,
-            max_peers: 10,
-        };
+        let mut model = ChurnModel::new(params(0.3, 0.3, 3, 10), pool).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let mut cursor = 0;
         let mut joins = 0;
         let mut leaves = 0;
         for _ in 0..100 {
             net.step();
-            match model.tick(&mut net, &pool, &mut cursor, &mut rng) {
-                ChurnEvent::Joined(_) | ChurnEvent::Rejoined(_) => joins += 1,
-                ChurnEvent::Left(_) => leaves += 1,
-                ChurnEvent::None => {}
-            }
+            let tick = model.tick(&mut net, &mut rng);
+            leaves += usize::from(tick.left.is_some());
+            joins += usize::from(tick.joined.is_some());
         }
         assert!(joins > 0, "no joins in 100 high-churn ticks");
         assert!(leaves > 0, "no leaves in 100 high-churn ticks");
@@ -254,17 +216,21 @@ mod tests {
             NetworkConfig::default(),
             5,
         );
-        let model = ChurnModel {
-            leave_prob: 1.0,
-            join_prob: 0.0,
-            min_peers: 4,
-            max_peers: 100,
-        };
+        // The smallest legal floor never trips the network's own guard.
+        let mut model = ChurnModel::new(params(1.0, 0.0, 2, 100), pool).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let mut cursor = 0;
         for _ in 0..50 {
-            model.tick(&mut net, &pool, &mut cursor, &mut rng);
+            model.tick(&mut net, &mut rng);
         }
-        assert_eq!(net.num_peers(), 4);
+        assert_eq!(net.num_peers(), 2);
+    }
+
+    #[test]
+    fn a_floor_below_two_peers_is_refused_when_built() {
+        // `min_peers: 1` would let a tick shrink a two-peer network, which
+        // `Network::remove_peer` refuses with a panic.
+        let err = ChurnModel::new(params(1.0, 0.0, 1, 8), Vec::new()).unwrap_err();
+        assert!(err.contains("min_peers"), "{err}");
+        assert!(ChurnModel::new(params(1.0, 0.0, 0, 8), Vec::new()).is_err());
     }
 }

@@ -14,8 +14,8 @@
 //! * [`bandwidth`] — per-meeting message-size logging with the quartile
 //!   summaries of Figures 11/12 and cumulative totals;
 //! * [`churn`] — peer join/leave dynamics (§5.3: JXP "has been designed
-//!   to handle high dynamics"), including a durable mode where departing
-//!   peers checkpoint into a `jxp-store` and rejoin with their state;
+//!   to handle high dynamics"): departing peers are parked and rejoin
+//!   warm (with their state) or cold (afresh on their own crawl);
 //! * [`count`] — gossip-based estimation of the global page count `N`
 //!   with duplicate-insensitive FM sketches (the "work without knowing N"
 //!   modification mentioned in §3);
@@ -32,6 +32,6 @@ pub mod sim;
 
 pub use assign::{assign_by_crawlers, minerva_fragments, CrawlerParams};
 pub use bandwidth::BandwidthLog;
-pub use churn::{ChurnEvent, ChurnModel, DurableChurn};
+pub use churn::{ChurnModel, ChurnParams, ChurnTick, Join, Rejoin};
 pub use parallel::ParallelRunReport;
 pub use sim::{Network, NetworkConfig};

@@ -1,17 +1,17 @@
-//! Durable churn through the crate's public API: departing peers
-//! checkpoint into a `jxp-store`, rejoiners resume with their state, and
-//! the whole scenario — parallel rounds, pre-meetings selection, real
-//! wire framing — stays bit-identical across thread counts and across
-//! store backends (in-memory vs on-disk).
+//! Churn through the crate's public API: departing peers are parked,
+//! warm rejoiners resume with their state intact, cold rejoiners restart
+//! on their own crawl, and a warm-churn scenario — parallel rounds,
+//! pre-meetings selection — stays bit-identical across thread counts.
 
 use jxp_core::selection::{PreMeetingsConfig, SelectionStrategy};
+use jxp_core::{snapshot, JxpPeer};
 use jxp_p2pnet::assign::{assign_by_crawlers, CrawlerParams};
-use jxp_p2pnet::{ChurnEvent, ChurnModel, DurableChurn, Network, NetworkConfig};
-use jxp_store::{DirStore, MemStore, StateStore};
+use jxp_p2pnet::{ChurnModel, ChurnParams, Join, Network, NetworkConfig, Rejoin};
 use jxp_webgraph::generators::{CategorizedGraph, CategorizedParams};
 use jxp_webgraph::Subgraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 
 fn dataset() -> (CategorizedGraph, Vec<Subgraph>) {
     let cg = CategorizedGraph::generate(
@@ -33,10 +33,10 @@ fn dataset() -> (CategorizedGraph, Vec<Subgraph>) {
     (cg, frags)
 }
 
-/// The scripted scenario: meetings interleaved with durable churn ticks
-/// aggressive enough to force both departures and resurrections, over
+/// The scripted scenario: meetings interleaved with warm churn ticks
+/// aggressive enough to force departures, revivals and fresh joins, over
 /// pre-meetings selection.
-fn durable_scenario<S: StateStore>(threads: usize, store: S) -> (Network, usize, usize, usize) {
+fn durable_scenario(threads: usize) -> (Network, usize, usize, usize) {
     let (cg, frags) = dataset();
     let pool = frags.clone();
     let mut net = Network::new(
@@ -49,23 +49,24 @@ fn durable_scenario<S: StateStore>(threads: usize, store: S) -> (Network, usize,
         },
         41,
     );
-    let model = ChurnModel {
+    let params = ChurnParams {
         leave_prob: 0.5,
         join_prob: 0.5,
         min_peers: 4,
         max_peers: 12,
+        rejoin: Rejoin::Warm,
     };
-    let mut churn = DurableChurn::new(model, store);
+    let mut churn = ChurnModel::new(params, pool).unwrap();
     let mut rng = StdRng::seed_from_u64(43);
-    let mut cursor = 0;
     let (mut leaves, mut rejoins, mut fresh) = (0, 0, 0);
     for _ in 0..12 {
         net.run_parallel(15);
-        match churn.tick(&mut net, &pool, &mut cursor, &mut rng) {
-            ChurnEvent::Left(_) => leaves += 1,
-            ChurnEvent::Rejoined(_) => rejoins += 1,
-            ChurnEvent::Joined(_) => fresh += 1,
-            ChurnEvent::None => {}
+        let tick = churn.tick(&mut net, &mut rng);
+        leaves += usize::from(tick.left.is_some());
+        match tick.joined {
+            Some(Join::Revived) => rejoins += 1,
+            Some(Join::Fresh) => fresh += 1,
+            None => {}
         }
     }
     (net, leaves, rejoins, fresh)
@@ -80,9 +81,10 @@ fn score_bits(net: &Network) -> Vec<Vec<u64>> {
 
 #[test]
 fn durable_churn_exercises_departures_and_resurrections() {
-    let (net, leaves, rejoins, _) = durable_scenario(1, MemStore::new());
+    let (net, leaves, rejoins, fresh) = durable_scenario(1);
     assert!(leaves > 0, "scenario produced no departures");
     assert!(rejoins > 0, "scenario produced no resurrections");
+    assert!(fresh > 0, "scenario admitted no fresh peer");
     for p in net.peers() {
         jxp_core::invariants::check_mass_conservation(p).unwrap();
     }
@@ -90,10 +92,10 @@ fn durable_churn_exercises_departures_and_resurrections() {
 
 #[test]
 fn durable_churn_is_bit_identical_across_thread_counts() {
-    let (baseline, leaves, rejoins, fresh) = durable_scenario(1, MemStore::new());
+    let (baseline, leaves, rejoins, fresh) = durable_scenario(1);
     let want = score_bits(&baseline);
     for threads in [2, 8] {
-        let (net, l, r, f) = durable_scenario(threads, MemStore::new());
+        let (net, l, r, f) = durable_scenario(threads);
         assert_eq!((l, r, f), (leaves, rejoins, fresh), "{threads} threads");
         assert_eq!(
             score_bits(&net),
@@ -101,21 +103,6 @@ fn durable_churn_is_bit_identical_across_thread_counts() {
             "scores diverged at {threads} threads"
         );
     }
-}
-
-#[test]
-fn dir_store_backend_matches_the_in_memory_one() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "jxp-durable-churn-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let (mem_net, ..) = durable_scenario(2, MemStore::new());
-    let (dir_net, ..) = durable_scenario(2, DirStore::open(&dir).expect("open state dir"));
-    assert_eq!(score_bits(&dir_net), score_bits(&mem_net));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -129,28 +116,77 @@ fn a_resurrected_peer_keeps_its_accumulated_state() {
         47,
     );
     net.run_parallel(40);
-    let before: Vec<Vec<u64>> = score_bits(&net);
+    let before = score_bits(&net);
+    let snapshots: Vec<Vec<u8>> = net
+        .peers()
+        .iter()
+        .map(|p| snapshot::save(p).to_vec())
+        .collect();
 
-    // Force a departure, then resurrect immediately.
-    let model = ChurnModel {
+    // Force a departure; the same tick's join revives the one parked peer
+    // rather than admitting a pool fragment.
+    let params = ChurnParams {
         leave_prob: 1.0,
-        join_prob: 0.0,
+        join_prob: 1.0,
         min_peers: 2,
         max_peers: 64,
+        rejoin: Rejoin::Warm,
     };
-    let mut churn = DurableChurn::new(model, MemStore::new());
-    let mut rng = StdRng::seed_from_u64(48);
-    let mut cursor = 0;
-    let event = churn.tick(&mut net, &pool, &mut cursor, &mut rng);
-    let ChurnEvent::Left(victim) = event else {
-        panic!("forced leave did not happen: {event:?}");
-    };
-    assert_eq!(churn.departed().count(), 1);
-    let revived = churn.revive(&mut net).expect("a departed peer is waiting");
+    let mut churn = ChurnModel::new(params, pool).unwrap();
+    let tick = churn.tick(&mut net, &mut StdRng::seed_from_u64(48));
+    let victim = tick.left.expect("forced leave did not happen");
+    assert_eq!(tick.joined, Some(Join::Revived));
 
-    // The revived peer carries the exact score bits it left with —
-    // world knowledge survived the store round-trip.
-    let after = score_bits(&net);
-    assert_eq!(after[revived], before[victim]);
-    assert_eq!(churn.departed().count(), 0);
+    // The revived peer carries the exact score bits it left with — its
+    // world knowledge survived the leave.
+    let revived = net.peers().last().unwrap();
+    assert_eq!(score_bits(&net).last(), Some(&before[victim]));
+    assert_eq!(snapshot::save(revived).to_vec(), snapshots[victim]);
+}
+
+#[test]
+fn a_cold_revival_is_a_fresh_peer_on_its_own_pages() {
+    let (cg, frags) = dataset();
+    let n = cg.graph.num_nodes() as u64;
+    let mut net = Network::new(frags.clone(), n, NetworkConfig::default(), 51);
+    net.run_parallel(40);
+    let params = ChurnParams {
+        leave_prob: 0.6,
+        join_prob: 0.4,
+        min_peers: 3,
+        max_peers: 64,
+        rejoin: Rejoin::Cold,
+    };
+    let mut churn = ChurnModel::new(params, Vec::new()).unwrap();
+    let mut rng = StdRng::seed_from_u64(52);
+    // The departed peers' fragments, oldest first, with the index each
+    // held when it left.
+    let mut departed: VecDeque<(usize, Subgraph)> = VecDeque::new();
+    let (mut revivals, mut renumbered) = (0, 0);
+    for _ in 0..40 {
+        net.run_parallel(3);
+        let graphs: Vec<Subgraph> = net.peers().iter().map(|p| p.graph().clone()).collect();
+        let tick = churn.tick(&mut net, &mut rng);
+        if let Some(victim) = tick.left {
+            departed.push_back((victim, graphs[victim].clone()));
+        }
+        if tick.joined == Some(Join::Revived) {
+            let (victim, graph) = departed.pop_front().expect("a revival needs a departure");
+            let revived = net.peers().last().unwrap();
+            assert_eq!(revived.graph().pages(), graph.pages());
+            let fresh = JxpPeer::new(graph, n, NetworkConfig::default().jxp);
+            assert_eq!(
+                snapshot::save(revived).to_vec(),
+                snapshot::save(&fresh).to_vec()
+            );
+            revivals += 1;
+            // Indexing the initial layout by the departure index names
+            // another peer's crawl once swap-removes have renumbered.
+            if frags[victim % frags.len()].pages() != revived.graph().pages() {
+                renumbered += 1;
+            }
+        }
+    }
+    assert!(revivals >= 3, "only {revivals} cold revivals");
+    assert!(renumbered > 0, "no revival after a renumbering");
 }

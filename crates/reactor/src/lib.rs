@@ -56,37 +56,24 @@ use jxp_wire::{encode_frame, Frame, WireError};
 
 use pending::Pending;
 
-/// Tunables for the reactor's timers and retry policy.
+/// Tunables for the reactor's timers. A refused dial is not retried
+/// here: it fails its waiters with [`ReactorError::Unreachable`] at once,
+/// and the caller's retry policy is the one loop.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Per-attempt connect budget. Plain `TcpStream::connect` on
-    /// loopback resolves synchronously (established or refused), so
-    /// this only sizes the [`Ticket`] wait backstop.
-    pub connect_timeout: Duration,
     /// How long the front-of-queue reply on a connection may take. The
     /// clock restarts each time a reply completes, so a pipeline of k
     /// requests gets k budgets, not one.
     pub reply_timeout: Duration,
     /// Close connections with no traffic and no waiters after this long.
     pub idle_timeout: Duration,
-    /// Reconnect attempts after a refused connect before the pending
-    /// requests fail with `Unreachable`.
-    pub connect_retries: u32,
-    /// First reconnect backoff; doubles per retry.
-    pub backoff_base: Duration,
-    /// Reconnect backoff cap.
-    pub backoff_max: Duration,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
-            connect_timeout: Duration::from_millis(500),
             reply_timeout: Duration::from_millis(1500),
             idle_timeout: Duration::from_secs(5),
-            connect_retries: 2,
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(80),
         }
     }
 }
@@ -94,9 +81,8 @@ impl Default for ReactorConfig {
 /// Failures surfaced to a [`Ticket`] waiter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReactorError {
-    /// The peer refused the connection (after retries) or closed it
-    /// with requests still outstanding. Retriable: a fresh submit dials
-    /// a fresh connection.
+    /// The peer refused the connection or closed it with requests still
+    /// outstanding. Retriable: a fresh submit dials a fresh connection.
     Unreachable(String),
     /// The front-of-queue reply deadline (or the waiter's backstop cap)
     /// expired.

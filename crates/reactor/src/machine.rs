@@ -2,7 +2,7 @@
 //!
 //! One pass pumps: intake (new listeners + submissions) → accepts →
 //! server connections (read → accumulate → dispatch inline → queue
-//! reply) → client connections (connect/backoff → write → read →
+//! reply) → client connections (connect → write → read →
 //! complete FIFO waiters) → timers (reply deadlines, idle closes).
 //!
 //! Accepts run only when a connection can be waiting: in the pass after
@@ -68,12 +68,10 @@ struct ServerConn {
 }
 
 enum ClientPhase {
-    /// Not yet connected; `retry_at` gates the next attempt while
-    /// backing off after a refusal.
-    Connecting {
-        attempt: u32,
-        retry_at: Option<Instant>,
-    },
+    /// Not yet connected: the next pump dials, once. A refusal fails
+    /// every waiter with `Unreachable`; the caller's retry policy decides
+    /// whether to submit again.
+    Connecting,
     /// Connected, non-blocking, nodelay set: requests flow.
     Ready,
 }
@@ -104,10 +102,7 @@ impl ClientConn {
     fn new(addr: SocketAddr, now: Instant) -> ClientConn {
         ClientConn {
             addr,
-            phase: ClientPhase::Connecting {
-                attempt: 0,
-                retry_at: None,
-            },
+            phase: ClientPhase::Connecting,
             stream: None,
             acc: FrameAccumulator::new(),
             wbuf: Vec::new(),
@@ -407,13 +402,8 @@ fn pump_client(
         return false;
     }
     let mut progressed = false;
-    if let ClientPhase::Connecting { attempt, retry_at } = conn.phase {
+    if let ClientPhase::Connecting = conn.phase {
         let now = Instant::now();
-        if let Some(at) = retry_at {
-            if now < at {
-                return false;
-            }
-        }
         // Plain `TcpStream::connect`: on loopback (the only place this
         // reactor dials) it resolves synchronously — established or
         // refused — so the loop never blocks on it. The blocking
@@ -444,19 +434,12 @@ fn pump_client(
                 }
             }
             Err(e) => {
-                if attempt >= shared.cfg.connect_retries {
-                    fail_all(
-                        shared,
-                        conn,
-                        ReactorError::Unreachable(format!("{}: {e}", conn.addr)),
-                    );
-                    conn.dead = true;
-                    return true;
-                }
-                conn.phase = ClientPhase::Connecting {
-                    attempt: attempt + 1,
-                    retry_at: Some(now + backoff_delay(&shared.cfg, attempt)),
-                };
+                fail_all(
+                    shared,
+                    conn,
+                    ReactorError::Unreachable(format!("{}: {e}", conn.addr)),
+                );
+                conn.dead = true;
                 return true;
             }
         }
@@ -567,9 +550,4 @@ fn client_timers(shared: &Shared, conn: &mut ClientConn, now: Instant) -> bool {
         return true;
     }
     false
-}
-
-fn backoff_delay(cfg: &crate::ReactorConfig, retry: u32) -> Duration {
-    let factor = 1u32 << retry.min(16);
-    (cfg.backoff_base * factor).min(cfg.backoff_max)
 }

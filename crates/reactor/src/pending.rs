@@ -82,8 +82,8 @@ impl Ticket {
     /// Like [`Ticket::wait`], but also returns `(bytes_sent,
     /// bytes_received)` alongside the reply.
     ///
-    /// The wait carries a generous backstop cap (several reply budgets
-    /// plus the whole connect/backoff budget): every ordinary failure —
+    /// The wait carries a generous backstop cap (several reply budgets):
+    /// every ordinary failure —
     /// refused connect, reply timeout, protocol violation, shutdown —
     /// is resolved by the loop long before the cap, so hitting it means
     /// the loop itself is wedged; the request is then abandoned and
@@ -115,6 +115,5 @@ impl Ticket {
 }
 
 fn wait_cap(cfg: &ReactorConfig) -> Duration {
-    let connect_budget = (cfg.connect_timeout + cfg.backoff_max) * (cfg.connect_retries + 1);
-    cfg.reply_timeout * 8 + connect_budget + Duration::from_secs(2)
+    cfg.reply_timeout * 8 + Duration::from_secs(2)
 }

@@ -6,7 +6,7 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use jxp_reactor::{FrameService, Reactor, ReactorConfig, ReactorError, ReactorMetrics};
 use jxp_wire::{encode_frame, encoded_len, Frame, FrameAccumulator};
@@ -71,8 +71,6 @@ impl FrameService for Gated {
 fn quick_config() -> ReactorConfig {
     ReactorConfig {
         reply_timeout: Duration::from_millis(400),
-        backoff_base: Duration::from_millis(2),
-        backoff_max: Duration::from_millis(8),
         ..ReactorConfig::default()
     }
 }
@@ -217,8 +215,8 @@ fn a_stalled_service_drains_the_connection_and_fails_the_waiters() {
 }
 
 #[test]
-fn a_dead_peer_fails_unreachable_after_bounded_retries() {
-    let reactor = Reactor::start(quick_config(), ReactorMetrics::detached());
+fn a_dead_peer_fails_unreachable_at_once() {
+    let reactor = Reactor::start(ReactorConfig::default(), ReactorMetrics::detached());
     let handle = reactor.handle();
     // Bind then drop: the port is freshly refused, not black-holed.
     let addr = {
@@ -226,16 +224,28 @@ fn a_dead_peer_fails_unreachable_after_bounded_retries() {
         listener.local_addr().unwrap()
     };
 
-    let err = handle
-        .request(
-            addr,
-            &Frame::Hello {
-                node_id: 1,
-                num_pages: 1,
-            },
-        )
-        .unwrap_err();
-    assert!(matches!(err, ReactorError::Unreachable(_)), "got {err:?}");
+    // A refused dial is not retried inside the reactor (the caller's
+    // retry policy is the one loop), so each request fails after one
+    // dial and no backoff: ten of them take far less than one reply
+    // budget.
+    let started = Instant::now();
+    for node_id in 0..10 {
+        let err = handle
+            .request(
+                addr,
+                &Frame::Hello {
+                    node_id,
+                    num_pages: 1,
+                },
+            )
+            .unwrap_err();
+        assert!(matches!(err, ReactorError::Unreachable(_)), "got {err:?}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "ten refused dials took {elapsed:?} to fail"
+    );
 }
 
 #[test]

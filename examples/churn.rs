@@ -11,7 +11,7 @@
 
 use jxp::core::JxpConfig;
 use jxp::p2pnet::assign::{assign_by_crawlers, CrawlerParams};
-use jxp::p2pnet::churn::{ChurnEvent, ChurnModel};
+use jxp::p2pnet::churn::{ChurnModel, ChurnParams, Rejoin};
 use jxp::p2pnet::{Network, NetworkConfig};
 use jxp::pagerank::{metrics, pagerank, PageRankConfig};
 use jxp::webgraph::generators::{CategorizedGraph, CategorizedParams};
@@ -32,8 +32,9 @@ fn main() {
     let truth = pagerank(&cg.graph, &PageRankConfig::default()).into_scores();
     let truth_ranking = jxp::core::evaluate::centralized_ranking(&truth);
 
-    // A pool of crawled fragments; joining peers draw from it.
-    let pool = assign_by_crawlers(
+    // A pool of crawled fragments: the first 20 start the network, newcomers
+    // draw from the rest.
+    let mut pool = assign_by_crawlers(
         &cg,
         &CrawlerParams {
             peers_per_category: 8,
@@ -45,7 +46,7 @@ fn main() {
         },
         &mut StdRng::seed_from_u64(32),
     );
-    let initial: Vec<_> = pool[..20].to_vec();
+    let initial: Vec<_> = pool.drain(..20).collect();
     let mut net = Network::new(
         initial,
         n as u64,
@@ -56,14 +57,16 @@ fn main() {
         33,
     );
 
-    let model = ChurnModel {
+    // Departed peers come back warm, before any newcomer is admitted.
+    let params = ChurnParams {
         leave_prob: 0.10,
         join_prob: 0.12,
         min_peers: 8,
         max_peers: 40,
+        rejoin: Rejoin::Warm,
     };
+    let mut churn = ChurnModel::new(params, pool).expect("valid churn parameters");
     let mut rng = StdRng::seed_from_u64(34);
-    let mut cursor = 20usize;
     let mut joins = 0u32;
     let mut leaves = 0u32;
 
@@ -74,11 +77,9 @@ fn main() {
     for epoch in 1..=12 {
         for _ in 0..100 {
             net.step();
-            match model.tick(&mut net, &pool, &mut cursor, &mut rng) {
-                ChurnEvent::Joined(_) | ChurnEvent::Rejoined(_) => joins += 1,
-                ChurnEvent::Left(_) => leaves += 1,
-                ChurnEvent::None => {}
-            }
+            let tick = churn.tick(&mut net, &mut rng);
+            joins += u32::from(tick.joined.is_some());
+            leaves += u32::from(tick.left.is_some());
         }
         // Everything the network believes must still be a probability mass.
         for p in net.peers() {

@@ -4,7 +4,7 @@
 use jxp::core::selection::{PreMeetingsConfig, SelectionStrategy};
 use jxp::core::JxpConfig;
 use jxp::p2pnet::assign::{assign_by_crawlers, CrawlerParams};
-use jxp::p2pnet::churn::{ChurnEvent, ChurnModel};
+use jxp::p2pnet::churn::{ChurnModel, ChurnParams, ChurnTick, Rejoin};
 use jxp::p2pnet::{Network, NetworkConfig};
 use jxp::pagerank::{metrics, pagerank, PageRankConfig};
 use jxp::webgraph::generators::{CategorizedGraph, CategorizedParams};
@@ -222,21 +222,19 @@ fn network_survives_interleaved_churn_and_stays_accurate() {
         NetworkConfig::default(),
         48,
     );
-    let model = ChurnModel {
+    let params = ChurnParams {
         leave_prob: 0.15,
         join_prob: 0.15,
         min_peers: 6,
         max_peers: 24,
+        rejoin: Rejoin::Cold,
     };
+    let mut churn = ChurnModel::new(params, pool).unwrap();
     let mut rng = StdRng::seed_from_u64(49);
-    let mut cursor = 0usize;
     let mut events = 0;
     for _ in 0..500 {
         net.step();
-        if !matches!(
-            model.tick(&mut net, &pool, &mut cursor, &mut rng),
-            ChurnEvent::None
-        ) {
+        if churn.tick(&mut net, &mut rng) != ChurnTick::default() {
             events += 1;
         }
     }
