@@ -7,66 +7,9 @@
 //! at 1000 meetings the footrule distance drops below 0.3" (each of the
 //! 100 peers having met ~10 others).
 
-use jxp_bench::{
-    build_network, load_dataset, print_samples, run_convergence, samples_to_csv, ExperimentCtx,
-};
-use jxp_core::selection::SelectionStrategy;
-use jxp_core::JxpConfig;
-use jxp_webgraph::generators::amazon_2005;
+use jxp_bench::drivers::convergence;
+use jxp_bench::ExperimentCtx;
 
 fn main() {
-    let ctx = ExperimentCtx::from_env(1200);
-    println!(
-        "== Figure 4: JXP convergence, Amazon (scale {}, {} meetings, top-{}) ==",
-        ctx.scale, ctx.meetings, ctx.top_k
-    );
-    let ds = load_dataset(&amazon_2005(), ctx.scale);
-    println!(
-        "dataset: {} pages, {} links, 100 peers",
-        ds.cg.graph.num_nodes(),
-        ds.cg.graph.num_edges()
-    );
-    let mut net = build_network(
-        &ds,
-        JxpConfig::baseline(),
-        SelectionStrategy::Random,
-        4,
-        ctx.threads,
-    );
-    let samples = run_convergence(&mut net, &ds, ctx.meetings, ctx.sample_every, ctx.top_k);
-    print_samples(
-        "baseline JXP (full merge, averaging, random meetings)",
-        &samples,
-    );
-    ctx.write_csv("fig04_amazon.csv", &samples_to_csv(&samples));
-    ctx.write_figure(
-        "fig04_amazon_footrule.svg",
-        "Figure 4(a): JXP convergence (amazon)",
-        "Spearman footrule (top-k)",
-        &[("baseline JXP", &samples)],
-        |p| p.footrule,
-    );
-    ctx.write_figure(
-        "fig04_amazon_error.svg",
-        "Figure 4(b): linear score error (amazon)",
-        "linear score error",
-        &[("baseline JXP", &samples)],
-        |p| p.linear_error,
-    );
-
-    let first = samples.first().unwrap();
-    let last = samples.last().unwrap();
-    println!("\nShape check vs paper (Fig. 4): error drops quickly with meetings —");
-    println!(
-        "footrule {:.3} → {:.3}, linear error {:.2e} → {:.2e}",
-        first.footrule, last.footrule, first.linear_error, last.linear_error
-    );
-    assert!(
-        last.footrule < first.footrule * 0.7,
-        "footrule did not drop"
-    );
-    assert!(
-        last.linear_error < first.linear_error,
-        "score error did not drop"
-    );
+    convergence(&ExperimentCtx::from_env(1200), "amazon");
 }

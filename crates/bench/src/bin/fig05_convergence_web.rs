@@ -5,66 +5,9 @@
 //! 1000 meetings the footrule distance drops … below 0.2 for the Web
 //! crawl" — the richer link structure converges faster than Amazon.
 
-use jxp_bench::{
-    build_network, load_dataset, print_samples, run_convergence, samples_to_csv, ExperimentCtx,
-};
-use jxp_core::selection::SelectionStrategy;
-use jxp_core::JxpConfig;
-use jxp_webgraph::generators::web_crawl_2005;
+use jxp_bench::drivers::convergence;
+use jxp_bench::ExperimentCtx;
 
 fn main() {
-    let ctx = ExperimentCtx::from_env(1200);
-    println!(
-        "== Figure 5: JXP convergence, Web crawl (scale {}, {} meetings, top-{}) ==",
-        ctx.scale, ctx.meetings, ctx.top_k
-    );
-    let ds = load_dataset(&web_crawl_2005(), ctx.scale);
-    println!(
-        "dataset: {} pages, {} links, 100 peers",
-        ds.cg.graph.num_nodes(),
-        ds.cg.graph.num_edges()
-    );
-    let mut net = build_network(
-        &ds,
-        JxpConfig::baseline(),
-        SelectionStrategy::Random,
-        5,
-        ctx.threads,
-    );
-    let samples = run_convergence(&mut net, &ds, ctx.meetings, ctx.sample_every, ctx.top_k);
-    print_samples(
-        "baseline JXP (full merge, averaging, random meetings)",
-        &samples,
-    );
-    ctx.write_csv("fig05_web.csv", &samples_to_csv(&samples));
-    ctx.write_figure(
-        "fig05_web_footrule.svg",
-        "Figure 5(a): JXP convergence (web)",
-        "Spearman footrule (top-k)",
-        &[("baseline JXP", &samples)],
-        |p| p.footrule,
-    );
-    ctx.write_figure(
-        "fig05_web_error.svg",
-        "Figure 5(b): linear score error (web)",
-        "linear score error",
-        &[("baseline JXP", &samples)],
-        |p| p.linear_error,
-    );
-
-    let first = samples.first().unwrap();
-    let last = samples.last().unwrap();
-    println!("\nShape check vs paper (Fig. 5): error drops quickly with meetings —");
-    println!(
-        "footrule {:.3} → {:.3}, linear error {:.2e} → {:.2e}",
-        first.footrule, last.footrule, first.linear_error, last.linear_error
-    );
-    assert!(
-        last.footrule < first.footrule * 0.7,
-        "footrule did not drop"
-    );
-    assert!(
-        last.linear_error < first.linear_error,
-        "score error did not drop"
-    );
+    convergence(&ExperimentCtx::from_env(1200), "web");
 }

@@ -51,7 +51,7 @@ fn main() {
         },
         64,
     );
-    net.run(ctx.meetings);
+    net.run_parallel(ctx.meetings);
     let jxp_ranking = net.total_ranking();
 
     // Corpus, indexes, queries.

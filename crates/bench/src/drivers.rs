@@ -19,6 +19,71 @@ pub fn preset_by_name(name: &str) -> DatasetPreset {
     }
 }
 
+/// Figures 4/5: baseline JXP (full merging, score averaging, random
+/// meetings) — Spearman's footrule (a) and linear score error (b) of the
+/// top-k pages against the global meeting count.
+pub fn convergence(ctx: &ExperimentCtx, dataset: &str) {
+    let (fig, title) = if dataset == "amazon" {
+        (4, "Amazon")
+    } else {
+        (5, "Web crawl")
+    };
+    println!(
+        "== Figure {fig}: JXP convergence, {title} (scale {}, {} meetings, top-{}) ==",
+        ctx.scale, ctx.meetings, ctx.top_k
+    );
+    let ds = load_dataset(&preset_by_name(dataset), ctx.scale);
+    println!(
+        "dataset: {} pages, {} links, 100 peers",
+        ds.cg.graph.num_nodes(),
+        ds.cg.graph.num_edges()
+    );
+    let mut net = build_network(
+        &ds,
+        JxpConfig::baseline(),
+        SelectionStrategy::Random,
+        fig,
+        ctx.threads,
+    );
+    let samples = run_convergence(&mut net, &ds, ctx.meetings, ctx.sample_every, ctx.top_k);
+    print_samples(
+        "baseline JXP (full merge, averaging, random meetings)",
+        &samples,
+    );
+    let stem = format!("fig0{fig}_{dataset}");
+    ctx.write_csv(&format!("{stem}.csv"), &samples_to_csv(&samples));
+    ctx.write_figure(
+        &format!("{stem}_footrule.svg"),
+        &format!("Figure {fig}(a): JXP convergence ({dataset})"),
+        "Spearman footrule (top-k)",
+        &[("baseline JXP", &samples)],
+        |p| p.footrule,
+    );
+    ctx.write_figure(
+        &format!("{stem}_error.svg"),
+        &format!("Figure {fig}(b): linear score error ({dataset})"),
+        "linear score error",
+        &[("baseline JXP", &samples)],
+        |p| p.linear_error,
+    );
+
+    let first = samples.first().unwrap();
+    let last = samples.last().unwrap();
+    println!("\nShape check vs paper (Fig. {fig}): error drops quickly with meetings —");
+    println!(
+        "footrule {:.3} → {:.3}, linear error {:.2e} → {:.2e}",
+        first.footrule, last.footrule, first.linear_error, last.linear_error
+    );
+    assert!(
+        last.footrule < first.footrule * 0.7,
+        "footrule did not drop"
+    );
+    assert!(
+        last.linear_error < first.linear_error,
+        "score error did not drop"
+    );
+}
+
 /// Figures 6/7: full vs light-weight merging (both with score averaging,
 /// random meetings).
 pub fn merging_comparison(ctx: &ExperimentCtx, dataset: &str) {

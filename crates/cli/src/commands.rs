@@ -635,7 +635,7 @@ pub fn search(args: &ParsedArgs) -> Result<(), String> {
         NetworkConfig::default(),
         seed,
     );
-    net.run(meetings);
+    net.run_parallel(meetings);
     let corpus = Corpus::generate(
         &cg,
         &truth,
@@ -674,7 +674,7 @@ pub fn search(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared flag parsing for the serving commands (`serve`, `loadgen`).
+/// Flag parsing for `serve`.
 fn serve_params(args: &ParsedArgs) -> Result<jxp_serve::ServeExperimentParams, String> {
     let scale: f64 = args.get_or("scale", 0.05)?;
     if !(0.0..=1.0).contains(&scale) || scale == 0.0 {
@@ -731,7 +731,8 @@ fn print_serve_summary(r: &jxp_serve::ServeBenchReport) {
 }
 
 /// `jxp-cli serve` — run a cluster with every node fronted by a query
-/// handler, drive it with the seeded load mix, and show the answers.
+/// handler, drive it with the seeded load mix, and show the answers;
+/// `--out FILE` also writes the run as a `BENCH_serve.json` report.
 pub fn serve(args: &ParsedArgs) -> Result<(), String> {
     let params = serve_params(args)?;
     println!(
@@ -752,31 +753,16 @@ pub fn serve(args: &ParsedArgs) -> Result<(), String> {
             println!("  {:<16} {}", q, hits.join(", "));
         }
     }
-    Ok(())
-}
-
-/// `jxp-cli loadgen` — run the serving benchmark and write
-/// `BENCH_serve.json`.
-pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
-    let params = serve_params(args)?;
-    let report = jxp_serve::run_serve_experiment(&params);
-    print_serve_summary(&report);
-    let default_out = std::env::var("JXP_RESULTS")
-        .map(|d| {
-            std::path::PathBuf::from(d)
-                .join("BENCH_serve.json")
-                .display()
-                .to_string()
-        })
-        .unwrap_or_else(|_| "BENCH_serve.json".to_string());
-    let out = args.get("out").unwrap_or(&default_out);
-    if let Some(dir) = Path::new(out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    if let Some(out) = args.get("out") {
+        if let Some(dir) = Path::new(out).parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| format!("creating {}: {e}", dir.display()))?;
+            }
         }
+        std::fs::write(out, jxp_serve::render_bench_json(&report))
+            .map_err(|e| format!("writing {out}: {e}"))?;
+        println!("[json] {out}");
     }
-    std::fs::write(out, jxp_serve::render_bench_json(&report))
-        .map_err(|e| format!("writing {out}: {e}"))?;
-    println!("[json] {out}");
     Ok(())
 }

@@ -77,12 +77,10 @@ commands:
              --concurrency N (2), --threads N (1), --seed N,
              --transport loopback|reactor,
              --metrics-listen ADDR (Prometheus scrape endpoint, e.g.
-             127.0.0.1:0 for an ephemeral port)
-  loadgen    run the closed-loop serving benchmark and write
-             BENCH_serve.json (qps, p50/p99, cache hit rate,
-             precision@10 vs the tf*idf and centralized baselines)
-             same flags as serve, plus --out FILE (BENCH_serve.json;
-             the JXP_RESULTS env var moves the default)";
+             127.0.0.1:0 for an ephemeral port),
+             --out FILE (also write the run as BENCH_serve.json: qps,
+             p50/p99, cache hit rate, precision@10 vs the tf*idf and
+             centralized baselines)";
 
 /// The flags `command` (with its action word, for `checkpoint` and
 /// `graph`) takes, space-separated as [`USAGE`] lists them; `None` for
@@ -105,10 +103,6 @@ fn accepted_flags(command: &str, action: Option<&str>) -> Option<&'static str> {
         ("metrics", _) => "in format",
         ("node", _) => "dataset scale seed duration",
         ("serve", _) => {
-            "peers meetings dataset scale queries k repeats concurrency threads seed transport \
-             metrics-listen"
-        }
-        ("loadgen", _) => {
             "peers meetings dataset scale queries k repeats concurrency threads seed transport \
              metrics-listen out"
         }
@@ -149,7 +143,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         ("metrics", _) => commands::metrics_cmd(&parsed),
         ("node", _) => commands::node(&parsed),
         ("serve", _) => commands::serve(&parsed),
-        ("loadgen", _) => commands::loadgen(&parsed),
         ("help" | "--help" | "-h", _) => {
             println!("{USAGE}");
             Ok(())
@@ -236,10 +229,6 @@ mod tests {
             ("serve --queries 0", "queries"),
             ("serve --concurrency 0", "concurrency"),
             ("serve --repeats 0", "repeats"),
-            ("loadgen --k 0", "k"),
-            ("loadgen --queries 0", "queries"),
-            ("loadgen --concurrency 0", "concurrency"),
-            ("loadgen --repeats 0", "repeats"),
             ("generate --out x --segment-nodes 0", "segment-nodes"),
         ] {
             let err = run(&argv(line)).unwrap_err();
@@ -567,12 +556,11 @@ mod tests {
     }
 
     #[test]
-    fn loadgen_writes_bench_json() {
-        let dir = std::env::temp_dir().join(format!("jxp_cli_loadgen_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn serve_writes_bench_json() {
+        let dir = std::env::temp_dir().join(format!("jxp_cli_serve_out_{}", std::process::id()));
         let out = dir.join("BENCH_serve.json");
         run(&argv(&format!(
-            "loadgen --peers 3 --meetings 40 --scale 0.01 --queries 4 --repeats 2 --out {}",
+            "serve --peers 3 --meetings 40 --scale 0.01 --queries 4 --repeats 2 --out {}",
             out.display()
         )))
         .unwrap();
@@ -591,7 +579,8 @@ mod tests {
     #[test]
     fn serve_rejects_bad_args() {
         assert!(run(&argv("serve --peers 1")).is_err());
-        assert!(run(&argv("loadgen --scale 0")).is_err());
+        assert!(run(&argv("serve --scale 0")).is_err());
+        assert!(run(&argv("loadgen --peers 3")).is_err());
     }
 
     #[test]

@@ -285,6 +285,69 @@ pub fn observe_meeting(
     }
 }
 
+/// Draw `meetings` meetings and cut them into rounds — the one schedule
+/// drawer of the simulator and the cluster. Meeting `m`'s initiator is
+/// `initiator(m, rng)`; its partner comes from [`select_partner`] on the
+/// initiator's state. The draws are cut greedily into rounds of
+/// peer-disjoint `(initiator, partner)` pairs: a pair that shares a peer
+/// with its round opens the next one, so the rounds, read in order, are
+/// exactly the drawn sequence. Disjoint meetings commute — each touches
+/// only its two peers — so executing a round concurrently is
+/// bit-identical to replaying it serially, at every thread count.
+///
+/// Under pre-meetings, closing round r + 1 observes every pair of round
+/// r ([`observe_meeting`]), so round r's draws see rounds 0…r − 2: a
+/// peer does not see the outcome of a meeting still in flight. When
+/// drawing ends the last two rounds are observed, in order, so a later
+/// call on the same `states` starts from every meeting drawn here.
+/// Observing reads only the pair and the static `synopses`, never a
+/// score, so the schedule is a pure function of the arguments: drawing
+/// it whole before any meeting runs changes nothing.
+///
+/// # Panics
+/// Panics if fewer than two peers exist and `meetings > 0`.
+pub fn draw_schedule<R: Rng>(
+    meetings: usize,
+    strategy: &SelectionStrategy,
+    synopses: &[PeerSynopses],
+    states: &mut [SelectorState],
+    rng: &mut R,
+    mut initiator: impl FnMut(usize, &mut R) -> usize,
+) -> Vec<Vec<(usize, usize)>> {
+    let n = synopses.len();
+    let observe = |states: &mut [SelectorState], round: &[(usize, usize)]| {
+        if let SelectionStrategy::PreMeetings(cfg) = strategy {
+            for &(a, b) in round {
+                observe_meeting(states, synopses, a, b, cfg);
+            }
+        }
+    };
+    let mut rounds: Vec<Vec<(usize, usize)>> = Vec::new();
+    let mut round = Vec::new();
+    let mut busy = vec![false; n];
+    for m in 0..meetings {
+        let me = initiator(m, rng);
+        let partner = select_partner(&mut states[me], strategy, me, n, rng);
+        if busy[me] || busy[partner] {
+            rounds.push(std::mem::take(&mut round));
+            busy.fill(false);
+            if let [.., observed, _] = rounds.as_slice() {
+                observe(states, observed);
+            }
+        }
+        busy[me] = true;
+        busy[partner] = true;
+        round.push((me, partner));
+    }
+    if !round.is_empty() {
+        rounds.push(round);
+    }
+    for round in &rounds[rounds.len().saturating_sub(2)..] {
+        observe(states, round);
+    }
+    rounds
+}
+
 /// Hold a pre-meeting with each candidate: fetch its `successors` MIPs
 /// vector (counted into `premeeting_bytes`), score it by in-link
 /// containment into me, and queue it.
@@ -378,6 +441,31 @@ mod tests {
             states[1].candidates()
         );
         assert!(states[1].premeeting_bytes > 0);
+    }
+
+    #[test]
+    fn drawn_rounds_are_disjoint_and_every_pair_is_observed_by_the_end() {
+        let syn = network();
+        let mut states = vec![SelectorState::default(); 3];
+        let strategy = SelectionStrategy::PreMeetings(PreMeetingsConfig::default());
+        let mut rng = StdRng::seed_from_u64(3);
+        let rounds = draw_schedule(7, &strategy, &syn, &mut states, &mut rng, |m, _| m % 3);
+        let drawn: Vec<(usize, usize)> = rounds.iter().flatten().copied().collect();
+        assert_eq!(drawn.len(), 7);
+        for (m, &(a, b)) in drawn.iter().enumerate() {
+            assert_eq!(a, m % 3, "meeting {m} has the wrong initiator");
+            assert!(states[a].met().contains(&b) && states[b].met().contains(&a));
+        }
+        for round in &rounds {
+            let mut peers: Vec<usize> = round.iter().flat_map(|&(a, b)| [a, b]).collect();
+            peers.sort_unstable();
+            peers.dedup();
+            assert_eq!(
+                peers.len(),
+                2 * round.len(),
+                "round {round:?} shares a peer"
+            );
+        }
     }
 
     #[test]

@@ -15,8 +15,7 @@ use crate::transport::{FaultInjector, FrameHandler, NodeId, RetryPolicy, Transpo
 use jxp_core::config::JxpConfig;
 use jxp_core::evaluate::{centralized_ranking, score_hash, total_ranking};
 use jxp_core::selection::{
-    observe_meeting, select_partner, PeerSynopses, PreMeetingsConfig, SelectionStrategy,
-    SelectorState,
+    draw_schedule, PeerSynopses, PreMeetingsConfig, SelectionStrategy, SelectorState,
 };
 use jxp_pagerank::metrics::footrule_distance;
 use jxp_reactor::{Reactor, ReactorConfig, ReactorMetrics};
@@ -426,7 +425,29 @@ pub fn run_cluster_with(
         SelectionStrategy::Random
     };
     let synopses: Vec<PeerSynopses> = nodes.iter().map(|n| n.synopses()).collect();
-    let rounds = draw_schedule(config.meetings, &strategy, &synopses, config.seed);
+    // The whole schedule is drawn before anything executes, by the
+    // drawer the simulator shares: meeting m's initiator is node m % n.
+    // Drawing reads only the seed and the static synopses, never a
+    // score, so a resumed run draws the schedule it was interrupted in.
+    // Meetings are numbered in schedule order.
+    let mut drawn = 0..;
+    let rounds: Vec<Vec<(usize, usize, NodeId)>> = draw_schedule(
+        config.meetings,
+        &strategy,
+        &synopses,
+        &mut vec![SelectorState::default(); num_nodes],
+        &mut StdRng::seed_from_u64(config.seed),
+        |m, _| m % num_nodes,
+    )
+    .into_iter()
+    .map(|round| {
+        round
+            .into_iter()
+            .zip(&mut drawn)
+            .map(|((initiator, partner), m)| (m, initiator, partner as NodeId))
+            .collect()
+    })
+    .collect();
 
     // Resume classification: walk the drawn schedule tracking how many
     // events each node *would* have applied, and compare against what
@@ -638,57 +659,6 @@ pub fn run_cluster_with(
         metrics_addr,
         inflight_peak: reactor.as_ref().map(Reactor::peak_inflight),
     }
-}
-
-/// Draw the whole schedule before anything executes. Meeting `m`'s
-/// initiator is node `m % n`; its partner comes from the §4.3 selector
-/// ([`select_partner`], one [`SelectorState`] per node). The sequence is
-/// cut greedily into rounds of node-disjoint pairs: a drawn pair that
-/// conflicts with its round opens the next one, so the executed sequence
-/// is exactly the drawn sequence. Disjoint meetings commute — each
-/// touches only its two nodes — so executing a round concurrently is
-/// bit-identical to replaying it serially, for every thread count.
-///
-/// Under pre-meetings, closing round r + 1 observes every pair of round
-/// r ([`observe_meeting`]), so round r's draws see rounds 0…r − 2: the
-/// lag of the simulator's pipelined engine (`p2pnet::parallel`).
-/// Observing reads only the pair and the static `synopses`, never a
-/// score, so the schedule is a pure function of the arguments and a
-/// resumed run draws the one it was interrupted in.
-fn draw_schedule(
-    meetings: usize,
-    strategy: &SelectionStrategy,
-    synopses: &[PeerSynopses],
-    seed: u64,
-) -> Vec<Vec<(usize, usize, NodeId)>> {
-    let n = synopses.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut states = vec![SelectorState::default(); n];
-    let mut rounds: Vec<Vec<(usize, usize, NodeId)>> = Vec::new();
-    let mut round = Vec::new();
-    let mut busy = vec![false; n];
-    for m in 0..meetings {
-        let initiator = m % n;
-        let partner = select_partner(&mut states[initiator], strategy, initiator, n, &mut rng);
-        if busy[initiator] || busy[partner] {
-            rounds.push(std::mem::take(&mut round));
-            busy.fill(false);
-            if let (SelectionStrategy::PreMeetings(cfg), [.., observed, _]) =
-                (strategy, rounds.as_slice())
-            {
-                for &(_, a, b) in observed {
-                    observe_meeting(&mut states, synopses, a, b as usize, cfg);
-                }
-            }
-        }
-        busy[initiator] = true;
-        busy[partner] = true;
-        round.push((m, initiator, partner as NodeId));
-    }
-    if !round.is_empty() {
-        rounds.push(round);
-    }
-    rounds
 }
 
 #[cfg(test)]

@@ -5,45 +5,34 @@
 //! shape, and two meetings that share no peer commute exactly: each one
 //! reads and writes only its two peers' state. This module exploits that:
 //!
-//! 1. **Schedule serially.** A round is drawn on the simulator thread
-//!    with the seeded RNG and the normal [`SelectionStrategy`] machinery
-//!    (`initiator ~ U(peers)`, partner via `select_partner`), greedily
-//!    accepting pairs until a drawn pair conflicts with the round's
-//!    **matching** (shares an endpoint). The conflicting pair is not
-//!    discarded — it carries over as the first meeting of the next round,
-//!    so the executed meeting sequence is exactly the drawn sequence.
+//! 1. **Draw the schedule.** [`Network::run_parallel`] draws all of its
+//!    meetings before any of them runs, through the one schedule drawer
+//!    the cluster uses too ([`draw_schedule`]): a uniformly random
+//!    initiator, a partner from the [`SelectionStrategy`] machinery, and
+//!    the draws cut greedily into rounds of peer-disjoint pairs. Under
+//!    pre-meetings the drawer observes round r when it closes round
+//!    r + 1, and the last two rounds when drawing ends.
 //! 2. **Execute concurrently.** The round's pairs are pairwise disjoint,
 //!    so each meeting gets true `&mut JxpPeer` borrows of its two peers
 //!    (handed out safely via take-from-slot splitting) and the meetings
 //!    run on the persistent [`jxp_pool`] workers — dealt round-robin,
 //!    with work-stealing of the dealt buckets (meetings commute, so
 //!    placement only moves wall clock, never results).
-//! 3. **Account serially.** Bandwidth, pre-meetings bookkeeping, gossip
-//!    merges and the meeting counter replay in schedule order through the
-//!    same code path as [`Network::step`].
+//! 3. **Account serially.** Bandwidth, gossip merges and the meeting
+//!    counter replay in schedule order through the same code path as
+//!    [`Network::step`], which is the engine's one-meeting round.
 //!
-//! [`Network::run`] is this engine; [`Network::step`] is its one-meeting
-//! round.
+//! **Why drawing up front is exact.** Drawing reads only the RNG,
+//! the selector states and the static synopses, and executing and
+//! accounting write none of them. So only the order of the drawer's own
+//! select and observe calls matters, and it is fixed: for every round R,
+//! select R's pairs and the conflicting pair that closes R, then observe
+//! R − 1; at the end, observe the last two rounds.
 //!
-//! **Pipelining.** While round *k* executes on the pool, the scheduler
-//! thread already draws round *k + 1*; once the draw is done it joins
-//! the round's execution, and accounting of round *k* runs after the
-//! round barrier. This is safe because the two overlapped phases touch
-//! disjoint state — drawing reads/writes only the RNG and the selector
-//! states, execution only the peers — and Rust's borrow splitting proves
-//! it at compile time. The observable consequence: partner selection for
-//! round *k + 1* sees the selector state as of round *k − 1*'s
-//! accounting, so pre-meeting candidates observed while accounting round
-//! *k* become eligible in round *k + 2* (one round later than the
-//! pre-pipelining engine). Under the `Random` strategy, accounting does
-//! not feed selection at all and the schedule is unchanged.
-//!
-//! **Determinism argument.** All randomness is consumed in the draw
-//! phase on one thread, and the draw/execute/account interleaving on
-//! that thread is fixed by program order — never by the worker count.
-//! Execution touches pairwise-disjoint state, so its result is
-//! independent of placement and interleaving (each meeting performs the
-//! identical float operations it would perform alone); accounting is
+//! **Determinism argument.** All randomness is consumed by the drawer on
+//! one thread. Execution touches pairwise-disjoint state, so its result
+//! is independent of placement and interleaving (each meeting performs
+//! the identical float operations it would perform alone); accounting is
 //! serial in schedule order. Hence the final state is **bit-identical**
 //! for every thread count, including `threads = 1` — which executes the
 //! same canonical sequence inline without touching the pool. This is
@@ -54,19 +43,17 @@
 //! partner selection sees a slightly older selector state (see above).
 //! That matches the paper's asynchronous model — a peer cannot observe
 //! the outcome of a meeting that is still in flight. Under `Random` (with
-//! or without `estimate_n`) accounting never feeds the draw, and N steps
+//! or without `estimate_n`) observation never feeds the draw, and N steps
 //! are bit-identical to one `run_parallel(N)`.
 //!
 //! [`SelectionStrategy`]: jxp_core::selection::SelectionStrategy
+//! [`draw_schedule`]: jxp_core::selection::draw_schedule
 
 use crate::sim::Network;
 use jxp_core::meeting::{meet, MeetingStats};
-use jxp_core::selection::{select_partner, SelectionStrategy, SelectorState};
 use jxp_core::JxpPeer;
 use jxp_pagerank::par::resolve_threads;
 use jxp_telemetry::Event;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Summary of one [`Network::run_parallel`] invocation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -89,61 +76,14 @@ pub struct ParallelRunReport {
     pub stolen: u64,
 }
 
-/// Draw the next round: a greedy maximal matching of disjoint
-/// `(initiator, partner)` pairs, at most `budget` of them. `pending`
-/// carries the pair whose draw closed the previous round.
-///
-/// A free function over exactly the state drawing touches — the RNG and
-/// the selector states — so the borrow checker proves it can overlap
-/// with round execution (which touches only the peers).
-fn draw_round(
-    rng: &mut StdRng,
-    states: &mut [SelectorState],
-    strategy: &SelectionStrategy,
-    n: usize,
-    budget: usize,
-    pending: &mut Option<(usize, usize)>,
-) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    if budget == 0 {
-        return pairs;
-    }
-    let mut busy = vec![false; n];
-    if let Some((i, p)) = pending.take() {
-        busy[i] = true;
-        busy[p] = true;
-        pairs.push((i, p));
-    }
-    while pairs.len() < budget {
-        let initiator = rng.gen_range(0..n);
-        let partner = select_partner(&mut states[initiator], strategy, initiator, n, rng);
-        debug_assert_ne!(initiator, partner);
-        if busy[initiator] || busy[partner] {
-            // The matching is maximal for this draw sequence; the
-            // conflicting pair opens the next round.
-            *pending = Some((initiator, partner));
-            break;
-        }
-        busy[initiator] = true;
-        busy[partner] = true;
-        pairs.push((initiator, partner));
-    }
-    pairs
-}
-
 /// Execute one round of pairwise-disjoint meetings on the shared
-/// [`jxp_pool`] while `draw_next` runs on the calling thread, returning
-/// the next round's pairs, this round's per-pair stats in schedule
-/// order, and the pool's round stats.
-fn execute_and_draw<D>(
+/// [`jxp_pool`], returning the per-pair stats in schedule order and the
+/// pool's round stats.
+fn execute_round(
     peers: &mut [JxpPeer],
     pairs: &[(usize, usize)],
     threads: usize,
-    draw_next: D,
-) -> (Vec<(usize, usize)>, Vec<MeetingStats>, jxp_pool::RoundStats)
-where
-    D: FnOnce() -> Vec<(usize, usize)>,
-{
+) -> (Vec<MeetingStats>, jxp_pool::RoundStats) {
     // Hand out disjoint `&mut JxpPeer` pairs: every peer reference
     // sits in a take-once slot, so a non-disjoint schedule is a
     // loud panic instead of undefined behavior.
@@ -161,17 +101,14 @@ where
     // Each task writes only its own two peers and its own stats slot —
     // placement-invariant by construction, as the pool requires. With
     // `threads = 1` the pool runs the round inline (exact serial replay).
-    let (next, round) = jxp_pool::global().run_with(
-        threads,
-        tasks,
-        |(a, b, slot)| *slot = Some(meet(a, b)),
-        draw_next,
-    );
+    let round = jxp_pool::global().run_dealt(threads, tasks, |(a, b, slot)| {
+        *slot = Some(meet(a, b));
+    });
     let stats = results
         .into_iter()
         .map(|r| r.expect("every pair executed"))
         .collect();
-    (next, stats, round)
+    (stats, round)
 }
 
 impl Network {
@@ -198,41 +135,14 @@ impl Network {
             threads,
             ..Default::default()
         };
-        let mut pending = None;
-        let mut drawn = 0usize;
-        let mut pairs = draw_round(
-            &mut self.rng,
-            &mut self.states,
-            &self.config.strategy,
-            n,
-            count,
-            &mut pending,
-        );
-        drawn += pairs.len();
-        while !pairs.is_empty() {
+        for pairs in self.draw(count) {
             #[expect(
                 clippy::disallowed_methods,
                 reason = "straggler clock for round timing metrics; never reaches a score"
             )]
             let started = std::time::Instant::now();
-            let budget = count - drawn;
             let queue_depth = self.telemetry.as_ref().map(|_| jxp_pool::global().queued());
-            // Disjoint field borrows: execution mutates `peers`, the
-            // overlapped draw mutates `rng` + `states` — never both.
-            let (next, stats, round) = {
-                let Network {
-                    peers,
-                    states,
-                    rng,
-                    config,
-                    ..
-                } = self;
-                let strategy = &config.strategy;
-                execute_and_draw(peers, &pairs, threads, || {
-                    draw_round(rng, states, strategy, n, budget, &mut pending)
-                })
-            };
-            drawn += next.len();
+            let (stats, round) = execute_round(&mut self.peers, &pairs, threads);
             let elapsed = started.elapsed().as_secs_f64();
             for (&(initiator, partner), s) in pairs.iter().zip(&stats) {
                 self.account_meeting(initiator, partner, s);
@@ -258,7 +168,6 @@ impl Network {
             report.max_round = report.max_round.max(pairs.len());
             report.meetings += pairs.len() as u64;
             report.stolen += round.stolen;
-            pairs = next;
         }
         report
     }
@@ -469,14 +378,14 @@ mod tests {
 
     #[test]
     fn run_and_run_parallel_can_interleave() {
-        // `run`, `run_parallel` and the one-meeting `step` share all
+        // `run_parallel` and the one-meeting `step` share all
         // state; switching between them mid-run keeps every invariant
         // (counters, bandwidth, selector state). Repeated `run_parallel`
         // calls also reuse the same persistent pool workers — they must
         // not wedge or leak rounds (pool lifecycle coverage through the
         // public API).
         let mut net = net_with(4, NetworkConfig::default());
-        net.run(15);
+        net.run_parallel(15);
         let report = net.run_parallel(30);
         for _ in 0..5 {
             net.step();
@@ -490,7 +399,7 @@ mod tests {
 
     #[test]
     fn steps_are_bit_identical_to_run_parallel_without_premeetings() {
-        // Without pre-meetings, accounting never feeds the draw, so the
+        // Without pre-meetings, observation never feeds the draw, so the
         // round engine's schedule is the one-meeting loop's schedule.
         for config in [
             NetworkConfig::default(),
@@ -510,11 +419,11 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_schedule_is_reproducible_for_same_seed() {
+    fn schedule_is_reproducible_for_same_seed() {
         // Two identical networks must draw the identical round
-        // structure — the pipelined draw consumes the RNG on the
-        // scheduler thread only, so the schedule is a pure function of
-        // the seed regardless of pool scheduling.
+        // structure — the drawer consumes the RNG on the calling
+        // thread only, before any meeting runs, so the schedule is a
+        // pure function of the seed regardless of pool scheduling.
         let run = |threads: usize| {
             let mut net = net_with(threads, NetworkConfig::default());
             let report = net.run_parallel(150);

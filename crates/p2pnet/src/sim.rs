@@ -8,9 +8,7 @@
 use crate::bandwidth::BandwidthLog;
 use crate::count::GossipCounter;
 use jxp_core::meeting::{meet, MeetingStats};
-use jxp_core::selection::{
-    observe_meeting, select_partner, PeerSynopses, SelectionStrategy, SelectorState,
-};
+use jxp_core::selection::{draw_schedule, PeerSynopses, SelectionStrategy, SelectorState};
 use jxp_core::{JxpConfig, JxpPeer};
 use jxp_pagerank::Ranking;
 use jxp_synopses::mips::MipsPermutations;
@@ -40,11 +38,10 @@ pub struct NetworkConfig {
     /// gossiping 256-bucket FM sketches (the §3 "work without this
     /// estimate" modification).
     pub estimate_n: bool,
-    /// Worker threads for the rounds of [`Network::run`] and
-    /// [`Network::run_parallel`] (`0` = the machine's available
-    /// parallelism, `1` = serial). Scores are bit-identical for every
-    /// value — see [`crate::parallel`]. The one-meeting
-    /// [`Network::step`] ignores it.
+    /// Worker threads for the rounds of [`Network::run_parallel`] (`0` =
+    /// the machine's available parallelism, `1` = serial). Scores are
+    /// bit-identical for every value — see [`crate::parallel`]. The
+    /// one-meeting [`Network::step`] ignores it.
     pub threads: usize,
 }
 
@@ -293,12 +290,31 @@ impl Network {
         &self.bandwidth
     }
 
-    /// Whether the pre-meetings strategy is active.
-    fn premeetings_cfg(&self) -> Option<&jxp_core::selection::PreMeetingsConfig> {
-        match &self.config.strategy {
-            SelectionStrategy::PreMeetings(cfg) => Some(cfg),
-            SelectionStrategy::Random => None,
+    /// Draw `count` meetings into rounds through the one schedule
+    /// drawer ([`draw_schedule`]): a uniformly random initiator, a
+    /// partner per the configured strategy. Under pre-meetings the
+    /// drawer also observes every drawn pair; the MIPs fetches those
+    /// pre-meetings cost are charged here, as the drawing's change in
+    /// the selector states' byte counts.
+    pub(crate) fn draw(&mut self, count: usize) -> Vec<Vec<(usize, usize)>> {
+        let n = self.peers.len();
+        let spent =
+            |states: &[SelectorState]| -> u64 { states.iter().map(|s| s.premeeting_bytes).sum() };
+        let before = spent(&self.states);
+        let rounds = draw_schedule(
+            count,
+            &self.config.strategy,
+            &self.synopses,
+            &mut self.states,
+            &mut self.rng,
+            |_, rng| rng.gen_range(0..n),
+        );
+        let bytes = spent(&self.states) - before;
+        self.bandwidth.record_premeeting(bytes);
+        if let Some(t) = &self.telemetry {
+            t.premeeting_bytes.add(bytes);
         }
+        rounds
     }
 
     /// Execute one meeting: a uniformly random initiator chooses a partner
@@ -307,18 +323,9 @@ impl Network {
     /// returning, so under pre-meetings the next draw already sees this
     /// meeting (a round's draws see it two rounds later). Under
     /// `Random` and `estimate_n`, `step` × N is bit-identical to
-    /// [`Network::run`]`(N)`.
+    /// [`Network::run_parallel`]`(N)`.
     pub fn step(&mut self) -> MeetingRecord {
-        let n = self.peers.len();
-        let initiator = self.rng.gen_range(0..n);
-        let partner = select_partner(
-            &mut self.states[initiator],
-            &self.config.strategy,
-            initiator,
-            n,
-            &mut self.rng,
-        );
-        debug_assert_ne!(initiator, partner);
+        let (initiator, partner) = self.draw(1)[0][0];
         let (a, b) = pair_mut(&mut self.peers, initiator, partner);
         let stats = meet(a, b);
         self.account_meeting(initiator, partner, &stats);
@@ -331,9 +338,10 @@ impl Network {
 
     /// Post-meeting bookkeeping shared by the one-meeting [`step`] and
     /// the round-based engine ([`crate::parallel`]):
-    /// bandwidth accounting, pre-meetings synopsis exchange, FM-sketch
-    /// gossip, and the global meeting counter. Always runs serially, in
-    /// schedule order, so both paths account identically.
+    /// bandwidth accounting, FM-sketch gossip, and the global meeting
+    /// counter. Always runs serially, in schedule order, so both paths
+    /// account identically. Pre-meetings are observed and charged by
+    /// [`Network::draw`], not here.
     ///
     /// [`step`]: Network::step
     pub(crate) fn account_meeting(
@@ -345,13 +353,12 @@ impl Network {
         // Piggybacked synopses add to the message size under pre-meetings.
         // Each side ships its *own* synopses, so the two directions carry
         // different synopsis sizes; the FM sketch rides along symmetrically.
-        let (syn_a, syn_b) = if self.premeetings_cfg().is_some() {
-            (
+        let (syn_a, syn_b) = match self.config.strategy {
+            SelectionStrategy::PreMeetings(_) => (
                 self.synopses[initiator].wire_size() as u64,
                 self.synopses[partner].wire_size() as u64,
-            )
-        } else {
-            (0, 0)
+            ),
+            SelectionStrategy::Random => (0, 0),
         };
         let sketch_bytes = self.counter.as_ref().map_or(0, |c| c.wire_size() as u64);
         let sent_a = stats.bytes_a_to_b as u64 + syn_a + sketch_bytes;
@@ -374,17 +381,6 @@ impl Network {
                 bytes: sent_a + sent_b,
             });
         }
-        if let Some(cfg) = self.premeetings_cfg().cloned() {
-            let before: u64 =
-                self.states[initiator].premeeting_bytes + self.states[partner].premeeting_bytes;
-            observe_meeting(&mut self.states, &self.synopses, initiator, partner, &cfg);
-            let after: u64 =
-                self.states[initiator].premeeting_bytes + self.states[partner].premeeting_bytes;
-            self.bandwidth.record_premeeting(after - before);
-            if let Some(t) = &self.telemetry {
-                t.premeeting_bytes.add(after - before);
-            }
-        }
         if let Some(counter) = &mut self.counter {
             counter.merge_pair(initiator, partner);
             for p in [initiator, partner] {
@@ -398,12 +394,6 @@ impl Network {
             }
         }
         self.meetings += 1;
-    }
-
-    /// Run `count` meetings through the round engine
-    /// ([`Network::run_parallel`]).
-    pub fn run(&mut self, count: usize) {
-        self.run_parallel(count);
     }
 
     /// Aggregate peer-selection statistics:
@@ -542,7 +532,7 @@ mod tests {
             NetworkConfig::default(),
             7,
         );
-        net.run(20);
+        net.run_parallel(20);
         assert_eq!(net.meetings(), 20);
         assert!(net.bandwidth().total_bytes() > 0);
         assert_eq!(net.num_peers(), 6);
@@ -560,7 +550,7 @@ mod tests {
             7,
         );
         let early = metrics::footrule_distance(&net.total_ranking(), &truth_ranking, 50);
-        net.run(150);
+        net.run_parallel(150);
         let late = metrics::footrule_distance(&net.total_ranking(), &truth_ranking, 50);
         assert!(late < early, "footrule did not improve: {early} → {late}");
         assert!(late < 0.35, "footrule after 150 meetings: {late}");
@@ -574,7 +564,7 @@ mod tests {
             ..Default::default()
         };
         let mut net = Network::new(frags, cg.graph.num_nodes() as u64, config, 9);
-        net.run(60);
+        net.run_parallel(60);
         assert_eq!(net.meetings(), 60);
         // Synopses piggyback on messages, so totals include them.
         assert!(net.bandwidth().total_bytes() > 0);
@@ -600,7 +590,7 @@ mod tests {
         let spread_initial: f64 = (0..net.num_peers())
             .map(|p| (net.peer(p).n_total() - covered).abs())
             .sum();
-        net.run(100);
+        net.run_parallel(100);
         for p in 0..net.num_peers() {
             let est = net.peer(p).n_total();
             assert!(
@@ -681,14 +671,14 @@ mod tests {
             NetworkConfig::default(),
             13,
         );
-        net.run(10);
+        net.run_parallel(10);
         net.add_peer(extra);
         assert_eq!(net.num_peers(), 7);
-        net.run(10);
+        net.run_parallel(10);
         let gone = net.remove_peer(0);
         assert!(gone.num_pages() > 0);
         assert_eq!(net.num_peers(), 6);
-        net.run(10);
+        net.run_parallel(10);
         assert_eq!(net.meetings(), 30);
     }
 
@@ -703,9 +693,9 @@ mod tests {
         let mut net = Network::new(frags, cg.graph.num_nodes() as u64, config, 13);
         let hub = jxp_telemetry::TelemetryHub::shared();
         net.attach_telemetry(Arc::clone(&hub));
-        net.run(25);
+        net.run_parallel(25);
         net.add_peer(extra);
-        net.run(5);
+        net.run_parallel(5);
         let departed_index = net.num_peers() - 1;
         let _ = net.remove_peer(departed_index);
 
@@ -723,7 +713,7 @@ mod tests {
         assert!(counters["jxp_sim_premeeting_bytes_total"] > 0);
         assert_eq!(counters["jxp_sim_churn_joins_total"], 1);
         assert_eq!(counters["jxp_sim_churn_departures_total"], 1);
-        // `run` is the round engine: more than one meeting per round.
+        // `run_parallel` batches more than one meeting per round.
         let rounds = counters["jxp_sim_rounds_total"];
         assert!(rounds > 0 && rounds < 30, "{rounds} rounds");
 

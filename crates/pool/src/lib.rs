@@ -10,10 +10,8 @@
 //!
 //! # Execution model
 //!
-//! [`WorkerPool::run_with`] executes one *round*: a vector of tasks plus
-//! a `meanwhile` closure that runs on the calling thread while the pool
-//! chews on the tasks (the meeting engine uses it to draw the next
-//! round's schedule — see `jxp-p2pnet`'s pipelining notes).
+//! [`WorkerPool::run_dealt`] executes one *round*: a vector of tasks run
+//! by the calling thread and up to `workers - 1` pool workers.
 //!
 //! * Tasks are **dealt round-robin** into `workers` stripes: stripe `s`
 //!   owns tasks `s, s + workers, s + 2·workers, …`. The deal is the
@@ -26,12 +24,11 @@
 //!   bit-identical whether a task ran on its dealt worker, a thief, or
 //!   the caller.
 //! * The **calling thread participates**: it owns stripe 0. `workers`
-//!   therefore counts the caller — `run_with(4, …)` puts 3 pool workers
-//!   plus the caller on the round. After `meanwhile` returns the caller
-//!   drains stripe 0 (stealing the rest), then blocks until every
-//!   in-flight task has finished.
+//!   therefore counts the caller — `run_dealt(4, …)` puts 3 pool workers
+//!   plus the caller on the round. The caller drains stripe 0 (stealing
+//!   the rest), then blocks until every in-flight task has finished.
 //!
-//! `run_with` does not return until all tasks have executed *and* every
+//! `run_dealt` does not return until all tasks have executed *and* every
 //! pool worker has exited the round — no borrow handed in via a task can
 //! be observed by a worker after the call returns, which is what makes
 //! the lifetime erasure below sound.
@@ -48,11 +45,11 @@
 //! # Panics
 //!
 //! A task that panics on a pool worker is caught there; the round still
-//! drains (other executors keep stealing), and `run_with` re-raises a
+//! drains (other executors keep stealing), and `run_dealt` re-raises a
 //! `"worker panicked"` panic on the caller once the round is quiescent.
-//! A panic in `meanwhile` (or in a task run by the caller) unwinds the
-//! caller directly — a drop guard first waits for the pool workers to
-//! finish the round, so borrowed task state never outlives the call.
+//! A panic in a task run by the caller unwinds the caller directly — a
+//! drop guard first waits for the pool workers to finish the round, so
+//! borrowed task state never outlives the call.
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -74,7 +71,7 @@ fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(g).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What one [`WorkerPool::run_with`] round did, for telemetry.
+/// What one [`WorkerPool::run_dealt`] round did, for telemetry.
 ///
 /// Scheduling-dependent quantities (`stolen`) vary with thread count and
 /// machine load; record them only in histograms/gauges, never in the
@@ -290,9 +287,8 @@ impl WorkerPool {
     }
 
     /// Execute one round of `tasks` on `workers` executors (the caller
-    /// plus `workers - 1` pool workers) while `meanwhile` runs on the
-    /// calling thread; returns `meanwhile`'s value and the round's
-    /// stats once every task has finished and the pool is quiescent.
+    /// plus `workers - 1` pool workers); returns the round's stats once
+    /// every task has finished and the pool is quiescent.
     ///
     /// Tasks are dealt round-robin and may be stolen, so the caller's
     /// tasks must be **placement-invariant**: each task must write only
@@ -301,36 +297,22 @@ impl WorkerPool {
     /// never touches pool threads.
     ///
     /// # Panics
-    /// Re-raises task panics (after the round drains), and propagates
-    /// panics from `meanwhile` once pool workers have left the round.
-    pub fn run_with<T, F, M, R>(
-        &self,
-        workers: usize,
-        tasks: Vec<T>,
-        f: F,
-        meanwhile: M,
-    ) -> (R, RoundStats)
+    /// Re-raises task panics once pool workers have left the round.
+    pub fn run_dealt<T, F>(&self, workers: usize, tasks: Vec<T>, f: F) -> RoundStats
     where
         T: Send,
         F: Fn(T) + Send + Sync,
-        M: FnOnce() -> R,
     {
         let total = tasks.len();
         let workers = workers.min(total).max(1);
         if workers == 1 {
-            // Tasks in deal order, then `meanwhile` — the same program
-            // order the parallel path's caller observes at its barrier.
             for t in tasks {
                 f(t);
             }
-            let r = meanwhile();
-            return (
-                r,
-                RoundStats {
-                    tasks: total as u64,
-                    stolen: 0,
-                },
-            );
+            return RoundStats {
+                tasks: total as u64,
+                stolen: 0,
+            };
         }
         self.ensure_workers(workers - 1);
 
@@ -376,11 +358,10 @@ impl WorkerPool {
             self.shared.available.notify_all();
         }
 
-        // If `meanwhile` or a caller-run task unwinds, the guard still
-        // waits out the pool workers (they drain the round on their own)
-        // before the unwind releases the borrowed task state.
+        // If a caller-run task unwinds, the guard still waits out the
+        // pool workers (they drain the round on their own) before the
+        // unwind releases the borrowed task state.
         let _guard = WaitOnDrop(&sync);
-        let r = meanwhile();
         if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| state.run(0))) {
             // A caller-run task panicked after being popped, so `pending`
             // can never drain to zero. Flag the round — quiescence
@@ -394,24 +375,10 @@ impl WorkerPool {
             !sync.panicked.load(Ordering::Acquire),
             "jxp-pool worker panicked while executing a round task"
         );
-        let stolen = state.stolen.load(Ordering::Acquire);
-        (
-            r,
-            RoundStats {
-                tasks: total as u64,
-                stolen,
-            },
-        )
-    }
-
-    /// [`run_with`](WorkerPool::run_with) without a `meanwhile` phase:
-    /// the caller joins execution immediately.
-    pub fn run_dealt<T, F>(&self, workers: usize, tasks: Vec<T>, f: F) -> RoundStats
-    where
-        T: Send,
-        F: Fn(T) + Send + Sync,
-    {
-        self.run_with(workers, tasks, f, || ()).1
+        RoundStats {
+            tasks: total as u64,
+            stolen: state.stolen.load(Ordering::Acquire),
+        }
     }
 }
 
@@ -464,32 +431,11 @@ mod tests {
         let n = 1000;
         let mut out = vec![0u32; n];
         let tasks: Vec<(usize, &mut u32)> = out.iter_mut().enumerate().collect();
-        let (ret, stats) = pool.run_with(4, tasks, |(i, slot)| *slot = i as u32 + 1, || 42);
-        assert_eq!(ret, 42);
+        let stats = pool.run_dealt(4, tasks, |(i, slot)| *slot = i as u32 + 1);
         assert_eq!(stats.tasks, n as u64);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as u32 + 1, "task {i} ran wrong or not at all");
         }
-    }
-
-    #[test]
-    fn meanwhile_overlaps_execution_and_caller_helps() {
-        let pool = WorkerPool::new();
-        let executed = AtomicUsize::new(0);
-        // One slow stripe: the caller's post-meanwhile help loop must
-        // steal the rest rather than idle behind it.
-        let tasks: Vec<usize> = (0..64).collect();
-        let (drawn, stats) = pool.run_with(
-            2,
-            tasks,
-            |_t| {
-                executed.fetch_add(1, Ordering::AcqRel);
-            },
-            || "next-round-schedule",
-        );
-        assert_eq!(drawn, "next-round-schedule");
-        assert_eq!(executed.load(Ordering::Acquire), 64);
-        assert_eq!(stats.tasks, 64);
     }
 
     #[test]
@@ -500,7 +446,7 @@ mod tests {
         // With workers = 1 the tasks run inline on the caller; a single
         // &mut capture proves no other thread is involved.
         let acc_ref = &mut acc;
-        let (_, stats) = pool.run_with(1, tasks, |_| (), || ());
+        let stats = pool.run_dealt(1, tasks, |_| ());
         *acc_ref += 1;
         assert_eq!(stats.stolen, 0);
         assert_eq!(pool.spawned(), 0);

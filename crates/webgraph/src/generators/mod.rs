@@ -7,27 +7,19 @@
 //! power-law in-degree distribution, and a 10-category thematic structure
 //! with mostly-intra-category links.
 //!
-//! Three classic random-graph models are provided plus the categorized
+//! One classic random-graph model is provided plus the categorized
 //! composite generator used for the actual datasets:
 //!
 //! * [`preferential`] — directed preferential attachment (Barabási–Albert
 //!   flavoured), power-law in-degrees;
-//! * [`copying`] — the copying model of Kumar et al., the standard
-//!   explanation for power laws in Web graphs;
-//! * [`erdos_renyi`] — G(n, m) uniform random graphs (a *non*-power-law
-//!   control used in tests);
 //! * [`categorized`] — categories × preferential attachment with
 //!   cross-category links; presets in [`params`] replicate the scale of
 //!   the paper's two collections.
 
 pub mod categorized;
-pub mod copying;
-pub mod erdos_renyi;
 pub mod params;
 pub mod preferential;
 
 pub use categorized::{CategorizedGraph, CategorizedParams};
-pub use copying::copying_model;
-pub use erdos_renyi::gnm;
 pub use params::{amazon_2005, web_crawl_2005, DatasetPreset};
 pub use preferential::preferential_attachment;

@@ -75,7 +75,7 @@ fn main() {
         "meetings", "footrule", "linear error", "MB sent"
     );
     for _ in 0..10 {
-        net.run(150);
+        net.run_parallel(150);
         let ranking = net.total_ranking();
         println!(
             "{:>9} {:>10.4} {:>14.3e} {:>10.2}",

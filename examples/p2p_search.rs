@@ -48,7 +48,7 @@ fn main() {
         },
         23,
     );
-    net.run(800);
+    net.run_parallel(800);
     let jxp_ranking = net.total_ranking();
     println!("JXP ran for {} meetings", net.meetings());
 

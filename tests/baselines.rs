@@ -60,7 +60,7 @@ fn jxp_on_overlap_competitive_with_blockrank_on_disjoint() {
         },
         93,
     );
-    net.run(800);
+    net.run_parallel(800);
     let jxp_f = footrule_distance(&net.total_ranking(), &truth_ranking, 60);
 
     // BlockRank on its best-case (category-aligned, disjoint) partition.

@@ -57,7 +57,7 @@ fn both_selection_strategies_converge() {
             43,
         );
         let before = metrics::footrule_distance(&net.total_ranking(), &truth_ranking, 60);
-        net.run(400);
+        net.run_parallel(400);
         let after = metrics::footrule_distance(&net.total_ranking(), &truth_ranking, 60);
         assert!(
             after < before,
@@ -78,7 +78,7 @@ fn premeetings_selections_are_used_and_fairness_randoms_remain() {
         },
         44,
     );
-    net.run(400);
+    net.run_parallel(400);
     let (selections, candidate, revisit, cached) = net.selection_stats();
     assert_eq!(selections, 400);
     assert!(candidate > 0, "no candidate-driven selections happened");
@@ -99,7 +99,7 @@ fn bandwidth_log_is_consistent_with_meetings() {
         NetworkConfig::default(),
         45,
     );
-    net.run(200);
+    net.run_parallel(200);
     let log = net.bandwidth();
     // Every meeting logs exactly two per-peer entries.
     let entries: usize = (0..num_peers).map(|p| log.peer_history(p).len()).sum();
@@ -131,8 +131,8 @@ fn premeetings_add_synopsis_bytes() {
         },
         46,
     );
-    random_net.run(100);
-    pre_net.run(100);
+    random_net.run_parallel(100);
+    pre_net.run_parallel(100);
     // Identical seeds → comparable workloads; the pre-meetings run ships
     // MIPs vectors on top of the payloads.
     let r = random_net.bandwidth().total_bytes();
@@ -162,7 +162,7 @@ fn gossip_n_estimation_tracks_coverage_and_converges() {
         },
         47,
     );
-    net.run(300);
+    net.run_parallel(300);
     for p in 0..net.num_peers() {
         let est = net.peer(p).n_total();
         assert!(

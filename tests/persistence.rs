@@ -40,7 +40,7 @@ fn leave_snapshot_rejoin_preserves_knowledge() {
     let (cg, frags) = world();
     let n = cg.graph.num_nodes() as u64;
     let mut net = Network::new(frags, n, NetworkConfig::default(), 83);
-    net.run(200);
+    net.run_parallel(200);
 
     // Peer 0 leaves, taking a snapshot with it.
     let departing = net.remove_peer(0);
@@ -52,13 +52,13 @@ fn leave_snapshot_rejoin_preserves_knowledge() {
     let bytes = snapshot::save(&departing);
 
     // The network moves on without it.
-    net.run(100);
+    net.run_parallel(100);
 
     // The peer rejoins warm and keeps participating.
     let restored = snapshot::load(&bytes[..]).expect("snapshot must load");
     assert_eq!(restored.world().len(), world_size_at_leave);
     net.add_existing_peer(restored);
-    net.run(100);
+    net.run_parallel(100);
 
     // The rejoined peer (now the last index) kept its old knowledge and
     // gained more.
@@ -72,7 +72,7 @@ fn snapshots_are_deterministic_and_stable_across_save_load_cycles() {
     let (cg, frags) = world();
     let n = cg.graph.num_nodes() as u64;
     let mut net = Network::new(frags, n, NetworkConfig::default(), 84);
-    net.run(60);
+    net.run_parallel(60);
     let peer = net.peer(2);
     let b1 = snapshot::save(peer);
     let b2 = snapshot::save(peer);
@@ -98,7 +98,7 @@ fn warm_rejoin_keeps_network_accuracy() {
         },
         85,
     );
-    net.run(300);
+    net.run_parallel(300);
     let before = metrics::footrule_distance(&net.total_ranking(), &truth_ranking, 60);
 
     // Cycle a third of the network through leave+snapshot+rejoin.
@@ -106,11 +106,11 @@ fn warm_rejoin_keeps_network_accuracy() {
     for _ in 0..4 {
         parked.push(snapshot::save(&net.remove_peer(0)).to_vec());
     }
-    net.run(50);
+    net.run_parallel(50);
     for bytes in parked {
         net.add_existing_peer(snapshot::load(&bytes[..]).unwrap());
     }
-    net.run(150);
+    net.run_parallel(150);
     let after = metrics::footrule_distance(&net.total_ranking(), &truth_ranking, 60);
     assert!(
         after <= before + 0.05,

@@ -42,7 +42,7 @@ fn search_world() -> SearchWorld {
         },
         53,
     );
-    net.run(500);
+    net.run_parallel(500);
     let corpus = Corpus::generate(
         &cg,
         &truth,
