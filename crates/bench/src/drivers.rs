@@ -375,17 +375,3 @@ pub fn msgsize(ctx: &ExperimentCtx, dataset: &str) {
     println!("and grow with the peer's meeting count as world knowledge accumulates;");
     println!("the pre-meetings variant ships slightly larger messages (piggybacked MIPs).");
 }
-
-impl ExperimentCtx {
-    /// The footrule thresholds the paper quotes in §6.2 (0.2 for Amazon,
-    /// 0.1 for the Web crawl). At reduced scale the curves sit lower, so
-    /// scale the threshold along with top-k.
-    pub fn footrule_threshold(&self, dataset: &str) -> f32 {
-        let base = if dataset == "amazon" { 0.2 } else { 0.1 };
-        if self.scale >= 1.0 {
-            base
-        } else {
-            (base * (0.3 + 0.7 * self.scale as f32)).max(0.02)
-        }
-    }
-}

@@ -345,29 +345,61 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Refuse to resume over a state directory journaled by a build that
-/// speaks another wire protocol — as one error naming both versions,
-/// before `run_cluster` (which can only panic) meets records it cannot
-/// replay.
+/// Refuse to resume over a state directory written by another build — a
+/// journal of another wire protocol, or a CRC-clean checkpoint of another
+/// snapshot version — as one error naming both versions, before
+/// `run_cluster` (which can only panic) meets state it cannot read.
 fn refuse_foreign_state(dir: &Path) -> Result<(), String> {
-    use jxp_store::{check_wal_protocol, DirStore, StateStore};
+    use jxp_store::{check_snapshot_version, check_wal_protocol, decode_checkpoint};
+    use jxp_store::{DirStore, StateStore};
 
     let opening = |e| format!("opening state dir {}: {e}", dir.display());
     let store = DirStore::open(dir).map_err(opening)?;
     for key in store.keys().map_err(opening)? {
         let raw = store.read_raw(&key).map_err(opening)?;
-        check_wal_protocol(&raw.wal).map_err(|e| format!("{}/{key}: {e}", dir.display()))?;
+        let foreign = |e| format!("{}/{key}: {e}", dir.display());
+        check_wal_protocol(&raw.wal).map_err(foreign)?;
+        let checkpoints = raw.current.iter().chain(&raw.previous);
+        for ckpt in checkpoints.filter_map(|b| decode_checkpoint(b).ok()) {
+            check_snapshot_version(&ckpt).map_err(foreign)?;
+        }
     }
     Ok(())
 }
 
+/// One checkpoint file as `checkpoint inspect|verify` prints it: the
+/// container's sequence and size, then the snapshot's version and size,
+/// so a state directory another build wrote shows why it is refused.
+pub(crate) fn describe_checkpoint(which: &str, bytes: Option<&[u8]>) -> String {
+    let label = format!("{which} checkpoint");
+    let Some(b) = bytes else {
+        return format!("{label}: absent");
+    };
+    match jxp_store::decode_checkpoint(b) {
+        Ok(c) => {
+            let snapshot = match jxp_core::snapshot::version(&c.snapshot) {
+                Some(v) => format!("JXPP v{v} snapshot"),
+                None => "no JXPP snapshot".to_string(),
+            };
+            format!(
+                "{label}: ok (seq {}, {} bytes; {snapshot} of {} bytes)",
+                c.seq,
+                b.len(),
+                c.snapshot.len()
+            )
+        }
+        Err(e) => format!("{label}: CORRUPT ({e})"),
+    }
+}
+
 /// `jxp-cli checkpoint inspect|verify` — examine a `--state-dir`
-/// written by the cluster command. `inspect` recovers every node and
-/// prints what it found; `verify` additionally decodes each layer
-/// (checkpoints, WAL) and fails — nonzero exit — when any node cannot
-/// be recovered to a consistent state.
+/// written by the cluster command. `inspect` prints each node's
+/// checkpoints (sequence, size, snapshot version and size) and what
+/// recovery found; `verify` additionally scans the WAL and fails —
+/// nonzero exit — when any node cannot be recovered to a consistent
+/// state.
 pub fn checkpoint(action: &str, args: &ParsedArgs) -> Result<(), String> {
-    use jxp_store::{decode_checkpoint, scan_wal, DirStore, StateStore};
+    use jxp_store::{scan_wal, DirStore, StateStore};
 
     if !matches!(action, "inspect" | "verify") {
         return Err(format!(
@@ -390,28 +422,19 @@ pub fn checkpoint(action: &str, args: &ParsedArgs) -> Result<(), String> {
 
     let mut broken = 0usize;
     for key in &keys {
+        let raw = match store.read_raw(key) {
+            Ok(raw) => raw,
+            Err(e) => {
+                println!("{key}: unreadable: {e}");
+                broken += 1;
+                continue;
+            }
+        };
+        println!("{key}:");
+        for (which, bytes) in [("current", &raw.current), ("previous", &raw.previous)] {
+            println!("  {}", describe_checkpoint(which, bytes.as_deref()));
+        }
         if action == "verify" {
-            let raw = match store.read_raw(key) {
-                Ok(raw) => raw,
-                Err(e) => {
-                    println!("{key}: unreadable: {e}");
-                    broken += 1;
-                    continue;
-                }
-            };
-            let describe = |label: &str, bytes: Option<&Vec<u8>>| match bytes {
-                None => format!("{label}: absent"),
-                Some(b) => match decode_checkpoint(b) {
-                    Ok(c) => format!("{label}: ok (seq {}, {} bytes)", c.seq, b.len()),
-                    Err(e) => format!("{label}: CORRUPT ({e})"),
-                },
-            };
-            println!("{key}:");
-            println!("  {}", describe("current checkpoint", raw.current.as_ref()));
-            println!(
-                "  {}",
-                describe("previous checkpoint", raw.previous.as_ref())
-            );
             let scan = scan_wal(&raw.wal);
             println!(
                 "  wal: {} records, {} of {} bytes consumed{}",

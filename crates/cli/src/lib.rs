@@ -423,6 +423,21 @@ mod tests {
             )))
             .unwrap();
         }
+        // Each checkpoint line names its snapshot's version and size.
+        let current = std::fs::read(dir.join("node-0").join("current.ckpt")).unwrap();
+        let snapshot = jxp_store::decode_checkpoint(&current).unwrap().snapshot;
+        let line = commands::describe_checkpoint("current", Some(&current));
+        let want = format!(
+            "{} bytes; JXPP v2 snapshot of {} bytes)",
+            current.len(),
+            snapshot.len()
+        );
+        assert!(line.starts_with("current checkpoint: ok (seq "), "{line}");
+        assert!(line.ends_with(&want), "{line}");
+        assert_eq!(
+            commands::describe_checkpoint("previous", None),
+            "previous checkpoint: absent"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -459,6 +474,18 @@ mod tests {
             // The inspection commands name the same cause.
             let err = run(&argv(&format!("checkpoint verify --state-dir {state}"))).unwrap_err();
             assert!(err.contains("unrecoverable"), "{err}");
+            // Without the journal, the fixtures' version-1 snapshot is
+            // what is refused, by both version numbers.
+            std::fs::remove_file(dir.join("node-0").join("wal.log")).unwrap();
+            let err = run(&argv(&format!(
+                "cluster --peers 3 --meetings 12 --scale 0.01 --state-dir {state}"
+            )))
+            .unwrap_err();
+            let want =
+                "node-0: checkpoint holds a JXPP version 1 snapshot, this build reads version 2";
+            assert!(err.ends_with(want), "{err}");
+            let line = commands::describe_checkpoint("current", Some(checkpoint));
+            assert!(line.contains("; JXPP v1 snapshot of "), "{line}");
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -42,10 +42,40 @@
 //! [`MeetingPayload::push_world`], which append a record together with
 //! its list and keep the records and every list strictly ascending, so
 //! every link in the arena belongs to exactly one record.
+//!
+//! **Encoding.** This module owns the one body format for peer state:
+//! [`encode_meeting_payload`] writes it, [`decode_meeting_payload`]
+//! reads it, and [`MeetingPayload::wire_size`] counts it. `jxp-wire`
+//! frames it as the body of a `MeetRequest`/`MeetReply` (protocol 3),
+//! and a `JXPP` peer snapshot ([`crate::snapshot`]) is a header plus the
+//! body of the peer's uncut, filterless payload. With `v` a LEB128
+//! varint and `Δid` an id written as its gap from the previous id of the
+//! same section or list (the first verbatim):
+//!
+//! ```text
+//! world_score f64 | cut_for u64 | filter (presence byte [+ filter])
+//! pages    v × (Δid v | score f64 | out_degree v | n v | n × Δid v)
+//! unlinked v × Δid v
+//! world    v × (Δsrc v | out_degree v | score f64 | n v | n × Δid v)
+//! dangling v × (Δid v | score f64)
+//! ```
+//!
+//! Fixed-width fields are little-endian; varints and gaps are
+//! [`jxp_webgraph::codec`]'s, the codec `JXPS` segments are written
+//! with. The filter ([`encode_bloom`]) is a presence byte, then word
+//! count u32, hash count u32, insert count u64 and the bit words. The
+//! decoder is bounded and canonical: a count that the rest of the body
+//! could not hold is refused before anything is allocated, a varint
+//! must be the shortest encoding of its value, and every id list must
+//! be strictly ascending, so a body decodes only if re-encoding its
+//! payload gives back the same bytes.
 
 use crate::world::WorldNode;
+use bytes::BufMut;
 use jxp_synopses::BloomFilter;
-use jxp_webgraph::codec::{gaps_len, varint_len};
+use jxp_webgraph::codec::{
+    gaps_len, get_gap, get_varint, put_gap, put_gaps, put_varint, varint_len, CodecError,
+};
 use jxp_webgraph::{PageId, Subgraph};
 
 /// Knowledge about one of the sender's local pages, as
@@ -407,11 +437,11 @@ impl MeetingPayload {
 
     /// Serialized size in bytes: the quantity plotted in Figures 11/12.
     ///
-    /// This is exactly the length of the `jxp-wire` protocol-3 frame
-    /// *body* encoding the payload — pinned by a test in `crates/wire` —
-    /// so Figures 11/12 report measured bytes; the codec's fixed 12-byte
-    /// frame header is the only residual delta. It is counted with the
-    /// length functions of the codec the encoder writes with
+    /// This is exactly the length of [`encode_meeting_payload`]'s output,
+    /// the body of a protocol-3 meeting frame, so Figures 11/12 report
+    /// measured bytes; the frame's fixed 12-byte header is the only
+    /// residual delta. It is counted with the length functions of the
+    /// codec the encoder writes with
     /// ([`jxp_webgraph::codec`]): 8 bytes each for the world score and
     /// `cut_for`, a presence byte plus the sender's filter, then four
     /// sections, each a varint record count followed by its records. A
@@ -456,6 +486,293 @@ impl MeetingPayload {
 /// A page id as a Bloom-filter key.
 pub(crate) fn key(p: PageId) -> u64 {
     u64::from(p.0)
+}
+
+/// Most hash functions a decoded Bloom filter may claim (a filter at
+/// one-in-a-billion false positives uses 30).
+pub const MAX_BLOOM_HASHES: u32 = 64;
+
+/// Append a filter: a presence byte, then — when present — word count,
+/// hash count, insert count and the bit words: `1 +
+/// BloomFilter::wire_size()` bytes.
+pub fn encode_bloom(buf: &mut Vec<u8>, bloom: Option<&BloomFilter>) {
+    let Some(b) = bloom else {
+        buf.put_u8(0);
+        return;
+    };
+    buf.put_u8(1);
+    buf.put_u32_le(b.words().len() as u32);
+    buf.put_u32_le(b.num_hashes());
+    buf.put_u64_le(b.inserted());
+    for &w in b.words() {
+        buf.put_u64_le(w);
+    }
+}
+
+/// Read an [`encode_bloom`] filter off the front of `body`.
+///
+/// # Errors
+/// A field that overruns `body`, a bad presence byte, or a degenerate
+/// filter: no words, no hashes, or more than [`MAX_BLOOM_HASHES`].
+pub fn decode_bloom(body: &mut &[u8]) -> Result<Option<BloomFilter>, CodecError> {
+    let mut at = Sections::new(body);
+    let bloom = at.bloom()?;
+    *body = &body[at.pos..];
+    Ok(bloom)
+}
+
+/// Append `p`'s protocol-3 body (module docs): fixed-width scores,
+/// `cut_for` and filter, then four sections of varint counts and
+/// gap-coded ids. Exactly [`MeetingPayload::wire_size`] bytes.
+pub fn encode_meeting_payload(buf: &mut Vec<u8>, p: &MeetingPayload) {
+    buf.put_f64_le(p.world_score);
+    buf.put_u64_le(p.cut_for);
+    encode_bloom(buf, p.interest.as_ref());
+    put_varint(buf, p.pages.len() as u64);
+    let mut prev = None;
+    for pp in p.pages() {
+        put_gap(buf, prev, pp.page.0);
+        prev = Some(pp.page.0);
+        buf.put_f64_le(pp.score);
+        put_varint(buf, u64::from(pp.out_degree));
+        put_ids(buf, pp.succs);
+    }
+    put_ids(buf, &p.unlinked);
+    put_varint(buf, p.world.len() as u64);
+    let mut prev = None;
+    for wp in p.world() {
+        put_gap(buf, prev, wp.src.0);
+        prev = Some(wp.src.0);
+        put_varint(buf, u64::from(wp.out_degree));
+        buf.put_f64_le(wp.score);
+        put_ids(buf, wp.targets);
+    }
+    put_varint(buf, p.world_dangling.len() as u64);
+    let mut prev = None;
+    for &(page, score) in &p.world_dangling {
+        put_gap(buf, prev, page.0);
+        prev = Some(page.0);
+        buf.put_f64_le(score);
+    }
+}
+
+/// A varint count, then that many gap-coded ids.
+fn put_ids(buf: &mut Vec<u8>, ids: &[PageId]) {
+    put_varint(buf, ids.len() as u64);
+    put_gaps(buf, ids.iter().map(|p| p.0));
+}
+
+/// Least bytes a page or world record takes: a one-byte id, an 8-byte
+/// score, a one-byte degree and a one-byte (zero) link count.
+const MIN_RECORD_LEN: usize = 1 + 8 + 1 + 1;
+/// Least bytes a dangling entry takes: a one-byte id and a score.
+const MIN_DANGLING_LEN: usize = 1 + 8;
+
+/// Read an [`encode_meeting_payload`] body off the front of `body`,
+/// into the payload's one id arena: a fixed handful of allocations
+/// however many records the body holds. Structure only: whether the
+/// scores and degrees make sense is [`MeetingPayload::validate`]'s.
+///
+/// # Errors
+/// The first field that overruns `body`, a count the rest of `body`
+/// could not hold, a non-canonical varint, an id or degree past `u32`,
+/// a zero gap (an id list not strictly ascending), or a bad filter.
+pub fn decode_meeting_payload(body: &mut &[u8]) -> Result<MeetingPayload, CodecError> {
+    let mut p = MeetingPayload::default();
+    let mut at = Sections::new(body);
+    p.world_score = at.f64()?;
+    p.cut_for = u64::from_le_bytes(at.fixed()?);
+    p.interest = at.bloom()?;
+    let num_pages = at.count(MIN_RECORD_LEN)?;
+    // Every link takes a byte at least, and none is in a page record's
+    // fixed part: the arena is reserved once, bounded by the body.
+    p.reserve(num_pages, 0, at.left() - num_pages * MIN_RECORD_LEN);
+    let mut prev = None;
+    for _ in 0..num_pages {
+        let page = at.id(&mut prev)?;
+        let score = at.f64()?;
+        let out_degree = at.degree()?;
+        let mut succs = at.list()?;
+        p.push_page(page, score, out_degree, &mut succs);
+        succs.finish()?;
+    }
+    p.unlinked = at.ids()?;
+    let num_world = at.count(MIN_RECORD_LEN)?;
+    p.reserve(0, num_world, 0);
+    let mut prev = None;
+    for _ in 0..num_world {
+        let src = at.id(&mut prev)?;
+        let out_degree = at.degree()?;
+        let score = at.f64()?;
+        let mut targets = at.list()?;
+        p.push_world(src, out_degree, score, &mut targets);
+        targets.finish()?;
+    }
+    let num_dangling = at.count(MIN_DANGLING_LEN)?;
+    p.world_dangling = Vec::with_capacity(num_dangling);
+    let mut prev = None;
+    for _ in 0..num_dangling {
+        let page = at.id(&mut prev)?;
+        p.world_dangling.push((page, at.f64()?));
+    }
+    p.shrink_to_fit();
+    *body = &body[at.pos..];
+    Ok(p)
+}
+
+/// A read position in a body. Every varint must be the shortest
+/// encoding of its value, so a body decodes only if re-encoding its
+/// payload gives back the same bytes.
+struct Sections<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Sections<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Sections { bytes, pos: 0 }
+    }
+
+    /// The next `N` bytes, for a fixed-width field.
+    fn fixed<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let field = self.bytes[self.pos..]
+            .first_chunk::<N>()
+            .ok_or(CodecError("field overruns body"))?;
+        self.pos += N;
+        Ok(*field)
+    }
+
+    fn f64(&mut self) -> Result<f64, CodecError> {
+        self.fixed().map(f64::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, CodecError> {
+        self.fixed().map(u32::from_le_bytes)
+    }
+
+    /// An [`encode_bloom`] filter.
+    fn bloom(&mut self) -> Result<Option<BloomFilter>, CodecError> {
+        match self.fixed::<1>()? {
+            [0] => Ok(None),
+            [1] => {
+                let words = self.u32()? as usize;
+                let num_hashes = self.u32()?;
+                let inserted = u64::from_le_bytes(self.fixed()?);
+                // The receiver probes this filter once per page and link
+                // of its payload, `num_hashes` bit tests a probe: a
+                // hostile count must not turn one meeting into billions.
+                if words == 0 || num_hashes == 0 || num_hashes > MAX_BLOOM_HASHES {
+                    return Err(CodecError("degenerate bloom filter"));
+                }
+                if self.left() / 8 < words {
+                    return Err(CodecError("u64 array overruns body"));
+                }
+                let mut bits = Vec::with_capacity(words);
+                for _ in 0..words {
+                    bits.push(u64::from_le_bytes(self.fixed()?));
+                }
+                Ok(Some(BloomFilter::from_parts(bits, num_hashes, inserted)))
+            }
+            _ => Err(CodecError("bad bloom presence byte")),
+        }
+    }
+
+    fn varint(&mut self) -> Result<u64, CodecError> {
+        let start = self.pos;
+        let v = get_varint(self.bytes, &mut self.pos)?;
+        canonical(self.pos - start, v)?;
+        Ok(v)
+    }
+
+    /// Bytes not yet read.
+    fn left(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// A record count, refused before anything is allocated when that
+    /// many records of at least `min_len` bytes cannot fit in the rest.
+    fn count(&mut self, min_len: usize) -> Result<usize, CodecError> {
+        let n = self.varint()?;
+        if n > (self.left() / min_len) as u64 {
+            return Err(CodecError("length field overruns body"));
+        }
+        Ok(n as usize)
+    }
+
+    fn degree(&mut self) -> Result<u32, CodecError> {
+        u32::try_from(self.varint()?).map_err(|_| CodecError("degree exceeds u32"))
+    }
+
+    /// The next id of a gap-coded run whose last id was `*prev`.
+    fn id(&mut self, prev: &mut Option<u32>) -> Result<PageId, CodecError> {
+        let start = self.pos;
+        let id = get_gap(self.bytes, &mut self.pos, *prev)?;
+        canonical(self.pos - start, u64::from(id - prev.unwrap_or(0)))?;
+        *prev = Some(id);
+        Ok(PageId(id))
+    }
+
+    /// A varint count, then that many gap-coded ids.
+    fn ids(&mut self) -> Result<Vec<PageId>, CodecError> {
+        let mut list = self.list()?;
+        let mut ids = Vec::with_capacity(list.left);
+        ids.extend(&mut list);
+        list.finish().map(|()| ids)
+    }
+
+    /// A varint count, then that many gap-coded ids, read as they are
+    /// pulled: how a record's list goes straight into a payload's arena.
+    fn list(&mut self) -> Result<IdList<'_, 'a>, CodecError> {
+        let left = self.count(1)?;
+        Ok(IdList {
+            at: self,
+            left,
+            prev: None,
+            bad: None,
+        })
+    }
+}
+
+/// The ids of one gap-coded list, strictly ascending, read as they are
+/// pulled. The first bad id ends the list, and
+/// [`finish`](IdList::finish) returns why.
+struct IdList<'s, 'a> {
+    at: &'s mut Sections<'a>,
+    left: usize,
+    prev: Option<u32>,
+    bad: Option<CodecError>,
+}
+
+impl IdList<'_, '_> {
+    fn finish(self) -> Result<(), CodecError> {
+        self.bad.map_or(Ok(()), Err)
+    }
+}
+
+impl Iterator for IdList<'_, '_> {
+    type Item = PageId;
+
+    fn next(&mut self) -> Option<PageId> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        match self.at.id(&mut self.prev) {
+            Ok(id) => Some(id),
+            Err(e) => {
+                (self.left, self.bad) = (0, Some(e));
+                None
+            }
+        }
+    }
+}
+
+/// Refuse a varint of `len` bytes that a shorter encoding of `v` exists for.
+fn canonical(len: usize, v: u64) -> Result<(), CodecError> {
+    if len != varint_len(v) {
+        return Err(CodecError("non-canonical varint"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -8,32 +8,64 @@
 //! snapshot so a re-joining peer resumes where it left off. The churn
 //! integration tests demonstrate the payoff.
 //!
-//! Format (little-endian): magic `JXPP`, version, config block, `N`,
-//! the fragment's adjacency with per-page scores, the world node's link
-//! entries and dangling entries, and the peer statistics.
+//! Format `JXPP` version 2: a fixed [`HEADER_LEN`]-byte header, then the
+//! body of the peer's uncut, filterless meeting payload
+//! ([`MeetingPayload::assemble`] with no filters) in the one body format
+//! of [`crate::payload`] — the fragment's pages with their scores and
+//! out-links, the world node's link and dangling entries, and `α_w`,
+//! gap-coded exactly as a meeting ships them:
+//!
+//! ```text
+//! offset  size  field
+//! 0       4     magic b"JXPP"
+//! 4       4     version u32 (2)
+//! 8       8     epsilon f64
+//! 16      8     pr_tolerance f64
+//! 24      4     pr_max_iterations u32
+//! 28      1     merge mode (0 full, 1 light-weight)
+//! 29      1     combine mode (0 average, 1 take-max)
+//! 30      8     N f64
+//! 38      8     meetings u64
+//! 46      8     total_pr_iterations u64
+//! 54      n     meeting body (world_score, cut_for 0, no filter, sections)
+//! ```
+//!
+//! Little-endian throughout. [`load`] decodes the body with the same
+//! bounded, canonical decoder a meeting frame goes through, refuses a
+//! body that is cut or carries a filter, and runs
+//! [`MeetingPayload::validate`] before it rebuilds the peer. A snapshot
+//! of another version — version 1 wrote fixed-width ids and counts — is
+//! refused by its version ([`version`] reads it without decoding).
 
 use crate::config::{CombineMode, JxpConfig, MergeMode};
+use crate::payload::{decode_meeting_payload, encode_meeting_payload, MeetingPayload};
 use crate::peer::{JxpPeer, PeerStats};
 use crate::world::WorldNode;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use jxp_webgraph::{PageId, Subgraph};
+use bytes::{Buf, BufMut, Bytes};
+use jxp_webgraph::Subgraph;
 
 const MAGIC: [u8; 4] = *b"JXPP";
-const VERSION: u32 = 1;
+
+/// The snapshot version this build writes and reads.
+pub const VERSION: u32 = 2;
+
+/// Bytes before the meeting body: magic, version, the config block, `N`
+/// and the two statistics.
+pub const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4 + 1 + 1 + 8 + 8 + 8;
 
 /// Serialize a peer's full state.
 pub fn save(peer: &JxpPeer) -> Bytes {
-    let graph = peer.graph();
-    let world = peer.world();
-    let mut buf = BytesMut::with_capacity(
-        64 + graph.num_links() * 4
-            + world.len() * 20
-            + world.num_links() * 4
-            + world.num_dangling() * 12,
+    let body = MeetingPayload::assemble(
+        peer.graph(),
+        peer.world(),
+        peer.scores(),
+        peer.world_score(),
+        None,
+        None,
     );
+    let mut buf = Vec::with_capacity(HEADER_LEN + body.wire_size());
     buf.put_slice(&MAGIC);
     buf.put_u32_le(VERSION);
-    // Config.
     let cfg = peer.config();
     buf.put_f64_le(cfg.epsilon);
     buf.put_f64_le(cfg.pr_tolerance);
@@ -46,81 +78,69 @@ pub fn save(peer: &JxpPeer) -> Bytes {
         CombineMode::Average => 0,
         CombineMode::TakeMax => 1,
     });
-    // Global page count and world score.
     buf.put_f64_le(peer.n_total());
-    buf.put_f64_le(peer.world_score());
-    // Fragment with scores.
-    buf.put_u32_le(graph.num_pages() as u32);
-    for i in 0..graph.num_pages() {
-        buf.put_u32_le(graph.page_at(i).0);
-        buf.put_f64_le(peer.scores()[i]);
-        let succs = graph.successors_at(i);
-        buf.put_u32_le(succs.len() as u32);
-        for s in succs {
-            buf.put_u32_le(s.0);
-        }
-    }
-    // World node: link entries (WorldNode::iter is sorted by PageId),
-    // then dangling.
-    buf.put_u32_le(world.len() as u32);
-    for (src, e) in world.iter() {
-        buf.put_u32_le(src.0);
-        buf.put_u32_le(e.out_degree);
-        buf.put_f64_le(e.score);
-        buf.put_u32_le(e.targets.len() as u32);
-        for t in e.targets {
-            buf.put_u32_le(t.0);
-        }
-    }
-    buf.put_u32_le(world.num_dangling() as u32);
-    for (p, s) in world.dangling_iter() {
-        buf.put_u32_le(p.0);
-        buf.put_f64_le(s);
-    }
-    // Statistics.
     buf.put_u64_le(peer.stats().meetings);
     buf.put_u64_le(peer.stats().total_pr_iterations);
-    buf.freeze()
+    encode_meeting_payload(&mut buf, &body);
+    debug_assert_eq!(buf.len(), buf.capacity(), "wire_size out of sync");
+    Bytes::from(buf)
+}
+
+/// The version a snapshot declares, when it starts with the `JXPP`
+/// magic: what a store reads to refuse another build's state by name
+/// rather than as corruption.
+pub fn version(snapshot: &[u8]) -> Option<u32> {
+    let (magic, rest) = snapshot.split_first_chunk::<4>()?;
+    (*magic == MAGIC).then_some(u32::from_le_bytes(*rest.first_chunk()?))
 }
 
 fn err(msg: &str) -> String {
     format!("corrupt peer snapshot: {msg}")
 }
 
-macro_rules! need {
-    ($buf:expr, $n:expr) => {
-        if $buf.remaining() < $n {
-            return Err(err("truncated"));
-        }
-    };
-}
-
 /// Deserialize a peer snapshot.
 ///
 /// # Errors
-/// Returns a description of the first structural problem (bad magic,
-/// truncation, invalid enum tags, inconsistent counts, invalid scores).
+/// Returns a description of the first problem: bad magic, another
+/// version, a truncated header, invalid enum tags or configuration, a
+/// body the meeting decoder refuses, a cut or filtered body, a payload
+/// [`MeetingPayload::validate`] refuses, an empty fragment, trailing
+/// bytes, or `N` smaller than the fragment.
 pub fn load(mut buf: impl Buf) -> Result<JxpPeer, String> {
-    need!(buf, 8);
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if magic != MAGIC {
+    let mut owned = Vec::new();
+    let bytes = if buf.chunk().len() == buf.remaining() {
+        buf.chunk()
+    } else {
+        owned.resize(buf.remaining(), 0);
+        buf.copy_to_slice(&mut owned);
+        &owned
+    };
+    if bytes.get(..4).is_some_and(|magic| magic != MAGIC) {
         return Err(err("bad magic"));
     }
-    if buf.get_u32_le() != VERSION {
-        return Err(err("unsupported version"));
+    match version(bytes) {
+        None => return Err(err("truncated")),
+        Some(VERSION) => {}
+        Some(found) => {
+            return Err(format!(
+                "peer snapshot version {found}, this build reads version {VERSION}"
+            ))
+        }
     }
-    need!(buf, 8 + 8 + 4 + 2);
+    let Some((mut head, mut body)) = bytes.split_at_checked(HEADER_LEN) else {
+        return Err(err("truncated"));
+    };
+    head.advance(8);
     let config = JxpConfig {
-        epsilon: buf.get_f64_le(),
-        pr_tolerance: buf.get_f64_le(),
-        pr_max_iterations: buf.get_u32_le() as usize,
-        merge: match buf.get_u8() {
+        epsilon: head.get_f64_le(),
+        pr_tolerance: head.get_f64_le(),
+        pr_max_iterations: head.get_u32_le() as usize,
+        merge: match head.get_u8() {
             0 => MergeMode::Full,
             1 => MergeMode::LightWeight,
             _ => return Err(err("invalid merge mode")),
         },
-        combine: match buf.get_u8() {
+        combine: match head.get_u8() {
             0 => CombineMode::Average,
             1 => CombineMode::TakeMax,
             _ => return Err(err("invalid combine mode")),
@@ -129,105 +149,45 @@ pub fn load(mut buf: impl Buf) -> Result<JxpPeer, String> {
     if !(config.epsilon > 0.0 && config.epsilon < 1.0) {
         return Err(err("epsilon out of range"));
     }
-    need!(buf, 16 + 4);
-    let n_total = buf.get_f64_le();
-    let world_score = buf.get_f64_le();
-    if !world_score.is_finite() || !(0.0..=1.0).contains(&world_score) {
-        return Err(err("world score out of range"));
+    let n_total = head.get_f64_le();
+    let stats = PeerStats {
+        meetings: head.get_u64_le(),
+        last_pr_iterations: 0,
+        total_pr_iterations: head.get_u64_le(),
+    };
+    let payload = decode_meeting_payload(&mut body).map_err(|e| err(e.0))?;
+    if !body.is_empty() {
+        return Err(err("trailing bytes"));
     }
-    let n = buf.get_u32_le() as usize;
+    if payload.cut_for != 0 || payload.interest.is_some() {
+        return Err(err("cut or filtered body"));
+    }
+    payload.validate().map_err(|why| err(&why))?;
+    let n = payload.num_pages();
     if n == 0 {
         return Err(err("empty fragment"));
     }
-    // Every page entry needs at least 16 bytes, so a corrupt count is
-    // rejected before it can drive a multi-gigabyte allocation.
-    need!(buf, n * 16);
-    let mut adjacency = Vec::with_capacity(n);
-    let mut page_scores = Vec::with_capacity(n);
-    for _ in 0..n {
-        need!(buf, 16);
-        let page = PageId(buf.get_u32_le());
-        let score = buf.get_f64_le();
-        if !score.is_finite() || score < 0.0 {
-            return Err(err("invalid page score"));
-        }
-        let deg = buf.get_u32_le() as usize;
-        need!(buf, deg * 4);
-        let succs: Vec<PageId> = (0..deg).map(|_| PageId(buf.get_u32_le())).collect();
-        page_scores.push((page, score));
-        adjacency.push((page, succs));
-    }
-    let graph = Subgraph::from_adjacency(adjacency);
-    if graph.num_pages() != n {
-        return Err(err("duplicate pages in fragment"));
-    }
-    // Scores must be re-ordered to the Subgraph's dense (sorted) order.
-    let mut scores = vec![0.0f64; n];
-    for (page, score) in page_scores {
-        let idx = graph
-            .local_index(page)
-            .ok_or_else(|| err("page lost during reconstruction"))?;
-        scores[idx] = score;
-    }
-    // World node, in the order `save` writes it: sources strictly
-    // ascending, each with strictly ascending targets, then the dangling
-    // pages strictly ascending.
-    let mut world = WorldNode::new();
-    need!(buf, 4);
-    let num_entries = buf.get_u32_le() as usize;
-    let (mut last, mut targets) = (None, Vec::new());
-    for _ in 0..num_entries {
-        need!(buf, 20);
-        let src = PageId(buf.get_u32_le());
-        let out_degree = buf.get_u32_le();
-        let score = buf.get_f64_le();
-        let num_targets = buf.get_u32_le() as usize;
-        need!(buf, num_targets * 4);
-        targets.clear();
-        targets.extend((0..num_targets).map(|_| PageId(buf.get_u32_le())));
-        if out_degree == 0
-            || targets.len() > out_degree as usize
-            || last >= Some(src)
-            || !targets.is_sorted_by(|a, b| a < b)
-        {
-            return Err(err("inconsistent world entry"));
-        }
-        last = Some(src);
-        if !score.is_finite() || score < 0.0 {
-            return Err(err("invalid world entry score"));
-        }
-        world.push(src, out_degree, score, &targets);
-    }
-    need!(buf, 4);
-    let num_dangling = buf.get_u32_le() as usize;
-    let mut last = None;
-    for _ in 0..num_dangling {
-        need!(buf, 12);
-        let p = PageId(buf.get_u32_le());
-        let s = buf.get_f64_le();
-        if last >= Some(p) {
-            return Err(err("inconsistent world entry"));
-        }
-        last = Some(p);
-        if !s.is_finite() || s < 0.0 {
-            return Err(err("invalid dangling score"));
-        }
-        world.upsert_dangling(p, s, config.combine);
-    }
-    need!(buf, 16);
-    let stats = PeerStats {
-        meetings: buf.get_u64_le(),
-        last_pr_iterations: 0,
-        total_pr_iterations: buf.get_u64_le(),
-    };
     if !n_total.is_finite() || n_total < n as f64 {
         return Err(err("N smaller than fragment"));
+    }
+    // Page records are strictly ascending, the Subgraph's dense order.
+    let mut scores = Vec::with_capacity(n);
+    let graph = Subgraph::from_adjacency(payload.pages().map(|pp| {
+        scores.push(pp.score);
+        (pp.page, pp.succs.to_vec())
+    }));
+    let mut world = WorldNode::new();
+    for wp in payload.world() {
+        world.push(wp.src, wp.out_degree, wp.score, wp.targets);
+    }
+    for &(page, score) in &payload.world_dangling {
+        world.upsert_dangling(page, score, config.combine);
     }
     Ok(JxpPeer::from_snapshot_parts(
         graph,
         world,
         scores,
-        world_score,
+        payload.world_score,
         n_total,
         config,
         stats,
@@ -238,7 +198,7 @@ pub fn load(mut buf: impl Buf) -> Result<JxpPeer, String> {
 mod tests {
     use super::*;
     use crate::meeting::meet;
-    use jxp_webgraph::GraphBuilder;
+    use jxp_webgraph::{GraphBuilder, PageId};
 
     fn warmed_up_peer() -> (JxpPeer, JxpPeer) {
         let mut b = GraphBuilder::new();
@@ -321,12 +281,18 @@ mod tests {
         for cut in 0..good.len().min(64) {
             assert!(load(&good[..cut]).is_err(), "prefix {cut} accepted");
         }
-        // Corrupt a score to NaN: find the first f64 after the config
-        // block is n_total; corrupt the world_score instead (offset 8+8+8+4+2).
+        // The world score opens the body: a NaN there is refused.
         let mut bad = good.to_vec();
-        let ws_off = 4 + 4 + 8 + 8 + 4 + 1 + 1 + 8;
-        bad[ws_off..ws_off + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        bad[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(load(&bad[..]).is_err());
+        // Another version is refused by its number.
+        let mut old = good.to_vec();
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(version(&old), Some(1));
+        assert_eq!(
+            load(&old[..]).unwrap_err(),
+            "peer snapshot version 1, this build reads version 2"
+        );
     }
 
     #[test]
@@ -358,13 +324,19 @@ mod tests {
     fn corrupt_counts_cannot_drive_huge_allocations() {
         let (a, _) = warmed_up_peer();
         let good = save(&a);
-        // Overwrite the fragment page count (right after the config
-        // block, N and world_score) with u32::MAX: load must reject it
-        // via the remaining-bytes bound instead of reserving 64 GiB.
-        let count_off = 4 + 4 + 8 + 8 + 4 + 1 + 1 + 8 + 8;
-        let mut bad = good.to_vec();
-        bad[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(load(&bad[..]).is_err());
+        // Overwrite the one-byte page count (after the header, the world
+        // score, `cut_for` and the filter's presence byte) with a varint
+        // of u32::MAX: load must reject it via the remaining-bytes bound
+        // instead of reserving gigabytes.
+        let count_off = HEADER_LEN + 8 + 8 + 1;
+        assert_eq!(good[count_off], 2);
+        let mut bad = good[..count_off].to_vec();
+        jxp_webgraph::codec::put_varint(&mut bad, u64::from(u32::MAX));
+        bad.extend_from_slice(&good[count_off + 1..]);
+        assert_eq!(
+            load(&bad[..]).unwrap_err(),
+            err("length field overruns body")
+        );
     }
 
     #[test]
@@ -396,30 +368,35 @@ mod tests {
         let good = save(&a);
         load(&good[..]).unwrap();
 
-        // The world section follows the 46-byte header and the fragment;
-        // an entry with one target takes 24 bytes, a dangling one 12.
-        let fragment: usize = (0..a.num_pages())
-            .map(|i| 16 + 4 * a.graph().successors_at(i).len())
-            .sum();
-        let entries = 46 + 4 + fragment + 4;
-        let dangling = entries + 3 * 24 + 4;
-        assert_eq!(good[entries..entries + 4], 2u32.to_le_bytes());
-        assert_eq!(good[dangling..dangling + 4], 5u32.to_le_bytes());
-        // Overwrite `len` bytes at each `to` with the good bytes at `from`.
-        let refused = |copies: &[(usize, usize)], len: usize| {
+        // The body's world section follows the pages and the (empty)
+        // unlinked list: its count byte sits where the body of the same
+        // payload without world and dangling entries has its last two.
+        let mut body = MeetingPayload::assemble(
+            a.graph(),
+            a.world(),
+            a.scores(),
+            a.world_score(),
+            None,
+            None,
+        );
+        body.world.clear();
+        body.world_dangling.clear();
+        let entries = HEADER_LEN + body.wire_size() - 2;
+        // A world record is a 1-byte id gap, degree, 8-byte score, a
+        // 1-byte count and one 1-byte target; a dangling one a 1-byte
+        // gap and a score.
+        let dangling = entries + 1 + 3 * 12;
+        assert_eq!((good[entries], good[dangling]), (3, 2));
+        // Gap coding cannot write a list out of order; a zero gap, the
+        // same id twice, is the only disorder left, and it is refused.
+        let zero_gap = |at: usize| {
             let mut bad = good.to_vec();
-            for &(to, from) in copies {
-                bad[to..to + len].copy_from_slice(&good[from..from + len]);
-            }
+            bad[at] = 0;
             load(&bad[..]).unwrap_err()
         };
-        let inconsistent = err("inconsistent world entry");
-        let (e0, e1) = (entries, entries + 24);
-        assert_eq!(refused(&[(e0, e1), (e1, e0)], 24), inconsistent, "swapped");
-        assert_eq!(refused(&[(e1, e0)], 24), inconsistent, "duplicated");
-        let (d0, d1) = (dangling, dangling + 12);
-        assert_eq!(refused(&[(d0, d1), (d1, d0)], 12), inconsistent, "swapped");
-        assert_eq!(refused(&[(d1, d0)], 12), inconsistent, "duplicated");
+        let duplicated = err("zero gap in id list");
+        assert_eq!(zero_gap(entries + 1 + 12), duplicated, "world record");
+        assert_eq!(zero_gap(dangling + 1 + 9), duplicated, "dangling entry");
     }
 
     #[test]

@@ -228,11 +228,6 @@ impl Corpus {
         self.relevant[query.category].contains(&page)
     }
 
-    /// Number of relevant pages for a category.
-    pub fn num_relevant(&self, category: usize) -> usize {
-        self.relevant[category].len()
-    }
-
     /// Build the Table 2-style query workload: `count` queries cycling
     /// through the categories, each using 1–3 high-frequency topic terms.
     pub fn make_queries(&self, count: usize, rng: &mut impl Rng) -> Vec<Query> {
@@ -342,7 +337,7 @@ mod tests {
             .pages_in_category(1)
             .filter(|&p| !corpus.is_relevant(&q, p))
             .collect();
-        assert_eq!(relevant.len(), corpus.num_relevant(1));
+        assert_eq!(relevant.len(), corpus.relevant[1].len());
         let mean =
             |v: &[PageId]| -> f64 { v.iter().map(|p| pr[p.index()]).sum::<f64>() / v.len() as f64 };
         assert!(

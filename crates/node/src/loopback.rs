@@ -108,10 +108,15 @@ mod tests {
         assert_eq!(ex.bytes_received, encoded_len(&ex.reply) as u64);
     }
 
+    const HELLO: Frame = Frame::Hello {
+        node_id: 1,
+        num_pages: 2,
+    };
+
     #[test]
     fn unknown_peer_is_unreachable() {
         let net = LoopbackNetwork::new();
-        let err = net.request(9, &Frame::Ack { of: 1 }).unwrap_err();
+        let err = net.request(9, &HELLO).unwrap_err();
         assert!(matches!(err, TransportError::Unreachable(_)));
     }
 
@@ -119,7 +124,7 @@ mod tests {
     fn mute_handler_times_out() {
         let net = LoopbackNetwork::new();
         net.register(3, Arc::new(Mute));
-        let err = net.request(3, &Frame::Ack { of: 1 }).unwrap_err();
+        let err = net.request(3, &HELLO).unwrap_err();
         assert!(matches!(err, TransportError::Timeout));
     }
 }

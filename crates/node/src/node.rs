@@ -486,7 +486,6 @@ fn unexpected_reply(frame: &Frame) -> &'static str {
         Frame::MeetRequest(_) => "unexpected MeetRequest reply",
         Frame::MeetReply(_) => "unexpected MeetReply reply",
         Frame::SynopsisExchange(_) => "unexpected SynopsisExchange reply",
-        Frame::Ack { .. } => "unexpected Ack reply",
         Frame::Error { .. } => "unexpected Error reply",
         Frame::QueryRequest(_) => "unexpected QueryRequest reply",
         Frame::QueryReply(_) => "unexpected QueryReply reply",
@@ -537,7 +536,6 @@ impl FrameHandler for JxpNode {
                     bloom: state.peer.interest().cloned(),
                 })
             }
-            Frame::Ack { of } => Frame::Ack { of },
             // A bare node has no index to search; the serve layer
             // (jxp-serve) intercepts queries before delegation.
             Frame::QueryRequest(_) => Frame::Error {

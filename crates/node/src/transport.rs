@@ -369,7 +369,7 @@ mod tests {
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(2),
         };
-        let frame = Frame::Ack { of: 1 };
+        let frame = HELLO;
         let out = request_with_retry(&t, 0, &frame, &policy).unwrap();
         assert_eq!(out.retries, 2);
         assert_eq!(out.bytes_lost, 2 * jxp_wire::encoded_len(&frame) as u64);
@@ -390,13 +390,18 @@ mod tests {
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(1),
         };
-        let frame = Frame::Ack { of: 1 };
+        let frame = HELLO;
         let err = request_with_retry(&t, 0, &frame, &policy).unwrap_err();
         assert!(matches!(err.error, TransportError::Timeout));
         assert_eq!(err.retries, 2, "three attempts = two retries");
         assert_eq!(err.bytes_lost, 3 * jxp_wire::encoded_len(&frame) as u64);
         assert_eq!(t.calls.load(Ordering::SeqCst), 3);
     }
+
+    const HELLO: Frame = Frame::Hello {
+        node_id: 1,
+        num_pages: 2,
+    };
 
     struct Rejecting;
 
@@ -413,7 +418,7 @@ mod tests {
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(1),
         };
-        let err = request_with_retry(&Rejecting, 0, &Frame::Ack { of: 1 }, &policy).unwrap_err();
+        let err = request_with_retry(&Rejecting, 0, &HELLO, &policy).unwrap_err();
         assert!(matches!(err.error, TransportError::Rejected(_)));
         assert_eq!(
             err.retries, 0,
@@ -428,7 +433,7 @@ mod tests {
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(1),
         };
-        let frame = Frame::Ack { of: 1 };
+        let frame = HELLO;
         // Attempt 0 is the wait on an exchange started earlier, later
         // attempts go through `transport.request`.
         let t = FlakyTransport {
@@ -451,13 +456,16 @@ mod tests {
         assert_eq!(t.calls.load(Ordering::SeqCst), 0, "a rejection is final");
     }
 
-    /// Answers every frame with an `Ack`, counting the frames it handled.
+    /// Answers every frame with a `Hello`, counting the frames it handled.
     struct Counting(AtomicU32);
 
     impl FrameHandler for Counting {
         fn handle(&self, _frame: Frame) -> Option<Frame> {
             self.0.fetch_add(1, Ordering::SeqCst);
-            Some(Frame::Ack { of: 0 })
+            Some(Frame::Hello {
+                node_id: 0,
+                num_pages: 0,
+            })
         }
     }
 
@@ -479,7 +487,6 @@ mod tests {
                 node_id: 1,
                 num_pages: 1,
             },
-            Frame::Ack { of: 1 },
             Frame::QueryRequest(jxp_wire::QueryPayload {
                 query_id: 1,
                 k: 1,

@@ -71,16 +71,6 @@ impl HitsResult {
     pub fn converged(&self) -> bool {
         self.converged
     }
-
-    /// The `k` pages with the highest authority scores, best first.
-    pub fn top_authorities(&self, k: usize) -> Vec<PageId> {
-        crate::ranking::top_k_of_scores(&self.authorities, k)
-    }
-
-    /// The `k` pages with the highest hub scores, best first.
-    pub fn top_hubs(&self, k: usize) -> Vec<PageId> {
-        crate::ranking::top_k_of_scores(&self.hubs, k)
-    }
 }
 
 fn l2_normalize(v: &mut [f64]) {
@@ -149,6 +139,7 @@ pub fn hits(g: &CsrGraph, config: &HitsConfig) -> HitsResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ranking::top_k_of_scores;
     use jxp_webgraph::GraphBuilder;
 
     fn graph(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
@@ -172,7 +163,7 @@ mod tests {
             assert!(r.authority(PageId(p)) > 0.5);
             assert!(r.hub(PageId(p)) < 1e-9);
         }
-        assert_eq!(r.top_hubs(1), vec![PageId(0)]);
+        assert_eq!(top_k_of_scores(r.hubs(), 1), vec![PageId(0)]);
     }
 
     #[test]
@@ -190,7 +181,7 @@ mod tests {
         // Dense bipartite core {0,1} → {2,3} plus a stray edge 4 → 5.
         let g = graph(6, &[(0, 2), (0, 3), (1, 2), (1, 3), (4, 5)]);
         let r = hits(&g, &HitsConfig::default());
-        let tops = r.top_authorities(2);
+        let tops = top_k_of_scores(r.authorities(), 2);
         assert!(tops.contains(&PageId(2)) && tops.contains(&PageId(3)));
         assert!(r.authority(PageId(5)) < r.authority(PageId(2)));
     }
@@ -216,7 +207,7 @@ mod tests {
         let h = hits(&g, &HitsConfig::default());
         let pr = crate::pagerank(&g, &crate::PageRankConfig::default());
         // Page 6 is the HITS authority champion.
-        assert_eq!(h.top_authorities(1), vec![PageId(6)]);
+        assert_eq!(top_k_of_scores(h.authorities(), 1), vec![PageId(6)]);
         // The PR champion is in the 4↔5 cycle (a rank sink pair).
         assert_ne!(pr.top_k(1), vec![PageId(6)]);
     }

@@ -6,11 +6,16 @@
 //! available bytes *before* any allocation, and a CRC over the payload
 //! so that torn writes and bit rot are detected rather than parsed.
 //!
-//! Checkpoint container (wraps a `core::snapshot` blob):
+//! Checkpoint container (wraps a `core::snapshot` blob, a `JXPP` header
+//! plus a protocol-3 meeting body):
 //!
 //! ```text
 //! magic "JXPC" | version u32 | seq u64 | payload_len u32 | crc32 u32 | payload
 //! ```
+//!
+//! A CRC-clean checkpoint whose snapshot declares another `JXPP` version
+//! is refused by that version ([`check_snapshot_version`]), as a WAL of
+//! another protocol is ([`check_wal_protocol`]).
 //!
 //! WAL record (appended after every applied meeting delta):
 //!
@@ -256,6 +261,21 @@ pub fn check_wal_protocol(wal: &[u8]) -> Result<(), StoreError> {
             found,
             speaks: jxp_wire::PROTOCOL_VERSION,
         }),
+        _ => Ok(()),
+    }
+}
+
+/// Refuse a decoded checkpoint whose snapshot declares another `JXPP`
+/// version than [`jxp_core::snapshot::VERSION`]: its container is
+/// intact, and the state is another build's, not corrupt. A snapshot
+/// without the `JXPP` magic passes; loading it has the word on that.
+/// [`recover`](crate::recover) runs this over every CRC-clean
+/// checkpoint before it loads one; `jxp cluster` runs it over a
+/// `--state-dir` before it resumes.
+pub fn check_snapshot_version(checkpoint: &Checkpoint) -> Result<(), StoreError> {
+    let reads = jxp_core::snapshot::VERSION;
+    match jxp_core::snapshot::version(&checkpoint.snapshot) {
+        Some(found) if found != reads => Err(StoreError::Snapshot { found, reads }),
         _ => Ok(()),
     }
 }

@@ -31,9 +31,10 @@ mod metrics;
 
 pub use dir::{DirStore, RawKeyState};
 pub use format::{
-    check_wal_protocol, crc32, crc32_finish, crc32_update, decode_checkpoint, encode_checkpoint,
-    encode_wal_record, scan_wal, Checkpoint, WalKind, WalRecord, WalScan, CHECKPOINT_HEADER_LEN,
-    CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CRC32_INIT, MAX_PAYLOAD_LEN, WAL_HEADER_LEN,
+    check_snapshot_version, check_wal_protocol, crc32, crc32_finish, crc32_update,
+    decode_checkpoint, encode_checkpoint, encode_wal_record, scan_wal, Checkpoint, WalKind,
+    WalRecord, WalScan, CHECKPOINT_HEADER_LEN, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CRC32_INIT,
+    MAX_PAYLOAD_LEN, WAL_HEADER_LEN,
 };
 pub use mem::MemStore;
 pub use metrics::StoreMetrics;
@@ -55,6 +56,14 @@ pub enum StoreError {
         /// [`jxp_wire::PROTOCOL_VERSION`] of this build.
         speaks: u16,
     },
+    /// A checkpoint holds a peer snapshot of another `JXPP` version; the
+    /// container is intact but this build cannot read its snapshot.
+    Snapshot {
+        /// Version stamped on the snapshot.
+        found: u32,
+        /// [`jxp_core::snapshot::VERSION`] of this build.
+        reads: u32,
+    },
 }
 
 impl StoreError {
@@ -75,6 +84,10 @@ impl std::fmt::Display for StoreError {
             StoreError::Protocol { found, speaks } => write!(
                 f,
                 "state written by protocol {found}, this build speaks {speaks}"
+            ),
+            StoreError::Snapshot { found, reads } => write!(
+                f,
+                "checkpoint holds a JXPP version {found} snapshot, this build reads version {reads}"
             ),
         }
     }
@@ -138,8 +151,8 @@ pub trait StateStore {
     fn keys(&self) -> Result<Vec<String>, StoreError>;
 }
 
-fn decode_and_load(bytes: &[u8]) -> Result<(u64, JxpPeer), StoreError> {
-    let ckpt = format::decode_checkpoint(bytes)?;
+fn load_checkpoint(ckpt: Result<Checkpoint, StoreError>) -> Result<(u64, JxpPeer), StoreError> {
+    let ckpt = ckpt?;
     let peer = jxp_core::snapshot::load(&ckpt.snapshot[..]).map_err(StoreError::Corrupt)?;
     Ok((ckpt.seq, peer))
 }
@@ -149,7 +162,9 @@ fn decode_and_load(bytes: &[u8]) -> Result<(u64, JxpPeer), StoreError> {
 /// The recovery ladder, in order:
 /// 0. refuse a WAL of another wire protocol version
 ///    ([`check_wal_protocol`]) — its records would all fail to decode
-///    and pass for one long torn tail;
+///    and pass for one long torn tail — and a CRC-clean checkpoint of
+///    another snapshot version ([`check_snapshot_version`]), which would
+///    fail both checkpoints as corrupt;
 /// 1. decode + CRC-check the current checkpoint;
 /// 2. on any failure, fall back to the previous checkpoint
 ///    (`used_fallback = true`);
@@ -165,13 +180,18 @@ pub fn recover(
     wal: &[u8],
 ) -> Result<Option<Recovered>, StoreError> {
     check_wal_protocol(wal)?;
+    let current = current.map(format::decode_checkpoint);
+    let previous = previous.map(format::decode_checkpoint);
+    for ckpt in [&current, &previous].into_iter().flatten().flatten() {
+        check_snapshot_version(ckpt)?;
+    }
     let (decoded, used_fallback) = match (current, previous) {
         (None, None) => return Ok(None),
-        (Some(cur), None) => (decode_and_load(cur), false),
-        (None, Some(prev)) => (decode_and_load(prev), true),
-        (Some(cur), Some(prev)) => match decode_and_load(cur) {
+        (Some(cur), None) => (load_checkpoint(cur), false),
+        (None, Some(prev)) => (load_checkpoint(prev), true),
+        (Some(cur), Some(prev)) => match load_checkpoint(cur) {
             Ok(v) => (Ok(v), false),
-            Err(_) => (decode_and_load(prev), true),
+            Err(_) => (load_checkpoint(prev), true),
         },
     };
     let (checkpoint_seq, mut peer) = decoded?;

@@ -252,9 +252,10 @@ fn dir_store_falls_back_when_current_file_is_corrupted() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `fixtures/v{1,2}/node-0`: the seed checkpoint of `peer_pair().0` and
-/// one `Serve` record, written by the last build of each protocol
-/// (commits 9f82289 and 127cf95). The checkpoints are byte-identical.
+/// `fixtures/v{1,2}/node-0`: the seed checkpoint of `peer_pair().0` (a
+/// JXPP version-1 snapshot) and one `Serve` record, written by the last
+/// build of each protocol (commits 9f82289 and 127cf95). The checkpoints
+/// are byte-identical.
 const V1_CHECKPOINT: &[u8] = include_bytes!("fixtures/v1/node-0/current.ckpt");
 const V1_WAL: &[u8] = include_bytes!("fixtures/v1/node-0/wal.log");
 const V2_CHECKPOINT: &[u8] = include_bytes!("fixtures/v2/node-0/current.ckpt");
@@ -279,12 +280,17 @@ fn a_journal_of_another_protocol_version_is_refused_by_name() {
             .expect("checkpoint");
         store.set_wal("node-0", wal.to_vec());
         assert_eq!(store.load("node-0").expect_err("old protocol"), refused);
-        // The checkpoint container did not change: without the journal
-        // the old state loads.
-        let rec = jxp_store::recover(Some(V1_CHECKPOINT), None, &[])
-            .expect("recover")
-            .expect("state exists");
-        assert_eq!(rec.peer.scores(), peer_pair().0.scores());
+        // Without the journal, the fixtures' JXPP version-1 snapshot is
+        // refused by its version, not failed as corrupt.
+        let old_snapshot = StoreError::Snapshot { found: 1, reads: 2 };
+        assert_eq!(
+            jxp_store::recover(Some(V1_CHECKPOINT), None, &[]).expect_err("JXPP v1"),
+            old_snapshot
+        );
+        assert_eq!(
+            old_snapshot.to_string(),
+            "checkpoint holds a JXPP version 1 snapshot, this build reads version 2"
+        );
 
         // Only a whole first record is believed: a torn or flipped one
         // is `scan_wal`'s to judge.

@@ -97,24 +97,6 @@ pub fn weighted_regression_slope(pts: &[(f64, f64, f64)]) -> Option<f64> {
     Some((sw * sxy - sx * sy) / denom)
 }
 
-/// Slope of the least-squares line through `pts` (x, y). `None` if the x
-/// values do not vary (fewer than 2 distinct points).
-pub fn linear_regression_slope(pts: &[(f64, f64)]) -> Option<f64> {
-    if pts.len() < 2 {
-        return None;
-    }
-    let n = pts.len() as f64;
-    let sx: f64 = pts.iter().map(|p| p.0).sum();
-    let sy: f64 = pts.iter().map(|p| p.1).sum();
-    let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
-        return None;
-    }
-    Some((n * sxy - sx * sy) / denom)
-}
-
 /// Strongly connected components via Tarjan's algorithm (iterative —
 /// Web-scale graphs would overflow the call stack with recursion).
 ///
@@ -179,12 +161,6 @@ pub fn strongly_connected_components(g: &CsrGraph) -> Vec<u32> {
         }
     }
     comp
-}
-
-/// Number of strongly connected components.
-pub fn num_sccs(g: &CsrGraph) -> usize {
-    let comp = strongly_connected_components(g);
-    comp.iter().map(|&c| c as usize + 1).max().unwrap_or(0)
 }
 
 /// Size of the largest strongly connected component.
@@ -263,26 +239,6 @@ impl std::fmt::Display for GraphSummary {
     }
 }
 
-/// Breadth-first search from `start`, treating edges as directed.
-/// Returns the set of reached nodes in visit order (including `start`).
-pub fn bfs(g: &CsrGraph, start: PageId) -> Vec<PageId> {
-    let mut seen = vec![false; g.num_nodes()];
-    let mut order = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    seen[start.index()] = true;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for u in g.successors(v) {
-            if !seen[u.index()] {
-                seen[u.index()] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    order
-}
-
 /// Number of weakly connected components (edges treated as undirected).
 pub fn num_weak_components(g: &CsrGraph) -> usize {
     let n = g.num_nodes();
@@ -321,6 +277,12 @@ mod tests {
         b.build()
     }
 
+    /// Number of strongly connected components.
+    fn num_sccs(g: &CsrGraph) -> usize {
+        let comp = strongly_connected_components(g);
+        comp.iter().map(|&c| c as usize + 1).max().unwrap_or(0)
+    }
+
     #[test]
     fn indegree_histogram() {
         let g = graph(&[(0, 2), (1, 2), (3, 2), (2, 0)]);
@@ -334,20 +296,21 @@ mod tests {
     #[test]
     fn log_log_slope_of_exact_power_law() {
         // counts = 1000 * d^-2 for d in 1..=10 → slope −2 exactly.
-        let pts: Vec<(f64, f64)> = (1..=10)
+        let pts: Vec<(f64, f64, f64)> = (1..=10)
             .map(|d| {
                 let d = d as f64;
-                (d.log10(), (1000.0 * d.powi(-2)).log10())
+                (d.log10(), (1000.0 * d.powi(-2)).log10(), 1.0)
             })
             .collect();
-        let slope = linear_regression_slope(&pts).unwrap();
+        let slope = weighted_regression_slope(&pts).unwrap();
         assert!((slope + 2.0).abs() < 1e-9, "slope {slope}");
     }
 
     #[test]
     fn log_log_slope_requires_variation() {
-        assert_eq!(linear_regression_slope(&[(1.0, 2.0)]), None);
-        assert_eq!(linear_regression_slope(&[(1.0, 2.0), (1.0, 3.0)]), None);
+        assert_eq!(weighted_regression_slope(&[(1.0, 2.0, 1.0)]), None);
+        let flat = [(1.0, 2.0, 1.0), (1.0, 3.0, 1.0)];
+        assert_eq!(weighted_regression_slope(&flat), None);
     }
 
     #[test]
@@ -373,13 +336,6 @@ mod tests {
         assert_eq!(comp[2], comp[3]);
         assert_ne!(comp[0], comp[2]);
         assert_eq!(num_sccs(&g), 2);
-    }
-
-    #[test]
-    fn bfs_visits_reachable_only() {
-        let g = graph(&[(0, 1), (1, 2), (3, 0)]);
-        let order = bfs(&g, PageId(0));
-        assert_eq!(order, vec![PageId(0), PageId(1), PageId(2)]);
     }
 
     #[test]

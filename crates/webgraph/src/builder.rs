@@ -48,11 +48,6 @@ impl GraphBuilder {
         self.min_nodes = self.min_nodes.max(n);
     }
 
-    /// Number of edges currently queued (before deduplication).
-    pub fn num_queued_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Consume the builder and produce a deduplicated, sorted [`CsrGraph`].
     pub fn build(mut self) -> CsrGraph {
         self.edges.sort_unstable();

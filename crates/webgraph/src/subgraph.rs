@@ -11,7 +11,7 @@
 //! local-vs-external split that `jxp-core` needs.
 
 use crate::csr::CsrGraph;
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::FxHashMap;
 use crate::id::PageId;
 use crate::source::GraphSource;
 
@@ -189,18 +189,6 @@ impl Subgraph {
         }
         Subgraph::from_adjacency(adj)
     }
-
-    /// Local pages of `self` that have an in-link from some local page of
-    /// `other` (what the containment synopsis estimates exactly).
-    pub fn in_link_sources_from(&self, other: &Subgraph) -> usize {
-        let mut hit: FxHashSet<PageId> = FxHashSet::default();
-        for (_, dst) in other.links() {
-            if self.contains(dst) {
-                hit.insert(dst);
-            }
-        }
-        hit.len()
-    }
 }
 
 #[cfg(test)]
@@ -267,15 +255,6 @@ mod tests {
         // succ(2) = {0,3}, succ(4) = {0} → {0,3}
         assert_eq!(s.len(), 2);
         assert!(s.contains(&PageId(0)) && s.contains(&PageId(3)));
-    }
-
-    #[test]
-    fn in_link_sources_counts_targets_once() {
-        let g = global();
-        let a = Subgraph::from_pages(&g, [PageId(0)]);
-        let b = Subgraph::from_pages(&g, [PageId(2), PageId(4)]);
-        // Links from B into A's pages: 2→0 and 4→0, same target.
-        assert_eq!(a.in_link_sources_from(&b), 1);
     }
 
     #[test]

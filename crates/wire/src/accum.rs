@@ -144,7 +144,10 @@ mod tests {
                 node_id: 7,
                 num_pages: 40,
             },
-            Frame::Ack { of: 5 },
+            Frame::Hello {
+                node_id: 8,
+                num_pages: 0,
+            },
             Frame::Error {
                 code: ErrorCode::Busy,
                 detail: "later".to_string(),
@@ -192,7 +195,10 @@ mod tests {
         acc.feed(b"JXPX");
         assert!(matches!(acc.next_frame(), Err(WireError::BadMagic(_))));
         // Sticky: feeding more does not revive the stream.
-        acc.feed(&encode_frame(&Frame::Ack { of: 1 }));
+        acc.feed(&encode_frame(&Frame::Hello {
+            node_id: 1,
+            num_pages: 2,
+        }));
         assert!(matches!(acc.next_frame(), Err(WireError::BadMagic(_))));
     }
 

@@ -12,35 +12,27 @@
 //! 12      n     body (frame-type specific, little-endian throughout)
 //! ```
 //!
-//! The body of [`Frame::MeetRequest`] / [`Frame::MeetReply`] (protocol
-//! 3; `v` a LEB128 varint, `Δid` an id written as its gap from the
-//! previous id of the same section or list, the first verbatim):
-//!
-//! ```text
-//! world_score f64 | cut_for u64 | filter (presence byte [+ filter])
-//! pages    v × (Δid v | score f64 | out_degree v | n v | n × Δid v)
-//! unlinked v × Δid v
-//! world    v × (Δsrc v | out_degree v | score f64 | n v | n × Δid v)
-//! dangling v × (Δid v | score f64)
-//! ```
-//!
-//! Varints and gaps are [`jxp_webgraph::codec`]'s, the codec `JXPS`
-//! segments are written with. The body is exactly
-//! `MeetingPayload::wire_size()` bytes — the analytic accounting that
-//! Figures 11/12 plot *is* the measured encoding (pinned by
-//! [`tests::meeting_body_is_exactly_wire_size`]); the fixed
-//! [`HEADER_LEN`]-byte header is the only framing overhead. Likewise the
-//! synopsis types encode to exactly their `wire_size()`.
+//! The body of [`Frame::MeetRequest`] / [`Frame::MeetReply`] is the
+//! protocol-3 meeting body, whose codec lives in [`jxp_core::payload`]
+//! beside `MeetingPayload::wire_size`, the analytic accounting that
+//! Figures 11/12 plot: the body is exactly `wire_size()` bytes (pinned
+//! by [`tests::meeting_body_is_exactly_wire_size`]), and the fixed
+//! [`HEADER_LEN`]-byte header is the only framing overhead. The filter
+//! in a [`Frame::SynopsisExchange`] goes through the same crate's
+//! `encode_bloom`/`decode_bloom`, and the synopsis types encode to
+//! exactly their `wire_size()`. Decode errors of that codec surface as
+//! [`WireError::Malformed`] with the codec's message.
 
 use bytes::{Buf, BufMut};
+use jxp_core::payload::{
+    decode_bloom, decode_meeting_payload, encode_bloom, encode_meeting_payload,
+};
 use jxp_core::selection::PeerSynopses;
 use jxp_core::MeetingPayload;
 use jxp_synopses::bloom::BloomFilter;
 use jxp_synopses::fm_sketch::FmSketch;
 use jxp_synopses::mips::MipsVector;
-use jxp_webgraph::codec::{
-    get_gap, get_varint, put_gap, put_gaps, put_varint, varint_len, CodecError,
-};
+use jxp_webgraph::codec::CodecError;
 use jxp_webgraph::PageId;
 
 /// First four bytes of every frame.
@@ -60,17 +52,13 @@ pub const HEADER_LEN: usize = 12;
 /// against allocating from a corrupt or hostile length field.
 pub const MAX_BODY_LEN: usize = 64 << 20;
 
-/// Most hash functions a decoded Bloom filter may claim (a filter at
-/// one-in-a-billion false positives uses 30).
-pub const MAX_BLOOM_HASHES: u32 = 64;
-
 const TYPE_HELLO: u8 = 1;
 const TYPE_MEET_REQUEST: u8 = 2;
 const TYPE_MEET_REPLY: u8 = 3;
 const TYPE_SYNOPSIS_EXCHANGE: u8 = 4;
-const TYPE_ACK: u8 = 5;
 const TYPE_ERROR: u8 = 6;
-// 7 and 8 are reserved: the retired stats request/reply pair.
+// 5 is reserved: the retired Ack. 7 and 8 are reserved: the retired
+// stats request/reply pair.
 const TYPE_QUERY_REQUEST: u8 = 9;
 const TYPE_QUERY_REPLY: u8 = 10;
 
@@ -84,7 +72,6 @@ pub(crate) fn frame_type_known(ty: u8) -> bool {
             | TYPE_MEET_REQUEST
             | TYPE_MEET_REPLY
             | TYPE_SYNOPSIS_EXCHANGE
-            | TYPE_ACK
             | TYPE_ERROR
             | TYPE_QUERY_REQUEST
             | TYPE_QUERY_REPLY
@@ -269,11 +256,6 @@ pub enum Frame {
     MeetReply(MeetingPayload),
     /// Synopses for pre-meetings partner scoring and `N` estimation.
     SynopsisExchange(SynopsisPayload),
-    /// Positive acknowledgement of the frame type named in `of`.
-    Ack {
-        /// Frame-type byte being acknowledged.
-        of: u8,
-    },
     /// Negative reply: the peer refuses or cannot process a frame.
     Error {
         /// Machine-readable reason.
@@ -295,7 +277,6 @@ impl Frame {
             Frame::MeetRequest(_) => TYPE_MEET_REQUEST,
             Frame::MeetReply(_) => TYPE_MEET_REPLY,
             Frame::SynopsisExchange(_) => TYPE_SYNOPSIS_EXCHANGE,
-            Frame::Ack { .. } => TYPE_ACK,
             Frame::Error { .. } => TYPE_ERROR,
             Frame::QueryRequest(_) => TYPE_QUERY_REQUEST,
             Frame::QueryReply(_) => TYPE_QUERY_REPLY,
@@ -308,7 +289,6 @@ impl Frame {
             Frame::Hello { .. } => 8 + 8,
             Frame::MeetRequest(p) | Frame::MeetReply(p) => p.wire_size(),
             Frame::SynopsisExchange(s) => s.wire_size(),
-            Frame::Ack { .. } => 1,
             Frame::Error { detail, .. } => 2 + 4 + detail.len(),
             Frame::QueryRequest(q) => q.wire_size(),
             Frame::QueryReply(r) => r.wire_size(),
@@ -382,7 +362,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             }
             encode_bloom(&mut buf, s.bloom.as_ref());
         }
-        Frame::Ack { of } => buf.put_u8(*of),
         Frame::Error { code, detail } => {
             buf.put_u16_le(code.to_u16());
             buf.put_u32_le(detail.len() as u32);
@@ -459,8 +438,10 @@ pub fn decode_frame(input: &[u8]) -> Result<(Frame, usize), WireError> {
             let num_pages = take_u64(&mut body)?;
             Frame::Hello { node_id, num_pages }
         }
-        TYPE_MEET_REQUEST => Frame::MeetRequest(decode_meeting_payload(&mut body)?),
-        TYPE_MEET_REPLY => Frame::MeetReply(decode_meeting_payload(&mut body)?),
+        TYPE_MEET_REQUEST => {
+            Frame::MeetRequest(decode_meeting_payload(&mut body).map_err(malformed)?)
+        }
+        TYPE_MEET_REPLY => Frame::MeetReply(decode_meeting_payload(&mut body).map_err(malformed)?),
         TYPE_SYNOPSIS_EXCHANGE => {
             let local = decode_mips(&mut body)?;
             let successors = decode_mips(&mut body)?;
@@ -476,16 +457,13 @@ pub fn decode_frame(input: &[u8]) -> Result<(Frame, usize), WireError> {
                 }
                 _ => return Err(WireError::Malformed("bad sketch presence byte")),
             };
-            let bloom = decode_bloom(&mut body)?;
+            let bloom = decode_bloom(&mut body).map_err(malformed)?;
             Frame::SynopsisExchange(SynopsisPayload {
                 synopses: PeerSynopses { local, successors },
                 sketch,
                 bloom,
             })
         }
-        TYPE_ACK => Frame::Ack {
-            of: take_u8(&mut body)?,
-        },
         TYPE_ERROR => {
             let code = ErrorCode::from_u16(take_u16(&mut body)?)?;
             let len = take_u32(&mut body)? as usize;
@@ -544,256 +522,8 @@ pub fn decode_frame(input: &[u8]) -> Result<(Frame, usize), WireError> {
     Ok((frame, total))
 }
 
-/// A presence byte, then — when present — word count, hash count,
-/// insert count and the bit words: `1 + BloomFilter::wire_size()` bytes.
-fn encode_bloom(buf: &mut Vec<u8>, bloom: Option<&BloomFilter>) {
-    let Some(b) = bloom else {
-        buf.put_u8(0);
-        return;
-    };
-    buf.put_u8(1);
-    buf.put_u32_le(b.words().len() as u32);
-    buf.put_u32_le(b.num_hashes());
-    buf.put_u64_le(b.inserted());
-    for &w in b.words() {
-        buf.put_u64_le(w);
-    }
-}
-
-fn decode_bloom(body: &mut &[u8]) -> Result<Option<BloomFilter>, WireError> {
-    match take_u8(body)? {
-        0 => Ok(None),
-        1 => {
-            let words = take_u32(body)? as usize;
-            let num_hashes = take_u32(body)?;
-            let inserted = take_u64(body)?;
-            // The receiver probes this filter once per page and link of
-            // its payload, `num_hashes` bit tests a probe: a hostile
-            // count must not turn one meeting into billions of them.
-            if words == 0 || num_hashes == 0 || num_hashes > MAX_BLOOM_HASHES {
-                return Err(WireError::Malformed("degenerate bloom filter"));
-            }
-            let bits = take_u64_vec(body, words)?;
-            Ok(Some(BloomFilter::from_parts(bits, num_hashes, inserted)))
-        }
-        _ => Err(WireError::Malformed("bad bloom presence byte")),
-    }
-}
-
-/// The protocol-3 meeting body: fixed-width scores, `cut_for` and filter,
-/// then four sections of varint counts and gap-coded ids (module docs).
-/// [`MeetingPayload::wire_size`] counts exactly these bytes with the same
-/// codec's length functions.
-fn encode_meeting_payload(buf: &mut Vec<u8>, p: &MeetingPayload) {
-    buf.put_f64_le(p.world_score);
-    buf.put_u64_le(p.cut_for);
-    encode_bloom(buf, p.interest.as_ref());
-    put_varint(buf, p.pages().len() as u64);
-    let mut prev = None;
-    for pp in p.pages() {
-        put_gap(buf, prev, pp.page.0);
-        prev = Some(pp.page.0);
-        buf.put_f64_le(pp.score);
-        put_varint(buf, u64::from(pp.out_degree));
-        put_ids(buf, pp.succs);
-    }
-    put_ids(buf, &p.unlinked);
-    put_varint(buf, p.world().len() as u64);
-    let mut prev = None;
-    for wp in p.world() {
-        put_gap(buf, prev, wp.src.0);
-        prev = Some(wp.src.0);
-        put_varint(buf, u64::from(wp.out_degree));
-        buf.put_f64_le(wp.score);
-        put_ids(buf, wp.targets);
-    }
-    put_varint(buf, p.world_dangling.len() as u64);
-    let mut prev = None;
-    for &(page, score) in &p.world_dangling {
-        put_gap(buf, prev, page.0);
-        prev = Some(page.0);
-        buf.put_f64_le(score);
-    }
-}
-
-/// A varint count, then that many gap-coded ids.
-fn put_ids(buf: &mut Vec<u8>, ids: &[PageId]) {
-    put_varint(buf, ids.len() as u64);
-    put_gaps(buf, ids.iter().map(|p| p.0));
-}
-
-/// Least bytes a page or world record takes: a one-byte id, an 8-byte
-/// score, a one-byte degree and a one-byte (zero) link count.
-const MIN_RECORD_LEN: usize = 1 + 8 + 1 + 1;
-/// Least bytes a dangling entry takes: a one-byte id and a score.
-const MIN_DANGLING_LEN: usize = 1 + 8;
-
-/// Decodes into the payload's one id arena: a fixed handful of
-/// allocations however many records the body holds.
-fn decode_meeting_payload(body: &mut &[u8]) -> Result<MeetingPayload, WireError> {
-    let mut p = MeetingPayload::default();
-    p.world_score = take_f64(body)?;
-    p.cut_for = take_u64(body)?;
-    p.interest = decode_bloom(body)?;
-    let mut at = Sections {
-        bytes: body,
-        pos: 0,
-    };
-    let num_pages = at.count(MIN_RECORD_LEN)?;
-    // Every link takes a byte at least, and none is in a page record's
-    // fixed part: the arena is reserved once, bounded by the body.
-    p.reserve(num_pages, 0, at.left() - num_pages * MIN_RECORD_LEN);
-    let mut prev = None;
-    for _ in 0..num_pages {
-        let page = at.id(&mut prev)?;
-        let score = at.f64()?;
-        let out_degree = at.degree()?;
-        let mut succs = at.list()?;
-        p.push_page(page, score, out_degree, &mut succs);
-        succs.finish()?;
-    }
-    p.unlinked = at.ids()?;
-    let num_world = at.count(MIN_RECORD_LEN)?;
-    p.reserve(0, num_world, 0);
-    let mut prev = None;
-    for _ in 0..num_world {
-        let src = at.id(&mut prev)?;
-        let out_degree = at.degree()?;
-        let score = at.f64()?;
-        let mut targets = at.list()?;
-        p.push_world(src, out_degree, score, &mut targets);
-        targets.finish()?;
-    }
-    let num_dangling = at.count(MIN_DANGLING_LEN)?;
-    p.world_dangling = Vec::with_capacity(num_dangling);
-    let mut prev = None;
-    for _ in 0..num_dangling {
-        let page = at.id(&mut prev)?;
-        p.world_dangling.push((page, at.f64()?));
-    }
-    p.shrink_to_fit();
-    *body = &body[at.pos..];
-    Ok(p)
-}
-
-/// A read position in a meeting body's sections. Every varint must be
-/// the shortest encoding of its value, so a body decodes only if
-/// re-encoding its payload gives back the same bytes.
-struct Sections<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Sections<'a> {
-    fn varint(&mut self) -> Result<u64, WireError> {
-        let start = self.pos;
-        let v = get_varint(self.bytes, &mut self.pos).map_err(malformed)?;
-        canonical(self.pos - start, v)?;
-        Ok(v)
-    }
-
-    /// Bytes not yet read.
-    fn left(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// A record count, refused before anything is allocated when that
-    /// many records of at least `min_len` bytes cannot fit in the rest.
-    fn count(&mut self, min_len: usize) -> Result<usize, WireError> {
-        let n = self.varint()?;
-        if n > (self.left() / min_len) as u64 {
-            return Err(WireError::Malformed("length field overruns body"));
-        }
-        Ok(n as usize)
-    }
-
-    fn degree(&mut self) -> Result<u32, WireError> {
-        u32::try_from(self.varint()?).map_err(|_| WireError::Malformed("degree exceeds u32"))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        let raw = self
-            .bytes
-            .get(self.pos..self.pos + 8)
-            .ok_or(WireError::Malformed("field overruns body"))?;
-        self.pos += 8;
-        Ok(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
-    }
-
-    /// The next id of a gap-coded run whose last id was `*prev`.
-    fn id(&mut self, prev: &mut Option<u32>) -> Result<PageId, WireError> {
-        let start = self.pos;
-        let id = get_gap(self.bytes, &mut self.pos, *prev).map_err(malformed)?;
-        canonical(self.pos - start, u64::from(id - prev.unwrap_or(0)))?;
-        *prev = Some(id);
-        Ok(PageId(id))
-    }
-
-    /// A varint count, then that many gap-coded ids.
-    fn ids(&mut self) -> Result<Vec<PageId>, WireError> {
-        let mut list = self.list()?;
-        let mut ids = Vec::with_capacity(list.left);
-        ids.extend(&mut list);
-        list.finish().map(|()| ids)
-    }
-
-    /// A varint count, then that many gap-coded ids, read as they are
-    /// pulled: how a record's list goes straight into a payload's arena.
-    fn list(&mut self) -> Result<IdList<'_, 'a>, WireError> {
-        let left = self.count(1)?;
-        Ok(IdList {
-            at: self,
-            left,
-            prev: None,
-            bad: None,
-        })
-    }
-}
-
-/// The ids of one gap-coded list, strictly ascending, read as they are
-/// pulled. The first bad id ends the list, and
-/// [`finish`](IdList::finish) returns why.
-struct IdList<'s, 'a> {
-    at: &'s mut Sections<'a>,
-    left: usize,
-    prev: Option<u32>,
-    bad: Option<WireError>,
-}
-
-impl IdList<'_, '_> {
-    fn finish(self) -> Result<(), WireError> {
-        self.bad.map_or(Ok(()), Err)
-    }
-}
-
-impl Iterator for IdList<'_, '_> {
-    type Item = PageId;
-
-    fn next(&mut self) -> Option<PageId> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        match self.at.id(&mut self.prev) {
-            Ok(id) => Some(id),
-            Err(e) => {
-                (self.left, self.bad) = (0, Some(e));
-                None
-            }
-        }
-    }
-}
-
 fn malformed(e: CodecError) -> WireError {
     WireError::Malformed(e.0)
-}
-
-/// Refuse a varint of `len` bytes that a shorter encoding of `v` exists for.
-fn canonical(len: usize, v: u64) -> Result<(), WireError> {
-    if len != varint_len(v) {
-        return Err(WireError::Malformed("non-canonical varint"));
-    }
-    Ok(())
 }
 
 fn encode_mips(buf: &mut Vec<u8>, v: &MipsVector) {
@@ -851,7 +581,16 @@ fn take_u64_vec(body: &mut &[u8], n: usize) -> Result<Vec<u64>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jxp_core::payload::MAX_BLOOM_HASHES;
     use jxp_synopses::mips::MipsPermutations;
+    use jxp_webgraph::codec::put_varint;
+
+    fn hello() -> Frame {
+        Frame::Hello {
+            node_id: 1,
+            num_pages: 2,
+        }
+    }
 
     fn sample_payload() -> MeetingPayload {
         let mut interest = BloomFilter::new(128, 3);
@@ -972,11 +711,11 @@ mod tests {
             node_id: 3,
             num_pages: 99,
         });
-        buf.extend_from_slice(&encode_frame(&Frame::Ack { of: TYPE_HELLO }));
+        buf.extend_from_slice(&encode_frame(&hello()));
         let (first, used) = decode_frame(&buf).unwrap();
         assert!(matches!(first, Frame::Hello { node_id: 3, .. }));
         let (second, used2) = decode_frame(&buf[used..]).unwrap();
-        assert!(matches!(second, Frame::Ack { of: TYPE_HELLO }));
+        assert_eq!(second, hello());
         assert_eq!(used + used2, buf.len());
     }
 
@@ -1106,7 +845,7 @@ mod tests {
 
     #[test]
     fn reserved_type_bytes_are_unknown_frames() {
-        for ty in [7u8, 8] {
+        for ty in [5u8, 7, 8] {
             for body_len in [0usize, 64] {
                 let mut frame = start_frame(ty, body_len);
                 frame.resize(HEADER_LEN + body_len, 0);
@@ -1139,7 +878,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_detected() {
-        let mut encoded = encode_frame(&Frame::Ack { of: 1 });
+        let mut encoded = encode_frame(&hello());
         encoded[4] = 0xFF; // clobber version
         assert_eq!(
             decode_frame(&encoded),
@@ -1152,13 +891,13 @@ mod tests {
 
     #[test]
     fn bad_magic_and_unknown_type_are_detected() {
-        let mut encoded = encode_frame(&Frame::Ack { of: 1 });
+        let mut encoded = encode_frame(&hello());
         encoded[0] = b'X';
         assert!(matches!(
             decode_frame(&encoded),
             Err(WireError::BadMagic(_))
         ));
-        let mut encoded = encode_frame(&Frame::Ack { of: 1 });
+        let mut encoded = encode_frame(&hello());
         encoded[6] = 0x7F;
         assert_eq!(
             decode_frame(&encoded),
@@ -1310,7 +1049,7 @@ mod tests {
 
     #[test]
     fn oversized_declared_body_is_rejected() {
-        let mut encoded = encode_frame(&Frame::Ack { of: 1 });
+        let mut encoded = encode_frame(&hello());
         encoded[8..12].copy_from_slice(&(MAX_BODY_LEN as u32 + 1).to_le_bytes());
         assert_eq!(
             decode_frame(&encoded),
@@ -1320,9 +1059,9 @@ mod tests {
 
     #[test]
     fn trailing_bytes_in_body_are_rejected() {
-        let mut encoded = encode_frame(&Frame::Ack { of: 1 });
+        let mut encoded = encode_frame(&hello());
         encoded.push(0xAB);
-        encoded[8..12].copy_from_slice(&2u32.to_le_bytes());
+        encoded[8..12].copy_from_slice(&17u32.to_le_bytes());
         assert_eq!(
             decode_frame(&encoded),
             Err(WireError::Malformed("trailing bytes in body"))

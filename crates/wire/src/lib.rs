@@ -9,5 +9,5 @@ pub use accum::FrameAccumulator;
 pub use frame::{
     decode_frame, encode_frame, encode_meeting_frame, encoded_len, ErrorCode, Frame, MeetingFrame,
     QueryHit, QueryPayload, QueryReplyPayload, SynopsisPayload, WireError, HEADER_LEN, MAGIC,
-    MAX_BLOOM_HASHES, MAX_BODY_LEN, PROTOCOL_VERSION,
+    MAX_BODY_LEN, PROTOCOL_VERSION,
 };

@@ -123,32 +123,22 @@ fn query_replies() -> impl Strategy<Value = QueryReplyPayload> {
 /// and the components feed it.
 fn frames() -> impl Strategy<Value = Frame> {
     (
-        0u8..8,
+        0u8..7,
         (0u64..u64::MAX, 0u64..1_000_000),
         meeting_payloads(),
         synopsis_payloads(),
-        0u8..=255,
         vec(32u8..127, 0..40),
         (query_payloads(), query_replies()),
     )
         .prop_map(
-            |(
-                selector,
-                (node_id, num_pages),
-                meeting,
-                synopsis,
-                ack_of,
-                detail,
-                (query, reply),
-            )| {
+            |(selector, (node_id, num_pages), meeting, synopsis, detail, (query, reply))| {
                 match selector {
                     0 => Frame::Hello { node_id, num_pages },
                     1 => Frame::MeetRequest(meeting),
                     2 => Frame::MeetReply(meeting),
                     3 => Frame::SynopsisExchange(synopsis),
-                    4 => Frame::Ack { of: ack_of },
-                    5 => Frame::QueryRequest(query),
-                    6 => Frame::QueryReply(reply),
+                    4 => Frame::QueryRequest(query),
+                    5 => Frame::QueryReply(reply),
                     _ => Frame::Error {
                         code: ErrorCode::Busy,
                         detail: String::from_utf8(detail).unwrap(),

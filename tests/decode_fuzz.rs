@@ -6,17 +6,25 @@
 //! hold is refused before anything is allocated. Assembling that
 //! payload and decoding its frame each take a fixed handful of
 //! allocations, however many records it has, and a world node that
-//! absorbs a payload it already covers allocates nothing.
+//! absorbs a payload it already covers allocates nothing. Peer 0's state
+//! at rest gets the same treatment: its `JXPP` snapshot (the same body
+//! format behind a header) and the `JXPC` checkpoint file around it,
+//! whose CRC is recomputed after each flip so the flips reach the
+//! snapshot decoder; loading either allocates within a bound linear in
+//! its length, and a version-1 snapshot is refused by its version.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use jxp::core::{JxpConfig, MeetingPayload};
+use jxp::core::{snapshot, JxpConfig, JxpPeer, MeetingPayload};
 use jxp::p2pnet::assign::{assign_by_crawlers, CrawlerParams};
 use jxp::p2pnet::{Network, NetworkConfig};
 use jxp::webgraph::codec::put_varint;
 use jxp::webgraph::generators::amazon_2005;
-use jxp_store::{encode_wal_record, scan_wal, WalKind, WalRecord, WAL_HEADER_LEN};
+use jxp_store::{
+    encode_checkpoint, encode_wal_record, scan_wal, DirStore, StateStore, WalKind, WalRecord,
+    CHECKPOINT_HEADER_LEN, WAL_HEADER_LEN,
+};
 use jxp_wire::{decode_frame, encode_frame, Frame, WireError, HEADER_LEN};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -159,7 +167,10 @@ fn a_count_no_body_could_hold_is_refused_before_allocating() {
     let mut body = vec![0u8; 8 + 8 + 1];
     put_varint(&mut body, u64::from(u32::MAX));
     body.extend_from_slice(&[0u8; 20]);
-    let mut frame = encode_frame(&Frame::Ack { of: 0 });
+    let mut frame = encode_frame(&Frame::Hello {
+        node_id: 0,
+        num_pages: 0,
+    });
     frame.truncate(HEADER_LEN);
     frame[6] = 2; // MeetRequest
     frame[8..12].copy_from_slice(&(body.len() as u32).to_le_bytes());
@@ -232,4 +243,123 @@ fn absorbing_a_payload_the_world_node_already_covers_allocates_nothing() {
         assert_eq!(world, once, "a covered payload changed the world node");
     }
     assert!(records > 1000, "{records} records");
+}
+
+/// Peer 0's state after 300 meetings as `jxp cluster --state-dir` keeps
+/// it: the `current.ckpt` a [`DirStore`] writes around its snapshot.
+fn real_checkpoint_file() -> Vec<u8> {
+    let (net, _) = real_meeting();
+    let dir = std::env::temp_dir().join(format!("jxp_decode_fuzz_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = DirStore::open(&dir).expect("open store");
+    let snapshot = snapshot::save(&net.peers()[0]);
+    store
+        .checkpoint("node-0", 300, &snapshot)
+        .expect("checkpoint");
+    let file = std::fs::read(dir.join("node-0").join("current.ckpt")).expect("read checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+    file
+}
+
+/// Bytes loading a snapshot may allocate per byte of input: the meeting
+/// body's bounds (a count the rest could not hold is refused first, and
+/// the id arena is reserved once from the bytes left) keep every vector
+/// the decoder, the fragment and the world node build linear in the
+/// input. Loading the real snapshot takes about 13 per byte.
+const SNAPSHOT_ALLOCATION_PER_BYTE: usize = 64;
+
+/// Load `bytes` as a snapshot, and check the allocation bound.
+fn load_bounded(bytes: &[u8], what: &str) -> Result<JxpPeer, String> {
+    let before = allocated();
+    let loaded = snapshot::load(bytes);
+    let used = allocated() - before;
+    let bound = SNAPSHOT_ALLOCATION_PER_BYTE * bytes.len().max(1);
+    assert!(
+        used <= bound,
+        "{what}: {used} bytes allocated, bound {bound}"
+    );
+    loaded
+}
+
+#[test]
+fn a_real_snapshot_survives_every_prefix_and_every_byte_flip() {
+    let (net, _) = real_meeting();
+    let good = snapshot::save(&net.peers()[0]).to_vec();
+    assert_eq!(snapshot::version(&good), Some(snapshot::VERSION));
+    let restored = load_bounded(&good, "the snapshot").expect("snapshot loads");
+    assert_eq!(snapshot::save(&restored).to_vec(), good);
+    for keep in 0..good.len() {
+        assert!(
+            load_bounded(&good[..keep], "prefix").is_err(),
+            "prefix {keep}"
+        );
+    }
+    let mut loaded = 0;
+    for at in 0..good.len() {
+        for mask in [0x01, 0x80, 0xff] {
+            let mut flipped = good.clone();
+            flipped[at] ^= mask;
+            let what = format!("byte {at} ^ {mask:#x}");
+            // Whatever loads saves back to the bytes it came from: the
+            // body is canonical, and the header holds nothing else.
+            if let Ok(peer) = load_bounded(&flipped, &what) {
+                assert_eq!(snapshot::save(&peer).to_vec(), flipped, "{what}");
+                loaded += 1;
+            }
+        }
+    }
+    // Flips inside scores still load.
+    assert!(loaded > 0);
+}
+
+#[test]
+fn a_real_checkpoint_survives_every_prefix_and_every_byte_flip() {
+    let file = real_checkpoint_file();
+    let recover = |bytes: &[u8]| jxp_store::recover(Some(bytes), None, &[]);
+    let rec = recover(&file).expect("recover").expect("state exists");
+    assert_eq!(rec.checkpoint_seq, 300);
+    for keep in 0..file.len() {
+        assert!(recover(&file[..keep]).is_err(), "prefix {keep}");
+    }
+    // A flip with the CRC recomputed (unless it hit the CRC itself)
+    // reaches the container's other fields and the JXPP decoder.
+    let crc_at = CHECKPOINT_HEADER_LEN - 4..CHECKPOINT_HEADER_LEN;
+    let mut recovered = 0;
+    for at in 0..file.len() {
+        let mut flipped = file.clone();
+        flipped[at] ^= 0xff;
+        if !crc_at.contains(&at) {
+            let crc = jxp_store::crc32(&flipped[CHECKPOINT_HEADER_LEN..]);
+            flipped[crc_at.clone()].copy_from_slice(&crc.to_le_bytes());
+        }
+        let before = allocated();
+        let got = recover(&flipped);
+        let used = allocated() - before;
+        // The container copies its payload once before the load.
+        let bound = (SNAPSHOT_ALLOCATION_PER_BYTE + 1) * file.len();
+        assert!(used <= bound, "byte {at}: {used} bytes allocated");
+        recovered += usize::from(got.is_ok());
+    }
+    assert!(recovered > 0);
+}
+
+#[test]
+fn a_version_1_checkpoint_is_refused_by_both_version_numbers() {
+    // A JXPP version-1 header (magic, version, then zeroes), in a
+    // CRC-clean container.
+    let mut v1 = b"JXPP".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.resize(64, 0);
+    let file = encode_checkpoint(0, &v1);
+    let refused = jxp_store::recover(Some(&file), None, &[]).expect_err("version 1");
+    assert_eq!(
+        refused.to_string(),
+        "checkpoint holds a JXPP version 1 snapshot, this build reads version 2"
+    );
+    // The current checkpoint's version is refused even when a previous
+    // one would load: the state is another build's, not corrupt.
+    let (net, _) = real_meeting();
+    let good = encode_checkpoint(0, &snapshot::save(&net.peers()[0]));
+    let got = jxp_store::recover(Some(&file), Some(&good), &[]).expect_err("version 1");
+    assert_eq!(got, refused);
 }

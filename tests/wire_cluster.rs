@@ -183,9 +183,12 @@ fn socket_unroutable_and_dead_peers_are_unreachable() {
     use jxp_node::{Transport, TransportError};
     let reactor = Reactor::start(ReactorConfig::default(), ReactorMetrics::detached());
     let transport = ReactorTransport::new(reactor.handle());
-    let ack = jxp_wire::Frame::Ack { of: 1 };
+    let hello = jxp_wire::Frame::Hello {
+        node_id: 1,
+        num_pages: 2,
+    };
     assert!(matches!(
-        transport.request(3, &ack).unwrap_err(),
+        transport.request(3, &hello).unwrap_err(),
         TransportError::Unreachable(_)
     ));
     let addr = {
@@ -195,7 +198,7 @@ fn socket_unroutable_and_dead_peers_are_unreachable() {
     transport.add_route(4, addr);
     // The listener is gone: the connect must fail rather than hang.
     assert!(matches!(
-        transport.request(4, &ack).unwrap_err(),
+        transport.request(4, &hello).unwrap_err(),
         TransportError::Unreachable(_)
     ));
 }
