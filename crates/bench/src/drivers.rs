@@ -375,3 +375,141 @@ pub fn msgsize(ctx: &ExperimentCtx, dataset: &str) {
     println!("and grow with the peer's meeting count as world knowledge accumulates;");
     println!("the pre-meetings variant ships slightly larger messages (piggybacked MIPs).");
 }
+
+/// The median cost of each stage of one side of a simulated meeting, in
+/// µs, at a fixed warm state (see [`meeting_stages`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MeetingStages {
+    /// `payload_for(partner.interest())`: assembling the cut payload.
+    pub payload_for: f64,
+    /// `WorldNode::absorb_light`: merging the partner's cut payload.
+    pub merge: f64,
+    /// `WorldNode::inflow` of the merged world node.
+    pub inflow: f64,
+    /// The local PageRank sweep (`extended_pagerank`) on that inflow.
+    pub sweep: f64,
+    /// `MeetingPayload::wire_size` of the cut payload.
+    pub wire_size: f64,
+    /// Mean world-node entries per peer at the warm state.
+    pub world_entries: f64,
+    /// Mean world-node links per peer at the warm state.
+    pub world_links: f64,
+}
+
+impl MeetingStages {
+    /// The five stages in order, named as [`meeting_stages`] prints them.
+    pub fn stages(&self) -> [(&'static str, f64); 5] {
+        [
+            ("payload_for (cut)", self.payload_for),
+            ("merge (absorb_light)", self.merge),
+            ("inflow", self.inflow),
+            ("local sweep", self.sweep),
+            ("wire_size", self.wire_size),
+        ]
+    }
+}
+
+/// Time each stage of a simulated meeting at a fixed warm state: the
+/// `dataset` at `scale` on its 100 crawler peers, `JxpConfig::optimized()`,
+/// random meetings at seed 11, after `steps` serial `Network::step`s.
+///
+/// Then every peer in turn is the receiver and the next peer the sender;
+/// each stage runs `reps` times on that pair and the pair's median
+/// counts. The result is the median over the pairs. The stages are
+/// timed apart, on copies, so none disturbs the warm state:
+///
+/// * the sender's cut payload (`payload_for`) and its `wire_size`;
+/// * merging it into a copy of the receiver's world node. This is the
+///   world half of `absorb`, without the recompute at its end (a scratch
+///   peer cannot skip that: `JxpConfig` refuses `pr_max_iterations = 0`);
+/// * `inflow` of the merged copy, and the local PageRank sweep
+///   (`extended_pagerank`) from the receiver's scores on that inflow.
+///
+/// A meeting pays every stage twice, once per side.
+pub fn meeting_stages(dataset: &str, scale: f64, steps: usize, reps: usize) -> MeetingStages {
+    use jxp_core::local_pr::{extended_pagerank, LocalTopology};
+    use std::hint::black_box;
+    use std::time::Instant;
+
+    let reps = reps.max(1);
+    let ds = load_dataset(&preset_by_name(dataset), scale);
+    let config = JxpConfig::optimized();
+    let mut net = build_network(&ds, config.clone(), SelectionStrategy::Random, 11, 1);
+    for _ in 0..steps {
+        net.step();
+    }
+    let peers = net.peers();
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    // Median µs of `reps` runs of `f`, each on a fresh `setup()`.
+    fn timed<S, R>(
+        reps: usize,
+        mut setup: impl FnMut() -> S,
+        mut f: impl FnMut(S) -> R,
+    ) -> Vec<f64> {
+        (0..reps)
+            .map(|_| {
+                let input = setup();
+                let start = Instant::now();
+                let out = black_box(f(input));
+                let us = start.elapsed().as_secs_f64() * 1e6;
+                drop(out);
+                us
+            })
+            .collect()
+    }
+    let mut per_pair: [Vec<f64>; 5] = Default::default();
+    for (i, receiver) in peers.iter().enumerate() {
+        let sender = &peers[(i + 1) % peers.len()];
+        let cut_to = receiver.interest();
+        let payload = sender.payload_for(cut_to);
+        let (graph, world) = (receiver.graph(), receiver.world());
+        let mut merged = world.clone();
+        merged.absorb_light(&payload, graph, config.combine);
+        let inflow = merged.inflow(graph, receiver.n_total());
+        let topo = LocalTopology::build(graph);
+        let runs = [
+            timed(reps, || (), |()| sender.payload_for(cut_to)),
+            timed(
+                reps,
+                || world.clone(),
+                |mut w| {
+                    w.absorb_light(&payload, graph, config.combine);
+                    w
+                },
+            ),
+            timed(reps, || (), |()| merged.inflow(graph, receiver.n_total())),
+            timed(
+                reps,
+                || (),
+                |()| {
+                    extended_pagerank(
+                        &topo,
+                        receiver.n_total(),
+                        &inflow,
+                        receiver.scores(),
+                        receiver.world_score(),
+                        &config,
+                    )
+                },
+            ),
+            timed(reps, || (), |()| payload.wire_size()),
+        ];
+        for (stage, run) in per_pair.iter_mut().zip(runs) {
+            stage.push(median(run));
+        }
+    }
+    let n = peers.len() as f64;
+    let [payload_for, merge, inflow, sweep, wire_size] = per_pair.map(median);
+    MeetingStages {
+        payload_for,
+        merge,
+        inflow,
+        sweep,
+        wire_size,
+        world_entries: peers.iter().map(|p| p.world().len()).sum::<usize>() as f64 / n,
+        world_links: peers.iter().map(|p| p.world().num_links()).sum::<usize>() as f64 / n,
+    }
+}

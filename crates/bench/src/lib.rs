@@ -18,6 +18,7 @@
 //! | Figures 11/12 (message sizes) | `fig11_msgsize_amazon`, `fig12_msgsize_web` |
 //! | Table 2 (P2P search precision) | `table2_search` |
 //! | Ablations (beyond the paper) | `ablation` |
+//! | Cost of each stage of a meeting (beyond the paper) | `meeting_stages` |
 //! | Everything | `run_all` |
 //!
 //! Experiments run at a configurable **scale** (`JXP_SCALE`, default 0.2)

@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// format) to `path`.
 fn write_metrics(path: &str, snapshot: &TelemetrySnapshot) -> Result<(), String> {
     std::fs::write(path, snapshot.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-    println!(
+    outln!(
         "metrics: wrote {} counters, {} gauges, {} histograms, {} events to {path}",
         snapshot.metrics.counters.len(),
         snapshot.metrics.gauges.len(),
@@ -52,21 +52,21 @@ pub fn generate(args: &ParsedArgs) -> Result<(), String> {
     let cg = generate_graph_with_scale(args, 0.1)?;
     let manifest = jxp_segstore::write_segments(&cg.graph, Path::new(out), segment_nodes)
         .map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
+    outln!(
         "wrote {out}: {} segments of up to {} nodes ({} encoded bytes), {} categories",
         manifest.segments.len(),
         manifest.nodes_per_segment,
         manifest.total_encoded_bytes(),
         cg.num_categories
     );
-    println!(
+    outln!(
         "  {}",
         jxp_webgraph::analysis::GraphSummary::compute(&cg.graph)
     );
     if let Some(el) = args.get("edge-list") {
         let mut file = std::fs::File::create(el).map_err(|e| format!("creating {el}: {e}"))?;
         io::write_edge_list(&cg.graph, &mut file).map_err(|e| format!("writing {el}: {e}"))?;
-        println!("wrote {el} (text edge list)");
+        outln!("wrote {el} (text edge list)");
     }
     Ok(())
 }
@@ -99,7 +99,7 @@ pub fn pagerank_cmd(args: &ParsedArgs) -> Result<(), String> {
         ..Default::default()
     };
     let result = pagerank(&g, &cfg);
-    println!(
+    outln!(
         "{} pages, {} links — power iteration {} after {} iterations",
         g.num_nodes(),
         g.num_edges(),
@@ -110,9 +110,9 @@ pub fn pagerank_cmd(args: &ParsedArgs) -> Result<(), String> {
         },
         result.iterations()
     );
-    println!("{:>6} {:>10} {:>12}", "rank", "page", "score");
+    outln!("{:>6} {:>10} {:>12}", "rank", "page", "score");
     for (rank, p) in result.top_k(top).into_iter().enumerate() {
-        println!("{:>6} {:>10} {:>12.6}", rank + 1, p.0, result.score(p));
+        outln!("{:>6} {:>10} {:>12.6}", rank + 1, p.0, result.score(p));
     }
     Ok(())
 }
@@ -160,7 +160,7 @@ pub fn simulate(args: &ParsedArgs) -> Result<(), String> {
         combine,
         ..JxpConfig::default()
     };
-    println!(
+    outln!(
         "{} pages, {} peers, {merge:?} merging, {combine:?} combining",
         n,
         fragments.len()
@@ -185,16 +185,19 @@ pub fn simulate(args: &ParsedArgs) -> Result<(), String> {
         net.attach_convergence_truth(&truth);
     }
     if estimate_n {
-        println!("peers estimate N by FM-sketch gossip (no global knowledge)");
+        outln!("peers estimate N by FM-sketch gossip (no global knowledge)");
     }
-    println!(
+    outln!(
         "round-based meeting engine, {} worker threads (results are \
          thread-count-invariant)",
         jxp_pagerank::par::resolve_threads(threads)
     );
-    println!(
+    outln!(
         "{:>9} {:>10} {:>14} {:>10}",
-        "meetings", "footrule", "linear error", "MB"
+        "meetings",
+        "footrule",
+        "linear error",
+        "MB"
     );
     let mut done = 0;
     while done < meetings {
@@ -202,7 +205,7 @@ pub fn simulate(args: &ParsedArgs) -> Result<(), String> {
         net.run_parallel(step);
         done += step;
         let r = net.total_ranking();
-        println!(
+        outln!(
             "{:>9} {:>10.4} {:>14.3e} {:>10.2}",
             net.meetings(),
             metrics::footrule_distance(&r, &truth_ranking, top),
@@ -280,7 +283,7 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
     let top: usize = args.get_or("top", (n / 20).max(10))?;
     let fragments = contiguous_fragments(&cg, peers);
     let truth = pagerank(&cg.graph, &PageRankConfig::default()).into_scores();
-    println!(
+    outln!(
         "{} pages, {} nodes over {:?}, {} meetings, {} worker threads",
         n,
         fragments.len(),
@@ -289,7 +292,7 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
         jxp_pagerank::par::resolve_threads(threads),
     );
     if loss > 0.0 {
-        println!("losing each meeting frame and each reply with probability {loss}");
+        outln!("losing each meeting frame and each reply with probability {loss}");
     }
     let report = jxp_node::run_cluster(
         fragments,
@@ -298,34 +301,40 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
         &config,
         Some(&truth),
     );
-    println!(
+    outln!(
         "meetings: {} attempted, {} completed, {} failed, {} retries",
         report.meetings_attempted,
         report.meetings_completed,
         report.meetings_failed,
         report.retries
     );
-    println!(
+    outln!(
         "traffic:  {} wire bytes total ({:.2} MB), exact codec lengths",
         report.bytes_total,
         report.bytes_total as f64 / 1e6
     );
     if let Some(addr) = report.metrics_addr {
-        println!("metrics endpoint served scrapes on http://{addr}/metrics during the run");
+        outln!("metrics endpoint served scrapes on http://{addr}/metrics during the run");
     }
     if let Some(peak) = report.inflight_peak {
-        println!("peak in-flight meetings: {peak}");
+        outln!("peak in-flight meetings: {peak}");
     }
     if let Some(footrule) = report.footrule {
-        println!("footrule@{top} vs centralized PageRank: {footrule:.4}");
+        outln!("footrule@{top} vs centralized PageRank: {footrule:.4}");
     }
-    println!("score hash: {:016x}", report.score_hash);
-    println!(
+    outln!("score hash: {:016x}", report.score_hash);
+    outln!(
         "{:>5} {:>9} {:>9} {:>7} {:>8} {:>12} {:>12}",
-        "node", "initiated", "served", "failed", "retries", "bytes in", "bytes out"
+        "node",
+        "initiated",
+        "served",
+        "failed",
+        "retries",
+        "bytes in",
+        "bytes out"
     );
     for (i, s) in report.per_node.iter().enumerate() {
-        println!(
+        outln!(
             "{:>5} {:>9} {:>9} {:>7} {:>8} {:>12} {:>12}",
             i,
             s.meetings_attempted,
@@ -425,18 +434,18 @@ pub fn checkpoint(action: &str, args: &ParsedArgs) -> Result<(), String> {
         let raw = match store.read_raw(key) {
             Ok(raw) => raw,
             Err(e) => {
-                println!("{key}: unreadable: {e}");
+                outln!("{key}: unreadable: {e}");
                 broken += 1;
                 continue;
             }
         };
-        println!("{key}:");
+        outln!("{key}:");
         for (which, bytes) in [("current", &raw.current), ("previous", &raw.previous)] {
-            println!("  {}", describe_checkpoint(which, bytes.as_deref()));
+            outln!("  {}", describe_checkpoint(which, bytes.as_deref()));
         }
         if action == "verify" {
             let scan = scan_wal(&raw.wal);
-            println!(
+            outln!(
                 "  wal: {} records, {} of {} bytes consumed{}",
                 scan.records.len(),
                 scan.consumed,
@@ -446,7 +455,7 @@ pub fn checkpoint(action: &str, args: &ParsedArgs) -> Result<(), String> {
         }
         match store.load(key) {
             Ok(Some(rec)) => {
-                println!(
+                outln!(
                     "{key}: seq {} (checkpoint {} + {} replayed){}{} — {} pages",
                     rec.seq,
                     rec.checkpoint_seq,
@@ -460,9 +469,9 @@ pub fn checkpoint(action: &str, args: &ParsedArgs) -> Result<(), String> {
                     rec.peer.num_pages()
                 );
             }
-            Ok(None) => println!("{key}: no state"),
+            Ok(None) => outln!("{key}: no state"),
             Err(e) => {
-                println!("{key}: UNRECOVERABLE: {e}");
+                outln!("{key}: UNRECOVERABLE: {e}");
                 broken += 1;
             }
         }
@@ -471,7 +480,7 @@ pub fn checkpoint(action: &str, args: &ParsedArgs) -> Result<(), String> {
         return Err(format!("{broken} of {} node(s) unrecoverable", keys.len()));
     }
     if action == "verify" {
-        println!("all {} node(s) recoverable", keys.len());
+        outln!("all {} node(s) recoverable", keys.len());
     }
     Ok(())
 }
@@ -492,7 +501,7 @@ pub fn graph_cmd(action: &str, args: &ParsedArgs) -> Result<(), String> {
             let sg =
                 SegmentedGraph::open(Path::new(dir)).map_err(|e| format!("opening {dir}: {e}"))?;
             let m = sg.manifest();
-            println!(
+            outln!(
                 "{dir}: {} nodes, {} edges, {} segments of up to {} nodes, \
                  {} encoded bytes",
                 m.num_nodes,
@@ -501,12 +510,16 @@ pub fn graph_cmd(action: &str, args: &ParsedArgs) -> Result<(), String> {
                 m.nodes_per_segment,
                 m.total_encoded_bytes()
             );
-            println!(
+            outln!(
                 "{:>7} {:>12} {:>10} {:>10} {:>12}",
-                "segment", "first node", "nodes", "out-links", "bytes"
+                "segment",
+                "first node",
+                "nodes",
+                "out-links",
+                "bytes"
             );
             for (i, e) in m.segments.iter().enumerate() {
-                println!(
+                outln!(
                     "{:>7} {:>12} {:>10} {:>10} {:>12}",
                     i,
                     m.segment_start(i),
@@ -515,7 +528,7 @@ pub fn graph_cmd(action: &str, args: &ParsedArgs) -> Result<(), String> {
                     e.encoded_len
                 );
             }
-            println!("dangling pages: {}", sg.dangling().len());
+            outln!("dangling pages: {}", sg.dangling().len());
             Ok(())
         }
         "verify" => {
@@ -523,10 +536,12 @@ pub fn graph_cmd(action: &str, args: &ParsedArgs) -> Result<(), String> {
             let report = verify_dir(Path::new(dir)).map_err(|e| format!("verifying {dir}: {e}"))?;
             for s in &report.segments {
                 match &s.error {
-                    Some(e) => println!("segment {}: CORRUPT ({e})", s.index),
-                    None => println!(
+                    Some(e) => outln!("segment {}: CORRUPT ({e})", s.index),
+                    None => outln!(
                         "segment {}: ok ({} nodes, {} bytes)",
-                        s.index, s.nodes, s.encoded_len
+                        s.index,
+                        s.nodes,
+                        s.encoded_len
                     ),
                 }
             }
@@ -537,7 +552,7 @@ pub fn graph_cmd(action: &str, args: &ParsedArgs) -> Result<(), String> {
                     report.segments.len()
                 ));
             }
-            println!(
+            outln!(
                 "all {} segment(s) verified ({} nodes, {} edges)",
                 report.segments.len(),
                 report.manifest.num_nodes,
@@ -559,9 +574,9 @@ pub fn metrics_cmd(args: &ParsedArgs) -> Result<(), String> {
     let snapshot =
         TelemetrySnapshot::from_json(&raw).map_err(|e| format!("parsing {path}: {e}"))?;
     match format {
-        "prom" => print!("{}", snapshot.to_prometheus()),
-        "json" => println!("{}", snapshot.to_json()),
-        _ => print!("{}", snapshot.render_table()),
+        "prom" => out!("{}", snapshot.to_prometheus()),
+        "json" => outln!("{}", snapshot.to_json()),
+        _ => out!("{}", snapshot.render_table()),
     }
     Ok(())
 }
@@ -597,7 +612,7 @@ pub fn node(args: &ParsedArgs) -> Result<(), String> {
         .handle()
         .listen(Arc::new(HandlerService(Arc::clone(&server_node) as _)))
         .map_err(|e| format!("binding localhost: {e}"))?;
-    println!(
+    outln!(
         "node 0 serving {} pages on {addr}",
         server_node.with_peer(|p| p.num_pages()),
     );
@@ -613,28 +628,31 @@ pub fn node(args: &ParsedArgs) -> Result<(), String> {
     let (peer_id, peer_pages) = client
         .hello(0, &transport, &policy)
         .map_err(|e| format!("hello failed: {e}"))?;
-    println!("hello -> node {peer_id} ({peer_pages} pages)");
+    outln!("hello -> node {peer_id} ({peer_pages} pages)");
     let remote_syn = client
         .fetch_synopses(0, &transport, &policy)
         .map_err(|e| format!("synopsis probe failed: {e}"))?;
-    println!(
+    outln!(
         "synopsis probe -> premeet containment score {:.4}",
         remote_syn.inlink_containment_into(&client.synopses())
     );
     let outcome = client
         .meet(0, &transport, &policy)
         .map_err(|e| format!("meeting failed: {e}"))?;
-    println!(
+    outln!(
         "meeting -> {} bytes out, {} bytes in, {} retries",
-        outcome.bytes_sent, outcome.bytes_received, outcome.retries
+        outcome.bytes_sent,
+        outcome.bytes_received,
+        outcome.retries
     );
     let s = client.stats();
-    println!(
+    outln!(
         "client totals: {} bytes out, {} bytes in (exact codec lengths)",
-        s.bytes_out, s.bytes_in
+        s.bytes_out,
+        s.bytes_in
     );
     if duration > 0 {
-        println!("serving for {duration}s more (ctrl-c to stop)...");
+        outln!("serving for {duration}s more (ctrl-c to stop)...");
         std::thread::sleep(std::time::Duration::from_secs(duration));
     }
     Ok(())
@@ -680,12 +698,14 @@ pub fn search(args: &ParsedArgs) -> Result<(), String> {
         10,
         (0.6, 0.4),
     );
-    println!(
+    outln!(
         "{:<14} {:>8} {:>22}",
-        "query", "tf*idf", "0.6 tf*idf + 0.4 JXP"
+        "query",
+        "tf*idf",
+        "0.6 tf*idf + 0.4 JXP"
     );
     for r in &rows {
-        println!(
+        outln!(
             "{:<14} {:>7.0}% {:>21.0}%",
             r.query,
             r.tfidf_precision * 100.0,
@@ -693,7 +713,7 @@ pub fn search(args: &ParsedArgs) -> Result<(), String> {
         );
     }
     let (t, f) = averages(&rows);
-    println!("{:<14} {:>7.0}% {:>21.0}%", "average", t * 100.0, f * 100.0);
+    outln!("{:<14} {:>7.0}% {:>21.0}%", "average", t * 100.0, f * 100.0);
     Ok(())
 }
 
@@ -727,21 +747,24 @@ fn serve_params(args: &ParsedArgs) -> Result<jxp_serve::ServeExperimentParams, S
 
 fn print_serve_summary(r: &jxp_serve::ServeBenchReport) {
     let p = &r.params;
-    println!(
+    outln!(
         "served {} measured requests ({} warmup, {} failures) across {} peers",
-        r.load.measured_requests, r.load.warmup_requests, r.load.failures, p.peers
+        r.load.measured_requests,
+        r.load.warmup_requests,
+        r.load.failures,
+        p.peers
     );
     if let Some(addr) = r.metrics_addr {
-        println!("metrics endpoint served scrapes on http://{addr}/metrics during the run");
+        outln!("metrics endpoint served scrapes on http://{addr}/metrics during the run");
     }
-    println!(
+    outln!(
         "throughput {:.0} qps, latency p50 {:.3} ms / p99 {:.3} ms, cache hit rate {:.0}%",
         r.load.qps,
         r.load.p50_ms,
         r.load.p99_ms,
         r.load.cache_hit_rate * 100.0
     );
-    println!(
+    outln!(
         "precision@{}: tf*idf {:.0}%, fused {:.0}%, centralized {:.0}% (top-k overlap with \
          centralized {:.0}%)",
         p.k,
@@ -750,7 +773,7 @@ fn print_serve_summary(r: &jxp_serve::ServeBenchReport) {
         r.centralized_precision * 100.0,
         r.centralized_overlap * 100.0
     );
-    println!("fusion wins: {}", r.fusion_wins);
+    outln!("fusion wins: {}", r.fusion_wins);
 }
 
 /// `jxp-cli serve` — run a cluster with every node fronted by a query
@@ -758,13 +781,18 @@ fn print_serve_summary(r: &jxp_serve::ServeBenchReport) {
 /// `--out FILE` also writes the run as a `BENCH_serve.json` report.
 pub fn serve(args: &ParsedArgs) -> Result<(), String> {
     let params = serve_params(args)?;
-    println!(
+    outln!(
         "{} scale {}, {} peers, {} meetings, seed {} — serving top-{} queries while converging",
-        params.dataset.name, params.scale, params.peers, params.meetings, params.seed, params.k
+        params.dataset.name,
+        params.scale,
+        params.peers,
+        params.meetings,
+        params.seed,
+        params.k
     );
     let report = jxp_serve::run_serve_experiment(&params);
     print_serve_summary(&report);
-    println!("results from node 0 (fused ranking, final pass):");
+    outln!("results from node 0 (fused ranking, final pass):");
     if let Some(replies) = report.load.replies.first() {
         for (q, reply) in report.query_names.iter().zip(replies) {
             let hits: Vec<String> = reply
@@ -773,7 +801,7 @@ pub fn serve(args: &ParsedArgs) -> Result<(), String> {
                 .take(5)
                 .map(|h| format!("{} ({:.3})", h.page.0, h.fused))
                 .collect();
-            println!("  {:<16} {}", q, hits.join(", "));
+            outln!("  {:<16} {}", q, hits.join(", "));
         }
     }
     if let Some(out) = args.get("out") {
@@ -785,7 +813,7 @@ pub fn serve(args: &ParsedArgs) -> Result<(), String> {
         }
         std::fs::write(out, jxp_serve::render_bench_json(&report))
             .map_err(|e| format!("writing {out}: {e}"))?;
-        println!("[json] {out}");
+        outln!("[json] {out}");
     }
     Ok(())
 }

@@ -13,10 +13,27 @@
 //! Argument parsing is hand-rolled (`--key value` pairs after a
 //! subcommand) to keep the dependency set to the sanctioned crates.
 
+/// `print!` through [`out::write`]: a closed stdout ends the command
+/// quietly instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::out::write(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`out::write`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::out::write(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod args;
 mod commands;
+mod out;
 
 pub use args::ParsedArgs;
+use std::panic::{self, AssertUnwindSafe};
 
 /// Usage text printed on argument errors.
 pub const USAGE: &str = "\
@@ -110,10 +127,36 @@ fn accepted_flags(command: &str, action: Option<&str>) -> Option<&'static str> {
     })
 }
 
+/// How a command that did not fail came to its end.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// The command ran to its end.
+    Completed,
+    /// The reader of stdout went away, so the command stopped at its
+    /// next print with its work cut short. The binary exits with
+    /// [`READER_GONE_EXIT`] and prints nothing.
+    ReaderGone,
+}
+
+/// Exit status for [`Outcome::ReaderGone`]: 128 + SIGPIPE, the status
+/// a shell reports for a program the closed pipe killed, so that a
+/// pipeline under `set -o pipefail` still sees the cut.
+pub const READER_GONE_EXIT: i32 = 141;
+
 /// Entry point: dispatch a full argument vector (without the program
 /// name). Returns a user-facing error string on bad input, including a
 /// flag the command does not take, before the command does any work.
-pub fn run(argv: &[String]) -> Result<(), String> {
+/// A command whose stdout reader goes away ends there with
+/// [`Outcome::ReaderGone`] (see `out`).
+pub fn run(argv: &[String]) -> Result<Outcome, String> {
+    match panic::catch_unwind(AssertUnwindSafe(|| dispatch(argv))) {
+        Ok(result) => result.map(|()| Outcome::Completed),
+        Err(payload) if payload.is::<out::ReaderGone>() => Ok(Outcome::ReaderGone),
+        Err(payload) => panic::resume_unwind(payload),
+    }
+}
+
+fn dispatch(argv: &[String]) -> Result<(), String> {
     let (command, rest) = argv.split_first().ok_or("missing command")?;
     // `checkpoint` and `graph` take an action word before their flags.
     let (action, rest) = match command.as_str() {
@@ -144,7 +187,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         ("node", _) => commands::node(&parsed),
         ("serve", _) => commands::serve(&parsed),
         ("help" | "--help" | "-h", _) => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         (other, _) => Err(format!("unknown command {other:?}")),

@@ -2,10 +2,14 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(msg) = jxp_cli::run(&args) {
-        eprintln!("error: {msg}");
-        eprintln!();
-        eprintln!("{}", jxp_cli::USAGE);
-        std::process::exit(2);
+    match jxp_cli::run(&args) {
+        Ok(jxp_cli::Outcome::Completed) => {}
+        Ok(jxp_cli::Outcome::ReaderGone) => std::process::exit(jxp_cli::READER_GONE_EXIT),
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            eprintln!();
+            eprintln!("{}", jxp_cli::USAGE);
+            std::process::exit(2);
+        }
     }
 }

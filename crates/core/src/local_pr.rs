@@ -21,15 +21,23 @@ use crate::config::JxpConfig;
 use jxp_pagerank::kernel::pull_block;
 use jxp_webgraph::Subgraph;
 
+/// What [`LocalTopology::successor_indices`] holds for a successor
+/// outside the fragment.
+pub const EXTERNAL: u32 = u32::MAX;
+
 /// Precomputed, meeting-invariant topology of one peer's extended graph.
 ///
 /// In light-weight merging the local graph never changes after peer
 /// creation — only the world node's in-link knowledge does — so the
 /// reverse adjacency, out-degrees and external-link ratios are computed
-/// once and reused across all meetings.
+/// once and reused across all meetings. So are the successors' local
+/// indices, which assembling a cut payload reads instead of probing the
+/// fragment's id map ([`crate::payload`]).
 #[derive(Debug, Clone)]
 pub struct LocalTopology {
     n: usize,
+    /// The fragment's [`successor_indices`](Self::successor_indices).
+    succ_local: Vec<u32>,
     /// Dense-index CSR of *local → local* links, reversed:
     /// `rev_adj[rev_off[i]..rev_off[i+1]]` are the dense indices of local
     /// predecessors of local page `i`.
@@ -47,23 +55,38 @@ impl LocalTopology {
     /// Build the topology caches from a fragment.
     pub fn build(graph: &Subgraph) -> Self {
         let n = graph.num_pages();
+        // One probe of the fragment's id map per link, here and never again.
+        let mut succ_local = Vec::with_capacity(graph.num_links());
+        for i in 0..n {
+            let succs = graph.successors_at(i).iter();
+            succ_local.extend(succs.map(|&t| graph.local_index(t).map_or(EXTERNAL, |j| j as u32)));
+        }
+        // Page by page, the successors' local indices.
+        let per_page = || {
+            let mut rest = &succ_local[..];
+            (0..n).map(move |i| {
+                let (succs, tail) = rest.split_at(graph.out_degree_at(i));
+                rest = tail;
+                succs
+            })
+        };
         let mut rev_counts = vec![0u32; n];
         let mut inv_out = vec![0.0f64; n];
         let mut ext_ratio = vec![0.0f64; n];
         let mut dangling = Vec::new();
         // First pass: degrees and local/external split.
-        for i in 0..n {
-            let out = graph.out_degree_at(i);
+        for (i, succs) in per_page().enumerate() {
+            let out = succs.len();
             if out == 0 {
                 dangling.push(i as u32);
                 continue;
             }
             inv_out[i] = 1.0 / out as f64;
             let mut ext = 0usize;
-            for &t in graph.successors_at(i) {
-                match graph.local_index(t) {
-                    Some(j) => rev_counts[j] += 1,
-                    None => ext += 1,
+            for &j in succs {
+                match j {
+                    EXTERNAL => ext += 1,
+                    j => rev_counts[j as usize] += 1,
                 }
             }
             ext_ratio[i] = ext as f64 / out as f64;
@@ -74,17 +97,16 @@ impl LocalTopology {
         }
         let mut rev_adj = vec![0u32; rev_off[n] as usize];
         let mut cursor = rev_off.clone();
-        for i in 0..n {
-            for &t in graph.successors_at(i) {
-                if let Some(j) = graph.local_index(t) {
-                    let c = &mut cursor[j];
-                    rev_adj[*c as usize] = i as u32;
-                    *c += 1;
-                }
+        for (i, succs) in per_page().enumerate() {
+            for &j in succs.iter().filter(|&&j| j != EXTERNAL) {
+                let c = &mut cursor[j as usize];
+                rev_adj[*c as usize] = i as u32;
+                *c += 1;
             }
         }
         LocalTopology {
             n,
+            succ_local,
             rev_off,
             rev_adj,
             inv_out,
@@ -101,6 +123,17 @@ impl LocalTopology {
     /// Dense indices of dangling pages.
     pub fn dangling(&self) -> &[u32] {
         &self.dangling
+    }
+
+    /// The dense local index of every fragment link's target, in the
+    /// fragment's successor order (page by page, as
+    /// [`Subgraph::successors_at`] lists them), [`EXTERNAL`] for a target
+    /// outside the fragment: what [`MeetingPayload::assemble`] reads to
+    /// cut a payload.
+    ///
+    /// [`MeetingPayload::assemble`]: crate::MeetingPayload::assemble
+    pub fn successor_indices(&self) -> &[u32] {
+        &self.succ_local
     }
 }
 

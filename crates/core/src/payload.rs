@@ -70,6 +70,7 @@
 //! be strictly ascending, so a body decodes only if re-encoding its
 //! payload gives back the same bytes.
 
+use crate::local_pr::EXTERNAL;
 use crate::world::WorldNode;
 use bytes::BufMut;
 use jxp_synopses::BloomFilter;
@@ -159,8 +160,18 @@ impl MeetingPayload {
     /// Assemble the payload from a peer's state: `interest` is the
     /// sender's own filter (it rides along), `cut_to` the receiver's —
     /// `None` ships everything. See the module docs for the record rules.
+    /// `succ_local` is the fragment's
+    /// [`successor_indices`](crate::local_pr::LocalTopology::successor_indices),
+    /// which a cut reads instead of mapping ids. Only a cut reads it, so
+    /// an uncut payload may pass `&[]`.
+    ///
+    /// # Panics
+    /// Panics if `scores` does not hold one score per page of `graph`, or
+    /// if `cut_to` is set and `succ_local` does not hold one index per
+    /// link of `graph`.
     pub fn assemble(
         graph: &Subgraph,
+        succ_local: &[u32],
         world: &WorldNode,
         scores: &[f64],
         world_score: f64,
@@ -169,9 +180,17 @@ impl MeetingPayload {
     ) -> Self {
         let n = graph.num_pages();
         assert_eq!(n, scores.len(), "score list out of sync");
-        // One probe per local page. Successors and world-entry targets
-        // that are local — every world-entry target is — read this table;
-        // only external successors probe the filter themselves.
+        if cut_to.is_some() {
+            assert_eq!(
+                succ_local.len(),
+                graph.num_links(),
+                "successor indices out of sync"
+            );
+        }
+        // One probe per local page. Local successors and world-entry
+        // targets — local indices into `graph`, as `succ_local` and
+        // `crate::world` hold them — read this table; only external
+        // successors probe the filter themselves.
         let local_hit: Vec<bool> = cut_to.map_or_else(Vec::new, |f| {
             graph.pages().iter().map(|&p| f.contains(key(p))).collect()
         });
@@ -187,21 +206,24 @@ impl MeetingPayload {
             interest: interest.cloned(),
             cut_for: cut_to.map_or(0, BloomFilter::fingerprint),
         };
-        // Append the links `cut_to` keeps to the arena.
-        let keep = |links: &[PageId], arena: &mut Vec<PageId>| {
-            let Some(filter) = cut_to else {
-                return arena.extend_from_slice(links);
-            };
-            let hit = |&t: &PageId| match graph.local_index(t) {
-                Some(j) => local_hit[j],
-                None => filter.contains(key(t)),
-            };
-            arena.extend(links.iter().copied().filter(hit));
-        };
+        // The successors' local indices not yet passed.
+        let mut rest = succ_local;
         for (i, &score) in scores.iter().enumerate() {
             let all = graph.successors_at(i);
             let start = p.links.len();
-            keep(all, &mut p.links);
+            // Append the successors `cut_to` keeps to the arena.
+            if let Some(filter) = cut_to {
+                let (local, tail) = rest.split_at(all.len());
+                rest = tail;
+                let hit = |(&t, &j): &(&PageId, &u32)| match j {
+                    EXTERNAL => filter.contains(key(t)),
+                    j => local_hit[j as usize],
+                };
+                p.links
+                    .extend(all.iter().zip(local).filter(hit).map(|(&t, _)| t));
+            } else {
+                p.links.extend_from_slice(all);
+            }
             let kept_none = p.links.len() == start;
             if cut_to.is_some() && !local_hit[i] && kept_none && !all.is_empty() {
                 p.unlinked.push(graph.page_at(i));
@@ -217,12 +239,20 @@ impl MeetingPayload {
         }
         // WorldNode iterates in ascending PageId order (documented
         // contract), so the payload is deterministic without re-sorting.
-        // A cut entry travels only when some of its targets hit.
+        // A target is a local index, so it reads the hit table and the
+        // page directly; index order is id order, so the ids ascend. A
+        // cut entry travels only when some of its targets hit.
+        let pages = graph.pages();
         for (src, e) in world.iter() {
             let start = p.links.len();
-            keep(e.targets, &mut p.links);
-            if cut_to.is_some() && p.links.len() == start {
-                continue;
+            if cut_to.is_some() {
+                let hits = e.targets.iter().filter(|&&t| local_hit[t as usize]);
+                p.links.extend(hits.map(|&t| pages[t as usize]));
+                if p.links.len() == start {
+                    continue;
+                }
+            } else {
+                p.links.extend(e.targets.iter().map(|&t| pages[t as usize]));
             }
             p.world.push(Record {
                 id: src,
@@ -793,8 +823,8 @@ mod tests {
     fn assemble_captures_pages_and_world() {
         let graph = fragment();
         let mut world = WorldNode::new();
-        world.upsert(PageId(9), 3, 0.2, [PageId(0)], CombineMode::TakeMax);
-        let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
+        world.upsert(&graph, PageId(9), 3, 0.2, [PageId(0)], CombineMode::TakeMax);
+        let p = MeetingPayload::assemble(&graph, &[], &world, &[0.4, 0.3], 0.3, None, None);
         assert_eq!(p.num_pages(), 2);
         let pages: Vec<_> = p.pages().collect();
         assert_eq!(pages[0].page, PageId(0));
@@ -812,7 +842,7 @@ mod tests {
     fn wire_size_matches_accounting() {
         let graph = fragment();
         let world = WorldNode::new();
-        let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
+        let p = MeetingPayload::assemble(&graph, &[], &world, &[0.4, 0.3], 0.3, None, None);
         // Two pages, one succ each. A record is a 1-byte id (page 0
         // verbatim, then page 1 as gap 1), an 8-byte score, a 1-byte
         // out-degree, a 1-byte link count and one 1-byte link: 2 × 12 =
@@ -839,7 +869,8 @@ mod tests {
         );
         // The sender's own filter rides along at its wire size.
         let filter = BloomFilter::new(128, 3);
-        let q = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, Some(&filter), None);
+        let q =
+            MeetingPayload::assemble(&graph, &[], &world, &[0.4, 0.3], 0.3, Some(&filter), None);
         assert_eq!(q.wire_size(), p.wire_size() + filter.wire_size());
     }
 
@@ -862,20 +893,38 @@ mod tests {
         ]);
         let mut world = WorldNode::new();
         world.upsert(
+            &graph,
             PageId(8),
             3,
             0.01,
             [PageId(0), PageId(3)],
             CombineMode::TakeMax,
         );
-        world.upsert(PageId(9), 2, 0.01, [PageId(3)], CombineMode::TakeMax);
+        world.upsert(
+            &graph,
+            PageId(9),
+            2,
+            0.01,
+            [PageId(3)],
+            CombineMode::TakeMax,
+        );
         let scores = [0.1, 0.1, 0.1, 0.1];
         // The receiver holds pages 0 and 6.
         let filter = filter_of(&[0, 6]);
         for absent in [1u32, 2, 3, 5, 7] {
             assert!(!filter.contains(u64::from(absent)), "pick another id");
         }
-        let p = MeetingPayload::assemble(&graph, &world, &scores, 0.6, None, Some(&filter));
+        let topo = crate::local_pr::LocalTopology::build(&graph);
+        let succ_local = topo.successor_indices();
+        let p = MeetingPayload::assemble(
+            &graph,
+            succ_local,
+            &world,
+            &scores,
+            0.6,
+            None,
+            Some(&filter),
+        );
         p.validate().unwrap();
         assert_eq!(p.cut_for, filter.fingerprint());
         let page = |id: u32| p.pages().find(|pp| pp.page == PageId(id));
@@ -898,7 +947,7 @@ mod tests {
         assert_eq!(relayed[0].targets, [PageId(0)]);
         assert_eq!(p.num_links(), 2);
         // The uncut payload has none of this.
-        let whole = MeetingPayload::assemble(&graph, &world, &scores, 0.6, None, None);
+        let whole = MeetingPayload::assemble(&graph, &[], &world, &scores, 0.6, None, None);
         assert_eq!((whole.cut_for, whole.unlinked.len()), (0, 0));
         assert_eq!((whole.pages().len(), whole.world().len()), (4, 2));
         assert!(p.wire_size() < whole.wire_size());
@@ -909,9 +958,16 @@ mod tests {
         let graph = fragment();
         let mut world = WorldNode::new();
         for src in [9u32, 3, 7] {
-            world.upsert(PageId(src), 1, 0.1, [PageId(0)], CombineMode::TakeMax);
+            world.upsert(
+                &graph,
+                PageId(src),
+                1,
+                0.1,
+                [PageId(0)],
+                CombineMode::TakeMax,
+            );
         }
-        let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
+        let p = MeetingPayload::assemble(&graph, &[], &world, &[0.4, 0.3], 0.3, None, None);
         let srcs: Vec<u32> = p.world().map(|w| w.src.0).collect();
         assert_eq!(srcs, vec![3, 7, 9]);
     }
@@ -920,9 +976,9 @@ mod tests {
     fn honest_payload_validates() {
         let graph = fragment();
         let mut world = WorldNode::new();
-        world.upsert(PageId(9), 3, 0.2, [PageId(0)], CombineMode::TakeMax);
+        world.upsert(&graph, PageId(9), 3, 0.2, [PageId(0)], CombineMode::TakeMax);
         world.upsert_dangling(PageId(11), 0.05, CombineMode::TakeMax);
-        let p = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
+        let p = MeetingPayload::assemble(&graph, &[], &world, &[0.4, 0.3], 0.3, None, None);
         p.validate().unwrap();
     }
 
@@ -938,7 +994,7 @@ mod tests {
     fn malicious_payloads_are_rejected() {
         let graph = fragment();
         let world = WorldNode::new();
-        let honest = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3, None, None);
+        let honest = MeetingPayload::assemble(&graph, &[], &world, &[0.4, 0.3], 0.3, None, None);
 
         // Inflated single score.
         let mut evil = honest.clone();
@@ -1084,6 +1140,6 @@ mod tests {
     fn mismatched_score_list_panics() {
         let graph = fragment();
         let world = WorldNode::new();
-        let _ = MeetingPayload::assemble(&graph, &world, &[0.4], 0.3, None, None);
+        let _ = MeetingPayload::assemble(&graph, &[], &world, &[0.4], 0.3, None, None);
     }
 }

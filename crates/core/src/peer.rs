@@ -200,6 +200,7 @@ impl JxpPeer {
     pub fn payload_for(&self, cut_to: Option<&BloomFilter>) -> MeetingPayload {
         MeetingPayload::assemble(
             &self.graph,
+            self.topo.successor_indices(),
             &self.world,
             &self.scores,
             self.world_score,
@@ -299,17 +300,24 @@ impl JxpPeer {
             };
         }
 
-        // ---- Merged world node: T_M = (T_A ∪ T_B) − E_M.
+        // ---- Merged world node: T_M = (T_A ∪ T_B) − E_M, its targets
+        // indices into V_M. A relayed record whose targets all miss V_M
+        // still combines into a known entry; a new entry it leaves
+        // without targets goes with the last pruning.
         let mut merged_world = self.world.clone();
+        merged_world.retain_relevant(&self.graph, &merged);
         merged_world.merge(
             payload.world().map(|wp| (wp.src, wp)),
             (payload.world().len(), payload.num_links()),
-            |slot, wp| slot.upsert(wp.out_degree, wp.score, wp.targets.iter().copied(), combine),
+            |slot, wp| {
+                let targets = wp.targets.iter().filter_map(|&t| merged.local_index(t));
+                slot.upsert(wp.out_degree, wp.score, targets.map(|i| i as u32), combine);
+            },
         );
         for &(page, score) in &payload.world_dangling {
             merged_world.upsert_dangling(page, score, combine);
         }
-        merged_world.retain_relevant(&merged);
+        merged_world.retain_relevant(&merged, &merged);
 
         // ---- Merged world score, eq. (1), and the PageRank run.
         let merged_world_score = (1.0 - merged_scores.iter().sum::<f64>()).clamp(0.0, 1.0);
@@ -349,7 +357,7 @@ impl JxpPeer {
         // of W_M is in V_M ⊇ V_A, so only targets are dropped here.
         let mut new_world = merged_world;
         new_world.scale_scores(reweight);
-        new_world.retain_relevant(&self.graph);
+        new_world.retain_relevant(&merged, &self.graph);
         let graph = &self.graph;
         new_world.merge(
             payload
@@ -368,8 +376,8 @@ impl JxpPeer {
                 let mut targets = pp
                     .succs
                     .iter()
-                    .copied()
-                    .filter(|&t| graph.contains(t))
+                    .filter_map(|&t| graph.local_index(t))
+                    .map(|i| i as u32)
                     .peekable();
                 if targets.peek().is_some() {
                     let degree = pp.succs.len() as u32;
@@ -415,7 +423,8 @@ impl JxpPeer {
     /// Scores of pages present in both the old and new fragment carry
     /// over; newly crawled pages start at `1/N`; world-node knowledge
     /// about pages that became local (or whose targets vanished) is
-    /// pruned; then the local PageRank runs on the new extended graph.
+    /// pruned, and the targets left move to their indices in the new
+    /// fragment; then the local PageRank runs on the new extended graph.
     ///
     /// # Panics
     /// Panics if the new fragment is empty or larger than `N`.
@@ -434,9 +443,9 @@ impl JxpPeer {
         }
         self.topo = LocalTopology::build(&graph);
         self.interest = interest_of(&graph, &self.config);
+        self.world.retain_relevant(&self.graph, &graph);
         self.graph = graph;
         self.scores = scores;
-        self.world.retain_relevant(&self.graph);
         self.world_score = (1.0 - self.local_mass()).clamp(0.0, 1.0);
         self.recompute();
     }
@@ -510,7 +519,7 @@ mod tests {
         a.absorb(&b.payload());
         // B's page 3 links to A's page 0: must now be a world entry.
         let e = a.world().entry(PageId(3)).expect("entry for page 3");
-        assert_eq!(e.targets, vec![PageId(0)]);
+        assert_eq!(e.target_pages(a.graph()).collect::<Vec<_>>(), [PageId(0)]);
         assert_eq!(e.out_degree, 1);
         assert_eq!(a.stats().meetings, 1);
     }
@@ -551,7 +560,7 @@ mod tests {
         a.absorb(&b.payload());
         // The projected-back world node carries B's link 3 → 0.
         let e = a.world().entry(PageId(3)).expect("entry for page 3");
-        assert_eq!(e.targets, vec![PageId(0)]);
+        assert_eq!(e.target_pages(a.graph()).collect::<Vec<_>>(), [PageId(0)]);
         let total = a.local_mass() + a.world_score();
         assert!((total - 1.0).abs() < 1e-9);
     }
@@ -687,14 +696,18 @@ mod tests {
             4,
             JxpConfig::default(),
         );
+        let targets_of_3 = |a: &JxpPeer| -> Vec<PageId> {
+            let e = a.world().entry(PageId(3)).unwrap();
+            e.target_pages(a.graph()).collect()
+        };
         crate::meeting::meet(&mut a, &mut b);
-        assert_eq!(a.world().entry(PageId(3)).unwrap().targets, vec![PageId(0)]);
+        assert_eq!(targets_of_3(&a), [PageId(0)]);
         // B re-crawls against the changed Web.
         b.update_fragment(Subgraph::from_pages(&g_new, [PageId(2), PageId(3)]));
         crate::meeting::meet(&mut a, &mut b);
         assert_eq!(
-            a.world().entry(PageId(3)).unwrap().targets,
-            vec![PageId(1)],
+            targets_of_3(&a),
+            [PageId(1)],
             "stale link 3→0 survived the authoritative update"
         );
 

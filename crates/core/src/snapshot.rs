@@ -57,6 +57,7 @@ pub const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4 + 1 + 1 + 8 + 8 + 8;
 pub fn save(peer: &JxpPeer) -> Bytes {
     let body = MeetingPayload::assemble(
         peer.graph(),
+        &[],
         peer.world(),
         peer.scores(),
         peer.world_score(),
@@ -104,8 +105,9 @@ fn err(msg: &str) -> String {
 /// Returns a description of the first problem: bad magic, another
 /// version, a truncated header, invalid enum tags or configuration, a
 /// body the meeting decoder refuses, a cut or filtered body, a payload
-/// [`MeetingPayload::validate`] refuses, an empty fragment, trailing
-/// bytes, or `N` smaller than the fragment.
+/// [`MeetingPayload::validate`] refuses, an empty fragment, a world
+/// entry that links to a page outside the fragment, trailing bytes, or
+/// `N` smaller than the fragment.
 pub fn load(mut buf: impl Buf) -> Result<JxpPeer, String> {
     let mut owned = Vec::new();
     let bytes = if buf.chunk().len() == buf.remaining() {
@@ -176,9 +178,20 @@ pub fn load(mut buf: impl Buf) -> Result<JxpPeer, String> {
         scores.push(pp.score);
         (pp.page, pp.succs.to_vec())
     }));
+    // A world node holds its targets as indices into the fragment
+    // (`crate::world`), so each is mapped once here, and one outside the
+    // fragment is refused: no peer's world node can hold it.
     let mut world = WorldNode::new();
+    let mut targets = Vec::new();
     for wp in payload.world() {
-        world.push(wp.src, wp.out_degree, wp.score, wp.targets);
+        targets.clear();
+        for &t in wp.targets {
+            let i = graph
+                .local_index(t)
+                .ok_or_else(|| err("world target outside the fragment"))?;
+            targets.push(i as u32);
+        }
+        world.push(wp.src, wp.out_degree, wp.score, &targets);
     }
     for &(page, score) in &payload.world_dangling {
         world.upsert_dangling(page, score, config.combine);
@@ -373,6 +386,7 @@ mod tests {
         // payload without world and dangling entries has its last two.
         let mut body = MeetingPayload::assemble(
             a.graph(),
+            &[],
             a.world(),
             a.scores(),
             a.world_score(),
@@ -397,6 +411,14 @@ mod tests {
         let duplicated = err("zero gap in id list");
         assert_eq!(zero_gap(entries + 1 + 12), duplicated, "world record");
         assert_eq!(zero_gap(dangling + 1 + 9), duplicated, "dangling entry");
+        // The first world record's one target, page 6 instead: no world
+        // node of fragment {0, 1} can hold it.
+        let mut bad = good.to_vec();
+        bad[entries + 1 + 11] = 6;
+        assert_eq!(
+            load(&bad[..]).unwrap_err(),
+            err("world target outside the fragment")
+        );
     }
 
     #[test]

@@ -38,6 +38,24 @@
 //! ([`upsert`](WorldNode::upsert),
 //! [`set_authoritative`](WorldNode::set_authoritative),
 //! [`forget`](WorldNode::forget)) are passes over one record.
+//!
+//! **Targets are local indices.** Every target of a world entry is a page
+//! of the peer's own fragment, so the arena stores it as that page's
+//! dense index into the peer's [`Subgraph`] (`graph.page_at(t)` is the
+//! page), not as its global [`PageId`]. A `Subgraph` keeps its pages
+//! sorted, so local-index order is global-id order and every run stays
+//! ascending in both. Sources and dangling pages are external and stay
+//! global ids. A page id is mapped to its index once, where knowledge
+//! comes in — [`absorb_light`](WorldNode::absorb_light),
+//! [`upsert`](WorldNode::upsert) and
+//! [`set_authoritative`](WorldNode::set_authoritative) drop the targets
+//! that are not local — so the two stages that run on every meeting,
+//! [`inflow`](WorldNode::inflow) and assembling a payload
+//! ([`MeetingPayload::assemble`]), index with a target directly. Global
+//! ids come back only at the edges: [`WorldEntry::target_pages`], the
+//! payload and snapshot encoders (through `assemble`), and the snapshot
+//! loader. A change of fragment remaps every target once, old index →
+//! id → new index ([`retain_relevant`](WorldNode::retain_relevant)).
 
 use crate::config::CombineMode;
 use crate::payload::MeetingPayload;
@@ -53,8 +71,26 @@ pub struct WorldEntry<'a> {
     pub out_degree: u32,
     /// The freshest learned JXP score of the page, `α(r)`.
     pub score: f64,
-    /// Local pages this external page links to (ascending global ids).
-    pub targets: &'a [PageId],
+    /// Local pages this external page links to, as ascending dense
+    /// indices into the fragment the world node belongs to; see
+    /// [`target_pages`](WorldEntry::target_pages) for their ids.
+    pub targets: &'a [u32],
+}
+
+impl<'a> WorldEntry<'a> {
+    /// The targets as global page ids (ascending), read through `local`,
+    /// the fragment the world node belongs to.
+    pub fn target_pages<'g>(
+        self,
+        local: &'g Subgraph,
+    ) -> impl ExactSizeIterator<Item = PageId> + use<'a, 'g> {
+        self.targets.iter().map(|&t| local.page_at(t as usize))
+    }
+}
+
+/// `p`'s dense index in `local`, as a world-node target.
+fn local_target(local: &Subgraph, p: PageId) -> Option<u32> {
+    local.local_index(p).map(|i| i as u32)
 }
 
 /// The world node: all known external in-link knowledge of one peer.
@@ -99,8 +135,9 @@ struct Links {
     /// one longer than `srcs`. While a merge builds the arrays, the
     /// targets past the last offset belong to the source being merged.
     offsets: Vec<u32>,
-    /// Every source's targets, each run ascending, back to back.
-    targets: Vec<PageId>,
+    /// Every source's targets as local indices (module docs), each run
+    /// ascending, back to back.
+    targets: Vec<u32>,
 }
 
 impl Default for Links {
@@ -291,7 +328,7 @@ pub(crate) struct Slot<'m, 'w> {
 }
 
 impl Slot<'_, '_> {
-    fn targets(&self) -> &[PageId] {
+    fn targets(&self) -> &[u32] {
         let m = &*self.merge;
         match &m.next {
             Some(next) if self.building => &next.targets[next.open()..],
@@ -351,9 +388,9 @@ impl Slot<'_, '_> {
         next.targets.truncate(open + kept);
     }
 
-    /// See [`WorldNode::upsert`]. A record about a present page whose
-    /// degree is at most the page's, and whose targets it already has,
-    /// moves only the score.
+    /// See [`WorldNode::upsert`]; `targets` are local indices. A record
+    /// about a present page whose degree is at most the page's, and whose
+    /// targets it already has, moves only the score.
     pub(crate) fn upsert<I>(
         &mut self,
         out_degree: u32,
@@ -361,7 +398,7 @@ impl Slot<'_, '_> {
         targets: I,
         combine: CombineMode,
     ) where
-        I: IntoIterator<Item = PageId, IntoIter: Clone>,
+        I: IntoIterator<Item = u32, IntoIter: Clone>,
     {
         let src = self.src;
         assert!(out_degree > 0, "external page {src:?} with zero out-degree");
@@ -402,8 +439,9 @@ impl Slot<'_, '_> {
         );
     }
 
-    /// See [`WorldNode::set_authoritative`]. A record that restates a
-    /// present page's degree and targets moves only the score.
+    /// See [`WorldNode::set_authoritative`]; `targets` are local indices.
+    /// A record that restates a present page's degree and targets moves
+    /// only the score.
     pub(crate) fn set_authoritative<I>(
         &mut self,
         out_degree: u32,
@@ -411,7 +449,7 @@ impl Slot<'_, '_> {
         targets: I,
         combine: CombineMode,
     ) where
-        I: IntoIterator<Item = PageId, IntoIter: Clone>,
+        I: IntoIterator<Item = u32, IntoIter: Clone>,
     {
         let src = self.src;
         assert!(
@@ -473,9 +511,10 @@ impl Slot<'_, '_> {
     }
 }
 
-/// Whether `within` (ascending) holds every id `ids` yields, a two-pointer
-/// walk; ids that are not strictly ascending answer `false`.
-fn covers(within: &[PageId], mut ids: impl Iterator<Item = PageId>) -> bool {
+/// Whether `within` (ascending) holds every target `ids` yields, a
+/// two-pointer walk; targets that are not strictly ascending answer
+/// `false`.
+fn covers(within: &[u32], mut ids: impl Iterator<Item = u32>) -> bool {
     let mut rest = within.iter();
     ids.all(|t| rest.any(|&e| e == t))
 }
@@ -554,6 +593,20 @@ impl WorldNode {
         self.links.targets.len()
     }
 
+    /// The contract of every method that takes the world node's fragment:
+    /// the targets index into it. Checked in debug builds only, since it
+    /// reads every target; a wrong fragment at least as large as the
+    /// right one passes unseen.
+    fn debug_check_fragment(&self, local: &Subgraph) {
+        debug_assert!(
+            self.links
+                .targets
+                .iter()
+                .all(|&t| (t as usize) < local.num_pages()),
+            "a world-node target lies outside the fragment passed"
+        );
+    }
+
     /// Apply `records` — ascending by page; several for one page apply
     /// in order — in one pass over the world node: `apply` sees each
     /// record with the [`Slot`] of its page, and every source no record
@@ -602,7 +655,14 @@ impl WorldNode {
     /// [`upsert_dangling`](WorldNode::upsert_dangling).
     ///
     /// The payload's page records, bare ids and world records must each be
-    /// ascending, as [`MeetingPayload::validate`] insists.
+    /// ascending, as [`MeetingPayload::validate`] insists. Each link into
+    /// `local` costs the one probe that maps its id to its local index.
+    ///
+    /// # Panics
+    /// `local` must be the fragment the world node's targets index into,
+    /// the peer's own (module docs). Debug builds panic when a target
+    /// lies outside it; another fragment at least as large is not caught
+    /// and leaves the targets naming the wrong pages.
     pub fn absorb_light(
         &mut self,
         payload: &MeetingPayload,
@@ -613,7 +673,8 @@ impl WorldNode {
             payload.pages.len() + payload.world.len(),
             payload.num_links(),
         );
-        let keep = |t: &PageId| local.contains(*t);
+        self.debug_check_fragment(local);
+        let keep = |&t: &PageId| local_target(local, t);
         let (pages, unlinked, world) = (&payload.pages, &payload.unlinked, &payload.world);
         let mine = local.pages();
         let mut merge = Merge::new(self, room);
@@ -647,7 +708,7 @@ impl WorldNode {
                     // The sender knows the page's complete, current
                     // out-link list, so stale links from older crawls are
                     // replaced (§5.3 dynamics).
-                    let targets = payload.links_of(pp).iter().copied().filter(keep);
+                    let targets = payload.links_of(pp).iter().filter_map(keep);
                     slot.set_authoritative(pp.out_degree, pp.score, targets, combine);
                 }
                 if bare {
@@ -656,7 +717,7 @@ impl WorldNode {
                     slot.forget();
                 }
                 if let Some(wp) = relayed {
-                    let targets = payload.links_of(wp).iter().copied().filter(keep);
+                    let targets = payload.links_of(wp).iter().filter_map(keep);
                     let mut targets = targets.peekable();
                     if targets.peek().is_some() {
                         slot.upsert(wp.out_degree, wp.score, targets, combine);
@@ -674,24 +735,40 @@ impl WorldNode {
 
     /// Insert or refresh knowledge about external page `src`.
     ///
+    /// * `local` — the fragment the world node belongs to.
     /// * `out_degree` — `src`'s true out-degree (must cover its links).
     /// * `score` — the sending peer's current `α(src)`; combined with any
     ///   existing knowledge per `combine` (§4.2: the optimized variant
     ///   takes the max because scores never overestimate true PR).
-    /// * `targets` — local pages `src` links to; unioned with existing.
+    /// * `targets` — pages `src` links to; those in `local` are unioned
+    ///   with the existing ones. A record with none in `local` is
+    ///   skipped, as [`absorb_light`](WorldNode::absorb_light) skips a
+    ///   relayed entry with none.
     ///
     /// # Panics
     /// Panics if `out_degree == 0` (a page with an out-link has degree ≥ 1)
-    /// or `score` is not finite and non-negative.
+    /// or `score` is not finite and non-negative. `local` must be the
+    /// fragment the world node's targets index into, the peer's own
+    /// (module docs). Debug builds panic when a target lies outside it;
+    /// another fragment at least as large is not caught and leaves the
+    /// targets naming the wrong pages.
     pub fn upsert(
         &mut self,
+        local: &Subgraph,
         src: PageId,
         out_degree: u32,
         score: f64,
         targets: impl IntoIterator<Item = PageId>,
         combine: CombineMode,
     ) {
-        let targets: Vec<PageId> = targets.into_iter().collect();
+        self.debug_check_fragment(local);
+        let targets: Vec<u32> = targets
+            .into_iter()
+            .filter_map(|t| local_target(local, t))
+            .collect();
+        if targets.is_empty() {
+            return;
+        }
         let room = (1, targets.len());
         self.merge([(src, targets)], room, |slot, targets| {
             slot.upsert(out_degree, score, targets, combine);
@@ -708,18 +785,30 @@ impl WorldNode {
     /// structural truth; see the module docs of [`crate::meeting`] for the
     /// TakeMax-under-shrinking-dynamics caveat).
     ///
-    /// `targets` must be the (possibly empty) set of the *receiver's*
-    /// local pages among `src`'s current successors; `out_degree` is
-    /// `src`'s full current out-degree. If both are empty/zero the page is
-    /// recorded as dangling.
+    /// `targets` are `src`'s current successors; those in `local`, the
+    /// fragment the world node belongs to, are kept. `out_degree` is
+    /// `src`'s full current out-degree. If it is zero the page is
+    /// recorded as dangling; if no target is local the entry is dropped.
+    ///
+    /// # Panics
+    /// `local` must be the fragment the world node's targets index into,
+    /// the peer's own (module docs). Debug builds panic when a target
+    /// lies outside it; another fragment at least as large is not caught
+    /// and leaves the targets naming the wrong pages.
     pub fn set_authoritative(
         &mut self,
+        local: &Subgraph,
         src: PageId,
         out_degree: u32,
         score: f64,
-        targets: Vec<PageId>,
+        targets: impl IntoIterator<Item = PageId>,
         combine: CombineMode,
     ) {
+        self.debug_check_fragment(local);
+        let targets: Vec<u32> = targets
+            .into_iter()
+            .filter_map(|t| local_target(local, t))
+            .collect();
         let room = (1, targets.len());
         self.merge([(src, targets)], room, |slot, targets| {
             slot.set_authoritative(out_degree, score, targets, combine);
@@ -744,9 +833,9 @@ impl WorldNode {
     }
 
     /// Append an entry for `src`, which must lie above every source so
-    /// far — how [`crate::snapshot::load`] rebuilds a world node it has
-    /// checked.
-    pub(crate) fn push(&mut self, src: PageId, out_degree: u32, score: f64, targets: &[PageId]) {
+    /// far, with `targets` already mapped to local indices — how
+    /// [`crate::snapshot::load`] rebuilds a world node it has checked.
+    pub(crate) fn push(&mut self, src: PageId, out_degree: u32, score: f64, targets: &[u32]) {
         debug_assert!(targets.is_sorted_by(|a, b| a < b));
         self.links.targets.extend_from_slice(targets);
         self.links.close(src, out_degree, score);
@@ -790,10 +879,15 @@ impl WorldNode {
     /// The authority mass each local page receives from the world node
     /// per unit of world-node probability — the numerators of eq. (8):
     /// `inflow[i] = Σ_{r → pages[i]} α(r) / out(r)` indexed by the dense
-    /// local index of the target in `graph`, plus the uniform
-    /// `dangling_mass / n_total` share every page receives from known
-    /// external dangling pages. Targets not (or no longer) local are
-    /// skipped.
+    /// local index of the target in `graph`, the fragment the world node
+    /// belongs to, plus the uniform `dangling_mass / n_total` share every
+    /// page receives from known external dangling pages. A target is its
+    /// page's index already, so nothing is looked up.
+    ///
+    /// # Panics
+    /// Panics if a target lies outside `graph`. `graph` must be the
+    /// fragment the targets index into (module docs); another fragment at
+    /// least as large is not caught and credits the wrong pages.
     pub fn inflow(&self, graph: &Subgraph, n_total: f64) -> Vec<f64> {
         let dangling_share = self.dangling_mass() / n_total;
         let mut inflow = vec![dangling_share; graph.num_pages()];
@@ -801,35 +895,42 @@ impl WorldNode {
         for (k, bounds) in links.offsets.windows(2).enumerate() {
             let per_link = links.scores[k] / links.degrees[k] as f64;
             for &t in &links.targets[bounds[0] as usize..bounds[1] as usize] {
-                if let Some(i) = graph.local_index(t) {
-                    inflow[i] += per_link;
-                }
+                inflow[t as usize] += per_link;
             }
         }
         inflow
     }
 
-    /// Drop entries whose source became a local page (used after full
-    /// merges: `T_M = (T_A ∪ T_B) − E_M`), and restrict targets to pages
-    /// that are still local; entries left without targets are removed.
-    /// Dangling knowledge about now-local pages is dropped likewise.
-    pub fn retain_relevant(&mut self, graph: &Subgraph) {
+    /// Move the world node from fragment `from` to fragment `to`: drop
+    /// entries whose source is a page of `to` (used after full merges:
+    /// `T_M = (T_A ∪ T_B) − E_M`), and remap every target once, index in
+    /// `from` → page id → index in `to`, dropping the targets `to` does
+    /// not hold; entries left without targets are removed. Dangling
+    /// knowledge about pages of `to` is dropped likewise. With `from` and
+    /// `to` the same fragment, this prunes without moving.
+    ///
+    /// # Panics
+    /// Panics if a target lies outside `from`. `from` must be the
+    /// fragment the targets index into (module docs); another fragment at
+    /// least as large is not caught and maps the targets to the wrong
+    /// pages.
+    pub fn retain_relevant(&mut self, from: &Subgraph, to: &Subgraph) {
         let old = std::mem::take(&mut self.links);
         let mut next = Links::with_capacity(old.srcs.len(), old.targets.len());
         for (k, &src) in old.srcs.iter().enumerate() {
-            if graph.contains(src) {
+            if to.contains(src) {
                 continue;
             }
             let kept = old.targets[old.range(k)]
                 .iter()
-                .filter(|&&t| graph.contains(t));
+                .filter_map(|&t| local_target(to, from.page_at(t as usize)));
             next.targets.extend(kept);
             if next.targets.len() > next.open() {
                 next.close(src, old.degrees[k], old.scores[k]);
             }
         }
         self.links = next;
-        self.dangling.retain(|&p, _| !graph.contains(p));
+        self.dangling.retain(|&p, _| !to.contains(p));
     }
 }
 
@@ -838,47 +939,79 @@ mod tests {
     use super::*;
     use jxp_webgraph::{GraphBuilder, PageId};
 
+    /// Local pages 10 and 20 (local indices 0 and 1) of a global graph
+    /// 10 → 20 → 10, so an index never reads as the id it stands for.
     fn local_graph() -> Subgraph {
-        // Global: 0→1, 1→0; local fragment = {0, 1}.
         let mut b = GraphBuilder::new();
-        b.add_edge(PageId(0), PageId(1));
-        b.add_edge(PageId(1), PageId(0));
+        b.add_edge(PageId(10), PageId(20));
+        b.add_edge(PageId(20), PageId(10));
         let g = b.build();
-        Subgraph::from_pages(&g, [PageId(0), PageId(1)])
+        Subgraph::from_pages(&g, [PageId(10), PageId(20)])
+    }
+
+    const A: PageId = PageId(10);
+    const B: PageId = PageId(20);
+    const TAKE_MAX: CombineMode = CombineMode::TakeMax;
+
+    fn target_pages(w: &WorldNode, g: &Subgraph, src: u32) -> Vec<PageId> {
+        w.entry(PageId(src)).unwrap().target_pages(g).collect()
     }
 
     #[test]
     fn upsert_inserts_and_unions_targets() {
+        let g = local_graph();
         let mut w = WorldNode::new();
-        w.upsert(PageId(5), 3, 0.1, [PageId(0)], CombineMode::TakeMax);
-        w.upsert(
-            PageId(5),
-            3,
-            0.1,
-            [PageId(1), PageId(0)],
-            CombineMode::TakeMax,
-        );
+        w.upsert(&g, PageId(5), 3, 0.1, [A], TAKE_MAX);
+        w.upsert(&g, PageId(5), 3, 0.1, [B, A], TAKE_MAX);
         assert_eq!(w.len(), 1);
         let e = w.entry(PageId(5)).unwrap();
-        assert_eq!(e.targets, vec![PageId(0), PageId(1)]);
+        assert_eq!(e.targets, [0, 1]);
+        assert_eq!(target_pages(&w, &g, 5), [A, B]);
         assert_eq!(w.num_links(), 2);
     }
 
     #[test]
-    fn take_max_keeps_bigger_score() {
+    fn upsert_keeps_only_local_targets() {
+        let g = local_graph();
         let mut w = WorldNode::new();
-        w.upsert(PageId(5), 2, 0.10, [PageId(0)], CombineMode::TakeMax);
-        w.upsert(PageId(5), 2, 0.05, [PageId(0)], CombineMode::TakeMax);
+        w.upsert(&g, PageId(5), 3, 0.1, [PageId(0), B, PageId(42)], TAKE_MAX);
+        assert_eq!(w.entry(PageId(5)).unwrap().targets, [1]);
+        // A record with no local target is skipped.
+        w.upsert(&g, PageId(6), 3, 0.1, [PageId(42)], TAKE_MAX);
+        assert!(w.entry(PageId(6)).is_none());
+        assert_eq!(w.num_links(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside the fragment")]
+    fn a_fragment_the_targets_do_not_index_is_refused_in_debug_builds() {
+        let g = local_graph();
+        let mut w = WorldNode::new();
+        w.upsert(&g, PageId(5), 3, 0.1, [B], TAKE_MAX); // target index 1
+        let mut b = GraphBuilder::new();
+        b.add_edge(A, PageId(30));
+        let smaller = Subgraph::from_pages(&b.build(), [A]);
+        w.upsert(&smaller, PageId(6), 3, 0.1, [A], TAKE_MAX);
+    }
+
+    #[test]
+    fn take_max_keeps_bigger_score() {
+        let g = local_graph();
+        let mut w = WorldNode::new();
+        w.upsert(&g, PageId(5), 2, 0.10, [A], TAKE_MAX);
+        w.upsert(&g, PageId(5), 2, 0.05, [A], TAKE_MAX);
         assert_eq!(w.entry(PageId(5)).unwrap().score, 0.10);
-        w.upsert(PageId(5), 2, 0.20, [PageId(0)], CombineMode::TakeMax);
+        w.upsert(&g, PageId(5), 2, 0.20, [A], TAKE_MAX);
         assert_eq!(w.entry(PageId(5)).unwrap().score, 0.20);
     }
 
     #[test]
     fn average_mode_averages_scores() {
+        let g = local_graph();
         let mut w = WorldNode::new();
-        w.upsert(PageId(5), 2, 0.10, [PageId(0)], CombineMode::Average);
-        w.upsert(PageId(5), 2, 0.30, [PageId(0)], CombineMode::Average);
+        w.upsert(&g, PageId(5), 2, 0.10, [A], CombineMode::Average);
+        w.upsert(&g, PageId(5), 2, 0.30, [A], CombineMode::Average);
         assert!((w.entry(PageId(5)).unwrap().score - 0.20).abs() < 1e-12);
     }
 
@@ -886,16 +1019,10 @@ mod tests {
     fn inflow_weights_by_score_over_outdegree() {
         let g = local_graph();
         let mut w = WorldNode::new();
-        // Page 7: α = 0.2, out-degree 4, links to local 0 and 1.
-        w.upsert(
-            PageId(7),
-            4,
-            0.2,
-            [PageId(0), PageId(1)],
-            CombineMode::TakeMax,
-        );
-        // Page 9: α = 0.1, out-degree 2, links to local 1.
-        w.upsert(PageId(9), 2, 0.1, [PageId(1)], CombineMode::TakeMax);
+        // Page 7: α = 0.2, out-degree 4, links to local A and B.
+        w.upsert(&g, PageId(7), 4, 0.2, [A, B], TAKE_MAX);
+        // Page 9: α = 0.1, out-degree 2, links to local B.
+        w.upsert(&g, PageId(9), 2, 0.1, [B], TAKE_MAX);
         let inflow = w.inflow(&g, 100.0);
         assert!((inflow[0] - 0.05).abs() < 1e-12); // 0.2/4
         assert!((inflow[1] - (0.05 + 0.05)).abs() < 1e-12); // 0.2/4 + 0.1/2
@@ -905,76 +1032,95 @@ mod tests {
     fn inflow_skips_non_local_targets() {
         let g = local_graph();
         let mut w = WorldNode::new();
-        w.upsert(
-            PageId(7),
-            2,
-            0.2,
-            [PageId(0), PageId(42)],
-            CombineMode::TakeMax,
-        );
+        w.upsert(&g, PageId(7), 2, 0.2, [A, PageId(42)], TAKE_MAX);
         let inflow = w.inflow(&g, 100.0);
         assert!((inflow[0] - 0.1).abs() < 1e-12);
-        assert_eq!(inflow.len(), 2);
+        assert_eq!(inflow, [inflow[0], 0.0]);
     }
 
     #[test]
     fn retain_relevant_prunes_local_sources_and_dead_targets() {
+        // The world node of fragment {10, 20, 30}; the fragment shrinks
+        // to {10, 20} and page 30's former in-links go.
+        let mut b = GraphBuilder::new();
+        b.add_edge(PageId(10), PageId(30));
+        b.add_edge(PageId(30), PageId(20));
+        let global = b.build();
+        let before = Subgraph::from_pages(&global, [A, B, PageId(30)]);
         let g = local_graph();
         let mut w = WorldNode::new();
-        w.upsert(PageId(0), 2, 0.2, [PageId(1)], CombineMode::TakeMax); // now local
-        w.upsert(PageId(7), 2, 0.1, [PageId(42)], CombineMode::TakeMax); // dead target
-        w.upsert(
-            PageId(8),
-            2,
-            0.1,
-            [PageId(0), PageId(42)],
-            CombineMode::TakeMax,
-        );
-        w.retain_relevant(&g);
+        w.upsert(&before, A, 2, 0.2, [B], TAKE_MAX); // now local
+        w.upsert(&before, PageId(7), 2, 0.1, [PageId(30)], TAKE_MAX); // dead target
+        w.upsert(&before, PageId(8), 2, 0.1, [B, PageId(30)], TAKE_MAX);
+        w.upsert_dangling(A, 0.1, TAKE_MAX); // now local
+        w.upsert_dangling(PageId(9), 0.1, TAKE_MAX);
+        assert_eq!(w.entry(PageId(8)).unwrap().targets, [1, 2]);
+        w.retain_relevant(&before, &g);
         assert_eq!(w.len(), 1);
-        assert_eq!(w.entry(PageId(8)).unwrap().targets, vec![PageId(0)]);
+        assert_eq!(w.entry(PageId(8)).unwrap().targets, [1]);
+        assert_eq!(target_pages(&w, &g, 8), [B]);
+        assert_eq!(
+            w.dangling_iter().map(|(p, _)| p).collect::<Vec<_>>(),
+            [PageId(9)]
+        );
+    }
+
+    #[test]
+    fn retain_relevant_remaps_targets_into_a_grown_fragment() {
+        // Fragment {10, 20} grows to {5, 10, 15, 20}: A and B move from
+        // indices 0, 1 to 1, 3.
+        let mut b = GraphBuilder::new();
+        b.add_edge(PageId(5), PageId(15));
+        b.add_edge(A, B);
+        let global = b.build();
+        let g = local_graph();
+        let grown = Subgraph::from_pages(&global, [PageId(5), A, PageId(15), B]);
+        let mut w = WorldNode::new();
+        w.upsert(&g, PageId(7), 4, 0.2, [A, B], TAKE_MAX);
+        w.retain_relevant(&g, &grown);
+        assert_eq!(w.entry(PageId(7)).unwrap().targets, [1, 3]);
+        assert_eq!(target_pages(&w, &grown, 7), [A, B]);
+        let inflow = w.inflow(&grown, 100.0);
+        assert_eq!(inflow, [0.0, 0.05, 0.0, 0.05]);
     }
 
     #[test]
     fn scale_scores() {
+        let g = local_graph();
         let mut w = WorldNode::new();
-        w.upsert(PageId(7), 2, 0.2, [PageId(0)], CombineMode::TakeMax);
+        w.upsert(&g, PageId(7), 2, 0.2, [A], TAKE_MAX);
         w.scale_scores(0.5);
         assert!((w.entry(PageId(7)).unwrap().score - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn set_authoritative_replaces_stale_links() {
+        let g = local_graph();
         let mut w = WorldNode::new();
-        w.upsert(
-            PageId(7),
-            5,
-            0.1,
-            [PageId(0), PageId(1)],
-            CombineMode::TakeMax,
-        );
+        w.upsert(&g, PageId(7), 5, 0.1, [A, B], TAKE_MAX);
         // Fresh crawl of page 7: it now has 2 out-links, only one into me.
-        w.set_authoritative(PageId(7), 2, 0.05, vec![PageId(1)], CombineMode::TakeMax);
+        w.set_authoritative(&g, PageId(7), 2, 0.05, [B, PageId(3)], TAKE_MAX);
         let e = w.entry(PageId(7)).unwrap();
         assert_eq!(e.out_degree, 2);
-        assert_eq!(e.targets, vec![PageId(1)]);
+        assert_eq!(target_pages(&w, &g, 7), [B]);
         // Score still combines (TakeMax keeps the bigger one).
         assert_eq!(e.score, 0.1);
     }
 
     #[test]
     fn set_authoritative_handles_dangling_transitions() {
+        let g = local_graph();
         let mut w = WorldNode::new();
         // Page 7 links to me …
-        w.set_authoritative(PageId(7), 1, 0.1, vec![PageId(0)], CombineMode::TakeMax);
+        w.set_authoritative(&g, PageId(7), 1, 0.1, [A], TAKE_MAX);
         assert_eq!(w.len(), 1);
         assert_eq!(w.num_dangling(), 0);
         // … then loses all its out-links (becomes dangling) …
-        w.set_authoritative(PageId(7), 0, 0.1, vec![], CombineMode::TakeMax);
+        w.set_authoritative(&g, PageId(7), 0, 0.1, [], TAKE_MAX);
         assert_eq!(w.len(), 0);
         assert_eq!(w.num_dangling(), 1);
         // … then gains links again, none into me.
-        w.set_authoritative(PageId(7), 3, 0.1, vec![], CombineMode::TakeMax);
+        w.set_authoritative(&g, PageId(7), 3, 0.1, [PageId(42)], TAKE_MAX);
         assert_eq!(w.len(), 0);
         assert_eq!(w.num_dangling(), 0);
     }
@@ -983,7 +1129,7 @@ mod tests {
     fn dangling_mass_feeds_uniform_inflow() {
         let g = local_graph();
         let mut w = WorldNode::new();
-        w.upsert_dangling(PageId(9), 0.3, CombineMode::TakeMax);
+        w.upsert_dangling(PageId(9), 0.3, TAKE_MAX);
         let inflow = w.inflow(&g, 10.0);
         // Each local page gets dangling_mass / N = 0.03.
         assert!((inflow[0] - 0.03).abs() < 1e-12);
@@ -994,8 +1140,8 @@ mod tests {
     #[test]
     fn dangling_scores_combine_per_mode() {
         let mut w = WorldNode::new();
-        w.upsert_dangling(PageId(9), 0.2, CombineMode::TakeMax);
-        w.upsert_dangling(PageId(9), 0.1, CombineMode::TakeMax);
+        w.upsert_dangling(PageId(9), 0.2, TAKE_MAX);
+        w.upsert_dangling(PageId(9), 0.1, TAKE_MAX);
         assert_eq!(w.dangling_iter().next().unwrap().1, 0.2);
         let mut w2 = WorldNode::new();
         w2.upsert_dangling(PageId(9), 0.2, CombineMode::Average);
@@ -1009,12 +1155,13 @@ mod tests {
         // arrive (meetings happen in arbitrary order), iter() and
         // dangling_iter() must yield ascending PageIds so payload
         // assembly, snapshots, and inflow accumulation are replayable.
+        let g = local_graph();
         let mut w = WorldNode::new();
         for src in [97u32, 3, 55, 12, 88, 1, 42] {
-            w.upsert(PageId(src), 2, 0.1, [PageId(0)], CombineMode::TakeMax);
+            w.upsert(&g, PageId(src), 2, 0.1, [A], TAKE_MAX);
         }
         for p in [66u32, 5, 31] {
-            w.upsert_dangling(PageId(p), 0.1, CombineMode::TakeMax);
+            w.upsert_dangling(PageId(p), 0.1, TAKE_MAX);
         }
         let order: Vec<PageId> = w.iter().map(|(s, _)| s).collect();
         let mut sorted = order.clone();
@@ -1037,23 +1184,11 @@ mod tests {
             vec![(7, 4, 0.2), (9, 2, 0.1), (13, 8, 0.05), (21, 3, 0.07)];
         let mut forward = WorldNode::new();
         for &(src, deg, score) in &facts {
-            forward.upsert(
-                PageId(src),
-                deg,
-                score,
-                [PageId(0), PageId(1)],
-                CombineMode::TakeMax,
-            );
+            forward.upsert(&g, PageId(src), deg, score, [A, B], TAKE_MAX);
         }
         let mut reverse = WorldNode::new();
         for &(src, deg, score) in facts.iter().rev() {
-            reverse.upsert(
-                PageId(src),
-                deg,
-                score,
-                [PageId(0), PageId(1)],
-                CombineMode::TakeMax,
-            );
+            reverse.upsert(&g, PageId(src), deg, score, [A, B], TAKE_MAX);
         }
         let a = forward.inflow(&g, 100.0);
         let b = reverse.inflow(&g, 100.0);
@@ -1067,13 +1202,13 @@ mod tests {
     #[should_panic(expected = "zero out-degree")]
     fn zero_out_degree_rejected() {
         let mut w = WorldNode::new();
-        w.upsert(PageId(7), 0, 0.2, [PageId(0)], CombineMode::TakeMax);
+        w.upsert(&local_graph(), PageId(7), 0, 0.2, [A], TAKE_MAX);
     }
 
     #[test]
     #[should_panic(expected = "invalid score")]
     fn nan_score_rejected() {
         let mut w = WorldNode::new();
-        w.upsert(PageId(7), 1, f64::NAN, [PageId(0)], CombineMode::TakeMax);
+        w.upsert(&local_graph(), PageId(7), 1, f64::NAN, [A], TAKE_MAX);
     }
 }

@@ -12,9 +12,18 @@
 //! entries, into empty and 1-entry worlds. Others pin the in-place path,
 //! where a record that leaves its entry's degree, targets and presence
 //! as they were only moves the score, and its fall-through to a rebuild.
+//!
+//! The world node keeps its targets as indices into the fragment; the
+//! model keeps global ids and probes the fragment for each one in
+//! `inflow`. So every comparison also reads
+//! each entry's targets back as ids, and the remapping tests move the
+//! fragment under both: random grow and shrink events through
+//! `retain_relevant` and `JxpPeer::update_fragment`, and full merges
+//! (`absorb_full`'s union graph), checked against the model at every
+//! step.
 
-use jxp_core::{CombineMode, MeetingPayload, WorldNode};
-use jxp_webgraph::{PageId, Subgraph};
+use jxp_core::{CombineMode, JxpConfig, JxpPeer, MeetingPayload, MergeMode, WorldNode};
+use jxp_webgraph::{GraphBuilder, PageId, Subgraph};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -46,7 +55,24 @@ fn combined(mine: f64, theirs: f64, combine: CombineMode) -> f64 {
 }
 
 impl Reference {
+    /// [`WorldNode::upsert`]: the targets in `local`, unless none is.
     fn upsert(
+        &mut self,
+        local: &Subgraph,
+        src: PageId,
+        out_degree: u32,
+        score: f64,
+        targets: impl IntoIterator<Item = PageId>,
+        combine: CombineMode,
+    ) {
+        let targets: Vec<PageId> = targets.into_iter().filter(|&t| local.contains(t)).collect();
+        if !targets.is_empty() {
+            self.union(src, out_degree, score, targets, combine);
+        }
+    }
+
+    /// One record into the entry of `src`, whatever its targets.
+    fn union(
         &mut self,
         src: PageId,
         out_degree: u32,
@@ -74,12 +100,14 @@ impl Reference {
 
     fn set_authoritative(
         &mut self,
+        local: &Subgraph,
         src: PageId,
         out_degree: u32,
         score: f64,
         mut targets: Vec<PageId>,
         combine: CombineMode,
     ) {
+        targets.retain(|&t| local.contains(t));
         if out_degree == 0 {
             self.entries.remove(&src);
             self.upsert_dangling(src, score, combine);
@@ -121,9 +149,8 @@ impl Reference {
     fn absorb_light(&mut self, payload: &MeetingPayload, local: &Subgraph, combine: CombineMode) {
         for pp in payload.pages() {
             if !local.contains(pp.page) {
-                let targets = pp.succs.iter().copied().filter(|&t| local.contains(t));
-                let targets = targets.collect();
-                self.set_authoritative(pp.page, pp.out_degree, pp.score, targets, combine);
+                let targets = pp.succs.to_vec();
+                self.set_authoritative(local, pp.page, pp.out_degree, pp.score, targets, combine);
             }
         }
         for &page in &payload.unlinked {
@@ -137,21 +164,48 @@ impl Reference {
             }
         }
         for wp in payload.world() {
-            if local.contains(wp.src) {
-                continue;
-            }
-            let mut targets = wp
-                .targets
-                .iter()
-                .copied()
-                .filter(|&t| local.contains(t))
-                .peekable();
-            if targets.peek().is_some() {
-                self.upsert(wp.src, wp.out_degree, wp.score, targets, combine);
+            if !local.contains(wp.src) {
+                let targets = wp.targets.iter().copied();
+                self.upsert(local, wp.src, wp.out_degree, wp.score, targets, combine);
             }
         }
     }
 
+    /// [`WorldNode::retain_relevant`] onto fragment `to`.
+    fn retain_relevant(&mut self, to: &Subgraph) {
+        self.entries.retain(|&src, e| {
+            e.targets.retain(|&t| to.contains(t));
+            !to.contains(src) && !e.targets.is_empty()
+        });
+        self.dangling.retain(|&p, _| !to.contains(p));
+    }
+
+    /// A world node's state as ids, scores included.
+    fn of(w: &WorldNode, local: &Subgraph) -> Self {
+        let entries = w.iter().map(|(src, e)| {
+            let targets = e.target_pages(local).collect();
+            let entry = Entry {
+                out_degree: e.out_degree,
+                score: e.score,
+                targets,
+            };
+            (src, entry)
+        });
+        Reference {
+            entries: entries.collect(),
+            dangling: w.dangling_iter().collect(),
+        }
+    }
+
+    /// The entries without their scores, and the dangling pages.
+    fn structure(&self) -> Structure {
+        let entries = self.entries.iter();
+        let entries = entries.map(|(&src, e)| (src, e.out_degree, e.targets.clone()));
+        (entries.collect(), self.dangling.keys().copied().collect())
+    }
+
+    /// The world node's inflow computed over global ids: one probe of
+    /// the fragment per target.
     fn inflow(&self, graph: &Subgraph) -> Vec<f64> {
         let dangling_mass: f64 = self.dangling.values().sum();
         let mut inflow = vec![dangling_mass / N_TOTAL; graph.num_pages()];
@@ -169,11 +223,16 @@ impl Reference {
 
 type Entries = Vec<(PageId, u32, u64, Vec<PageId>)>;
 type Dangling = Vec<(PageId, u64)>;
+/// Entries as (source, out-degree, targets), and the dangling pages.
+type Structure = (Vec<(PageId, u32, Vec<PageId>)>, Vec<PageId>);
 
 fn flat_state(w: &WorldNode, local: &Subgraph) -> (Entries, Dangling, Vec<u64>) {
     let entries = w
         .iter()
-        .map(|(src, e)| (src, e.out_degree, e.score.to_bits(), e.targets.to_vec()))
+        .map(|(src, e)| {
+            let targets = e.target_pages(local).collect();
+            (src, e.out_degree, e.score.to_bits(), targets)
+        })
         .collect();
     let dangling = w.dangling_iter().map(|(p, s)| (p, s.to_bits())).collect();
     let inflow = w
@@ -240,14 +299,14 @@ proptest! {
             match kind {
                 0 => {
                     let degree = RELAYED_DEGREE + degree;
-                    flat.upsert(src, degree, score, ids(&targets), combine);
-                    reference.upsert(src, degree, score, ids(&targets), combine);
+                    flat.upsert(&local, src, degree, score, ids(&targets), combine);
+                    reference.upsert(&local, src, degree, score, ids(&targets), combine);
                 }
                 1 => {
                     let mut targets = ids(&targets);
                     targets.truncate(degree as usize);
-                    flat.set_authoritative(src, degree, score, targets.clone(), combine);
-                    reference.set_authoritative(src, degree, score, targets, combine);
+                    flat.set_authoritative(&local, src, degree, score, targets.clone(), combine);
+                    reference.set_authoritative(&local, src, degree, score, targets, combine);
                 }
                 2 => {
                     flat.forget(src);
@@ -268,8 +327,8 @@ proptest! {
             }
             let targets: Vec<PageId> = picks.iter().map(|&i| local.page_at(i % local.num_pages())).collect();
             let degree = RELAYED_DEGREE + degree;
-            flat.upsert(src, degree, score, targets.clone(), combine);
-            reference.upsert(src, degree, score, targets, combine);
+            flat.upsert(&local, src, degree, score, targets.clone(), combine);
+            reference.upsert(&local, src, degree, score, targets, combine);
         }
         prop_assert_eq!(flat_state(&flat, &local), reference_state(&reference, &local));
 
@@ -277,8 +336,8 @@ proptest! {
         // records about sources it holds.
         let entries: Vec<(u32, u32, Vec<u32>)> = flat
             .iter()
-            .filter(|&(src, e)| !local.contains(src) && e.targets.iter().any(|&t| local.contains(t)))
-            .map(|(src, e)| (src.0, e.out_degree, e.targets.iter().map(|t| t.0).collect()))
+            .filter(|&(src, e)| !local.contains(src) && !e.targets.is_empty())
+            .map(|(src, e)| (src.0, e.out_degree, e.target_pages(&local).map(|t| t.0).collect()))
             .collect();
         let entry = |k: usize| (!entries.is_empty()).then(|| &entries[k % entries.len()]);
 
@@ -330,8 +389,182 @@ proptest! {
         prop_assert_eq!(flat_state(&flat, &local), reference_state(&reference, &local));
         prop_assert_eq!(flat.num_links(), reference.entries.values().map(|e| e.targets.len()).sum::<usize>());
         for (src, e) in &reference.entries {
-            let found = flat.entry(*src).map(|f| f.targets.to_vec());
+            let found = flat.entry(*src).map(|f| f.target_pages(&local).collect::<Vec<_>>());
             prop_assert_eq!(found, Some(e.targets.clone()));
+        }
+    }
+}
+
+/// A payload of the records drawn, put in order.
+fn payload_of(
+    pages: Vec<(u32, u32, f64, Vec<u32>)>,
+    unlinked: &[u32],
+    world: Vec<(u32, u32, f64, Vec<u32>)>,
+    world_dangling: &[(u32, f64)],
+) -> MeetingPayload {
+    let mut payload = MeetingPayload::default();
+    for (page, out_degree, score, succs) in by_key(pages, |p| p.0) {
+        let mut succs = sorted(&succs);
+        succs.truncate(out_degree as usize);
+        payload.push_page(PageId(page), score, out_degree, succs);
+    }
+    for (src, degree, score, targets) in by_key(world, |w| w.0) {
+        payload.push_world(
+            PageId(src),
+            RELAYED_DEGREE + degree,
+            score,
+            sorted(&targets),
+        );
+    }
+    payload.unlinked = sorted(unlinked);
+    payload.world_dangling = by_key(world_dangling.to_vec(), |d| d.0)
+        .into_iter()
+        .map(|(p, s)| (PageId(p), s))
+        .collect();
+    payload.world_score = 0.5;
+    payload.cut_for = 1;
+    payload
+}
+
+/// The fragment a fragment event leaves: `old` with `picks` added (0),
+/// taken away (1), or `picks` alone (2).
+fn moved(old: &[PageId], event: u8, picks: &[u32]) -> Vec<PageId> {
+    let picks = sorted(picks);
+    match event {
+        0 => sorted(&old.iter().chain(&picks).map(|p| p.0).collect::<Vec<_>>()),
+        1 => old.iter().copied().filter(|p| !picks.contains(p)).collect(),
+        _ => picks,
+    }
+}
+
+type Payloads = Vec<(u32, u32, f64, Vec<u32>)>;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Fragments that grow, shrink and change between absorbs: the world
+    /// node remaps its targets once per change, and reads back as the
+    /// model that never held anything but ids.
+    #[test]
+    fn remapped_worlds_match_the_global_id_model(
+        take_max in 0u8..2,
+        first in vec(0..IDS, 1..10),
+        steps in vec((
+            0u8..4,
+            vec(0..IDS, 0..8),
+            vec((0..IDS, 0..4u32, 0.0..0.2f64, vec(0..IDS, 0..4)), 0..8),
+            vec((0..IDS, 0..6u32, 0.0..0.2f64, vec(0..IDS, 1..5)), 0..10),
+            vec((0..IDS, 0.0..0.2f64), 0..3),
+        ), 1..12),
+    ) {
+        let combine = if take_max == 1 { CombineMode::TakeMax } else { CombineMode::Average };
+        let fragment = |pages: &[PageId]| Subgraph::from_adjacency(pages.iter().map(|&p| (p, vec![])));
+        let mut local = fragment(&sorted(&first));
+        let (mut flat, mut reference) = (WorldNode::new(), Reference::default());
+        for (event, picks, pages, world, dangling) in steps {
+            if event == 3 {
+                let (pages, world): (Payloads, Payloads) = (pages, world);
+                let payload = payload_of(pages, &picks, world, &dangling);
+                flat.absorb_light(&payload, &local, combine);
+                reference.absorb_light(&payload, &local, combine);
+            } else {
+                let next = fragment(&moved(local.pages(), event, &picks));
+                flat.retain_relevant(&local, &next);
+                reference.retain_relevant(&next);
+                local = next;
+            }
+            prop_assert_eq!(flat_state(&flat, &local), reference_state(&reference, &local));
+            prop_assert_eq!(flat.num_links(), reference.entries.values().map(|e| e.targets.len()).sum::<usize>());
+        }
+    }
+
+    /// A peer's world node across re-crawls (`update_fragment`, growing,
+    /// shrinking or replacing the fragment) and absorbs, light or full
+    /// (`absorb_full` merges through the union graph's indices and back):
+    /// after every step it holds what the model, fed the same step, says,
+    /// and its `inflow` is the model's, one probe per target, bit for bit.
+    #[test]
+    fn peers_remap_across_re_crawls_and_full_merges(
+        full in 0u8..2,
+        take_max in 0u8..2,
+        edges in vec((0..IDS, 0..IDS), 20..90),
+        fragments in vec(vec(0..IDS, 1..10), 4),
+        steps in vec((0u8..4, 0..3usize, vec(0..IDS, 1..8)), 1..10),
+    ) {
+        let combine = if take_max == 1 { CombineMode::TakeMax } else { CombineMode::Average };
+        let merge = if full == 1 { MergeMode::Full } else { MergeMode::LightWeight };
+        let config = JxpConfig { merge, combine, ..JxpConfig::default() };
+        let mut b = GraphBuilder::new();
+        b.ensure_nodes(IDS as usize);
+        for &(s, d) in &edges {
+            b.add_edge(PageId(s), PageId(d));
+        }
+        let global = b.build();
+        let mut peers: Vec<JxpPeer> = fragments
+            .iter()
+            .map(|f| JxpPeer::new(Subgraph::from_pages(&global, sorted(f)), u64::from(IDS), config.clone()))
+            .collect();
+        // The others learn from each other, so their payloads relay world
+        // entries too.
+        for _ in 0..2 {
+            for (i, j) in [(1, 2), (2, 3), (1, 3)] {
+                let (left, right) = peers.split_at_mut(j);
+                jxp_core::meeting::meet(&mut left[i], &mut right[0]);
+            }
+        }
+        let (a, others) = peers.split_first_mut().expect("four peers");
+        for (event, k, picks) in steps {
+            let before = Reference::of(a.world(), a.graph());
+            let mut expected = before;
+            // Whether the model knows every score the step leaves.
+            let mut scores_known = combine == CombineMode::TakeMax;
+            if event == 3 {
+                let payload = others[k].payload();
+                if merge == MergeMode::LightWeight {
+                    expected.absorb_light(&payload, a.graph(), combine);
+                } else {
+                    // absorb_full: through the union graph and back. The
+                    // scores of the sender's pages come from the merged
+                    // PageRank run, which the model does not run.
+                    scores_known = false;
+                    let other = Subgraph::from_adjacency(payload.pages().map(|pp| (pp.page, pp.succs.to_vec())));
+                    let merged = a.graph().union(&other);
+                    for wp in payload.world() {
+                        let targets = wp.targets.iter().copied().filter(|&t| merged.contains(t));
+                        expected.union(wp.src, wp.out_degree, wp.score, targets, combine);
+                    }
+                    for &(page, score) in &payload.world_dangling {
+                        expected.upsert_dangling(page, score, combine);
+                    }
+                    expected.retain_relevant(&merged);
+                    expected.retain_relevant(a.graph());
+                    for pp in payload.pages().filter(|pp| !a.graph().contains(pp.page)) {
+                        if pp.succs.is_empty() {
+                            expected.upsert_dangling(pp.page, 0.0, combine);
+                        } else {
+                            let degree = pp.succs.len() as u32;
+                            let targets = pp.succs.iter().copied();
+                            expected.upsert(a.graph(), pp.page, degree, 0.0, targets, combine);
+                        }
+                    }
+                }
+                a.absorb(&payload);
+            } else {
+                let next = moved(a.graph().pages(), event, &picks);
+                if next.is_empty() {
+                    continue;
+                }
+                let next = Subgraph::from_pages(&global, next);
+                expected.retain_relevant(&next);
+                a.update_fragment(next);
+            }
+            let (graph, world) = (a.graph(), a.world());
+            let now = Reference::of(world, graph);
+            prop_assert_eq!(now.structure(), expected.structure());
+            if scores_known {
+                prop_assert_eq!(flat_state(world, graph), reference_state(&expected, graph));
+            }
+            prop_assert_eq!(flat_state(world, graph), reference_state(&now, graph));
         }
     }
 }
@@ -352,8 +585,8 @@ fn merge_at(len: usize, srcs: &[u32]) {
         let (mut flat, mut reference) = (WorldNode::new(), Reference::default());
         for i in 0..len {
             let score = 0.001 * (i % 7) as f64;
-            flat.upsert(PageId(on(i)), 2, score, [PageId(0)], combine);
-            reference.upsert(PageId(on(i)), 2, score, [PageId(0)], combine);
+            flat.upsert(&local, PageId(on(i)), 2, score, [PageId(0)], combine);
+            reference.upsert(&local, PageId(on(i)), 2, score, [PageId(0)], combine);
         }
         let mut payload = MeetingPayload::default();
         for (j, &src) in srcs.iter().enumerate().filter(|(j, _)| j % 3 == 1) {
@@ -440,8 +673,8 @@ fn linked_world(len: usize, combine: CombineMode) -> (Subgraph, WorldNode, Refer
     for i in 0..len {
         let (src, score) = (PageId(on(i)), entry_score(i));
         let targets = vec![PageId(0), PageId(2)];
-        flat.set_authoritative(src, 3, score, targets.clone(), combine);
-        reference.set_authoritative(src, 3, score, targets, combine);
+        flat.set_authoritative(&local, src, 3, score, targets.clone(), combine);
+        reference.set_authoritative(&local, src, 3, score, targets, combine);
     }
     (local, flat, reference)
 }
